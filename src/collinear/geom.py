@@ -1,9 +1,11 @@
 """Exact rational plane geometry: predicates, intersections, rational rotations.
 
-All coordinates are ``fractions.Fraction``.  Predicates are exact; where speed
-matters (pairwise segment tests in drawing verification) callers should go
-through :mod:`collinear.realize`, which vectorizes a float filter with an exact
-fallback onto these primitives.
+All coordinates are ``fractions.Fraction``.  Every predicate is exact.  Where
+one point meets many predicates (the sweep in drawing verification, angular
+sorts), points are first converted to integer homogeneous coordinates
+(``homogeneous``) and handled by ``direction_h``, ``line_h``, ``side_h`` and
+``crosses_h``, which use integer products only: no float and no gcd per
+predicate.
 """
 
 from __future__ import annotations
@@ -27,8 +29,48 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return (d > 0) - (d < 0)
 
 
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    return orient(a, b, c) == 0
+HPoint = Tuple[int, int, int]
+
+
+def homogeneous(p) -> HPoint:
+    """Integer homogeneous coordinates ``(X, Y, W)`` with ``W > 0`` of the
+    point ``(X/W, Y/W)``, ``W`` the lcm of the two denominators.  Accepts
+    ints, floats and Fractions.  This is the one gcd per point; predicates
+    on the result need none, and per-point weights avoid the growth of one
+    common denominator over unrelated points."""
+    a, b = p[0].as_integer_ratio()
+    c, d = p[1].as_integer_ratio()
+    g = gcd(b, d)
+    return (a * (d // g), c * (b // g), b // g * d)
+
+
+def direction_h(p: HPoint, q: HPoint) -> Tuple[int, int]:
+    """A positive integer multiple of the vector q - p."""
+    return (q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2])
+
+
+def line_h(p: HPoint, q: HPoint) -> HPoint:
+    """The line through p and q as the cross product p x q: its dot product
+    with r is the 3x3 determinant of the rows p, q, r."""
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    return (y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2)
+
+
+def side_h(line: HPoint, r: HPoint) -> int:
+    """``orient`` on homogeneous points, for ``line = line_h(p, q)``: +1 if r
+    lies left of p -> q, -1 right, 0 on the line (the positive weights do
+    not change the sign).  Each point tested costs three products."""
+    d = line[0] * r[0] + line[1] * r[1] + line[2] * r[2]
+    return (d > 0) - (d < 0)
+
+
+def crosses_h(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> bool:
+    """True iff segments (a,b) and (c,d) cross properly: each has its end
+    points strictly on opposite sides of the other's supporting line, so
+    they meet in one point interior to both.  Touching and collinear
+    overlaps are not proper crossings."""
+    ab, cd = line_h(a, b), line_h(c, d)
+    return side_h(ab, c) * side_h(ab, d) < 0 and side_h(cd, a) * side_h(cd, b) < 0
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -37,38 +79,6 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
         return False
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff open segments (a,b) and (c,d) share at least one point that is
-    interior to at least one of them, or the segments overlap.
-
-    Sharing only a common endpoint is *not* a crossing.
-    """
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if o1 != o2 and o3 != o4 and o1 * o2 <= 0 and o3 * o4 <= 0:
-        # proper or touching intersection; rule out endpoint-only contact
-        if o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0:
-            # some endpoint is on the other segment: endpoint-only contact is OK
-            # only when the shared point is an endpoint of *both* segments.
-            for p in (c, d):
-                if orient(a, b, p) == 0 and on_segment(p, a, b) and p != a and p != b:
-                    return True
-            for p in (a, b):
-                if orient(c, d, p) == 0 and on_segment(p, c, d) and p != c and p != d:
-                    return True
-            return False
-        return True
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        # collinear: overlap test
-        (p1, p2) = sorted((a, b))
-        (q1, q2) = sorted((c, d))
-        lo, hi = max(p1, q1), min(p2, q2)
-        if lo < hi:
-            return True
-        return False
-    return False
 
 
 def seg_line_y0_crossing(a: Point, b: Point) -> Point | None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .geom import direction_h, homogeneous
+
 Dart = Tuple[int, int]
 Edge = FrozenSet[int]
 
@@ -446,62 +448,61 @@ def graph_from_positions(pos: Mapping[int, Tuple], edges: Iterable[Tuple[int, in
                          outer_vertices: Optional[Iterable[int]] = None) -> PlaneGraph:
     """Plane graph induced by an exact straight-line drawing.
 
-    Rotations are the clockwise angular orders around each vertex (exact
-    rational comparisons, no floats).  The outer face is found by signed area
-    (the clockwise walk), or by its vertex set if ``outer_vertices`` is given.
+    Rotations are the clockwise angular orders around each vertex, sorted on
+    integer direction vectors (no floats).  The outer face is the face whose
+    angle at the lexicographically smallest vertex contains the direction
+    (-1, 0), or the face with the vertex set ``outer_vertices`` if given.
     """
     from functools import cmp_to_key
 
+    H = {v: homogeneous(p) for v, p in pos.items()}
     adj: Dict[int, List[int]] = {v: [] for v in pos}
     for (a, b) in edges:
         adj[a].append(b)
         adj[b].append(a)
 
-    def make_cmp(v):
-        px, py = pos[v]
+    rot = {}
+    for v, ws in adj.items():
+        dirs = {w: direction_h(H[v], H[w]) for w in ws}
+        half = {w: 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+                for w, (dx, dy) in dirs.items()}
 
-        def half(w):
-            dx, dy = pos[w][0] - px, pos[w][1] - py
-            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-        def cmp(w1, w2):
-            h1, h2 = half(w1), half(w2)
-            if h1 != h2:
-                return h1 - h2
-            d1 = (pos[w1][0] - px, pos[w1][1] - py)
-            d2 = (pos[w2][0] - px, pos[w2][1] - py)
-            cr = d1[0] * d2[1] - d1[1] * d2[0]
+        def ccw(w1, w2):
+            if half[w1] != half[w2]:
+                return half[w1] - half[w2]
+            (x1, y1), (x2, y2) = dirs[w1], dirs[w2]
+            cr = x1 * y2 - y1 * x2
             if cr == 0:
                 raise PlaneGraphError(f"coincident edge directions at vertex {v}")
             return -1 if cr > 0 else 1
-        return cmp
 
-    rot = {}
-    for v, ws in adj.items():
-        ccw = sorted(ws, key=cmp_to_key(make_cmp(v)))
-        rot[v] = tuple(reversed(ccw))
+        rot[v] = tuple(reversed(sorted(ws, key=cmp_to_key(ccw))))
     g = PlaneGraph(rot, outer_face=0)
 
-    def clockwise_faces(pool):
-        out = []
-        for i in pool:
-            area2 = sum(pos[a][0] * pos[b][1] - pos[a][1] * pos[b][0]
-                        for (a, b) in g.faces[i])
-            if area2 < 0:
-                out.append(i)
-        return out
-
-    if outer_vertices is not None:
+    if outer_vertices is None:
+        # every neighbour of the leftmost-lowest vertex s lies in the half
+        # plane of directions (-90, 90] degrees; the angle at s clockwise
+        # from the lowest of them round to the topmost holds (-1, 0), and
+        # the face of the dart (s, topmost) owns that angle
+        s = min(pos, key=pos.__getitem__)
+        dirs = {w: direction_h(H[s], H[w]) for w in adj[s]}
+        top = adj[s][0]
+        for w in adj[s][1:]:
+            if dirs[top][0] * dirs[w][1] - dirs[top][1] * dirs[w][0] > 0:
+                top = w
+        outer = g.face_of_dart((s, top))
+    else:
         want = frozenset(outer_vertices)
         cands = [i for i in range(len(g.faces))
                  if frozenset(g.face_vertices(i)) == want]
         if len(cands) > 1:
-            cands = clockwise_faces(cands)
-    else:
-        cands = clockwise_faces(range(len(g.faces)))
-    if len(cands) != 1:
-        raise PlaneGraphError(f"outer face not unique ({len(cands)} candidates)")
-    return g if cands[0] == g.outer else g.with_outer(cands[0])
+            cands = [i for i in cands
+                     if sum(pos[a][0] * pos[b][1] - pos[a][1] * pos[b][0]
+                            for (a, b) in g.faces[i]) < 0]
+        if len(cands) != 1:
+            raise PlaneGraphError(f"outer face not unique ({len(cands)} candidates)")
+        outer = cands[0]
+    return g if outer == g.outer else g.with_outer(outer)
 
 
 def canonical_code(g: PlaneGraph) -> Tuple:

@@ -5,8 +5,9 @@ provides:
 
 * ``Drawing`` / ``PolylineDrawing`` with a text interchange format and an
   SVG export;
-* ``verify_drawing`` -- exact planarity, embedding fidelity (rotation
-  system and outer face), and collinearity of the designated vertices;
+* ``verify_drawing`` -- exact planarity (a Shamos-Hoey sweep on integer
+  determinant signs), embedding fidelity (rotation system and outer face),
+  and collinearity of the designated vertices;
 * ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
   solved exactly over the rationals;
 * ``LabelingOrder`` / ``labeling_from_curve`` -- the side labels (above /
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .geom import (F, collinear, line_intersection, line_through, on_segment,
-                   orient, point_in_triangle, seg_line_y0_crossing, segments_cross)
+from .geom import (F, crosses_h, direction_h, homogeneous, line_h,
+                   line_intersection, line_through, on_segment, orient,
+                   point_in_triangle, seg_line_y0_crossing, side_h)
 from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                           graph_from_positions, _cyclic_eq)
 from .curves import GoodCurve, AugmentedCurve, CurveError, augment_with_curve
@@ -165,152 +167,76 @@ class DrawingReport:
         return self.planar and self.embedding_ok and self.outer_ok and self.collinear_ok
 
 
-def _float_or_none(x: Fraction) -> Optional[float]:
-    try:
-        f = float(x)
-    except OverflowError:
-        return None
-    return f if f == f and abs(f) != float("inf") else None
+def _planarity_violations(coords: Mapping[int, Point],
+                          edges: Iterable[Tuple[int, int]]) -> List[str]:
+    """Exact planarity audit of a straight-line drawing: the first violation
+    a Shamos-Hoey sweep meets, or ``[]`` when the drawing is planar.
 
-
-def _planarity_violations(g: PlaneGraph, coords: Mapping[int, Point],
-                          limit: int = 20) -> List[str]:
-    """Exact planarity audit with a vectorized float prefilter.
-
-    Reports coincident vertices, vertices interior to edges, and edge pairs
-    that share a point beyond a common endpoint.
+    A violation is a pair of coincident vertices, a vertex inside an edge
+    (a collinear overlap included) or two edges crossing properly.  Events
+    are the vertices in lexicographic order, which also orders vertical
+    edges.  The status lists the edges that span the sweep position from
+    bottom to top; at each vertex it is searched by bisection, the edges
+    ending there leave, the edges starting there enter in angular order, and
+    only the newly adjacent pairs are tested.  Every predicate is the sign of
+    an integer determinant on homogeneous coordinates (``geom.side_h``).
     """
-    import numpy as np
+    from functools import cmp_to_key
 
-    out: List[str] = []
-    verts = sorted(coords)
-    by_pos = sorted(verts, key=lambda v: coords[v])
-    for a, b in zip(by_pos, by_pos[1:]):
+    order = sorted(sorted(coords), key=coords.__getitem__)
+    for a, b in zip(order, order[1:]):
         if coords[a] == coords[b]:
-            out.append(f"vertices {a} and {b} coincide at {coords[a]}")
-
-    edges = sorted(g.edges)
-    m = len(edges)
-    if m == 0:
-        return out
-
-    # float endpoints; rows whose coordinates do not fit a float fall back to
-    # exact treatment against everything
-    fallback_rows: Set[int] = set()
-    A = np.zeros((m, 4))
-    for i, (u, v) in enumerate(edges):
-        vals = [_float_or_none(c) for c in (*coords[u], *coords[v])]
-        if any(x is None for x in vals):
-            fallback_rows.add(i)
-            continue
-        A[i] = vals
-    lox = np.minimum(A[:, 0], A[:, 2])
-    hix = np.maximum(A[:, 0], A[:, 2])
-    loy = np.minimum(A[:, 1], A[:, 3])
-    hiy = np.maximum(A[:, 1], A[:, 3])
-    pad = 1e-9 * (np.abs(A).max() + 1.0)
-    lox -= pad
-    loy -= pad
-    hix += pad
-    hiy += pad
-
-    def edge_pair_violation(i: int, j: int) -> Optional[str]:
-        (a, b), (c, d) = edges[i], edges[j]
-        shared = {a, b} & {c, d}
-        pa, pb, pc, pd = coords[a], coords[b], coords[c], coords[d]
-        if len(shared) >= 2:
-            return f"edges {edges[i]} and {edges[j]} are parallel copies"
-        if len(shared) == 1:
-            s = shared.pop()
-            p = pb if a == s else pa
-            q = pd if c == s else pc
-            ps = coords[s]
-            if orient(ps, p, q) == 0:
-                dot = (p[0] - ps[0]) * (q[0] - ps[0]) + (p[1] - ps[1]) * (q[1] - ps[1])
-                if dot > 0:
-                    return f"edges {edges[i]} and {edges[j]} overlap at vertex {s}"
-            return None
-        if segments_cross(pa, pb, pc, pd):
-            return f"edges {edges[i]} and {edges[j]} intersect"
-        return None
-
-    # float separation certificates: a pair is certainly disjoint when the
-    # bounding boxes part, or when one segment's endpoints lie strictly on a
-    # common side of the other's supporting line by more than the rounding
-    # error bound; everything else is re-examined exactly
-    EPS = 1e-12
-    ax, ay, bx, by = A[:, 0], A[:, 1], A[:, 2], A[:, 3]
-    for i in range(m - 1):
-        if len(out) >= limit:
-            break
-        if i in fallback_rows:
-            cand = list(range(i + 1, m))
-        else:
-            sl = slice(i + 1, m)
-            mask = ((lox[sl] <= hix[i]) & (hix[sl] >= lox[i])
-                    & (loy[sl] <= hiy[i]) & (hiy[sl] >= loy[i]))
-            js = np.nonzero(mask)[0] + i + 1
-            if js.size:
-                ux, uy = bx[i] - ax[i], by[i] - ay[i]
-                t1x, t1y = ax[js] - ax[i], ay[js] - ay[i]
-                t2x, t2y = bx[js] - ax[i], by[js] - ay[i]
-                o1 = ux * t1y - uy * t1x
-                o2 = ux * t2y - uy * t2x
-                e1 = EPS * (np.abs(ux * t1y) + np.abs(uy * t1x)) + 1e-300
-                e2 = EPS * (np.abs(ux * t2y) + np.abs(uy * t2x)) + 1e-300
-                sep = ((o1 > e1) & (o2 > e2)) | ((o1 < -e1) & (o2 < -e2))
-                vx, vy = bx[js] - ax[js], by[js] - ay[js]
-                s1x, s1y = ax[i] - ax[js], ay[i] - ay[js]
-                s2x, s2y = bx[i] - ax[js], by[i] - ay[js]
-                o3 = vx * s1y - vy * s1x
-                o4 = vx * s2y - vy * s2x
-                e3 = EPS * (np.abs(vx * s1y) + np.abs(vy * s1x)) + 1e-300
-                e4 = EPS * (np.abs(vx * s2y) + np.abs(vy * s2x)) + 1e-300
-                sep |= ((o3 > e3) & (o4 > e4)) | ((o3 < -e3) & (o4 < -e4))
-                js = js[~sep]
-            cand = js.tolist()
-            cand.extend(j for j in fallback_rows if j > i)
-        for j in cand:
-            msg = edge_pair_violation(i, j)
-            if msg:
-                out.append(msg)
-                if len(out) >= limit:
-                    break
-
-    # vertices interior to edges
-    V = np.zeros((len(verts), 2))
-    v_fallback: Set[int] = set()
-    for k, v in enumerate(verts):
-        vals = [_float_or_none(c) for c in coords[v]]
-        if any(x is None for x in vals):
-            v_fallback.add(k)
-            continue
-        V[k] = vals
+            return [f"vertices {a} and {b} coincide at {coords[a]}"]
+    rank = {v: i for i, v in enumerate(order)}
+    H = {v: homogeneous(p) for v, p in coords.items()}
+    edges = sorted(edges)
+    left: List[int] = []                 # edge index -> left end point
+    right: List[int] = []                # edge index -> right end point
+    starts: Dict[int, List[int]] = {v: [] for v in order}
     for i, (u, w) in enumerate(edges):
-        if len(out) >= limit:
-            break
-        if i in fallback_rows:
-            cand = range(len(verts))
-        else:
-            mask = ((V[:, 0] >= lox[i]) & (V[:, 0] <= hix[i])
-                    & (V[:, 1] >= loy[i]) & (V[:, 1] <= hiy[i]))
-            ks = np.nonzero(mask)[0]
-            if ks.size:
-                ux, uy = bx[i] - ax[i], by[i] - ay[i]
-                tx, ty = V[ks, 0] - ax[i], V[ks, 1] - ay[i]
-                cr = ux * ty - uy * tx
-                err = EPS * (np.abs(ux * ty) + np.abs(uy * tx)) + 1e-300
-                ks = ks[np.abs(cr) <= err]
-            cand = set(ks.tolist()) | v_fallback
-        for k in cand:
-            v = verts[k]
-            if v in (u, w):
-                continue
-            if on_segment(coords[v], coords[u], coords[w]):
-                out.append(f"vertex {v} lies on edge {(u, w)}")
-                if len(out) >= limit:
-                    break
-    return out
+        if rank[u] > rank[w]:
+            u, w = w, u
+        left.append(u)
+        right.append(w)
+        starts[u].append(i)
+    lines = [line_h(H[u], H[w]) for u, w in zip(left, right)]
+
+    status: List[int] = []               # edge indices, bottom to top
+    for v in order:
+        p = H[v]
+        lo, hi = 0, len(status)
+        while lo < hi:                   # first edge not strictly below p
+            mid = (lo + hi) // 2
+            if side_h(lines[status[mid]], p) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        hi = lo
+        while hi < len(status) and side_h(lines[status[hi]], p) == 0:
+            if right[status[hi]] != v:   # edges through p must end there
+                return [f"vertex {v} lies on edge {edges[status[hi]]}"]
+            hi += 1
+        del status[lo:hi]
+
+        dirs = {i: direction_h(p, H[right[i]]) for i in starts[v]}
+
+        def below(i: int, j: int) -> int:
+            (x1, y1), (x2, y2) = dirs[i], dirs[j]
+            cr = x1 * y2 - y1 * x2
+            return (cr < 0) - (cr > 0)
+
+        # edges leaving in one direction overlap; the sweep reports the
+        # nearer far end when it reaches it inside the other edge
+        new = sorted(starts[v], key=cmp_to_key(below))
+        status[lo:lo] = new
+        top = lo + len(new)
+        for a, b in ((lo - 1, lo), (top - 1, top)) if new else ((lo - 1, lo),):
+            if a >= 0 and b < len(status):
+                i, j = status[a], status[b]
+                if crosses_h(H[left[i]], H[right[i]], H[left[j]], H[right[j]]):
+                    e, f = sorted((edges[i], edges[j]))
+                    return [f"edges {e} and {f} intersect"]
+    return []
 
 
 def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
@@ -322,7 +248,7 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
         return DrawingReport(False, False, False, False,
                              [f"vertices without coordinates: {missing[:10]}"])
 
-    planar_viol = _planarity_violations(g, d.coords)
+    planar_viol = _planarity_violations(d.coords, g.edges)
     violations.extend(planar_viol)
     planar = not planar_viol
 
@@ -344,9 +270,9 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
     collinear_ok = True
     des = [v for v in d.designated]
     if len(des) >= 3:
-        p0, p1 = d.coords[des[0]], d.coords[des[1]]
+        line = line_h(homogeneous(d.coords[des[0]]), homogeneous(d.coords[des[1]]))
         for v in des[2:]:
-            if not collinear(p0, p1, d.coords[v]):
+            if side_h(line, homogeneous(d.coords[v])) != 0:
                 collinear_ok = False
                 violations.append(
                     f"designated vertices {des[0]}, {des[1]}, {v} are not collinear")

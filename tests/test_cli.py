@@ -135,6 +135,22 @@ class TestDrawAndVerify:
         assert code == 1
         assert err.startswith("error verification")
 
+    def test_crossing_near_1e17_fails(self, tmp_path, capsys):
+        # the path 0-1-2-3 drawn with edges (0, 1) and (2, 3) crossing at
+        # coordinates near 1e17
+        gpath, dpath = tmp_path / "g.txt", tmp_path / "d.txt"
+        gpath.write_text("planegraph 4\nrot 0: 1\nrot 1: 0 2\nrot 2: 1 3\n"
+                         "rot 3: 2\nouter: 0 1 2 3 2 1\n")
+        dpath.write_text("drawing 4\n"
+                         "v 0 70076886150809407/534 98507140039826179977/664\n"
+                         "v 1 96322910926394421/734 62308733157721377541/420\n"
+                         "v 2 3411983220825929/26 40352322425952892307/272\n"
+                         "v 3 11154560529624228/85 70764918371983566146/477\n")
+        code, out, err = run(capsys, "verify", str(gpath), "--drawing", str(dpath))
+        assert code == 1
+        assert "drawing FAIL" in out
+        assert err == "error verification edges (0, 1) and (2, 3) intersect\n"
+
     def test_verify_nothing_is_input_error(self, capsys, tree_graph):
         code, _, err = run(capsys, "verify", str(tree_graph))
         assert code == 2

@@ -3,6 +3,7 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collinear.plane_graph import PlaneGraph, graph_from_positions
 from collinear.curves import GoodCurve, Vst, Xst, Fst, validate_curve, curve_from_drawing
@@ -11,7 +12,7 @@ from collinear.geom import seg_line_y0_crossing
 from collinear.realize import (
     Drawing, PolylineDrawing, LabelingOrder, RealizeError,
     parse_drawing, serialize_drawing, drawing_to_svg,
-    verify_drawing, tutte_convex, labeling_from_curve, place_free,
+    verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
     lift_off_line, straighten_preserving_y, curve_to_drawing,
 )
 
@@ -119,6 +120,206 @@ def test_verify_exact_not_float():
                  3: (Fr(2), -tiny)})
     rep = verify_drawing(K4, d)
     assert not rep.planar
+
+
+# A crossing that a float filter scaled by coordinate differences missed:
+# the coordinates sit near 1e17, where rounding the absolute values hides it.
+CROSSING_NEAR_1E17 = {
+    0: (Fr(70076886150809407, 534), Fr(98507140039826179977, 664)),
+    1: (Fr(96322910926394421, 734), Fr(62308733157721377541, 420)),
+    2: (Fr(3411983220825929, 26), Fr(40352322425952892307, 272)),
+    3: (Fr(11154560529624228, 85), Fr(70764918371983566146, 477)),
+}
+
+
+def path_graph(n):
+    """The path 0-1-...-(n-1): a plane graph with a single face."""
+    rot = {v: tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n)}
+    return PlaneGraph(rot, outer_face=0)
+
+
+def test_verify_rejects_crossing_near_1e17():
+    rep = verify_drawing(path_graph(4), Drawing(CROSSING_NEAR_1E17))
+    assert not rep.planar and not rep.ok
+    assert rep.violations[0] == "edges (0, 1) and (2, 3) intersect"
+
+
+def test_verify_accepts_planar_path():
+    d = Drawing({0: (Fr(0), Fr(0)), 1: (Fr(1), Fr(0)), 2: (Fr(1), Fr(1)),
+                 3: (Fr(3), Fr(-1))})
+    rep = verify_drawing(path_graph(4), d)
+    assert rep.ok and rep.violations == []
+
+
+def test_graph_from_positions_single_face():
+    # a star and a path have one face, which must become the outer face
+    star = graph_from_positions({0: (0, 0), 1: (1, 0), 2: (-1, 1), 3: (0, -2)},
+                                [(0, 1), (0, 2), (0, 3)])
+    assert len(star.faces) == 1 and star.outer == 0
+    path = graph_from_positions({0: (0, 0), 1: (0, 1), 2: (0, 2)},
+                                [(0, 1), (1, 2)])
+    assert path.face_key(path.outer) == (0, 1, 2, 1)
+
+
+def test_graph_from_positions_outer_face_at_leftmost_vertex():
+    # the leftmost-lowest vertex is the bottom end of a vertical edge
+    pos = {0: (0, 0), 1: (0, 2), 2: (3, 1), 3: (1, 1)}
+    g = graph_from_positions(pos, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+    assert g.face_key(g.outer) == (0, 1, 2)
+    assert verify_drawing(g, Drawing({v: (Fr(x), Fr(y)) for v, (x, y) in pos.items()})).ok
+
+
+# -- the sweep against an exhaustive exact pair test -----------------------------------
+
+
+def _orient(a, b, c):
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def _brute_violations(coords, edges):
+    """Every violation, by testing all pairs with Fraction arithmetic."""
+    def inside(p, a, b):                 # p in the relative interior of [a, b]
+        return _orient(a, b, p) == 0 and min(a, b) < p < max(a, b)
+
+    out = set()
+    vs = sorted(coords)
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if coords[a] == coords[b]:
+                out.add(f"vertices {a} and {b} coincide at {coords[a]}")
+    edges = sorted(edges)
+    for e in edges:
+        for v in vs:
+            if v not in e and inside(coords[v], coords[e[0]], coords[e[1]]):
+                out.add(f"vertex {v} lies on edge {e}")
+    for i, e in enumerate(edges):
+        a, b = coords[e[0]], coords[e[1]]
+        for f in edges[i + 1:]:
+            c, d = coords[f[0]], coords[f[1]]
+            if (_orient(a, b, c) * _orient(a, b, d) < 0
+                    and _orient(c, d, a) * _orient(c, d, b) < 0):
+                out.add(f"edges {e} and {f} intersect")
+    return out
+
+
+def _brute_planar(coords, edges):
+    """True iff no two vertices coincide and no two edges share a point
+    other than a common end point: an independent closed-segment test."""
+    pts = list(coords.values())
+    if len(set(pts)) < len(pts):
+        return False
+
+    def on(p, a, b):
+        return (_orient(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+    edges = sorted(edges)
+    for i, (u, v) in enumerate(edges):
+        a, b = coords[u], coords[v]
+        if any(on(p, a, b) for w, p in coords.items() if w not in (u, v)):
+            return False
+        for (x, y) in edges[i + 1:]:
+            c, d = coords[x], coords[y]
+            shared = {u, v} & {x, y}
+            if shared:
+                s = shared.pop()
+                p = b if s == u else a
+                q = d if s == x else c
+                o = coords[s]
+                if _orient(o, p, q) == 0 and (
+                        (p[0] - o[0]) * (q[0] - o[0]) + (p[1] - o[1]) * (q[1] - o[1]) > 0):
+                    return False
+                continue
+            o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
+            if o1 * o2 < 0 and o3 * o4 < 0:
+                return False
+            if on(c, a, b) or on(d, a, b) or on(a, c, d) or on(b, c, d):
+                return False
+    return True
+
+
+def _check_sweep(coords, edges):
+    found = _planarity_violations(coords, edges)
+    planar = _brute_planar(coords, edges)
+    assert (found == []) == planar, (coords, edges, found)
+    if found:
+        assert len(found) == 1 and found[0] in _brute_violations(coords, edges), found
+
+
+small = st.integers(min_value=0, max_value=4)
+coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def drawings(draw, values):
+    n = draw(st.integers(min_value=2, max_value=7))
+    # vertex ids in a drawn order: reports must not depend on dict order
+    coords = {v: (Fr(draw(values)), Fr(draw(values)))
+              for v in draw(st.permutations(range(n)))}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=9, unique=True))
+    return coords, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawings(small))
+def test_sweep_matches_pair_test_on_grid_drawings(case):
+    # integer grid points: many vertical edges, collinear overlaps, vertices
+    # on edges and coincident vertices
+    _check_sweep(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawings(coord), st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(1, 997),
+       st.integers(1, 997))
+def test_sweep_matches_pair_test_near_1e17(case, sx, sy, qx, qy):
+    coords, edges = case
+    tx, ty = Fr(10 ** 17 * qx + sx, qx), Fr(10 ** 17 * qy + sy, qy)
+    _check_sweep(coords, edges)
+    shifted = {v: (x + tx, y + ty) for v, (x, y) in coords.items()}
+    _check_sweep(shifted, edges)
+    assert ((_planarity_violations(coords, edges) == [])
+            == (_planarity_violations(shifted, edges) == []))
+
+
+@pytest.mark.parametrize("coords, edges, message", [
+    # vertical edge crossed by a horizontal one
+    ({0: (0, -1), 1: (0, 1), 2: (-1, 0), 3: (1, 0)}, [(0, 1), (2, 3)],
+     "edges (0, 1) and (2, 3) intersect"),
+    # vertical edges on one line, touching only at a shared end point
+    ({0: (0, 0), 1: (0, 1), 2: (0, 2)}, [(0, 1), (1, 2)], None),
+    # a vertex inside a vertical edge
+    ({0: (0, 0), 1: (0, 2), 2: (0, 1), 3: (1, 1)}, [(0, 1), (2, 3)],
+     "vertex 2 lies on edge (0, 1)"),
+    # a crossing pair that becomes adjacent only when the edge between ends
+    ({0: (0, 0), 1: (10, 10), 2: (0, 10), 3: (10, 0), 4: (-1, 5), 5: (3, 5)},
+     [(0, 1), (2, 3), (4, 5)], "edges (0, 1) and (2, 3) intersect"),
+    # a new edge crossing the edge above it
+    ({0: (0, 10), 1: (10, 0), 2: (1, 1), 3: (9, 9)}, [(0, 1), (2, 3)],
+     "edges (0, 1) and (2, 3) intersect"),
+    # a new edge crossing the edge below it
+    ({0: (0, 0), 1: (10, 10), 2: (1, 9), 3: (9, 1)}, [(0, 1), (2, 3)],
+     "edges (0, 1) and (2, 3) intersect"),
+    # coincident vertices
+    ({0: (0, 0), 1: (1, 1), 2: (1, 1)}, [(0, 1), (0, 2)],
+     "vertices 1 and 2 coincide at (Fraction(1, 1), Fraction(1, 1))"),
+    # collinear overlap at a shared vertex: the nearer far end lies on the other
+    ({0: (0, 0), 1: (3, 3), 2: (1, 1)}, [(0, 1), (0, 2)],
+     "vertex 2 lies on edge (0, 1)"),
+    ({0: (0, 0), 1: (0, 3), 2: (0, 1)}, [(0, 1), (0, 2)],
+     "vertex 2 lies on edge (0, 1)"),
+    ({0: (2, 2), 1: (-1, -1), 2: (0, 0)}, [(0, 1), (0, 2)],
+     "vertex 2 lies on edge (0, 1)"),
+    # collinear overlap without a shared vertex
+    ({0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (3, 0)}, [(0, 1), (2, 3)],
+     "vertex 2 lies on edge (0, 1)"),
+])
+def test_sweep_degenerate_cases(coords, edges, message):
+    coords = {v: (Fr(x), Fr(y)) for v, (x, y) in coords.items()}
+    assert _planarity_violations(coords, edges) == ([message] if message else [])
+    _check_sweep(coords, edges)
 
 
 # -- barycentric embedding -----------------------------------------------------------
