@@ -213,8 +213,10 @@ def _cmd_gen(args) -> int:
     else:
         g, m = identity_grid_model(args.n)
         model_text = serialize_grid_model(m)
-    print(f"kind {args.kind}")
-    print(f"n {g.n}")
+    # with no --out the graph itself goes to stdout, so keep it parseable
+    status = sys.stdout if args.out else sys.stderr
+    print(f"kind {args.kind}", file=status)
+    print(f"n {g.n}", file=status)
     _write(args.out, serialize_plane_graph(g))
     if model_text is not None and args.out_model:
         _write(args.out_model, model_text)

@@ -21,11 +21,11 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
                      augment_with_curve, validate_curve)
-from .plane_graph import PlaneGraph, PlaneGraphError, edge_key
+from .plane_graph import PlaneGraph, _blocks, edge_key
 
 __all__ = [
     "CubicError", "Quadruple", "ChainDecomposition", "ChargedCurve",
@@ -83,134 +83,15 @@ class ChargedCurve:
     charges: Dict[int, int]
 
 
-# -- connectivity helpers -----------------------------------------------------------
-
-
-def _articulation_points(adj: Dict[int, Sequence[int]]) -> Set[int]:
-    """Articulation vertices of an undirected graph, iterative Tarjan."""
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    out: Set[int] = set()
-    timer = 0
-    for root in adj:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p == root:
-                    root_children += 1
-                elif low[v] >= disc[p]:
-                    out.add(p)
-        if root_children > 1:
-            out.add(root)
-    return out
-
-
-def _is_biconnected(adj: Dict[int, Sequence[int]]) -> bool:
-    if len(adj) < 3:
-        return False
-    seen = set()
-    stack = [next(iter(adj))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v])
-    return len(seen) == len(adj) and not _articulation_points(adj)
-
-
-def _separation_pairs(g: PlaneGraph) -> List[Tuple[int, int]]:
-    """All separation pairs of a biconnected graph (articulation of G - a)."""
-    pairs: Set[Tuple[int, int]] = set()
-    for a in g.vertices:
-        adj = {v: [w for w in g.rot[v] if w != a] for v in g.vertices if v != a}
-        if not adj:
-            continue
-        for b in _articulation_points(adj):
-            pairs.add(edge_key(a, b))
-    return sorted(pairs)
-
-
-def _blocks(adj: Dict[int, Sequence[int]]) -> List[FrozenSet[int]]:
-    """Vertex sets of the biconnected components (edge partition classes)."""
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    timer = 0
-    estack: List[Tuple[int, int]] = []
-    comps: List[FrozenSet[int]] = []
-    for root in adj:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    if disc[w] < disc[v]:
-                        estack.append((v, w))
-                        low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                estack.append((v, w))
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    comp = set()
-                    while True:
-                        e = estack.pop()
-                        comp.update(e)
-                        if e == (p, v):
-                            break
-                    comps.append(frozenset(comp))
-    return comps
-
-
 # -- well-formed quadruples -----------------------------------------------------------
 
 
 def make_quadruple(g: PlaneGraph, u: int, v: int,
                    x_seq: Sequence[int]) -> Quadruple:
     """Validate properties (a)-(f) and return the quadruple, else raise."""
-    adj = {w: list(g.rot[w]) for w in g.vertices}
-    if any(len(nb) > 3 for nb in adj.values()):
+    if any(g.degree(w) > 3 for w in g.vertices):
         raise CubicError("(a) graph is not subcubic")
-    if not _is_biconnected(adj):
+    if not g.is_biconnected():
         raise CubicError("(a) graph is not biconnected")
     outer = g.outer_walk()
     outer_set = set(outer)
@@ -225,7 +106,7 @@ def make_quadruple(g: PlaneGraph, u: int, v: int,
                              "boundary path from u to v")
     beta = g.boundary_path(u, v, clockwise=False)
     beta_pos = {w: i for i, w in enumerate(beta)}
-    for (a, b) in _separation_pairs(g):
+    for (a, b) in g.separation_pairs():
         if a not in outer_set or b not in outer_set:
             raise CubicError(f"(e) separation pair ({a},{b}) has an internal vertex")
         internal = [w for w in (a, b)
@@ -354,7 +235,7 @@ def chain_decompose(q: Quadruple, a: int, b: int) -> ChainDecomposition:
         raise CubicError(f"({a},{b}) is not on the counter-clockwise boundary path")
     if beta.index(a) >= beta.index(b):
         raise CubicError(f"{a} must precede {b} on the boundary path")
-    if edge_key(a, b) not in {edge_key(*p) for p in _separation_pairs(q.g)}:
+    if not q.g.is_separation_pair(a, b):
         raise CubicError(f"({a},{b}) is not a separation pair")
     beta_ab = q.g.boundary_path(a, b, clockwise=False)
     if len(beta_ab) == 2:
@@ -740,8 +621,7 @@ def theorem4(g: PlaneGraph) -> ChargedCurve:
     """Proper good curve through >= n/4 vertices of a triconnected cubic graph."""
     if any(g.degree(w) != 3 for w in g.vertices):
         raise CubicError("graph is not cubic")
-    if _separation_pairs(g) or not _is_biconnected(
-            {w: list(g.rot[w]) for w in g.vertices}):
+    if not g.is_triconnected():
         raise CubicError("graph is not triconnected")
     walk = g.outer_walk()
     u, v = walk[0], walk[1]
@@ -773,8 +653,13 @@ def generate_triconnected_cubic(seed: int, target_n: int) -> PlaneGraph:
     """Random triconnected cubic plane graph with ``target_n`` vertices.
 
     Grows K4 by repeatedly subdividing two distinct edges of a common face
-    and joining the midpoints; every step is audited (cubic + no separation
-    pairs) with rejection sampling.
+    and joining the midpoints inside that face.  The step keeps the graph
+    plane, cubic and 3-edge-connected: an edge cut of the new graph either
+    splits old vertices, and then meets a subdivided copy of each of the at
+    least three old edges they cut, or cuts off midpoints only, which have
+    degree 3.  A cubic graph is 3-connected iff it is 3-edge-connected, so
+    every intermediate graph is triconnected and only the final graph is
+    audited.
     """
     if target_n < 4 or target_n % 2:
         raise CubicError("target_n must be an even number >= 4")
@@ -784,11 +669,13 @@ def generate_triconnected_cubic(seed: int, target_n: int) -> PlaneGraph:
     while g.n < target_n:
         for _ in range(64):
             cand = _expand(g, rng)
-            if cand is not None and cand.is_triconnected():
+            if cand is not None:
                 g = cand
                 break
         else:
-            raise CubicError("expansion failed to stay triconnected after 64 tries")
+            raise CubicError("expansion failed 64 times in a row")
+    if not g.is_triconnected():
+        raise CubicError("generated graph is not triconnected")
     return g
 
 

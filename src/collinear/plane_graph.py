@@ -14,7 +14,8 @@ an orientation hint.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from .geom import direction_h, homogeneous
 
@@ -46,7 +47,7 @@ class PlaneGraph:
     """
 
     __slots__ = ("rot", "n", "m", "faces", "outer", "_face_of_dart",
-                 "_vertex_list", "_edge_set", "_vindex")
+                 "_vertex_list", "_edge_set")
 
     def __init__(self, rot: Mapping[int, Sequence[int]],
                  outer_walk: Optional[Sequence[int]] = None,
@@ -60,7 +61,6 @@ class PlaneGraph:
                 raise PlaneGraphError(f"duplicate neighbour in rotation of {v}")
             self.rot[int(v)] = t
         self._vertex_list = tuple(sorted(self.rot))
-        self._vindex = {v: i for i, v in enumerate(self._vertex_list)}
         for v, nbrs in self.rot.items():
             for w in nbrs:
                 if w not in self.rot or v not in self.rot[w]:
@@ -191,13 +191,6 @@ class PlaneGraph:
         """Same embedding, different designated outer face."""
         return PlaneGraph(self.rot, outer_face=face)
 
-    def dual_edges(self) -> List[Tuple[int, int, Tuple[int, int]]]:
-        """(face_i, face_j, primal edge) for every edge of the graph."""
-        out = []
-        for (u, v) in sorted(self._edge_set):
-            out.append((self._face_of_dart[(u, v)], self._face_of_dart[(v, u)], (u, v)))
-        return out
-
     # -- outer boundary walks --------------------------------------------------
 
     def boundary_path(self, u: int, v: int, clockwise: bool) -> Tuple[int, ...]:
@@ -224,76 +217,35 @@ class PlaneGraph:
 
     # -- connectivity ----------------------------------------------------------
 
-    def _adj_masks(self) -> List[int]:
-        idx = self._vindex
-        masks = [0] * self.n
-        for v in self._vertex_list:
-            mask = 0
-            for w in self.rot[v]:
-                mask |= 1 << idx[w]
-            masks[idx[v]] = mask
-        return masks
-
-    def _is_connected_without(self, removed: Iterable[int]) -> bool:
-        idx = self._vindex
-        blocked = 0
-        for v in removed:
-            blocked |= 1 << idx[v]
-        alive = ((1 << self.n) - 1) & ~blocked
-        if alive == 0:
-            return True
-        masks = self._adj_masks()
-        start = alive & -alive
-        reached = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                nxt |= masks[b.bit_length() - 1]
-                mm ^= b
-            frontier = nxt & alive & ~reached
-            reached |= frontier
-        return reached == alive
-
     def is_biconnected(self) -> bool:
-        if self.n < 3:
-            return False
-        return all(self._is_connected_without([v]) for v in self._vertex_list)
+        return self.n >= 3 and not _articulation_points(self.rot)
 
     def is_triconnected(self) -> bool:
-        if self.n < 4:
-            return False
-        return self.is_biconnected() and not self.separation_pairs()
+        return (self.n >= 4 and self.is_biconnected()
+                and not any(self._cut_vertices_without(a) for a in self._vertex_list))
 
     def separation_pairs(self) -> List[Tuple[int, int]]:
-        """All pairs {a,b} whose removal disconnects the graph (exhaustive)."""
-        out = []
-        vs = self._vertex_list
-        masks = self._adj_masks()
-        full = (1 << self.n) - 1
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                blocked = (1 << i) | (1 << j)
-                alive = full & ~blocked
-                if alive == 0:
-                    continue
-                start = alive & -alive
-                reached = start
-                frontier = start
-                while frontier:
-                    nxt = 0
-                    mm = frontier
-                    while mm:
-                        b = mm & -mm
-                        nxt |= masks[b.bit_length() - 1]
-                        mm ^= b
-                    frontier = nxt & alive & ~reached
-                    reached |= frontier
-                if reached != alive:
-                    out.append((vs[i], vs[j]))
-        return out
+        """All pairs {a,b} whose removal disconnects the graph, sorted.
+
+        The graph must be biconnected; then {a,b} separates iff b is an
+        articulation point of G - a, so the cost is O(n*m).
+        """
+        self._require_biconnected()
+        return sorted({edge_key(a, b) for a in self._vertex_list
+                       for b in self._cut_vertices_without(a)})
+
+    def is_separation_pair(self, a: int, b: int) -> bool:
+        """Whether removing a and b disconnects the (biconnected) graph; O(m)."""
+        self._require_biconnected()
+        return a != b and b in self._cut_vertices_without(a)
+
+    def _require_biconnected(self) -> None:
+        if not self.is_biconnected():
+            raise PlaneGraphError("separation pairs need a biconnected graph")
+
+    def _cut_vertices_without(self, a: int) -> Set[int]:
+        return _articulation_points({v: [w for w in nbrs if w != a]
+                                     for v, nbrs in self.rot.items() if v != a})
 
     def components_without(self, removed: Iterable[int]) -> List[FrozenSet[int]]:
         removed = set(removed)
@@ -314,25 +266,6 @@ class PlaneGraph:
                         stack.append(w)
             comps.append(frozenset(comp))
         return comps
-
-    def h_bridges(self, h_vertices: Iterable[int],
-                  h_edges: Iterable[Tuple[int, int]]) -> List["HBridge"]:
-        """Bridges of the graph relative to subgraph H.
-
-        A trivial bridge is an edge outside H joining two H-vertices; a
-        non-trivial bridge is a component C of G - V(H) together with its
-        attachment vertices in H.
-        """
-        hv = set(h_vertices)
-        he = {edge_key(*e) for e in h_edges}
-        out = []
-        for (a, b) in sorted(self._edge_set):
-            if a in hv and b in hv and edge_key(a, b) not in he:
-                out.append(HBridge(frozenset(), frozenset((a, b)), True))
-        for comp in self.components_without(hv):
-            att = frozenset(w for v in comp for w in self.rot[v] if w in hv)
-            out.append(HBridge(comp, att, False))
-        return out
 
     # -- subgraphs -------------------------------------------------------------
 
@@ -405,20 +338,6 @@ class PlaneGraph:
         return hash((tuple(sorted(self.rot.items())), self.face_key(self.outer)))
 
 
-class HBridge:
-    __slots__ = ("vertices", "attachments", "trivial")
-
-    def __init__(self, vertices: FrozenSet[int], attachments: FrozenSet[int],
-                 trivial: bool):
-        self.vertices = vertices
-        self.attachments = attachments
-        self.trivial = trivial
-
-    def __repr__(self):
-        kind = "trivial" if self.trivial else "nontrivial"
-        return f"HBridge({kind}, verts={sorted(self.vertices)}, att={sorted(self.attachments)})"
-
-
 def _cyclic_eq(a: Tuple, b: Tuple) -> bool:
     if len(a) != len(b):
         return False
@@ -440,6 +359,97 @@ def _min_rotation(seq: Tuple) -> Tuple:
         if cand < best:
             best = cand
     return best
+
+
+# -- connectivity (iterative Tarjan) -------------------------------------------
+
+def _articulation_points(adj: Mapping[int, Sequence[int]]) -> Set[int]:
+    """Articulation vertices of an undirected graph, iterative Tarjan."""
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    out: Set[int] = set()
+    timer = 0
+    for root in adj:
+        if root in disc:
+            continue
+        stack = [(root, None, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(adj[w])))
+                advanced = True
+                break
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    out.add(p)
+        if root_children > 1:
+            out.add(root)
+    return out
+
+
+def _blocks(adj: Mapping[int, Sequence[int]]) -> List[FrozenSet[int]]:
+    """Vertex sets of the biconnected components (edge partition classes)."""
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    timer = 0
+    estack: List[Tuple[int, int]] = []
+    comps: List[FrozenSet[int]] = []
+    for root in adj:
+        if root in disc:
+            continue
+        stack = [(root, None, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w in disc:
+                    if disc[w] < disc[v]:
+                        estack.append((v, w))
+                        low[v] = min(low[v], disc[w])
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                estack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                advanced = True
+                break
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    comp = set()
+                    while True:
+                        e = estack.pop()
+                        comp.update(e)
+                        if e == (p, v):
+                            break
+                    comps.append(frozenset(comp))
+    return comps
 
 
 # -- construction from exact coordinates -----------------------------------------

@@ -266,6 +266,20 @@ class TestGenCommand:
         assert code == 0
         assert "graph 8" in out
 
+    def test_stdout_pipes_into_curve(self, tmp_path, capsys):
+        # `collinear gen ... > g.txt && collinear curve g.txt`: the status
+        # lines go to stderr so that stdout is exactly the graph file
+        code, out, err = run(capsys, "gen", "--kind", "cubic", "--n", "20",
+                             "--seed", "1")
+        assert code == 0
+        assert parse_kv(err) == {"kind": "cubic", "n": "20"}
+        path = tmp_path / "g.txt"
+        path.write_text(out)
+        assert parse_plane_graph(out).n == 20
+        code, out, _ = run(capsys, "curve", str(path), "--method", "cubic")
+        assert code == 0
+        assert int(parse_kv(out)["vertices_on_curve"]) >= 5
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "curve", str(tmp_path / "nope.txt"),
                            "--method", "3tree")

@@ -1,5 +1,7 @@
 """Tests for collinear sets in triconnected cubic plane graphs."""
 
+import hashlib
+
 import pytest
 
 from collinear.cubic import (
@@ -13,7 +15,8 @@ from collinear.cubic import (
     theorem4,
     verify_charged_curve,
 )
-from collinear.plane_graph import PlaneGraph, graph_from_positions
+from collinear.plane_graph import (PlaneGraph, graph_from_positions,
+                                   serialize_plane_graph)
 from collinear.realize import curve_to_drawing, verify_drawing
 
 
@@ -278,3 +281,14 @@ class TestGenerator:
         for n in (4, 8, 14, 30):
             g = generate_triconnected_cubic(1, n)
             assert len(list(g.vertices)) == n
+
+    @pytest.mark.parametrize("seed,n,digest", [
+        (1, 30, "bbc58e5c3540bb54e78f017173fac5505663d27f1a39e9222b5a81097ffbbe1a"),
+        (7, 60, "561665cbcee1cbb1a7c31b36363057278522c9d29db95fb6a7598afd78d06def"),
+        (100, 100, "7c2cb335cac23eb71e99769ec9650f5fbf81456009ac25f93c8e6b2175dc08dd"),
+    ])
+    def test_output_pinned(self, seed, n, digest):
+        # digests of the graphs generated while every expansion step was
+        # audited; auditing only the final graph must not change a rotation
+        text = serialize_plane_graph(generate_triconnected_cubic(seed, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -113,20 +113,6 @@ def test_separation_pairs_and_connectivity():
     assert octahedron().is_triconnected()
 
 
-def test_h_bridges():
-    g = k4()
-    # H = outer triangle with its three edges
-    bridges = g.h_bridges([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
-    assert len(bridges) == 1
-    b = bridges[0]
-    assert not b.trivial
-    assert b.vertices == frozenset({3}) and b.attachments == frozenset({0, 1, 2})
-    # H = path 0-1 plus vertex 2: edge (0,2) etc become trivial bridges
-    bridges = g.h_bridges([0, 1, 2], [(0, 1)])
-    trivial = sorted(tuple(sorted(b.attachments)) for b in bridges if b.trivial)
-    assert trivial == [(0, 2), (1, 2)]
-
-
 def test_subgraph_outer_inheritance():
     g = k4()
     sub = g.subgraph(vertices=[0, 1, 2])
