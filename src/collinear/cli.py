@@ -5,7 +5,9 @@ collinear set as a curve, realize it as an exact straight-line drawing,
 verify artifacts, and run the placement features.  All output is
 deterministic for fixed inputs and ``--seed``.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 guard exceeded.
+Exit codes: 0 ok, 1 verification failure, 2 input error, 3 guard exceeded,
+4 internal error (a failed assertion, recursion overflow or memory
+exhaustion: a bug, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -345,6 +347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error input {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError, MemoryError) as exc:
+        print(f"error internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact rational plane geometry: predicates, intersections, rational rotations.
+"""Exact rational plane geometry: predicates and intersections.
 
 All coordinates are ``fractions.Fraction``.  Every predicate is exact.  Where
 one point meets many predicates (the sweep in drawing verification, angular
@@ -11,8 +11,8 @@ predicate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Sequence, Tuple
+from math import gcd
+from typing import Tuple
 
 Point = Tuple[Fraction, Fraction]
 
@@ -116,76 +116,3 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point, strict: bool = Tru
     if strict:
         return all(o > 0 for o in os_)
     return all(o >= 0 for o in os_)
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator (then smallest |numerator|) strictly
-    between lo and hi.  Stern-Brocot / continued-fraction descent."""
-    lo, hi = F(lo), F(hi)
-    if not lo < hi:
-        raise ValueError("empty interval")
-    # shift to positive side handling
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    # 0 <= lo < hi
-    return _simplest_pos(lo, hi)
-
-
-def _simplest_pos(lo: Fraction, hi: Fraction) -> Fraction:
-    """Simplest rational in (lo, hi) with 0 <= lo < hi."""
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl and lo < hi:  # lo integral: fl itself excluded (strict)
-        # interval (fl, hi) with hi <= fl+1
-        pass
-    # recurse on fractional parts: x in (lo,hi) <=> x = fl + 1/(y) hmm use standard:
-    # simplest in (lo,hi) = fl + 1 / simplest in (1/(hi-fl), 1/(lo-fl))
-    a = lo - fl
-    b = hi - fl
-    if a == 0:
-        # (0, b): simplest is 1/ceil(1/b + tiny) -> smallest integer q with 1/q < b
-        q = b.denominator // b.numerator + 1
-        return fl + Fraction(1, q)
-    return fl + 1 / _simplest_pos(1 / b, 1 / a)
-
-
-def simplest_in_box(x_lo, x_hi, y_lo, y_hi) -> Point:
-    return (simplest_between(x_lo, x_hi), simplest_between(y_lo, y_hi))
-
-
-def rational_direction_distinct(points: Sequence[Point]) -> Tuple[Fraction, Fraction]:
-    """A rational unit vector (c, s) with c*c + s*s == 1 such that the projections
-    c*x + s*y of all given points are pairwise distinct.
-
-    Uses Pythagorean-triple angles (m^2-n^2, 2mn, m^2+n^2); tries successively
-    finer triples until all projections separate.
-    """
-    if len(points) <= 1:
-        return (Fraction(1), Fraction(0))
-    cands = [(Fraction(1), Fraction(0))]
-    m = 2
-    while True:
-        for n in range(1, m):
-            if (m - n) % 2 == 1 and gcd(m, n) == 1:
-                h = m * m + n * n
-                cands.append((Fraction(m * m - n * n, h), Fraction(2 * m * n, h)))
-        while cands:
-            c, s = cands.pop()
-            proj = sorted(c * x + s * y for (x, y) in points)
-            if all(proj[i] < proj[i + 1] for i in range(len(proj) - 1)):
-                return (c, s)
-        m += 1
-        if m > 64:
-            raise RuntimeError("could not separate projections with small rotations")
-
-
-def rotate(p: Point, c: Fraction, s: Fraction) -> Point:
-    """Rotate p by the rational rotation with cosine c and sine s."""
-    return (c * p[0] - s * p[1], s * p[0] + c * p[1])
-
-
-def unrotate(p: Point, c: Fraction, s: Fraction) -> Point:
-    return (c * p[0] + s * p[1], -s * p[0] + c * p[1])

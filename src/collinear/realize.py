@@ -397,10 +397,6 @@ class LabelingOrder:
     def on_line(self) -> Tuple[int, ...]:
         return tuple(e[1] for e in self.order if e[0] == 'v')
 
-    @property
-    def crossing_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(e[1] for e in self.order if e[0] == 'e')
-
     def validate(self, g: PlaneGraph) -> None:
         for v in g.vertices:
             if self.labels.get(v) not in (UP, DOWN, ON):

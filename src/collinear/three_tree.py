@@ -3,8 +3,10 @@
 A plane 3-tree (stacked triangulation) is built by repeatedly inserting a
 degree-3 vertex into an internal face.  This module provides:
 
-* ``decompose``        -- the recursive central-vertex decomposition with
-                          A/B/C/D vertex types, per-node counters and B-chains;
+* ``decompose``        -- the central-vertex decomposition (found by peeling
+                          degree-3 vertices, stored as a preorder node list)
+                          with A/B/C/D vertex types, per-node counters and
+                          B-chains;
 * ``build_curve_bundle`` -- three proper good curves per node, one ending on
                           each pair of outer edges, that together visit many
                           internal vertices (max of the three visits at least
@@ -21,7 +23,6 @@ degree-3 vertex into an internal face.  This module provides:
 """
 
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -31,12 +32,6 @@ from .curves import GoodCurve, Station, Vst, Xst, Fst, validate_curve
 
 class ThreeTreeError(ValueError):
     pass
-
-
-def _bump_recursion(n: int) -> None:
-    want = 4 * n + 500
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -59,17 +54,16 @@ class ChainInfo:
 @dataclass
 class DecompNode:
     corners: Tuple[int, int, int]       # counter-clockwise around the node
-    w: Optional[int]                    # central vertex, None iff empty
-    children: Optional[Tuple["DecompNode", "DecompNode", "DecompNode"]]
-    kind: str                           # 'empty', 'A', 'B', 'C', 'D'
-    interior: FrozenSet[int]
-    m: int
-    a: int
-    b: int
-    c: int
-    d: int
-    h: int
-    index: int = -1
+    w: Optional[int] = None             # central vertex, None iff empty
+    children: Optional[Tuple["DecompNode", "DecompNode", "DecompNode"]] = None
+    kind: str = 'empty'                 # 'empty', 'A', 'B', 'C', 'D'
+    m: int = 0
+    a: int = 0
+    b: int = 0
+    c: int = 0
+    d: int = 0
+    h: int = 0
+    index: int = -1                     # position in preorder
     chain: Optional[ChainInfo] = None   # set on B-chain heads
 
     def child_on_edge(self, a: int, b: int) -> "DecompNode":
@@ -100,91 +94,80 @@ class ThreeTreeDecomp:
     def vertex_type(self, v: int) -> str:
         return self.center_node[v].kind
 
+    def interior(self, node: DecompNode) -> FrozenSet[int]:
+        """The vertices inside ``node``: the centres of its subtree, whose
+        ``3m + 1`` nodes follow one another in preorder."""
+        sub = self.nodes[node.index:node.index + 3 * node.m + 1]
+        return frozenset(k.w for k in sub if k.w is not None)
+
 
 def decompose(g: PlaneGraph) -> ThreeTreeDecomp:
-    """Recursive central-vertex decomposition of a plane 3-tree."""
-    _bump_recursion(g.n)
+    """Central-vertex decomposition of a plane 3-tree in linear time.
+
+    Internal vertices of degree 3 are peeled off one by one; each is the
+    centre of the triangle spanned by its three neighbours left at that
+    point.  The graph is a plane 3-tree iff the peeling leaves only the outer
+    triangle.  The nodes are listed in preorder from the outer triangle, the
+    children of node (u, v, z) with centre w being (u, v, w), (v, z, w),
+    (z, u, w); kinds, counters and B-chains are filled in reverse preorder.
+    """
     if len(g.outer_walk()) != 3:
         raise ThreeTreeError("outer face is not a triangle")
     if not g.is_triangulation():
         raise ThreeTreeError("not every face is a triangle")
-    nb = {v: frozenset(g.rot[v]) for v in g.vertices}
     corners = tuple(reversed(g.outer_walk()))   # counter-clockwise
-    interior = frozenset(g.vertices) - frozenset(corners)
+    deg = {v: len(g.rot[v]) for v in g.vertices}
+    todo = [v for v in g.vertices if deg[v] == 3 and v not in corners]
+    peeled = set()
+    centre: Dict[FrozenSet[int], int] = {}
+    while todo:
+        w = todo.pop()
+        peeled.add(w)
+        tri = frozenset(x for x in g.rot[w] if x not in peeled)
+        centre[tri] = w
+        for x in tri:
+            deg[x] -= 1
+            if deg[x] == 3 and x not in corners:
+                todo.append(x)
+    if len(peeled) != g.n - 3:
+        raise ThreeTreeError(
+            f"peeling degree-3 vertices stalls with {g.n - 3 - len(peeled)} "
+            f"internal vertices left: not a stacked triangulation")
+    root = DecompNode(corners)
     nodes: List[DecompNode] = []
-    center_node: Dict[int, DecompNode] = {}
-
-    def rec(tri: Tuple[int, int, int], inside: FrozenSet[int]) -> DecompNode:
-        node = DecompNode(tri, None, None, 'empty', inside, len(inside),
-                          0, 0, 0, 0, 0, index=len(nodes))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.index = len(nodes)
         nodes.append(node)
-        if not inside:
-            return node
-        ca, cb, cc = tri
-        centers = inside & nb[ca] & nb[cb] & nb[cc]
-        if len(centers) != 1:
-            raise ThreeTreeError(
-                f"triangle {tri} has {len(centers)} interior vertices adjacent "
-                f"to all three corners (need exactly 1): not a stacked "
-                f"triangulation")
-        w = next(iter(centers))
-        rest = inside - {w}
-        comps: List[set] = []
-        seen = set()
-        for v in sorted(rest):
-            if v in seen:
-                continue
-            comp, stack = {v}, [v]
-            while stack:
-                x = stack.pop()
-                for y in nb[x]:
-                    if y in rest and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(comp)
-        # children sit on edges (ca,cb), (cb,cc), (cc,ca); the component inside
-        # a child is the one with no neighbour at the opposite corner.
-        child_inside = [set(), set(), set()]
-        opposite = (cc, ca, cb)
-        for comp in comps:
-            slots = [i for i in range(3) if not any(x in nb[opposite[i]] for x in comp)]
-            if len(slots) != 1:
-                raise ThreeTreeError(
-                    f"component {sorted(comp)} inside {tri} does not fit a "
-                    f"unique child triangle: not a stacked triangulation")
-            child_inside[slots[0]] |= comp
-        kids = (rec((ca, cb, w), frozenset(child_inside[0])),
-                rec((cb, cc, w), frozenset(child_inside[1])),
-                rec((cc, ca, w), frozenset(child_inside[2])))
-        node.w = w
-        node.children = kids
-        center_node[w] = node
-        empties = sum(1 for k in kids if k.kind == 'empty')
-        node.kind = {3: 'A', 2: 'B', 1: 'C', 0: 'D'}[empties]
+        w = centre.get(frozenset(node.corners))
+        if w is not None:
+            ca, cb, cc = node.corners
+            node.w = w
+            node.children = (DecompNode((ca, cb, w)), DecompNode((cb, cc, w)),
+                             DecompNode((cc, ca, w)))
+            stack.extend(reversed(node.children))
+    center_node: Dict[int, DecompNode] = {}
+    for node in reversed(nodes):
+        if node.w is None:
+            continue
+        kids = node.children
+        center_node[node.w] = node
+        kinds = [k.kind for k in kids]
+        node.kind = 'DCBA'[kinds.count('empty')]
+        node.m = 1 + sum(k.m for k in kids)
         node.a = sum(k.a for k in kids) + (node.kind == 'A')
         node.b = sum(k.b for k in kids) + (node.kind == 'B')
         node.c = sum(k.c for k in kids) + (node.kind == 'C')
         node.d = sum(k.d for k in kids) + (node.kind == 'D')
-        node.h = sum(k.h for k in kids)
-        if node.kind == 'B':
-            only = next(k for k in kids if k.kind != 'empty')
-            if only.kind != 'B':
-                node.h += 1     # this vertex starts (and ends) a new B-chain
-        else:
-            pass
-        return node
-
-    root = rec(corners, interior)
-    # mark chain heads: type-B nodes whose parent is not type B
-    parent_kind: Dict[int, str] = {root.index: ''}
-    for nd in nodes:
-        if nd.children:
-            for k in nd.children:
-                parent_kind[k.index] = nd.kind
-    for nd in nodes:
-        if nd.kind == 'B' and parent_kind[nd.index] != 'B':
-            nd.chain = _chain_info(nd)
+        # a type-B vertex over no type-B child starts (and ends) a B-chain
+        node.h = sum(k.h for k in kids) + (node.kind == 'B' and 'B' not in kinds)
+        if node.kind != 'B':
+            for k in kids:
+                if k.kind == 'B':
+                    k.chain = _chain_info(k)
+    if root.kind == 'B':
+        root.chain = _chain_info(root)
     return ThreeTreeDecomp(g, root, nodes, center_node)
 
 
@@ -213,20 +196,18 @@ def _chain_info(head: DecompNode) -> ChainInfo:
 
 def format_decomposition(d: ThreeTreeDecomp) -> str:
     lines: List[str] = []
-
-    def rec(node: DecompNode, depth: int) -> None:
+    stack = [(d.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = '  ' * depth
         u, v, z = node.corners
         if node.kind == 'empty':
             lines.append(f"{pad}({u},{v},{z}) empty")
-            return
+            continue
         lines.append(f"{pad}({u},{v},{z}) type={node.kind} w={node.w} "
                      f"m={node.m} a={node.a} b={node.b} c={node.c} "
                      f"d={node.d} h={node.h}")
-        for k in node.children:
-            rec(k, depth + 1)
-
-    rec(d.root, 0)
+        stack.extend((k, depth + 1) for k in reversed(node.children))
     for chain in d.b_chains:
         lines.append("b-chain " + ",".join(str(v) for v in chain))
     return "\n".join(lines) + "\n"
@@ -389,34 +370,57 @@ def _join(pieces: List[List[Station]]) -> List[Station]:
 
 
 class _BundleBuilder:
+    """The three corner curves of decomposition nodes, kept across calls.
+
+    The curve for a corner runs from the crossing with the edge to the next
+    corner (counter-clockwise) to the crossing with the edge to the previous
+    corner.  A node's three curves are built together, after the curves of
+    the nodes they are made of: children before parents, no recursion.
+    """
+
     def __init__(self, d: ThreeTreeDecomp):
         self.d = d
         self.g = d.graph
-        self._memo: Dict[Tuple[int, int], Tuple[Station, ...]] = {}
+        self._memo: Dict[int, Dict[int, Tuple[Station, ...]]] = {}
         self._regions: Dict[Tuple[int, ...], _Region] = {}
-        self._chains: Dict[int, ChainInfo] = {}
 
-    # the curve for ``corner`` runs from the crossing with the edge to the
-    # next corner (counter-clockwise) to the crossing with the edge to the
-    # previous corner.
-    def curve(self, node: DecompNode, corner: int) -> List[Station]:
-        key = (node.index, corner)
-        if key not in self._memo:
-            sts = self._build(node, corner)
+    def curve(self, node: DecompNode, corner: int) -> Tuple[Station, ...]:
+        if node.index not in self._memo:
+            todo = [node]
+            for nd in todo:
+                if nd.index not in self._memo:
+                    todo.extend(self._parts(nd))
+            for nd in reversed(todo):
+                if nd.index not in self._memo:
+                    self._memo[nd.index] = self._build(nd)
+        return self._memo[node.index][corner]
+
+    def _built(self, node: DecompNode, corner: int) -> Tuple[Station, ...]:
+        return self._memo[node.index][corner]
+
+    def _parts(self, node: DecompNode) -> Tuple[DecompNode, ...]:
+        """The nodes whose curves the curves of ``node`` are joined from."""
+        if node.kind in ('C', 'D'):
+            return node.children
+        if node.kind == 'B':
+            return (self.chain_info(node).tail,)
+        return ()
+
+    def _build(self, node: DecompNode) -> Dict[int, Tuple[Station, ...]]:
+        if node.kind == 'B':
+            raw = self._build_b(node)
+        else:
+            raw = {c: self._build_one(node, c) for c in node.corners}
+        out = {}
+        for corner, sts in raw.items():
             first = Xst(corner, node.corner_next(corner))
             last = Xst(corner, node.corner_prev(corner))
             if sts[0] != first:
                 sts = sts[::-1]
             if sts[0] != first or sts[-1] != last:
                 raise AssertionError(f"bad end-points for corner {corner}")
-            self._memo[key] = tuple(sts)
-        return list(self._memo[key])
-
-    def _face(self, a: int, b: int, c: int) -> int:
-        for f in self.g.faces_of_edge(a, b):
-            if f != self.g.outer and set(self.g.face_vertices(f)) == {a, b, c}:
-                return f
-        raise AssertionError(f"no internal face ({a},{b},{c})")
+            out[corner] = tuple(sts)
+        return out
 
     def _region(self, cycle: Tuple[int, ...]) -> _Region:
         if cycle not in self._regions:
@@ -427,165 +431,131 @@ class _BundleBuilder:
         return _lemma1_with_region(self.g, self._region(cycle), p1, p2)
 
     def chain_info(self, node: DecompNode) -> ChainInfo:
-        if node.chain is not None:
-            return node.chain
-        if node.index not in self._chains:
-            self._chains[node.index] = _chain_info(node)
-        return self._chains[node.index]
+        return node.chain if node.chain is not None else _chain_info(node)
 
-    def _build(self, node: DecompNode, corner: int) -> List[Station]:
-        u = corner
+    def _build_one(self, node: DecompNode, u: int) -> List[Station]:
+        # the internal face of a triangle lies left of its counter-clockwise
+        # darts
         v = node.corner_next(u)
         z = node.corner_prev(u)
+        face = self.g.face_of_dart
         if node.kind == 'empty':
-            return [Xst(u, v), Fst(self._face(u, v, z)), Xst(u, z)]
+            return [Xst(u, v), Fst(face((u, v))), Xst(u, z)]
         w = node.w
         if node.kind == 'A':
-            return [Xst(u, v), Fst(self._face(u, v, w)), Vst(w),
-                    Fst(self._face(u, z, w)), Xst(u, z)]
-        if node.kind in ('C', 'D'):
-            g1 = node.child_on_edge(u, v)
-            g2 = node.child_on_edge(z, u)
-            g3 = node.child_on_edge(v, z)
-            return _join([self.curve(g1, v), self.curve(g3, w), self.curve(g2, z)])
-        return self._build_b(node, u, v, z)
+            return [Xst(u, v), Fst(face((u, v))), Vst(w),
+                    Fst(face((z, u))), Xst(u, z)]
+        g1 = node.child_on_edge(u, v)
+        g2 = node.child_on_edge(z, u)
+        g3 = node.child_on_edge(v, z)
+        return _join([self._built(g1, v), self._built(g3, w), self._built(g2, z)])
 
-    def _build_b(self, node: DecompNode, u: int, v: int, z: int) -> List[Station]:
+    def _build_b(self, node: DecompNode) -> Dict[int, List[Station]]:
+        """All three corner curves of a type-B node, from its B-chain."""
         info = self.chain_info(node)
-        paths = info.paths
-        singles = [c for c in (u, v, z) if len(paths[c]) == 1]
-        # rotate corner roles so the case analysis below sees the single
-        # paths in standard position (role z single, or roles u and v single)
-        roles = (u, v, z)
-        if len(singles) == 1:
-            while len(paths[roles[2]]) != 1:
-                roles = (roles[1], roles[2], roles[0])
-        elif len(singles) == 2:
-            while len(paths[roles[2]]) == 1:
-                roles = (roles[1], roles[2], roles[0])
-        ru, rv, rz = roles
-        pu, pv, pz = paths[ru], paths[rv], paths[rz]
-        u_, v_, z_ = pu[-1], pv[-1], pz[-1]
-        tail = info.tail
-        c_uv = (ru,) + pv + tuple(reversed(pu[1:]))
-        c_uz = (rz,) + pu + tuple(reversed(pz[1:]))
-        c_vz = (rv,) + pz + tuple(reversed(pv[1:]))
+        paths, tail = info.paths, info.tail
+        u, v, z = node.corners
+        singles = [c for c in node.corners if len(paths[c]) == 1]
+        lam: Dict[int, List[Station]] = {}
 
         def interior_run(p: Tuple[int, ...]) -> List[Station]:
             return [Vst(x) for x in p[1:-1]]
 
-        if not singles:
-            lam = {}
-            if len(pz) > 2:
-                lam[ru] = _join([
-                    self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
-                    interior_run(pz),
-                    self._hop(c_vz, Vst(pz[-2]), Xst(v_, z_)),
-                    self.curve(tail, v_),
-                    self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
-            else:
-                lam[ru] = _join([
-                    self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
-                    self._hop(c_vz, Xst(rz, z_), Xst(v_, z_)),
-                    self.curve(tail, v_),
-                    self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
-            if len(pu) > 2:
-                lam[rv] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Vst(pu[1])),
-                    interior_run(pu),
-                    self._hop(c_uz, Vst(pu[-2]), Xst(u_, z_)),
-                    self.curve(tail, z_),
-                    self._hop(c_vz, Xst(v_, z_), Xst(rv, rz))])
-            else:
-                lam[rv] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Xst(ru, u_)),
-                    self._hop(c_uz, Xst(ru, u_), Xst(u_, z_)),
-                    self.curve(tail, z_),
-                    self._hop(c_vz, Xst(v_, z_), Xst(rv, rz))])
-            if len(pv) > 2:
+        for ru, rv, rz in ((u, v, z), (v, z, u), (z, u, v)):
+            pu, pv, pz = paths[ru], paths[rv], paths[rz]
+            # the case analysis sees the single paths in standard position:
+            # none, role z single, or roles u and v single
+            if singles and (len(pz) == 1) != (len(singles) == 1):
+                continue
+            u_, v_, z_ = pu[-1], pv[-1], pz[-1]
+            c_uv = (ru,) + pv + tuple(reversed(pu[1:]))
+            c_uz = (rz,) + pu + tuple(reversed(pz[1:]))
+            c_vz = (rv,) + pz + tuple(reversed(pv[1:]))
+            if not singles:
+                # no single path: the curve of each corner is the one of
+                # role u with the roles rotated to put the corner there
+                if len(pz) > 2:
+                    lam[ru] = _join([
+                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_vz, Vst(pz[-2]), Xst(v_, z_)),
+                        self._built(tail, v_),
+                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
+                else:
+                    lam[ru] = _join([
+                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
+                        self._hop(c_vz, Xst(rz, z_), Xst(v_, z_)),
+                        self._built(tail, v_),
+                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
+            elif len(singles) == 1:
+                # role z is the single path (z_ == rz)
                 lam[rz] = _join([
-                    self._hop(c_vz, Xst(rv, rz), Vst(pv[1])),
-                    interior_run(pv),
-                    self._hop(c_uv, Vst(pv[-2]), Xst(u_, v_)),
-                    self.curve(tail, u_),
-                    self._hop(c_uz, Xst(u_, z_), Xst(ru, rz))])
+                    self._hop(c_uz, Xst(ru, rz), Xst(u_, rz)),
+                    self._built(tail, rz),
+                    self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
+                if len(pv) > 2:
+                    lam[ru] = _join([
+                        self._hop(c_uv, Xst(ru, rv), Vst(pv[1])),
+                        interior_run(pv),
+                        self._hop(c_uv, Vst(pv[-2]), Xst(u_, v_)),
+                        self._built(tail, u_),
+                        self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
+                else:
+                    lam[ru] = _join([
+                        self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
+                        self._built(tail, u_),
+                        self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
+                if len(pu) > 2:
+                    lam[rv] = _join([
+                        self._hop(c_uv, Xst(ru, rv), Vst(pu[1])),
+                        interior_run(pu),
+                        self._hop(c_uv, Vst(pu[-2]), Xst(u_, v_)),
+                        self._built(tail, v_),
+                        self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
+                else:
+                    lam[rv] = _join([
+                        self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
+                        self._built(tail, v_),
+                        self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
             else:
+                # roles u and v are single paths (u_ == ru, v_ == rv)
                 lam[rz] = _join([
-                    self._hop(c_vz, Xst(rv, rz), Xst(rv, v_)),
-                    self._hop(c_uv, Xst(rv, v_), Xst(u_, v_)),
-                    self.curve(tail, u_),
-                    self._hop(c_uz, Xst(u_, z_), Xst(ru, rz))])
-            return lam[u]
-        if len(singles) == 1:
-            # role z is the single path (z_ == rz)
-            lam = {rz: _join([
-                self._hop(c_uz, Xst(ru, rz), Xst(u_, rz)),
-                self.curve(tail, rz),
-                self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])}
-            if len(pv) > 2:
-                lam[ru] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Vst(pv[1])),
-                    interior_run(pv),
-                    self._hop(c_uv, Vst(pv[-2]), Xst(u_, v_)),
-                    self.curve(tail, u_),
-                    self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
-            else:
-                lam[ru] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
-                    self.curve(tail, u_),
-                    self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
-            if len(pu) > 2:
-                lam[rv] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Vst(pu[1])),
-                    interior_run(pu),
-                    self._hop(c_uv, Vst(pu[-2]), Xst(u_, v_)),
-                    self.curve(tail, v_),
-                    self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
-            else:
-                lam[rv] = _join([
-                    self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
-                    self.curve(tail, v_),
-                    self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
-            return lam[u]
-        # roles u and v are single paths (u_ == ru, v_ == rv)
-        lam = {rz: _join([
-            self._hop(c_uz, Xst(ru, rz), Xst(ru, z_)),
-            self.curve(tail, z_),
-            self._hop(c_vz, Xst(rv, z_), Xst(rv, rz))])}
-        if len(pz) > 2:
-            lam[ru] = _join([
-                self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
-                interior_run(pz),
-                self._hop(c_vz, Vst(pz[-2]), Xst(rv, z_)),
-                self.curve(tail, rv)])
-            lam[rv] = _join([
-                self._hop(c_vz, Xst(rv, rz), Vst(pz[1])),
-                interior_run(pz),
-                self._hop(c_uz, Vst(pz[-2]), Xst(ru, z_)),
-                self.curve(tail, ru)])
-        else:
-            lam[ru] = _join([
-                self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
-                self._hop(c_vz, Xst(rz, z_), Xst(rv, z_)),
-                self.curve(tail, rv)])
-            lam[rv] = _join([
-                self._hop(c_vz, Xst(rv, rz), Xst(rz, z_)),
-                self._hop(c_uz, Xst(rz, z_), Xst(ru, z_)),
-                self.curve(tail, ru)])
-        return lam[u]
+                    self._hop(c_uz, Xst(ru, rz), Xst(ru, z_)),
+                    self._built(tail, z_),
+                    self._hop(c_vz, Xst(rv, z_), Xst(rv, rz))])
+                if len(pz) > 2:
+                    lam[ru] = _join([
+                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_vz, Vst(pz[-2]), Xst(rv, z_)),
+                        self._built(tail, rv)])
+                    lam[rv] = _join([
+                        self._hop(c_vz, Xst(rv, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_uz, Vst(pz[-2]), Xst(ru, z_)),
+                        self._built(tail, ru)])
+                else:
+                    lam[ru] = _join([
+                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
+                        self._hop(c_vz, Xst(rz, z_), Xst(rv, z_)),
+                        self._built(tail, rv)])
+                    lam[rv] = _join([
+                        self._hop(c_vz, Xst(rv, rz), Xst(rz, z_)),
+                        self._hop(c_uz, Xst(rz, z_), Xst(ru, z_)),
+                        self._built(tail, ru)])
+        return lam
 
     def node_bundle(self, node: DecompNode) -> CurveBundle:
-        curves = [GoodCurve(tuple(self.curve(node, c))) for c in node.corners]
+        curves = [GoodCurve(self.curve(node, c)) for c in node.corners]
         s = sum(c.vertex_count for c in curves)
         on_any = set().union(*(c.vertices for c in curves))
-        x = sum(1 for vv in node.interior
+        x = sum(1 for vv in self.d.interior(node)
                 if self.d.vertex_type(vv) == 'B' and vv not in on_any)
         return CurveBundle(curves[0], curves[1], curves[2], s, x)
 
 
 def build_curve_bundle(d: ThreeTreeDecomp) -> CurveBundle:
     """Three validated proper good curves for the whole graph."""
-    _bump_recursion(d.graph.n)
     cb = _BundleBuilder(d).node_bundle(d.root)
     for lam in cb.curves:
         rep = validate_curve(d.graph, lam)
@@ -728,34 +698,31 @@ def _touches(spoke, edge, corners, w) -> bool:
     return c in edge
 
 
-class _DpReconstructor:
-    def __init__(self, d: ThreeTreeDecomp, table: DpTable):
-        self.d = d
-        self.g = d.graph
-        self.table = table
-
-    def _face(self, tri: Tuple[int, int, int]) -> int:
-        a, b, c = tri
-        for f in self.g.faces_of_edge(a, b):
-            if f != self.g.outer and set(self.g.face_vertices(f)) == {a, b, c}:
-                return f
-        raise AssertionError(f"no internal face {tri}")
-
-    def rec(self, node: DecompNode, sig: Sig) -> List[Station]:
-        route = self.table._routes[(node.index, sig)]
+def _dp_arc(d: ThreeTreeDecomp, table: DpTable, sig: Sig) -> List[Station]:
+    """The arc behind the root's table entry ``sig``, joined bottom-up from
+    the arcs its routes take through the children."""
+    routes = table._routes
+    demand = [(d.root, sig)]
+    for node, s in demand:      # a route asks each child for one signature
+        route = routes[(node.index, s)]
+        demand.extend(route[2:] if route[0] == 'spoke' else route[1:])
+    arcs: Dict[int, List[Station]] = {}
+    for node, s in reversed(demand):
+        route = routes[(node.index, s)]
         if route[0] == 'base':
-            f = Fst(self._face(node.corners))
-            if sig[0] == 'ee':
-                return [Xst(*sig[1]), f, Xst(*sig[2])]
-            corner = sig[1]
-            opp = edge_key(node.corner_next(corner), node.corner_prev(corner))
-            return [Vst(corner), f, Xst(*opp)]
-        if route[0] == 'spoke':
-            corner = route[1]
-            child, csig = route[2]
-            return _join([[Vst(corner), Vst(node.w)], self.rec(child, csig)])
-        pieces = [self.rec(child, csig) for (child, csig) in route[1:]]
-        return _join(pieces)
+            f = Fst(d.graph.face_of_dart(node.corners[:2]))
+            if s[0] == 'ee':
+                arc = [Xst(*s[1]), f, Xst(*s[2])]
+            else:
+                opp = edge_key(node.corner_next(s[1]), node.corner_prev(s[1]))
+                arc = [Vst(s[1]), f, Xst(*opp)]
+        elif route[0] == 'spoke':
+            arc = _join([[Vst(route[1]), Vst(node.w)],
+                         arcs.pop(route[2][0].index)])
+        else:
+            arc = _join([arcs.pop(child.index) for child, _ in route[1:]])
+        arcs[node.index] = arc
+    return arcs[d.root.index]
 
 
 def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
@@ -767,9 +734,8 @@ def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
     (where a corner end-point adds the corner itself, and walking along one
     outer edge visits two vertices with no arc at all).
     """
-    _bump_recursion(d.graph.n)
     table = DpTable({})
-    for node in sorted(d.nodes, key=lambda n: -n.index):
+    for node in reversed(d.nodes):
         _dp_node(node, table)
     root = d.root
     u, v, z = root.corners
@@ -788,7 +754,7 @@ def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
     if plan[0] == 'edgewalk':
         stations: List[Station] = [Vst(plan[1][0]), Vst(plan[1][1])]
     else:
-        stations = _DpReconstructor(d, table).rec(root, plan[1])
+        stations = _dp_arc(d, table, plan[1])
     curve = GoodCurve(tuple(stations))
     rep = validate_curve(d.graph, curve)
     if not (rep.good and rep.proper and rep.vertex_count_on_curve == val):

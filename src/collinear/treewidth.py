@@ -66,12 +66,6 @@ class GridModel:
     def reference_edges(self) -> FrozenSet[Edge]:
         return frozenset(self.ref_h.values()) | frozenset(self.ref_v.values())
 
-    def branch_of(self, v: int) -> Optional[Index]:
-        for idx, vs in self.branch.items():
-            if v in vs:
-                return idx
-        return None
-
 
 def identity_grid_model(side: int) -> Tuple[PlaneGraph, GridModel]:
     """The ``side x side`` grid graph together with its trivial model."""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collinear.applications import (
     ApplicationError,
@@ -17,6 +18,9 @@ from collinear.applications import (
 )
 from collinear.realize import verify_drawing, Drawing
 from collinear.three_tree import random_plane_3tree
+
+
+frac = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 
 
 def random_points(rng, k, span=60):
@@ -50,6 +54,19 @@ class TestRotation:
         cs = rotation_for([(F(0), F(0)), (F(0), F(1))])
         p = (F(22, 7), F(-3, 11))
         assert unrotate(rotate(p, cs), cs) == p
+
+    @given(st.lists(st.tuples(frac, frac), min_size=2, max_size=8, unique=True))
+    def test_rational_direction_separates(self, pts):
+        c, s = rotation_for(pts)
+        assert c * c + s * s == 1
+        xs = [rotate(p, (c, s))[0] for p in pts]
+        assert len(set(xs)) == len(pts)
+
+    @given(frac, frac)
+    def test_rotate_roundtrip(self, x, y):
+        cs = (F(3, 5), F(4, 5))
+        assert unrotate(rotate((x, y), cs), cs) == (x, y)
+        assert rotate(unrotate((x, y), cs), cs) == (x, y)
 
     def test_point_set_rejects_duplicates(self):
         with pytest.raises(ApplicationError, match="distinct"):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from collinear import cli
 from collinear.cli import main
 from collinear.curves import parse_curve
 from collinear.plane_graph import parse_plane_graph
@@ -107,6 +108,20 @@ class TestCurveCommand:
                            "--method", "grid")
         assert code == 2
         assert err.startswith("error input")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [AssertionError("pieces do not meet"),
+                                     RecursionError("maximum depth"),
+                                     MemoryError("no room")])
+    def test_exit_4_with_one_line(self, monkeypatch, capsys, exc):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_curve", fail)
+        code, out, err = run(capsys, "curve", "g.txt", "--method", "3tree")
+        assert code == 4
+        assert out == ""
+        assert err == f"error internal {type(exc).__name__}: {exc}\n"
 
 
 class TestDrawAndVerify:

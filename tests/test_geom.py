@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from collinear.geom import (
     F, crosses_h, homogeneous, line_h, line_intersection,
-    line_through, on_segment, orient, point_in_triangle,
-    rational_direction_distinct, rotate, side_h, simplest_between, unrotate,
+    line_through, on_segment, orient, point_in_triangle, side_h,
 )
 
 frac = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -83,33 +82,3 @@ def test_point_in_triangle():
     assert not point_in_triangle(P(2, 0), a, b, c, strict=True)
     assert point_in_triangle(P(2, 0), a, b, c, strict=False)
     assert not point_in_triangle(P(5, 5), a, b, c, strict=False)
-
-
-@given(frac, frac)
-def test_simplest_between_is_inside(a, b):
-    lo, hi = (a, b) if a < b else (b, a)
-    if lo == hi:
-        return
-    x = simplest_between(lo, hi)
-    assert lo < x < hi
-
-
-def test_simplest_between_prefers_simple():
-    assert simplest_between(F(0), F(1)) == F(1, 2)
-    assert simplest_between(F(-1), F(5)) == 0
-    assert simplest_between(F(1, 3), F(2, 3)) == F(1, 2)
-    assert simplest_between(F(5, 2), F(7, 2)) == 3
-
-
-@given(st.lists(st.tuples(frac, frac), min_size=2, max_size=8, unique=True))
-def test_rational_direction_separates(pts):
-    c, s = rational_direction_distinct(pts)
-    assert c * c + s * s == 1
-    proj = [c * x + s * y for (x, y) in pts]
-    assert len(set(proj)) == len(pts)
-
-
-@given(frac, frac)
-def test_rotate_roundtrip(x, y):
-    c, s = F(3, 5), F(4, 5)
-    assert unrotate(rotate((x, y), c, s), c, s) == (x, y)

@@ -1,11 +1,15 @@
 """Decomposition, curve bundles, chord-lemma segments, DP optimum."""
 
+import hashlib
 import math
+import random
+import sys
 
 import pytest
 
 from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
-from collinear.curves import GoodCurve, Vst, Xst, Fst, validate_curve
+from collinear.curves import (GoodCurve, Vst, Xst, Fst, serialize_curve,
+                              validate_curve)
 from collinear.oracle import enumerate_curves, catalog_plane_3trees
 from collinear.three_tree import (
     ThreeTreeError, decompose, format_decomposition, lemma1_chord,
@@ -19,6 +23,12 @@ K4 = PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
                 outer_walk=(0, 1, 2))
 
 
+_OCT_ROT = {0: (1, 2, 3, 4), 1: (0, 4, 5, 2), 2: (0, 1, 5, 3),
+            3: (0, 2, 5, 4), 4: (0, 3, 5, 1), 5: (1, 4, 3, 2)}
+OCTAHEDRON = PlaneGraph({v: tuple(reversed(r)) for v, r in _OCT_ROT.items()},
+                        outer_walk=(0, 1, 2))
+
+
 def stack(g_rot, faces_to_fill):
     """Tiny helper: build a plane 3-tree by stacking into named ccw faces."""
     rot = {v: list(r) for v, r in g_rot.items()}
@@ -28,6 +38,21 @@ def stack(g_rot, faces_to_fill):
         for v, succ in ((f0, f1), (f1, f2), (f2, f0)):
             rot[v].insert(rot[v].index(succ), w)
         w += 1
+    return PlaneGraph(rot, outer_walk=(0, 1, 2))
+
+
+def deep_stacking(n, seed):
+    """Plane 3-tree with each new vertex in one of the three newest faces,
+    so its stacking depth grows linearly with n."""
+    rng = random.Random(seed)
+    rot = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    faces = [(0, 2, 1)]
+    for w in range(3, n):
+        f0, f1, f2 = faces.pop(rng.randrange(max(0, len(faces) - 3), len(faces)))
+        rot[w] = [f2, f1, f0]
+        for v, succ in ((f0, f1), (f1, f2), (f2, f0)):
+            rot[v].insert(rot[v].index(succ), w)
+        faces.extend([(f0, f1, w), (f1, f2, w), (f2, f0, w)])
     return PlaneGraph(rot, outer_walk=(0, 1, 2))
 
 
@@ -65,12 +90,8 @@ def test_decompose_type_d():
 
 
 def test_decompose_rejects_non_3tree():
-    oct_rot = {0: (1, 2, 3, 4), 1: (0, 4, 5, 2), 2: (0, 1, 5, 3),
-               3: (0, 2, 5, 4), 4: (0, 3, 5, 1), 5: (1, 4, 3, 2)}
-    octa = PlaneGraph({v: tuple(reversed(r)) for v, r in oct_rot.items()},
-                      outer_walk=(0, 1, 2))
     with pytest.raises(ThreeTreeError):
-        decompose(octa)
+        decompose(OCTAHEDRON)
 
 
 def test_decompose_rejects_square():
@@ -78,6 +99,139 @@ def test_decompose_rejects_square():
                     outer_walk=(0, 3, 2, 1))
     with pytest.raises(ThreeTreeError):
         decompose(sq)
+
+
+def reference_decompose(g):
+    """The recursive flood-fill decomposition that ``decompose`` replaced.
+
+    At each node it takes the one inside vertex adjacent to all three corners
+    as the centre and flood-fills the rest into the child triangles.  Returns
+    per node, in preorder, (corners, centre, kind, interior, m, a, b, c, d,
+    h, is B-chain head); raises ThreeTreeError on the inputs it rejected.
+    """
+    if len(g.outer_walk()) != 3 or not g.is_triangulation():
+        raise ThreeTreeError("not a triangulation with a triangular outer face")
+    nb = {v: frozenset(g.rot[v]) for v in g.vertices}
+    out = []
+
+    def rec(tri, inside, parent_kind):
+        i = len(out)
+        out.append(None)
+        if not inside:
+            out[i] = (tri, None, 'empty', inside) + (0,) * 6 + (False,)
+            return out[i]
+        ca, cb, cc = tri
+        centers = inside & nb[ca] & nb[cb] & nb[cc]
+        if len(centers) != 1:
+            raise ThreeTreeError(f"{len(centers)} centres in {tri}")
+        (w,) = centers
+        rest = inside - {w}
+        child_inside = [set(), set(), set()]
+        opposite = (cc, ca, cb)
+        seen = set()
+        for v in sorted(rest):
+            if v in seen:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                for y in nb[stack.pop()]:
+                    if y in rest and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            seen |= comp
+            slots = [j for j in range(3) if not comp & nb[opposite[j]]]
+            if len(slots) != 1:
+                raise ThreeTreeError(f"component {sorted(comp)} fits no child")
+            child_inside[slots[0]] |= comp
+        kind = 'DCBA'[sum(not c for c in child_inside)]
+        kids = [rec(t, frozenset(c), kind) for t, c in
+                zip(((ca, cb, w), (cb, cc, w), (cc, ca, w)), child_inside)]
+        a, b, c, d, h = (sum(k[j] for k in kids) for j in range(5, 10))
+        h += kind == 'B' and all(k[2] != 'B' for k in kids)
+        out[i] = (tri, w, kind, inside, len(inside), a + (kind == 'A'),
+                  b + (kind == 'B'), c + (kind == 'C'), d + (kind == 'D'), h,
+                  kind == 'B' and parent_kind != 'B')
+        return out[i]
+
+    outer = g.outer_walk()
+    rec(tuple(reversed(outer)), frozenset(g.vertices) - set(outer), '')
+    return out
+
+
+def _node_records(d):
+    return [(n.corners, n.w, n.kind, d.interior(n), n.m, n.a, n.b, n.c, n.d,
+             n.h, n.chain is not None) for n in d.nodes]
+
+
+def _decompose_outcome(decomp, g):
+    try:
+        return decomp(g)
+    except ThreeTreeError:
+        return None
+
+
+def flip(g, a, b):
+    """The triangulation with internal edge (a, b) replaced by the other
+    diagonal of its two faces, or None if that diagonal is already an edge."""
+    (_, c), = [dt for dt in g.faces[g.face_of_dart((a, b))] if dt[0] == b]
+    (_, e), = [dt for dt in g.faces[g.face_of_dart((b, a))] if dt[0] == a]
+    if g.has_edge(c, e):
+        return None
+    rot = {v: list(r) for v, r in g.rot.items()}
+    rot[c].insert(rot[c].index(b) + 1, e)
+    rot[e].insert(rot[e].index(a) + 1, c)
+    rot[a].remove(b)
+    rot[b].remove(a)
+    return PlaneGraph(rot, outer_walk=g.outer_walk())
+
+
+@pytest.mark.parametrize("g", [K4, random_plane_3tree(3, 0)]
+                         + catalog_plane_3trees(4)
+                         + [random_plane_3tree(n, s) for n, s in
+                            ((30, 1), (200, 2), (300, 3))]
+                         + [deep_stacking(300, 4)])
+def test_decompose_matches_reference(g):
+    assert _node_records(decompose(g)) == reference_decompose(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decompose_rejects_as_reference(seed):
+    # every single-edge flip of a small 3-tree: the peeling accepts exactly
+    # what the flood fill accepted, with the same nodes
+    g = random_plane_3tree(14, seed)
+    outer = set(g.outer_walk())
+    verdicts = set()
+    for a, b in sorted(g.edges):
+        if a in outer and b in outer:
+            continue
+        h = flip(g, a, b)
+        if h is None:
+            continue
+        want = _decompose_outcome(reference_decompose, h)
+        got = _decompose_outcome(decompose, h)
+        assert (got is None) == (want is None), (a, b)
+        if got is not None:
+            assert _node_records(got) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_decompose_rejects_octahedron_as_reference():
+    with pytest.raises(ThreeTreeError):
+        reference_decompose(OCTAHEDRON)
+    with pytest.raises(ThreeTreeError):
+        decompose(OCTAHEDRON)
+
+
+def test_deep_stacking_leaves_recursion_limit():
+    limit = sys.getrecursionlimit()
+    g = deep_stacking(2000, 5)
+    d = decompose(g)
+    assert len(d.nodes) == 3 * (g.n - 3) + 1
+    cb = build_curve_bundle(d)
+    _, curve, val = dp_optimal_collinear(d)
+    assert val >= cb.best.vertex_count >= math.ceil((g.n - 3) / 8)
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("n,seed", [(20, 0), (60, 1), (200, 7)])
@@ -185,8 +339,8 @@ def _assert_bundle_ok(g, d, cb):
     ends = {cb.lambda_u: (Xst(u, v), Xst(u, z)),
             cb.lambda_v: (Xst(v, z), Xst(u, v)),
             cb.lambda_z: (Xst(u, z), Xst(v, z))}
-    type_a = {x for x in d.root.interior if d.vertex_type(x) == 'A'}
-    type_cd = {x for x in d.root.interior if d.vertex_type(x) in 'CD'}
+    type_a = {x for x in d.interior(d.root) if d.vertex_type(x) == 'A'}
+    type_cd = {x for x in d.interior(d.root) if d.vertex_type(x) in 'CD'}
     for lam, (e1, e2) in ends.items():
         rep = validate_curve(g, lam)
         assert rep.good and rep.proper, rep.violations
@@ -248,7 +402,7 @@ def test_lemma3_at_every_node():
             assert rep.ok, (node.corners, rep.first_violation)
             # node curves only visit vertices internal to the node
             for lam in ncb.curves:
-                assert set(lam.vertices) <= set(node.interior)
+                assert set(lam.vertices) <= d.interior(node)
 
 
 # -- DP optimum ----------------------------------------------------------------------
@@ -324,12 +478,8 @@ def test_augment_pentagon():
 
 
 def test_augment_rejects_octahedron():
-    oct_rot = {0: (1, 2, 3, 4), 1: (0, 4, 5, 2), 2: (0, 1, 5, 3),
-               3: (0, 2, 5, 4), 4: (0, 3, 5, 1), 5: (1, 4, 3, 2)}
-    octa = PlaneGraph({v: tuple(reversed(r)) for v, r in oct_rot.items()},
-                      outer_walk=(0, 1, 2))
     with pytest.raises(ThreeTreeError):
-        augment_to_plane_3tree(octa)
+        augment_to_plane_3tree(OCTAHEDRON)
 
 
 # -- generator -----------------------------------------------------------------------
@@ -348,3 +498,31 @@ def test_random_generator_is_3tree(n):
     assert g.n == n
     assert g.is_triangulation()
     decompose(g)
+
+
+# -- pinned outputs ------------------------------------------------------------------
+
+
+def test_outputs_pinned():
+    # node order, counters and chains, the bundle curves (also of every node
+    # of the smaller graphs) and the DP optimum, hashed; the digest comes
+    # from the earlier recursive flood-fill decomposition and per-corner
+    # bundle, so it pins that the flat rewrite changed no output
+    small = catalog_plane_3trees(4) + [random_plane_3tree(20, 0),
+                                       random_plane_3tree(100, 1)]
+    graphs = small + [random_plane_3tree(400, 2), deep_stacking(600, 3)]
+    h = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        d = decompose(g)
+        h.update(format_decomposition(d).encode())
+        for lam in build_curve_bundle(d).curves:
+            h.update(serialize_curve(g, lam).encode())
+        if i < len(small):
+            bb = _BundleBuilder(d)
+            for node in d.nodes:
+                for lam in bb.node_bundle(node).curves:
+                    h.update(serialize_curve(g, lam).encode())
+        _, curve, val = dp_optimal_collinear(d)
+        h.update(serialize_curve(g, curve).encode() + b"value %d\n" % val)
+    assert h.hexdigest() == ("a09eef1d2dd17a3f9621ff9beec2245a"
+                             "594444c85840f21ffd919478d818788d")
