@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction as F
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .applications import (ApplicationError, PointSet, collinear_guarantee,
                            universal_placement, untangle)
@@ -24,7 +24,7 @@ from .curves import CurveError, parse_curve, serialize_curve, validate_curve
 from .oracle import OracleError, enumerate_curves
 from .plane_graph import (PlaneGraphError, parse_plane_graph,
                           serialize_plane_graph)
-from .realize import (LabelingOrder, RealizeError, curve_to_drawing,
+from .realize import (Drawing, LabelingOrder, RealizeError, curve_to_drawing,
                       drawing_to_svg, labeling_from_curve, parse_drawing,
                       place_free, serialize_drawing, verify_drawing)
 from .three_tree import (ThreeTreeError, build_curve_bundle, decompose,
@@ -58,6 +58,22 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _load_graph(path: str):
     return parse_plane_graph(_read(path))
+
+
+def _emit_verified(args, g, d: Drawing, collinear: bool = True,
+                   broken: Sequence[str] = ()) -> int:
+    """Write the drawing (``--out``, ``--svg``) and re-verify it exactly:
+    planarity, embedding, outer face, the designated vertices' collinearity
+    unless ``collinear`` is false, and no ``broken`` promise of the command."""
+    report = verify_drawing(g, d if collinear else Drawing(d.coords, ()))
+    print(f"verified {'ok' if report.ok and not broken else 'FAIL'}")
+    _write(args.out, serialize_drawing(d))
+    if args.svg:
+        _write(args.svg, drawing_to_svg(g, d))
+    if not report.ok or broken:
+        raise VerificationFailure(
+            "; ".join(report.violations + list(broken)) or "drawing invalid")
+    return 0
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -101,15 +117,8 @@ def _cmd_draw(args) -> int:
     g = _load_graph(args.graph)
     curve = parse_curve(g, _read(args.curve))
     d = curve_to_drawing(g, curve)
-    report = verify_drawing(g, d)
     print(f"collinear_vertices {len(d.designated)}")
-    print(f"verified {'ok' if report.ok else 'FAIL'}")
-    _write(args.out, serialize_drawing(d))
-    if args.svg:
-        _write(args.svg, drawing_to_svg(g, d))
-    if not report.ok:
-        raise VerificationFailure("; ".join(report.violations) or "drawing invalid")
-    return 0
+    return _emit_verified(args, g, d)
 
 
 def _cmd_dp(args) -> int:
@@ -157,15 +166,8 @@ def _cmd_place(args) -> int:
         raise RealizeError(f"no target for {missing[0]}")
     lab2 = LabelingOrder(labels=lab.labels, order=lab.order, targets=targets)
     d = place_free(g, lab2)
-    report = verify_drawing(g, d)
     print(f"placed {len(lab.order)}")
-    print(f"verified {'ok' if report.ok else 'FAIL'}")
-    _write(args.out, serialize_drawing(d))
-    if args.svg:
-        _write(args.svg, drawing_to_svg(g, d))
-    if not report.ok:
-        raise VerificationFailure("; ".join(report.violations) or "drawing invalid")
-    return 0
+    return _emit_verified(args, g, d)
 
 
 def _cmd_untangle(args) -> int:
@@ -178,10 +180,10 @@ def _cmd_untangle(args) -> int:
     print(f"fixed {len(res.fixed)}")
     print(f"bound {need}")
     print("fixed_vertices " + " ".join(str(v) for v in sorted(res.fixed)))
-    _write(args.out, serialize_drawing(res.drawing))
-    if args.svg:
-        _write(args.svg, drawing_to_svg(g, res.drawing))
-    return 0
+    # the fixed positions need not be collinear
+    moved = [f"fixed vertex {v} moved" for v in sorted(res.fixed)
+             if res.drawing.coords[v] != bad.coords[v]]
+    return _emit_verified(args, g, res.drawing, collinear=False, broken=moved)
 
 
 def _cmd_ups(args) -> int:
@@ -199,10 +201,10 @@ def _cmd_ups(args) -> int:
     d = universal_placement(g, PointSet(tuple(pts)))
     print(f"placed {len(d.designated)}")
     print("at_points " + " ".join(str(v) for v in d.designated))
-    _write(args.out, serialize_drawing(d))
-    if args.svg:
-        _write(args.svg, drawing_to_svg(g, d))
-    return 0
+    # the prescribed points need not be collinear
+    hit = sorted(d.coords[v] for v in d.designated) == sorted(pts)
+    return _emit_verified(args, g, d, collinear=False, broken=() if hit else (
+        "designated vertices do not sit on the given points",))
 
 
 def _cmd_gen(args) -> int:

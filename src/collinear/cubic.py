@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,

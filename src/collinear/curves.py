@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .geom import F, on_segment, orient
+from .geom import F, orient
 from .plane_graph import PlaneGraph, PlaneGraphError, edge_key
 
 Station = Tuple  # ('v', int) | ('x', (int,int)) | ('f', int)
@@ -499,7 +499,12 @@ def curve_from_drawing(g: PlaneGraph, pos: Dict[int, Tuple[Fraction, Fraction]],
     ``line`` is (A, B, C) with Ax + By = C.  The result is the open curve
     along the line, clipped so both ends lie in the unbounded face; it is good
     and proper by construction, and its vertex stations are exactly the
-    vertices drawn on the line.
+    vertices drawn on the line.  The drawing must realize ``g``'s rotation
+    system and outer face, as ``realize.verify_drawing`` checks: each hop
+    face is read from the rotation system on both sides of the hop, and a
+    disagreement, or a line that does not enter and leave through the outer
+    face, raises CurveError.  Cost: O(m log m) for sorting the events, O(deg)
+    exact signs per event.
     """
     A, B, C = F(line[0]), F(line[1]), F(line[2])
     if A == 0 and B == 0:
@@ -509,11 +514,9 @@ def curve_from_drawing(g: PlaneGraph, pos: Dict[int, Tuple[Fraction, Fraction]],
     def t_of(p):
         return d[0] * p[0] + d[1] * p[1]
 
-    def on_line(p):
-        return A * p[0] + B * p[1] == C
-
+    side = {v: A * pos[v][0] + B * pos[v][1] - C for v in g.vertices}
     events = []  # (t, station)
-    on_l = {v for v in g.vertices if on_line(pos[v])}
+    on_l = {v for v in g.vertices if side[v] == 0}
     for v in on_l:
         events.append((t_of(pos[v]), Vst(v)))
     contained = set()
@@ -522,8 +525,7 @@ def curve_from_drawing(g: PlaneGraph, pos: Dict[int, Tuple[Fraction, Fraction]],
             contained.add(edge_key(u, v))
             continue
         pu, pv = pos[u], pos[v]
-        su = A * pu[0] + B * pu[1] - C
-        sv = A * pv[0] + B * pv[1] - C
+        su, sv = side[u], side[v]
         if (su > 0 and sv < 0) or (su < 0 and sv > 0):
             tt = su / (su - sv)
             pt = (pu[0] + tt * (pv[0] - pu[0]), pu[1] + tt * (pv[1] - pu[1]))
@@ -532,55 +534,49 @@ def curve_from_drawing(g: PlaneGraph, pos: Dict[int, Tuple[Fraction, Fraction]],
     if not events:
         return GoodCurve((Fst(g.outer),), closed=False)
 
-    def point_at(t):
-        # a point on the line at parameter t (|d|^2 = A^2+B^2)
-        n2 = A * A + B * B
-        base = (A * C / n2, B * C / n2)
-        return (base[0] + d[0] * t / n2, base[1] + d[1] * t / n2)
+    def face_towards(s: Station, sense: int) -> int:
+        """The face met leaving station s in direction sense * d."""
+        # beyond a crossed edge u-v it is the face left of u->v iff
+        # orient(u, v, u + d) = side[u] - side[v] > 0, i.e. iff side[u] > 0
+        if s[0] == 'x':
+            u, v = s[1]
+            return g.face_of_dart((u, v) if sense * side[u] > 0 else (v, u))
+        # At a vertex v, the corner swept clockwise from ray v->u to ray v->w
+        # (w follows u in the rotation) belongs to the face of dart (u, v).
+        # The cross product of ray v->y with d is -side[y], so the direction
+        # lies clockwise of ray v->y within a half turn iff sense * side[y] > 0.
+        v = s[1]
+        nbrs = g.rot[v]
+        for i, u in enumerate(nbrs):
+            w = nbrs[(i + 1) % len(nbrs)]
+            after_u, before_w = sense * side[u] > 0, sense * side[w] < 0
+            if u == w or (after_u and before_w):
+                return g.face_of_dart((u, v))
+            if after_u or before_w:  # then inside iff the corner is reflex
+                turn = orient(pos[v], pos[u], pos[w])
+                if turn > 0 or (turn == 0 and after_u):
+                    return g.face_of_dart((u, v))
+        raise CurveError(f"drawing does not realize the graph's embedding: "
+                         f"no corner at vertex {v} contains the line")
 
-    stations: List[Station] = [Fst(g.outer)]
-    for k, (t, s) in enumerate(events):
-        if k > 0:
-            prev_t, prev_s = events[k - 1]
-            both_v = prev_s[0] == 'v' and s[0] == 'v'
-            if both_v and edge_key(prev_s[1], s[1]) in contained:
-                pass  # travelling along the contained edge, no hop
-            else:
-                mid = point_at((prev_t + t) / 2)
-                stations.append(Fst(_face_containing(g, pos, mid)))
-        stations.append(s)
-    stations.append(Fst(g.outer))
-    cont_used = set()
-    for s1, s2 in zip(stations, stations[1:]):
-        if s1[0] == 'v' and s2[0] == 'v':
-            cont_used.add(edge_key(s1[1], s2[1]))
+    stations: List[Station] = []
+    prev = None  # the previous event; None at both ends of the line
+    for s in [e[1] for e in events] + [None]:
+        if (prev is not None and s is not None and prev[0] == s[0] == 'v'
+                and edge_key(prev[1], s[1]) in contained):
+            pass  # travelling along the contained edge, no hop
+        else:
+            f = g.outer if prev is None else face_towards(prev, 1)
+            if f != (g.outer if s is None else face_towards(s, -1)):
+                raise CurveError(f"drawing does not realize the graph's embedding: "
+                                 f"the faces between {prev} and {s} disagree")
+            stations.append(Fst(f))
+        if s is not None:
+            stations.append(s)
+        prev = s
+    cont_used = {edge_key(s1[1], s2[1]) for s1, s2 in zip(stations, stations[1:])
+                 if s1[0] == s2[0] == 'v'}
     return GoodCurve(tuple(stations), closed=False, contained=frozenset(cont_used))
-
-
-def _face_containing(g: PlaneGraph, pos, p) -> int:
-    """Locate the face of an exact drawing containing interior point p."""
-    for i in g.internal_faces():
-        poly = [pos[v] for v in g.face_vertices(i)]
-        if _point_in_polygon(p, poly):
-            return i
-    return g.outer
-
-
-def _point_in_polygon(p, poly) -> bool:
-    """Exact ray-crossing test; boundary points count as inside."""
-    n = len(poly)
-    for i in range(n):
-        if on_segment(p, poly[i], poly[(i + 1) % n]):
-            return True
-    cnt = 0
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            # x coordinate of the edge at height p[1] vs p[0], exactly
-            xc = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if xc > p[0]:
-                cnt ^= 1
-    return bool(cnt)
 
 
 # -- interchange format --------------------------------------------------------------

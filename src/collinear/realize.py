@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, crosses_h, direction_h, homogeneous, line_h,
                    line_intersection, line_through, on_segment, orient,
                    point_in_triangle, seg_line_y0_crossing, side_h)
 from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                           graph_from_positions, _cyclic_eq)
-from .curves import GoodCurve, AugmentedCurve, CurveError, augment_with_curve
+from .curves import GoodCurve, AugmentedCurve, augment_with_curve
 from .three_tree import ThreeTreeError, decompose
 
 Point = Tuple[Fraction, Fraction]

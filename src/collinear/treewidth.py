@@ -23,7 +23,7 @@ trivial model of the grid graph itself for testing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import Fst, GoodCurve, Station, Vst, Xst, cut_closed_curve, validate_curve

@@ -266,6 +266,68 @@ class TestPlacementCommands:
         for v in fixed:
             assert d.coords[v] == coords[v]
 
+    def test_ups_verified_ok(self, tmp_path, capsys):
+        # two points share an x-coordinate, so the axes are rotated
+        gpath = tmp_path / "g.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "40", "--seed", "3",
+            "--out", str(gpath))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("p 0 0\np 0 5\np 3 -2\np 7/2 1\n")
+        code, out, _ = run(capsys, "ups", str(gpath), str(ppath))
+        assert code == 0
+        assert parse_kv(out)["verified"] == "ok"
+
+    def test_untangle_verified_ok(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "40", "--seed", "5",
+            "--out", str(gpath))
+        g = parse_plane_graph(gpath.read_text())
+        coords = {v: (F(v * v % 37), F(v * 7 % 41, 3)) for v in g.vertices}
+        bpath = tmp_path / "bad.txt"
+        bpath.write_text(serialize_drawing(Drawing(coords, ())))
+        code, out, _ = run(capsys, "untangle", str(gpath), str(bpath))
+        assert code == 0
+        assert parse_kv(out)["verified"] == "ok"
+
+    def test_ups_broken_promise_fails(self, tmp_path, capsys, monkeypatch):
+        real = cli.universal_placement
+
+        def off_target(g, pts):
+            d = real(g, pts)
+            others = tuple(v for v in g.vertices if v not in d.designated)
+            return Drawing(d.coords, others[:len(d.designated)])
+
+        monkeypatch.setattr(cli, "universal_placement", off_target)
+        gpath = tmp_path / "g.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "30", "--out", str(gpath))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("p 1 2\np 5 7\n")
+        code, out, err = run(capsys, "ups", str(gpath), str(ppath))
+        assert code == 1
+        assert parse_kv(out)["verified"] == "FAIL"
+        assert err.startswith("error verification designated vertices")
+
+    def test_untangle_broken_promise_fails(self, tmp_path, capsys, monkeypatch):
+        real = cli.untangle
+
+        def claims_more(g, bad):
+            res = real(g, bad)
+            extra = next(v for v in g.vertices
+                         if res.drawing.coords[v] != bad[v])
+            return type(res)(res.fixed | {extra}, res.drawing)
+
+        monkeypatch.setattr(cli, "untangle", claims_more)
+        gpath = tmp_path / "g.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "30", "--out", str(gpath))
+        g = parse_plane_graph(gpath.read_text())
+        coords = {v: (F(v * v % 37), F(v * 7 % 41, 3)) for v in g.vertices}
+        bpath = tmp_path / "bad.txt"
+        bpath.write_text(serialize_drawing(Drawing(coords, ())))
+        code, out, err = run(capsys, "untangle", str(gpath), str(bpath))
+        assert code == 1
+        assert parse_kv(out)["verified"] == "FAIL"
+        assert "moved" in err and err.startswith("error verification fixed vertex")
+
 
 class TestGenCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):

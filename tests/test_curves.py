@@ -1,14 +1,24 @@
 """Good-curve validation, augmentation, properness, cutting, format."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from collinear.cubic import generate_triconnected_cubic, theorem4
 from collinear.curves import (
     CurveError, Fst, GoodCurve, Vst, Xst, augment_with_curve, cut_closed_curve,
     curve_from_drawing, is_proper, parse_curve, serialize_curve, validate_curve,
 )
-from collinear.plane_graph import PlaneGraph
+from collinear.geom import F, line_through, on_segment
+from collinear.plane_graph import PlaneGraph, edge_key
+from collinear.realize import (LabelingOrder, curve_to_drawing,
+                               labeling_from_curve, place_free, verify_drawing)
+from collinear.three_tree import (build_curve_bundle, decompose,
+                                  dp_optimal_collinear, random_plane_3tree)
+from collinear.treewidth import identity_grid_model, theorem5_curve
 
 
 def triangle():
@@ -235,8 +245,9 @@ def test_curve_from_drawing_missing_line():
 
 def test_curve_from_drawing_contained_edge():
     g = square()
+    # the walk 0, 1, 2, 3 of the outer face runs clockwise
     pos = {0: (Fraction(0), Fraction(0)), 1: (Fraction(2), Fraction(0)),
-           2: (Fraction(2), Fraction(2)), 3: (Fraction(0), Fraction(2))}
+           2: (Fraction(2), Fraction(-2)), 3: (Fraction(0), Fraction(-2))}
     c = curve_from_drawing(g, pos, (0, 1, 0))  # y = 0 along edge (0,1)
     rep = validate_curve(g, c)
     assert rep.good and rep.proper
@@ -270,3 +281,158 @@ def test_tally_independence():
     # vertex 2 touches (0,2),(1,2),(2,3); crossings touch (0,1),(0,3)
     assert tally == {(0, 2): 1, (1, 2): 1, (2, 3): 1, (0, 1): 1, (0, 3): 1}
     assert rep.good
+
+
+def test_curve_from_drawing_wrong_outer_face():
+    # the drawing's unbounded face is {0, 1, 2}, the graph's outer face is
+    # {0, 1, 3}: the rotations agree, the outer face does not
+    pos = {0: (Fraction(4), Fraction(-2)), 1: (Fraction(4), Fraction(2)),
+           2: (Fraction(0), Fraction(0)), 3: (Fraction(2), Fraction(1, 3))}
+    g = graph_from_drawing(pos, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                           [0, 1, 2])
+    g = g.with_outer(face_with(g, [0, 1, 3]))
+    with pytest.raises(CurveError, match="does not realize"):
+        curve_from_drawing(g, pos, (0, 1, 0))
+
+
+def test_curve_from_drawing_rotation_out_of_order():
+    # a wheel whose hub sits on the line; swapping the positions of two
+    # neighbours of the hub breaks its rotation, not the outer face
+    rim = [(2, 1), (0, 2), (-2, 1), (-2, -1), (0, -2), (2, -1)]
+    pos = {0: (Fraction(0), Fraction(0))}
+    pos.update({i + 1: (Fraction(x), Fraction(y)) for i, (x, y) in enumerate(rim)})
+    edges = [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)]
+    g = graph_from_drawing(pos, edges, range(1, 7))
+    assert validate_curve(g, curve_from_drawing(g, pos, (0, 1, 0))).proper
+    pos[1], pos[2] = pos[2], pos[1]
+    with pytest.raises(CurveError, match="does not realize"):
+        curve_from_drawing(g, pos, (0, 1, 0))
+
+
+# -- the point-in-polygon read-back, kept as the reference ---------------------------
+
+
+def reference_curve_from_drawing(g, pos, line):
+    """Read-back that locates each hop face by testing the midpoint of the
+    hop against every internal face polygon."""
+    A, B, C = F(line[0]), F(line[1]), F(line[2])
+    d = (B, -A)
+
+    def t_of(p):
+        return d[0] * p[0] + d[1] * p[1]
+
+    events = []
+    on_l = {v for v in g.vertices if A * pos[v][0] + B * pos[v][1] == C}
+    for v in on_l:
+        events.append((t_of(pos[v]), Vst(v)))
+    contained = set()
+    for (u, v) in g.edges:
+        if u in on_l and v in on_l:
+            contained.add(edge_key(u, v))
+            continue
+        pu, pv = pos[u], pos[v]
+        su = A * pu[0] + B * pu[1] - C
+        sv = A * pv[0] + B * pv[1] - C
+        if (su > 0 and sv < 0) or (su < 0 and sv > 0):
+            tt = su / (su - sv)
+            pt = (pu[0] + tt * (pv[0] - pu[0]), pu[1] + tt * (pv[1] - pu[1]))
+            events.append((t_of(pt), Xst(u, v)))
+    events.sort(key=lambda e: e[0])
+    if not events:
+        return GoodCurve((Fst(g.outer),), closed=False)
+
+    def point_at(t):
+        n2 = A * A + B * B
+        return (A * C / n2 + d[0] * t / n2, B * C / n2 + d[1] * t / n2)
+
+    stations = [Fst(g.outer)]
+    for k, (t, s) in enumerate(events):
+        if k > 0:
+            prev_t, prev_s = events[k - 1]
+            if not (prev_s[0] == 'v' and s[0] == 'v'
+                    and edge_key(prev_s[1], s[1]) in contained):
+                mid = point_at((prev_t + t) / 2)
+                stations.append(Fst(reference_face_containing(g, pos, mid)))
+        stations.append(s)
+    stations.append(Fst(g.outer))
+    cont_used = {edge_key(s1[1], s2[1]) for s1, s2 in zip(stations, stations[1:])
+                 if s1[0] == 'v' and s2[0] == 'v'}
+    return GoodCurve(tuple(stations), closed=False, contained=frozenset(cont_used))
+
+
+def reference_face_containing(g, pos, p):
+    """The internal face whose polygon contains p (exact ray crossing,
+    boundary points inside), else the outer face."""
+    for i in g.internal_faces():
+        poly = [pos[v] for v in g.face_vertices(i)]
+        if any(on_segment(p, a, b) for a, b in zip(poly, poly[1:] + poly[:1])):
+            return i
+        inside = False
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            if (a[1] > p[1]) != (b[1] > p[1]):
+                if a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1]) > p[0]:
+                    inside = not inside
+        if inside:
+            return i
+    return g.outer
+
+
+@lru_cache(maxsize=None)
+def _drawn(kind, size, seed):
+    """A verified exact drawing of a generated graph."""
+    if kind == "3tree":
+        g = random_plane_3tree(size, seed=seed)
+        d = curve_to_drawing(g, build_curve_bundle(decompose(g)).best)
+    elif kind == "cubic":
+        g = generate_triconnected_cubic(seed, size)
+        d = curve_to_drawing(g, theorem4(g).curve)
+    elif kind == "grid":
+        g, c = theorem5_curve(*identity_grid_model(size))
+        d = curve_to_drawing(g, c)
+    else:  # place_free at random increasing targets on the DP curve
+        g = random_plane_3tree(size, seed=seed)
+        lab = labeling_from_curve(g, dp_optimal_collinear(decompose(g))[1])
+        rng = random.Random(seed)
+        x, targets = Fraction(rng.randint(-9, 9)), {}
+        for e in lab.order:
+            x += Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            targets[e] = x
+        d = place_free(g, LabelingOrder(lab.labels, lab.order, targets))
+    assert verify_drawing(g, d).ok
+    return g, d.coords
+
+
+_drawings = st.one_of(
+    st.tuples(st.just("3tree"), st.integers(4, 60), st.integers(0, 3)),
+    st.tuples(st.just("cubic"), st.sampled_from([4, 8, 12, 16, 20, 24]),
+              st.integers(0, 2)),
+    st.tuples(st.just("grid"), st.just(6), st.just(0)),
+    st.tuples(st.just("place"), st.integers(4, 40), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawings, st.sampled_from(["x-axis", "horizontal", "vertical",
+                                   "through two", "miss"]),
+       st.data())
+def test_read_back_equals_point_in_polygon_reference(spec, kind, data):
+    g, pos = _drawn(*spec)
+    vs = sorted(pos)
+    p = pos[data.draw(st.sampled_from(vs))]
+    shift = data.draw(st.sampled_from([0, Fraction(1, 3), Fraction(-5, 7)]))
+    if kind == "x-axis":
+        line = (0, 1, 0)
+    elif kind == "horizontal":
+        line = (0, 1, p[1] + shift)
+    elif kind == "vertical":
+        line = (1, 0, p[0] + shift)
+    elif kind == "through two":
+        q = pos[data.draw(st.sampled_from([v for v in vs if pos[v] != p]))]
+        line = line_through(p, q)
+    else:
+        line = (0, 1, max(q[1] for q in pos.values()) + 1 + abs(shift))
+    new = curve_from_drawing(g, pos, line)
+    old = reference_curve_from_drawing(g, pos, line)
+    assert (new.stations, new.closed, new.contained) == \
+        (old.stations, old.closed, old.contained)
+    assert validate_curve(g, new).good
