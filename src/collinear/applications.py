@@ -33,6 +33,11 @@ class ApplicationError(ValueError):
     """A placement request violates its size or distinctness bounds."""
 
 
+class DrawingRejected(RealizeError):
+    """The exact verifier rejected a drawing built here: a defect of the
+    construction, not of the input."""
+
+
 def collinear_guarantee(n: int) -> int:
     """ceil((n-3)/8): how many collinear vertices every plane 3-tree has."""
     return -(-(n - 3) // 8)
@@ -166,7 +171,7 @@ def universal_placement(g: PlaneGraph, p: PointSet) -> Drawing:
     # the prescribed points need not be collinear: verify planarity only
     report = verify_drawing(g, Drawing(coords, ()))
     if not report.ok:
-        raise RealizeError(f"universal placement drawing failed: {report.violations}")
+        raise DrawingRejected(f"universal placement drawing failed: {report.violations}")
     return final
 
 
@@ -241,5 +246,5 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
     # the fixed positions need not be collinear: verify planarity only
     report = verify_drawing(g, Drawing(coords, ()))
     if not report.ok:
-        raise RealizeError(f"untangled drawing failed: {report.violations}")
+        raise DrawingRejected(f"untangled drawing failed: {report.violations}")
     return UntangleResult(fixed=frozenset(fixed), drawing=final)

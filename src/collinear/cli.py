@@ -5,9 +5,11 @@ collinear set as a curve, realize it as an exact straight-line drawing,
 verify artifacts, and run the placement features.  All output is
 deterministic for fixed inputs and ``--seed``.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 guard exceeded,
-4 internal error (a failed assertion, recursion overflow or memory
-exhaustion: a bug, reported as one line on stderr).
+Exit codes: 0 ok, 1 verification failure (also when a placement command's
+own exact check rejects its drawing), 2 input error, 3 guard exceeded,
+4 internal error (a failed assertion, recursion overflow, memory exhaustion,
+or ``draw`` failing to realize a curve that is good and proper: a bug,
+reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import sys
 from fractions import Fraction as F
 from typing import List, Optional, Sequence
 
-from .applications import (ApplicationError, PointSet, collinear_guarantee,
-                           universal_placement, untangle)
+from .applications import (ApplicationError, DrawingRejected, PointSet,
+                           collinear_guarantee, universal_placement, untangle)
 from .cubic import CubicError, charge_lines, generate_triconnected_cubic, theorem4
 from .curves import CurveError, parse_curve, serialize_curve, validate_curve
 from .oracle import OracleError, enumerate_curves
@@ -43,6 +45,10 @@ class VerificationFailure(Exception):
 
 class GuardExceeded(Exception):
     pass
+
+
+class InternalFailure(Exception):
+    """A library error on input that passed the command's own checks."""
 
 
 def _read(path: str) -> str:
@@ -116,7 +122,13 @@ def _cmd_curve(args) -> int:
 def _cmd_draw(args) -> int:
     g = _load_graph(args.graph)
     curve = parse_curve(g, _read(args.curve))
-    d = curve_to_drawing(g, curve)
+    rep = validate_curve(g, curve)
+    if not (rep.good and rep.proper):
+        raise CurveError("curve is not " + ("proper" if rep.good else "good"))
+    try:
+        d = curve_to_drawing(g, curve)
+    except RealizeError as exc:
+        raise InternalFailure(f"{type(exc).__name__}: {exc}") from exc
     print(f"collinear_vertices {len(d.designated)}")
     return _emit_verified(args, g, d)
 
@@ -340,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except VerificationFailure as exc:
+    except (VerificationFailure, DrawingRejected) as exc:
         print(f"error verification {exc}", file=sys.stderr)
         return 1
     except GuardExceeded as exc:
@@ -349,6 +361,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error input {exc}", file=sys.stderr)
         return 2
+    except InternalFailure as exc:
+        print(f"error internal {exc}", file=sys.stderr)
+        return 4
     except (AssertionError, RecursionError, MemoryError) as exc:
         print(f"error internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

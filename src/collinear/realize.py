@@ -16,20 +16,28 @@ provides:
 * ``place_free`` -- recursive placement of a plane 3-tree that puts every
   on-line vertex and every crossing edge exactly at its target;
 * ``straighten_preserving_y`` -- replace y-monotone polyline edges by
-  straight segments keeping every y-coordinate;
+  straight segments keeping every y-coordinate: one bottom-to-top level
+  sweep over the active edges gives the left-to-right order at every
+  vertex level, and a sparse feasibility LP on those orders gives new
+  x-coordinates, re-checked exactly in integers;
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
-  drawing with all its vertex stations on the x-axis;
+  drawing with all its vertex stations on the x-axis (for graphs that are
+  not 3-trees: both sides drawn barycentrically, then straightened on the
+  ranked vertex levels);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .geom import (F, crosses_h, direction_h, homogeneous, line_h,
+from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, line_h,
                    line_intersection, line_through, on_segment, orient,
                    point_in_triangle, seg_line_y0_crossing, side_h)
 from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
@@ -844,122 +852,211 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
 
 # -- straightening y-monotone polylines -------------------------------------------
 
-def _polyline_x_at(poly: Sequence[Point], y0: Fraction) -> Fraction:
-    for (a, b) in zip(poly, poly[1:]):
-        lo, hi = (a, b) if a[1] <= b[1] else (b, a)
-        if lo[1] <= y0 <= hi[1]:
-            if lo[1] == hi[1]:
-                continue
-            t = (y0 - lo[1]) / (hi[1] - lo[1])
-            return lo[0] + t * (hi[0] - lo[0])
-    raise RealizeError("polyline does not span the level")
+def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
+                  at_level: Sequence[Sequence[int]], lev: Mapping[int, int]
+                  ) -> List[List[Tuple[int, int]]]:
+    """Left-to-right items at every vertex level, bottom to top: ``(v, v)``
+    for a vertex, ``(lower, upper)`` for an edge passing through the level.
 
-
-def _rank_levels(g: PlaneGraph, pl: PolylineDrawing) -> PolylineDrawing:
-    """Order-preserving remap of the vertex levels onto 0, 1, 2, ...
-
-    Every edge keeps its exact crossing x-coordinate at every vertex level
-    (re-sampled bends record them), so all level orders are unchanged; the
-    small integer levels keep the straightening LP numerically benign even
-    when the incoming coordinates carry huge rationals.
+    ``at_level[i]`` lists the vertices of level i by increasing x; ``lev``
+    maps a vertex to its level.  The sweep keeps the status, the edges
+    active between two levels from left to right.  It changes only at
+    vertices: a vertex's downward edges are one contiguous block, found by
+    bisection with exact orientation tests, and are replaced by its upward
+    edges in angular order.  Passing edges keep their places and are never
+    interpolated.
     """
-    ys = sorted({y for (_, y) in pl.coords.values()})
-    shift = ys.index(Fraction(0)) if Fraction(0) in ys else 0
-    rank = {y: Fraction(i - shift) for i, y in enumerate(ys)}
-    coords = {v: (x, rank[y]) for v, (x, y) in pl.coords.items()}
-    bends: Dict[Tuple[int, int], Tuple[Point, ...]] = {}
-    for (u, v) in g.edges:
-        yu, yv = pl.coords[u][1], pl.coords[v][1]
-        lo, hi = min(yu, yv), max(yu, yv)
-        inner = [y for y in ys if lo < y < hi]
-        if not inner:
-            continue
-        poly = pl.polyline(u, v)
-        pts = tuple((_polyline_x_at(poly, y), rank[y]) for y in inner)
-        bends[(u, v)] = pts if yu < yv else pts[::-1]
-    return PolylineDrawing(coords, bends)
+    ends: List[Tuple[int, int]] = []              # edge -> (lower, upper)
+    ys: List[List[Fraction]] = []                 # bottom to top
+    hs: List[List[HPoint]] = []
+    up: Dict[int, List[int]] = {v: [] for v in lev}
+    down = dict.fromkeys(lev, 0)
+    for (u, v) in sorted(g.edges):
+        poly = [_pt(*p) for p in pl.polyline(u, v)]
+        if len(poly) == 2 and poly[0][1] == poly[1][1]:
+            continue                              # horizontal: in no status
+        if poly[0][1] > poly[-1][1]:
+            poly.reverse()
+            u, v = v, u
+        if any(a[1] >= b[1] for a, b in zip(poly, poly[1:])):
+            raise RealizeError(f"edge {edge_key(u, v)} is not y-monotone")
+        up[u].append(len(ends))
+        down[v] += 1
+        ends.append((u, v))
+        ys.append([p[1] for p in poly])
+        hs.append([homogeneous(p) for p in poly])
+
+    def leftward(e: int, f: int) -> int:          # compare first directions
+        (dx, dy), (ex, ey) = direction_h(*hs[e][:2]), direction_h(*hs[f][:2])
+        return dx * ey - ex * dy
+    for v, out in up.items():
+        out.sort(key=cmp_to_key(leftward))
+        for e, f in zip(out, out[1:]):
+            if not leftward(e, f):
+                raise RealizeError(f"edges {edge_key(*ends[e])} and "
+                                   f"{edge_key(*ends[f])} overlap at vertex {v}")
+
+    def side(e: int, y: Fraction, p: HPoint) -> int:
+        """Sign of (x of edge e at level y) - (x of p), p at level y."""
+        i = bisect_left(ys[e], y)
+        q = hs[e][i]
+        if ys[e][i] == y:
+            d = q[0] * p[2] - p[0] * q[2]
+            return (d > 0) - (d < 0)
+        return side_h(line_h(hs[e][i - 1], q), p)
+
+    orders: List[List[Tuple[int, int]]] = []
+    status: List[int] = []
+    for i, vs in enumerate(at_level):
+        y = pl.coords[vs[0]][1]
+        items: List[Tuple[int, int]] = []
+        nxt: List[int] = []
+        done = 0
+
+        def passing(block: Sequence[int]) -> None:
+            for e in block:
+                if lev[ends[e][1]] <= i:
+                    raise RealizeError(f"edge {edge_key(*ends[e])} misses its end "
+                                       f"vertex at level y = {y}")
+                items.append(ends[e])
+            nxt.extend(block)
+
+        for j, v in enumerate(vs):
+            p = homogeneous(pl.coords[v])
+            if j and pl.coords[vs[j - 1]][0] == pl.coords[v][0]:
+                raise RealizeError(f"vertices {vs[j - 1]} and {v} coincide")
+            lo, hi = done, len(status)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if side(status[mid], y, p) < 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            stop = lo + down[v]
+            if stop > len(status) or any(ends[e][1] != v for e in status[lo:stop]):
+                raise RealizeError(f"the edges into vertex {v} are not adjacent: "
+                                   "the drawing is not planar")
+            if stop < len(status) and side(status[stop], y, p) <= 0:
+                raise RealizeError(f"vertex {v} lies on edge "
+                                   f"{edge_key(*ends[status[stop]])}")
+            passing(status[done:lo])
+            items.append((v, v))
+            nxt.extend(up[v])
+            done = stop
+        passing(status[done:])
+        status = nxt
+        orders.append(items)
+    return orders
+
+
+def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...],
+                ranked: bool) -> Drawing:
+    """``straighten_preserving_y``; with ``ranked`` the vertex levels are
+    mapped onto consecutive integers first, 0 staying 0 if it is a level.
+    The level orders do not change, and small integer levels keep the LP
+    numerically benign when the input carries huge rationals."""
+    for v in g.vertices:
+        if v not in pl.coords:
+            raise RealizeError(f"no position for vertex {v}")
+    pl = PolylineDrawing({v: _pt(*pl.coords[v]) for v in g.vertices}, pl.bends)
+    coords = pl.coords
+    verts = sorted(coords)
+    col = {v: k for k, v in enumerate(verts)}
+    levels: List[Fraction] = []
+    at_level: List[List[int]] = []
+    lev: Dict[int, int] = {}
+    for v in sorted(verts, key=lambda v: coords[v][::-1]):
+        if not levels or levels[-1] != coords[v][1]:
+            levels.append(coords[v][1])
+            at_level.append([])
+        at_level[-1].append(v)
+        lev[v] = len(levels) - 1
+    orders = _level_orders(g, pl, at_level, lev)
+    if ranked:
+        shift = levels.index(0) if 0 in levels else 0
+        out_y = [Fraction(i - shift) for i in range(len(levels))]
+    else:
+        out_y = levels
+    den = lcm(*(y.denominator for y in out_y))
+    Y = [y.numerator * (den // y.denominator) for y in out_y]
+
+    # A row says item b lies right of item a by at least 1:
+    # (N_b / D_b - N_a / D_a) . x >= 1, where a vertex v has N = x_v, D = 1
+    # and an edge from u up to w at level y has N = (Y_w - y) x_u +
+    # (y - Y_u) x_w, D = Y_w - Y_u > 0.  The integer vector D_a N_b - D_b N_a
+    # is kept for the exact re-check.
+    rows: List[List[Tuple[int, int]]] = []
+    r_idx: List[int] = []
+    c_idx: List[int] = []
+    vals: List[float] = []
+    for y, items in zip(Y, orders):
+        terms = []
+        for (u, w) in items:
+            if u == w:
+                terms.append((1, ((col[u], 1),)))
+            else:
+                yu, yw = Y[lev[u]], Y[lev[w]]
+                terms.append((yw - yu, ((col[u], yw - y), (col[w], y - yu))))
+        for (da, na), (db, nb) in zip(terms, terms[1:]):
+            row: Dict[int, int] = {}
+            for k, c in nb:
+                row[k] = row.get(k, 0) + da * c
+            for k, c in na:
+                row[k] = row.get(k, 0) - db * c
+            dd = da * db
+            for k, c in row.items():
+                val = -c / dd                     # A_ub x <= -1, correctly rounded
+                if val:
+                    r_idx.append(len(rows))
+                    c_idx.append(k)
+                    vals.append(val)
+            rows.append([(k, c) for k, c in row.items() if c])
+
+    if rows:
+        import numpy as np
+        from scipy.optimize import linprog
+        from scipy.sparse import coo_array
+
+        A = coo_array((vals, (r_idx, c_idx)), shape=(len(rows), len(verts)))
+        res = linprog(np.zeros(len(verts)), A_ub=A, b_ub=-np.ones(len(rows)),
+                      bounds=[(None, None)] * len(verts), method="highs")
+        if not res.success:
+            raise RealizeError(f"straightening LP infeasible: {res.message}")
+        ratios = [float(x).as_integer_ratio() for x in res.x]
+        xs = [Fraction(n, d) for n, d in ratios]
+        # exact re-check of every row, on the solution times one power of two
+        scale = max(d for _, d in ratios)
+        X = [n * (scale // d) for n, d in ratios]
+        for row in rows:
+            if not sum(c * X[k] for k, c in row) > 0:
+                raise RealizeError("straightening solution violates a level order")
+    else:
+        xs = [coords[v][0] for v in verts]
+    return Drawing({v: (xs[col[v]], out_y[lev[v]]) for v in verts}, designated)
 
 
 def straighten_preserving_y(g: PlaneGraph, pl: PolylineDrawing,
                             designated: Tuple[int, ...] = ()) -> Drawing:
     """Replace y-monotone polyline edges by straight segments.
 
-    Keeps every vertex's y-coordinate and, at every horizontal level through
-    a vertex, the left-to-right order of vertices and crossing edges; new
-    x-coordinates come from a feasibility LP whose solution is re-checked
-    exactly.
+    Precondition: ``pl`` is a planar drawing of ``g`` with y-monotone
+    polyline edges (a horizontal edge has no bends) whose level orders are
+    strict: on the horizontal line through any vertex, no two vertices or
+    edges share a point.  Positions of vertices not in ``g`` are ignored.
+    A non-monotone edge, coinciding vertices or a vertex on an edge raise
+    ``RealizeError``; two edges touching at a level are not detected.
+
+    Keeps every vertex's y-coordinate and, at every vertex level, the
+    left-to-right order of its vertices and of the edges passing through
+    it.  One bottom-to-top sweep finds these orders (``_level_orders``).
+    New x-coordinates come from a feasibility LP with one row per pair of
+    neighbouring items, solved by HiGHS in floating point from a sparse
+    matrix; every row is then re-checked exactly in integers.  Cost:
+    O((n + m) log n + R) for R rows, each built in integers and re-checked
+    once, plus the LP solve (a sweep probe also bisects the probed edge's
+    bends).
     """
-    from scipy.optimize import linprog
-    import numpy as np
-
-    coords = {v: _pt(*pl.coords[v]) for v in pl.coords}
-    for v in g.vertices:
-        if v not in coords:
-            raise RealizeError(f"no position for vertex {v}")
-    edges = sorted(g.edges)
-    for (u, v) in edges:
-        poly = pl.polyline(u, v)
-        ys = [p[1] for p in poly]
-        if len(poly) > 2 or ys[0] != ys[-1]:
-            for a, b in zip(ys, ys[1:]):
-                if not ((ys[0] < ys[-1] and a < b) or (ys[0] > ys[-1] and a > b)):
-                    raise RealizeError(f"edge {(u, v)} is not y-monotone")
-
-    verts = sorted(coords)
-    var = {v: i for i, v in enumerate(verts)}
-    levels = sorted({coords[v][1] for v in verts})
-    constraints: List[Tuple[Dict[int, Fraction], Fraction]] = []   # lhs . x >= 1
-
-    for y0 in levels:
-        items: List[Tuple[Fraction, Elem]] = []
-        for v in verts:
-            if coords[v][1] == y0:
-                items.append((coords[v][0], ('v', v)))
-        for (u, v) in edges:
-            ya, yb = coords[u][1], coords[v][1]
-            if min(ya, yb) < y0 < max(ya, yb):
-                x_now = _polyline_x_at(pl.polyline(u, v), y0)
-                items.append((x_now, ('e', (u, v))))
-        items.sort(key=lambda t: t[0])
-        for (xa, a), (xb, b) in zip(items, items[1:]):
-            if xa == xb:
-                raise RealizeError(
-                    f"items {a} and {b} coincide at level y = {y0}")
-
-        def expr(item: Elem) -> Dict[int, Fraction]:
-            if item[0] == 'v':
-                return {var[item[1]]: Fraction(1)}
-            u, v = item[1]
-            t = (y0 - coords[u][1]) / (coords[v][1] - coords[u][1])
-            return {var[u]: 1 - t, var[v]: t}
-
-        for (_, a), (_, b) in zip(items, items[1:]):
-            lhs: Dict[int, Fraction] = {}
-            for k, c in expr(b).items():
-                lhs[k] = lhs.get(k, Fraction(0)) + c
-            for k, c in expr(a).items():
-                lhs[k] = lhs.get(k, Fraction(0)) - c
-            constraints.append((lhs, Fraction(1)))
-
-    if constraints:
-        A = np.zeros((len(constraints), len(verts)))
-        for i, (lhs, _) in enumerate(constraints):
-            for k, c in lhs.items():
-                A[i, k] = -float(c)
-        b = -np.ones(len(constraints))
-        res = linprog(np.zeros(len(verts)), A_ub=A, b_ub=b,
-                      bounds=[(None, None)] * len(verts), method="highs")
-        if not res.success:
-            raise RealizeError(f"straightening LP infeasible: {res.message}")
-        xs = [Fraction(*float(x).as_integer_ratio()) for x in res.x]
-        for lhs, _ in constraints:
-            if not sum(c * xs[k] for k, c in lhs.items()) > 0:
-                raise RealizeError("straightening solution violates a level order")
-    else:
-        xs = [coords[v][0] for v in verts]
-
-    new_coords = {v: (xs[var[v]], coords[v][1]) for v in verts if v in set(g.vertices)}
-    return Drawing(new_coords, designated)
+    return _straighten(g, pl, designated, ranked=False)
 
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------
@@ -1049,10 +1146,25 @@ def _regular_convex_drawing(g: PlaneGraph, anchor: Optional[int] = None) -> Draw
     return tutte_convex(g, pos)
 
 
+def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
+    """Each side of the curve drawn barycentrically against the curve's path
+    laid on the x-axis (at least two path vertices); an edge the curve
+    crosses bends where it meets the axis."""
+    path = aug.path_vertices
+    above, below = curve_sides(aug)
+    on_path = set(path)
+    coords: Dict[int, Point] = {}
+    coords.update(_tutte_half(aug.graph.subgraph(on_path | above), path, above=True))
+    coords.update(_tutte_half(aug.graph.subgraph(on_path | below), path, above=False))
+    return PolylineDrawing(
+        coords={v: coords[v] for v in g.vertices},
+        bends={e: (coords[w],) for e, w in aug.subdivision.items()})
+
+
 def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Generic realization of a proper good curve: split along the curve,
     draw each side barycentrically against the path laid on the x-axis, then
-    straighten the crossed edges keeping all y-coordinates."""
+    straighten the crossed edges on the ranked vertex levels."""
     aug = augment_with_curve(g, c)
     if not aug.proper:
         raise RealizeError("curve is not proper (an endpoint misses the outer region)")
@@ -1061,18 +1173,7 @@ def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
     if len(path) < 2:
         d = _regular_convex_drawing(g, anchor=path[0] if path else None)
         return Drawing(d.coords, designated)
-
-    above, below = curve_sides(aug)
-    on_path = set(path)
-    coords: Dict[int, Point] = {}
-    coords.update(_tutte_half(aug.graph.subgraph(on_path | above), path, above=True))
-    coords.update(_tutte_half(aug.graph.subgraph(on_path | below), path, above=False))
-
-    keep = set(g.vertices)
-    pl = PolylineDrawing(
-        coords={v: coords[v] for v in keep},
-        bends={e: (coords[w],) for e, w in aug.subdivision.items()})
-    return straighten_preserving_y(g, _rank_levels(g, pl), designated)
+    return _straighten(g, _split_drawing(g, aug), designated, ranked=True)
 
 
 def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from collinear import applications
 from collinear.applications import (
     ApplicationError,
+    DrawingRejected,
     PointSet,
     collinear_guarantee,
     rotation_for,
@@ -16,7 +18,7 @@ from collinear.applications import (
     unrotate,
     untangle,
 )
-from collinear.realize import verify_drawing, Drawing
+from collinear.realize import DrawingReport, RealizeError, verify_drawing, Drawing
 from collinear.three_tree import random_plane_3tree
 
 
@@ -155,3 +157,16 @@ class TestUntangle:
         bad = {v: (F(0), F(0)) for v in g.vertices}
         with pytest.raises(ApplicationError, match="distinct"):
             untangle(g, bad)
+
+
+@pytest.mark.parametrize("feature", ["ups", "untangle"])
+def test_own_check_failure_raises_realize_error(monkeypatch, feature):
+    monkeypatch.setattr(applications, "verify_drawing",
+                        lambda g, d: DrawingReport(False, True, True, True, ["bad"]))
+    g = random_plane_3tree(20, seed=1)
+    with pytest.raises(DrawingRejected, match="failed") as info:
+        if feature == "ups":
+            universal_placement(g, PointSet(((F(1), F(2)),)))
+        else:
+            untangle(g, random_positions(g, random.Random(3)))
+    assert isinstance(info.value, RealizeError)       # library callers keep it

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from collinear import cli
+from collinear import applications, cli, realize
 from collinear.cli import main
-from collinear.curves import parse_curve
+from collinear.curves import GoodCurve, Vst, parse_curve, serialize_curve
 from collinear.plane_graph import parse_plane_graph
-from collinear.realize import (Drawing, labeling_from_curve, parse_drawing,
+from collinear.realize import (Drawing, DrawingReport, RealizeError,
+                               labeling_from_curve, parse_drawing,
                                serialize_drawing)
 
 
@@ -165,6 +166,35 @@ class TestDrawAndVerify:
         assert code == 1
         assert "drawing FAIL" in out
         assert err == "error verification edges (0, 1) and (2, 3) intersect\n"
+
+    def test_realize_failure_after_valid_curve_is_internal(self, tmp_path, capsys,
+                                                            monkeypatch):
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        run(capsys, "gen", "--kind", "cubic", "--n", "20", "--out", str(gpath))
+        run(capsys, "curve", str(gpath), "--method", "cubic", "--out", str(cpath))
+        code, out, _ = run(capsys, "draw", str(gpath), str(cpath))
+        assert code == 0 and "verified ok" in out
+
+        def infeasible(*args, **kwargs):
+            raise RealizeError("straightening LP infeasible: no luck")
+
+        monkeypatch.setattr(realize, "_straighten", infeasible)
+        code, out, err = run(capsys, "draw", str(gpath), str(cpath))
+        assert code == 4
+        assert out == ""
+        assert err == ("error internal RealizeError: "
+                       "straightening LP infeasible: no luck\n")
+
+    def test_draw_non_proper_curve_is_input_error(self, tmp_path, capsys,
+                                                  tree_graph):
+        g = parse_plane_graph(tree_graph.read_text())
+        inner = next(v for v in g.vertices if v not in g.outer_walk())
+        cpath = tmp_path / "c.txt"
+        cpath.write_text(serialize_curve(g, GoodCurve((Vst(inner),))))
+        code, out, err = run(capsys, "draw", str(tree_graph), str(cpath))
+        assert code == 2
+        assert out == ""
+        assert err == "error input curve is not proper\n"
 
     def test_verify_nothing_is_input_error(self, capsys, tree_graph):
         code, _, err = run(capsys, "verify", str(tree_graph))
@@ -327,6 +357,30 @@ class TestPlacementCommands:
         assert code == 1
         assert parse_kv(out)["verified"] == "FAIL"
         assert "moved" in err and err.startswith("error verification fixed vertex")
+
+
+    @pytest.mark.parametrize("command", ["ups", "untangle"])
+    def test_own_check_failure_is_verification_error(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        def rejects(g, d):
+            return DrawingReport(False, True, True, True,
+                                 ["edges (0, 1) and (2, 3) intersect"])
+
+        monkeypatch.setattr(applications, "verify_drawing", rejects)
+        gpath, ipath = tmp_path / "g.txt", tmp_path / "in.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "30", "--out", str(gpath))
+        if command == "ups":
+            ipath.write_text("p 1 2\np 5 7\n")
+        else:
+            g = parse_plane_graph(gpath.read_text())
+            coords = {v: (F(v * v % 37), F(v * 7 % 41, 3)) for v in g.vertices}
+            ipath.write_text(serialize_drawing(Drawing(coords, ())))
+        code, out, err = run(capsys, command, str(gpath), str(ipath))
+        assert code == 1
+        assert out == ""
+        what = "universal placement" if command == "ups" else "untangled"
+        assert err == (f"error verification {what} drawing failed: "
+                       "['edges (0, 1) and (2, 3) intersect']\n")
 
 
 class TestGenCommand:

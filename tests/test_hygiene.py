@@ -1,6 +1,10 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module imports is used by that module, and
+importing the package stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,18 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def test_import_loads_no_numpy_or_scipy():
+    # numpy and scipy are imported only when a drawing is straightened, so
+    # every command starts without paying for them
+    code = ("import sys\n"
+            "import collinear.cli, collinear.realize, collinear.applications, "
+            "collinear.cubic, collinear.treewidth\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    path = [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

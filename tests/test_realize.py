@@ -1,19 +1,26 @@
 """Exact drawings: verification, Tutte embeddings, free placement, curve realization."""
 
+import hashlib
+import re
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from collinear.plane_graph import PlaneGraph, graph_from_positions
-from collinear.curves import GoodCurve, Vst, Xst, Fst, validate_curve, curve_from_drawing
+from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
+from collinear.curves import (GoodCurve, Vst, Xst, Fst, augment_with_curve,
+                              validate_curve, curve_from_drawing)
+from collinear.cubic import generate_triconnected_cubic, theorem4
+from collinear.treewidth import identity_grid_model, theorem5_curve
 from collinear.three_tree import random_plane_3tree, decompose, build_curve_bundle
 from collinear.geom import seg_line_y0_crossing
 from collinear.realize import (
     Drawing, PolylineDrawing, LabelingOrder, RealizeError,
     parse_drawing, serialize_drawing, drawing_to_svg,
     verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
-    lift_off_line, straighten_preserving_y, curve_to_drawing,
+    lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
+    _regular_convex_drawing,
 )
 
 
@@ -483,6 +490,290 @@ def test_straighten_preserves_level_order():
     assert verify_drawing(g, d).ok
     for v in g.vertices:
         assert d.coords[v][1] == pl.coords[v][1]
+
+
+@pytest.mark.parametrize("coords,message", [
+    ({0: (0, 0), 1: (2, 2), 2: (1, 1)}, "vertex 2 lies on edge (0, 1)"),
+    ({0: (0, 0), 1: (1, 1), 2: (1, 1)}, "vertices 1 and 2 coincide"),
+    ({0: (1, 1), 1: (0, 0), 2: (2, 2)}, "edges (0, 1) and (1, 2) overlap at vertex 1"),
+])
+def test_straighten_rejects_degenerate_levels(coords, message):
+    g = path_graph(3)
+    pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in coords.items()})
+    with pytest.raises(RealizeError, match=re.escape(message)):
+        straighten_preserving_y(g, pl)
+
+
+def test_straighten_rechecks_every_row_exactly(monkeypatch):
+    # one level (y = 1) holds the items vertex 2 and the edge (0, 3); the LP
+    # answer is replaced, so only the exact re-check decides
+    import scipy.optimize
+
+    g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)},
+                             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in
+                          {0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)}.items()})
+    # edge (0, 3) passes y = 1 at x = 2**-59; vertex 2 lies 2**-100 right of
+    # it, or on it
+    answers = {"just right": [0.0, 4.0, 2.0 ** -59 + 2.0 ** -100, 2.0 ** -58],
+               "on the edge": [0.0, 4.0, 2.0 ** -59, 2.0 ** -58]}
+    for name, x in answers.items():
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: SimpleNamespace(success=True, x=x,
+                                                            message=""))
+        if name == "just right":
+            d = straighten_preserving_y(g, pl)
+            assert [d.coords[v][0] for v in range(4)] == [Fr(t) for t in x]
+        else:
+            with pytest.raises(RealizeError, match="violates a level order"):
+                straighten_preserving_y(g, pl)
+
+
+# -- the straightening of the parent commit, kept as a reference ----------------------
+
+
+def reference_polyline_x_at(poly, y0):
+    for (a, b) in zip(poly, poly[1:]):
+        lo, hi = (a, b) if a[1] <= b[1] else (b, a)
+        if lo[1] <= y0 <= hi[1]:
+            if lo[1] == hi[1]:
+                continue
+            t = (y0 - lo[1]) / (hi[1] - lo[1])
+            return lo[0] + t * (hi[0] - lo[0])
+    raise RealizeError("polyline does not span the level")
+
+
+def reference_rank_levels(g, pl):
+    """Vertex levels mapped onto 0, 1, 2, ... (0 stays 0), every edge
+    re-sampled at every vertex level it passes."""
+    ys = sorted({y for (_, y) in pl.coords.values()})
+    shift = ys.index(Fr(0)) if Fr(0) in ys else 0
+    rank = {y: Fr(i - shift) for i, y in enumerate(ys)}
+    coords = {v: (x, rank[y]) for v, (x, y) in pl.coords.items()}
+    bends = {}
+    for (u, v) in g.edges:
+        yu, yv = pl.coords[u][1], pl.coords[v][1]
+        lo, hi = min(yu, yv), max(yu, yv)
+        inner = [y for y in ys if lo < y < hi]
+        if not inner:
+            continue
+        poly = pl.polyline(u, v)
+        pts = tuple((reference_polyline_x_at(poly, y), rank[y]) for y in inner)
+        bends[(u, v)] = pts if yu < yv else pts[::-1]
+    return PolylineDrawing(coords, bends)
+
+
+def reference_straighten(g, pl, designated=()):
+    """Per-level scan of every vertex and edge, dense LP matrix."""
+    from scipy.optimize import linprog
+    import numpy as np
+
+    coords = {v: (Fr(x), Fr(y)) for v, (x, y) in pl.coords.items()}
+    for v in g.vertices:
+        if v not in coords:
+            raise RealizeError(f"no position for vertex {v}")
+    edges = sorted(g.edges)
+    for (u, v) in edges:
+        poly = pl.polyline(u, v)
+        ys = [p[1] for p in poly]
+        if len(poly) > 2 or ys[0] != ys[-1]:
+            for a, b in zip(ys, ys[1:]):
+                if not ((ys[0] < ys[-1] and a < b) or (ys[0] > ys[-1] and a > b)):
+                    raise RealizeError(f"edge {(u, v)} is not y-monotone")
+    verts = sorted(coords)
+    var = {v: i for i, v in enumerate(verts)}
+    levels = sorted({coords[v][1] for v in verts})
+    constraints = []
+    for y0 in levels:
+        items = [(coords[v][0], ('v', v)) for v in verts if coords[v][1] == y0]
+        for (u, v) in edges:
+            ya, yb = coords[u][1], coords[v][1]
+            if min(ya, yb) < y0 < max(ya, yb):
+                items.append((reference_polyline_x_at(pl.polyline(u, v), y0),
+                              ('e', (u, v))))
+        items.sort(key=lambda t: t[0])
+        for (xa, a), (xb, b) in zip(items, items[1:]):
+            if xa == xb:
+                raise RealizeError(f"items {a} and {b} coincide at level y = {y0}")
+
+        def expr(item):
+            if item[0] == 'v':
+                return {var[item[1]]: Fr(1)}
+            u, v = item[1]
+            t = (y0 - coords[u][1]) / (coords[v][1] - coords[u][1])
+            return {var[u]: 1 - t, var[v]: t}
+
+        for (_, a), (_, b) in zip(items, items[1:]):
+            lhs = {}
+            for k, c in expr(b).items():
+                lhs[k] = lhs.get(k, Fr(0)) + c
+            for k, c in expr(a).items():
+                lhs[k] = lhs.get(k, Fr(0)) - c
+            constraints.append(lhs)
+    if constraints:
+        A = np.zeros((len(constraints), len(verts)))
+        for i, lhs in enumerate(constraints):
+            for k, c in lhs.items():
+                A[i, k] = -float(c)
+        res = linprog(np.zeros(len(verts)), A_ub=A, b_ub=-np.ones(len(constraints)),
+                      bounds=[(None, None)] * len(verts), method="highs")
+        if not res.success:
+            raise RealizeError(f"straightening LP infeasible: {res.message}")
+        xs = [Fr(*float(x).as_integer_ratio()) for x in res.x]
+        for lhs in constraints:
+            if not sum(c * xs[k] for k, c in lhs.items()) > 0:
+                raise RealizeError("straightening solution violates a level order")
+    else:
+        xs = [coords[v][0] for v in verts]
+    return Drawing({v: (xs[var[v]], coords[v][1]) for v in verts if v in set(g.vertices)},
+                   designated)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RealizeError as exc:
+        return f"RealizeError: {exc}"
+
+
+def sheared(d, edges, breaks):
+    """The image of straight-line drawing ``d`` under (x, y) -> (x + f(y), y),
+    f piecewise linear through the points ``breaks`` (y -> shift) and
+    constant beyond them.  The map is a homeomorphism that keeps every
+    horizontal line, so the image is planar with the same level orders; an
+    edge bends wherever it passes a break."""
+    ys = sorted(breaks)
+
+    def f(y):
+        if y <= ys[0]:
+            return breaks[ys[0]]
+        if y >= ys[-1]:
+            return breaks[ys[-1]]
+        for a, b in zip(ys, ys[1:]):
+            if a <= y <= b:
+                return breaks[a] + (breaks[b] - breaks[a]) * (y - a) / (b - a)
+
+    coords = {v: (x + f(y), y) for v, (x, y) in d.coords.items()}
+    bends = {}
+    for e in map(lambda e: edge_key(*e), edges):
+        (xa, ya), (xb, yb) = d.coords[e[0]], d.coords[e[1]]
+        inner = [y for y in ys if min(ya, yb) < y < max(ya, yb)]
+        if ya > yb:
+            inner.reverse()
+        if inner:
+            bends[e] = tuple((xa + (xb - xa) * (y - ya) / (yb - ya) + f(y), y)
+                             for y in inner)
+    return PolylineDrawing(coords, bends)
+
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def theorem1_inputs(draw):
+    """Graphs that are not 3-trees with proper good curves: cubic graphs
+    (n <= 40) with their Theorem 4 curve, and grids (sides 4-8) with either
+    the snake curve (sides >= 6) or the read-back of a line through two
+    vertices of a convex drawing."""
+    kind = draw(st.sampled_from(["cubic", "snake", "line"]))
+    if kind == "cubic":
+        n = draw(st.integers(3, 20)) * 2
+        g = generate_triconnected_cubic(draw(st.integers(0, 10 ** 6)), n)
+        return g, theorem4(g).curve
+    g, m = identity_grid_model(draw(st.integers(6 if kind == "snake" else 4, 8)))
+    if kind == "snake":
+        return theorem5_curve(g, m)
+    d = _regular_convex_drawing(g)
+    a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
+                         max_size=2, unique=True))
+    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+    line = (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya)
+    c = curve_from_drawing(g, d.coords, line)
+    assume(validate_curve(g, c).proper)
+    return g, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(theorem1_inputs(), st.data())
+def test_theorem1_straightening_matches_reference(case, data):
+    g, c = case
+    aug = augment_with_curve(g, c)
+    assume(len(aug.path_vertices) >= 2)
+    designated = tuple(s[1] for s in c.stations if s[0] == 'v')
+    try:
+        pl = _split_drawing(g, aug)
+    except RealizeError:            # fails before any straightening
+        assume(False)
+    # the pipeline: ranked levels; the same split drawing given straight to
+    # the public function, with its bends on y = 0; and a sheared copy
+    assert curve_to_drawing(g, c) == reference_straighten(
+        g, reference_rank_levels(g, pl), designated)
+    assert (outcome(straighten_preserving_y, g, pl, designated)
+            == outcome(reference_straighten, g, pl, designated))
+    base = straighten_preserving_y(g, pl, designated)
+    levels = sorted({y for (_, y) in base.coords.values()})
+    breaks = {y: data.draw(small_fracs) for y in
+              data.draw(st.lists(st.sampled_from(levels + [Fr(1, 2), Fr(-1, 3)]),
+                                 min_size=1, max_size=6, unique=True))}
+    sh = sheared(base, g.edges, breaks)
+    assert (outcome(straighten_preserving_y, g, sh, designated)
+            == outcome(reference_straighten, g, sh, designated))
+
+
+@st.composite
+def grid_drawings(draw):
+    """A triangulated grid with rows on shared levels (horizontal edges along
+    every row) and x jittered within each row, then sheared."""
+    cols, rows = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    levels = sorted(draw(st.lists(small_fracs, min_size=rows, max_size=rows,
+                                  unique=True)))
+    jitter = st.fractions(min_value=Fr(-2, 5), max_value=Fr(2, 5), max_denominator=9)
+    vid = lambda i, j: j * cols + i
+    pos = {vid(i, j): (i + draw(jitter), levels[j])
+           for i in range(cols) for j in range(rows)}
+    edges = [(vid(i, j), vid(i + 1, j)) for i in range(cols - 1) for j in range(rows)]
+    edges += [(vid(i, j), vid(i, j + 1)) for i in range(cols) for j in range(rows - 1)]
+    for i in range(cols - 1):
+        for j in range(rows - 1):
+            edges.append((vid(i, j), vid(i + 1, j + 1)) if draw(st.booleans())
+                         else (vid(i + 1, j), vid(i, j + 1)))
+    g = graph_from_positions(pos, edges)
+    breaks = {y: draw(small_fracs) for y in
+              draw(st.lists(st.sampled_from(levels + [Fr(0), Fr(1, 3), Fr(-5, 4)]),
+                            min_size=1, max_size=6, unique=True))}
+    return g, sheared(Drawing(pos), g.edges, breaks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_drawings())
+def test_straighten_matches_reference_on_sheared_grids(case):
+    g, pl = case
+    got = outcome(straighten_preserving_y, g, pl)
+    assert got == outcome(reference_straighten, g, pl)
+    if isinstance(got, Drawing):
+        assert verify_drawing(g, got).ok
+
+
+def test_theorem1_drawings_pinned():
+    # sha256 of the serialized drawings, equal to those of the per-level
+    # scan with a dense LP matrix that the level sweep replaced
+    def grid(side):
+        g, m = identity_grid_model(side)
+        return theorem5_curve(g, m)
+
+    def cubic(seed, n):
+        g = generate_triconnected_cubic(seed, n)
+        return g, theorem4(g).curve
+
+    cases = [
+        (grid(10), "a6fc9e780f0e05ad35b15b33c5c84969c0cf5cda408aada0c97d701f186cca2b"),
+        (grid(16), "0cd31c0075b922b7aec68317546bde64f188acad08d659daabfc529110751d3e"),
+        (cubic(1, 100), "78d03d9ad22f1e1d6c4ed41be8d41a2563bc71739e4d28b2532cef88b38e3886"),
+        (cubic(200, 200), "115809ef0014b85a173c5273a516c48dc0d254a8fca7857045033047df5de294"),
+    ]
+    for (g, c), digest in cases:
+        text = serialize_drawing(curve_to_drawing(g, c))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- realizing curves ----------------------------------------------------------------
