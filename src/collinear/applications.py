@@ -23,8 +23,8 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .plane_graph import PlaneGraph
 from .realize import (Drawing, LabelingOrder, RealizeError, labeling_from_curve,
-                      lift_off_line, place_free, verify_drawing)
-from .three_tree import build_curve_bundle, decompose
+                      lift_off_line, verify_drawing, _place)
+from .three_tree import ThreeTreeDecomp, build_curve_bundle, decompose
 
 Point = Tuple[F, F]
 
@@ -121,11 +121,12 @@ def _spread_targets(order, assigned: Dict[int, F]) -> Dict:
     return targets
 
 
-def _lined_drawing(g: PlaneGraph, lab: LabelingOrder,
+def _lined_drawing(d: ThreeTreeDecomp, lab: LabelingOrder,
                    assigned: Dict[int, F]) -> Drawing:
     targets = _spread_targets(lab.order, assigned)
     lab2 = LabelingOrder(labels=lab.labels, order=lab.order, targets=targets)
-    return place_free(g, lab2)
+    lab2.validate(d.graph)
+    return _place(d, lab2)
 
 
 # -- universal point subsets ------------------------------------------------------
@@ -145,7 +146,7 @@ def universal_placement(g: PlaneGraph, p: PointSet) -> Drawing:
     if not p.points:
         curve = build_curve_bundle(d).best
         lab = labeling_from_curve(g, curve)
-        return Drawing(_lined_drawing(g, lab, {}).coords, ())
+        return Drawing(_lined_drawing(d, lab, {}).coords, ())
     cs = rotation_for(p.points)
     rpts = sorted(rotate(q, cs) for q in p.points)
     xs = [q[0] for q in rpts]
@@ -158,7 +159,7 @@ def universal_placement(g: PlaneGraph, p: PointSet) -> Drawing:
     if len(v_positions) < len(p):
         raise AssertionError("curve visits fewer vertices than guaranteed")
     chosen_pos = v_positions[:len(p)]
-    flat = _lined_drawing(g, lab, dict(zip(chosen_pos, xs)))
+    flat = _lined_drawing(d, lab, dict(zip(chosen_pos, xs)))
     chosen = tuple(lab.order[i][1] for i in chosen_pos)
     heights = {v: F(0) for v in flat.designated}
     heights.update({v: rpts[i][1] for i, v in enumerate(chosen)})
@@ -214,6 +215,8 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
     bad = {v: (F(x), F(y)) for v, (x, y) in bad.items()}
     if len(set(bad.values())) != len(bad):
         raise ApplicationError("input positions must be pairwise distinct")
+    if any(v not in bad for v in g.vertices):
+        raise ApplicationError("input positions must cover every vertex")
     d = decompose(g)
     curve = build_curve_bundle(d).best
     lab = labeling_from_curve(g, curve)
@@ -234,7 +237,7 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
     v_positions = [i for i, e in enumerate(lab.order) if e[0] == 'v']
     pos_of = {line[i]: v_positions[i] for i in range(len(line))}
     assigned = {pos_of[v]: seq[i] for v, i in zip(fixed, picked)}
-    flat = _lined_drawing(g, lab, assigned)
+    flat = _lined_drawing(d, lab, assigned)
     heights = {v: F(0) for v in flat.designated}
     heights.update({v: rotate(bad[v], cs)[1] for v in fixed})
     lifted = lift_off_line(g, flat, heights)

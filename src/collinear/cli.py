@@ -6,10 +6,11 @@ verify artifacts, and run the placement features.  All output is
 deterministic for fixed inputs and ``--seed``.
 
 Exit codes: 0 ok, 1 verification failure (also when a placement command's
-own exact check rejects its drawing), 2 input error, 3 guard exceeded,
-4 internal error (a failed assertion, recursion overflow, memory exhaustion,
-or ``draw`` failing to realize a curve that is good and proper: a bug,
-reported as one line on stderr).
+own exact check rejects its drawing), 2 input error (every reader names the
+malformed line), 3 guard exceeded, 4 internal error (a failed assertion, a
+``ValueError`` the library did not raise as one of its own errors, recursion
+overflow, memory exhaustion, or ``draw`` failing to realize a curve that is
+good and proper: a bug, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .applications import (ApplicationError, DrawingRejected, PointSet,
 from .cubic import CubicError, charge_lines, generate_triconnected_cubic, theorem4
 from .curves import CurveError, parse_curve, serialize_curve, validate_curve
 from .oracle import OracleError, enumerate_curves
-from .plane_graph import (PlaneGraphError, parse_plane_graph,
-                          serialize_plane_graph)
+from .plane_graph import (PlaneGraphError, edge_key, parse_plane_graph,
+                          read_numbers, serialize_plane_graph)
 from .realize import (Drawing, LabelingOrder, RealizeError, curve_to_drawing,
                       drawing_to_svg, labeling_from_curve, parse_drawing,
                       place_free, serialize_drawing, verify_drawing)
@@ -36,7 +37,8 @@ from .treewidth import (GridError, identity_grid_model, parse_grid_model,
                         designated_count)
 
 _INPUT_ERRORS = (PlaneGraphError, CurveError, RealizeError, ThreeTreeError,
-                 CubicError, GridError, ApplicationError, OSError, ValueError)
+                 CubicError, GridError, ApplicationError, OSError,
+                 UnicodeDecodeError)
 
 
 class VerificationFailure(Exception):
@@ -166,13 +168,11 @@ def _cmd_place(args) -> int:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "v" and len(parts) == 3:
-            targets[("v", int(parts[1]))] = F(parts[2])
-        elif parts[0] == "e" and len(parts) == 4:
-            a, b = sorted((int(parts[1]), int(parts[2])))
-            targets[("e", (a, b))] = F(parts[3])
-        else:
+        if parts[0] not in ("v", "e"):
             raise RealizeError(f"unrecognized targets line: {line!r}")
+        ids = read_numbers(line, parts[1:-1], RealizeError, 1 if parts[0] == "v" else 2)
+        x, = read_numbers(line, parts[-1:], RealizeError, 1, F)
+        targets[("v", ids[0]) if parts[0] == "v" else ("e", edge_key(*ids))] = x
     missing = [e for e in lab.order if e not in targets]
     if missing:
         raise RealizeError(f"no target for {missing[0]}")
@@ -206,10 +206,9 @@ def _cmd_ups(args) -> int:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "p" and len(parts) == 3:
-            pts.append((F(parts[1]), F(parts[2])))
-        else:
+        if parts[0] != "p":
             raise ApplicationError(f"unrecognized points line: {line!r}")
+        pts.append(tuple(read_numbers(line, parts[1:], ApplicationError, 2, F)))
     d = universal_placement(g, PointSet(tuple(pts)))
     print(f"placed {len(d.designated)}")
     print("at_points " + " ".join(str(v) for v in d.designated))
@@ -364,7 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalFailure as exc:
         print(f"error internal {exc}", file=sys.stderr)
         return 4
-    except (AssertionError, RecursionError, MemoryError) as exc:
+    except (AssertionError, RecursionError, MemoryError, ValueError) as exc:
         print(f"error internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

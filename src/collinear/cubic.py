@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
-                     augment_with_curve, validate_curve)
+                     augment_with_curve, check_well_formed, edge_tallies)
 from .plane_graph import PlaneGraph, _blocks, edge_key
 
 __all__ = [
@@ -562,10 +562,12 @@ def build_cubic_curve(q: Quadruple) -> ChargedCurve:
 def verify_charged_curve(q: Quadruple, cc: ChargedCurve) -> None:
     """Machine-check the curve and charge invariants; raise on any failure."""
     g, u, v, X = q.g, q.u, q.v, set(q.x_seq)
-    rep = validate_curve(g, cc.curve)
-    if not rep.good:
-        raise CubicError(f"curve is not good: {rep.violations}")
-    if not rep.proper:
+    check_well_formed(g, cc.curve)
+    bad = sorted((e, t) for e, t in edge_tallies(g, cc.curve).items() if t > 1)
+    if bad:
+        raise CubicError(f"curve is not good: {bad}")
+    aug = augment_with_curve(g, cc.curve)
+    if not aug.proper:
         raise CubicError("curve is not proper")
     sts = cc.curve.stations
     if sts[0] != Vst(u):
@@ -610,7 +612,6 @@ def verify_charged_curve(q: Quadruple, cc: ChargedCurve) -> None:
     if counts.get(u, 0) > 1:
         raise CubicError("u is charged with more than 1 vertex")
     # X vertices stay incident to the unbounded region of the arrangement
-    aug = augment_with_curve(g, cc.curve)
     outer_heads = {d[0] for d in aug.graph.faces[aug.graph.outer]}
     stranded = X - outer_heads
     if stranded:
@@ -697,5 +698,4 @@ def _expand(g: PlaneGraph, rng: random.Random) -> Optional[PlaneGraph]:
         return None
     regions = [w for tag, w in eng.walks if tag == g.outer]
     pg = PlaneGraph(eng.rot, outer_face=0)
-    outer = pg.face_of_dart(regions[0][0])
-    return pg if outer == pg.outer else pg.with_outer(outer)
+    return pg.with_outer(pg.face_of_dart(regions[0][0]))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .geom import F, orient
-from .plane_graph import PlaneGraph, PlaneGraphError, edge_key
+from .plane_graph import PlaneGraph, PlaneGraphError, edge_key, read_numbers
 
 Station = Tuple  # ('v', int) | ('x', (int,int)) | ('f', int)
 
@@ -424,23 +424,14 @@ class _Engine:
             tags[pg.face_of_dart(darts[0])] = tag
         if len(tags) != len(pg.faces):
             raise CurveError("internal error: face bookkeeping out of sync")
-        outer_idx = None
-        proper = False
+        # the outer region: a region of the old outer face, one touching both
+        # ends if there is one (then the curve is proper)
         cands = [fi for fi in range(len(pg.faces)) if tags[fi] == g.outer]
-        if endpoints is not None:
-            a, b = endpoints
-            for fi in cands:
-                heads = {d[1] for d in pg.faces[fi]}
-                if a in heads and b in heads:
-                    outer_idx = fi
-                    proper = True
-                    break
-        if outer_idx is None:
-            outer_idx = cands[0]
-        if outer_idx != 0:
-            pg = PlaneGraph(self.rot, outer_face=outer_idx)
-        return AugmentedCurve(pg, station_vertex, endpoints, path_v, path_e,
-                              dict(self.sub), tags, proper)
+        ends = set(endpoints or ())
+        touching = [fi for fi in cands if ends and ends <= {d[1] for d in pg.faces[fi]}]
+        return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
+                              endpoints, path_v, path_e, dict(self.sub), tags,
+                              bool(touching))
 
 
 # -- public validation ops ---------------------------------------------------------
@@ -606,17 +597,17 @@ def parse_curve(g: PlaneGraph, text: str) -> GoodCurve:
                 raise CurveError(f"bad curve header: {raw!r}")
             closed = parts[1] == "closed"
         elif parts[0] == "v":
-            stations.append(Vst(int(parts[1])))
+            stations.append(Vst(*read_numbers(raw, parts[1:], CurveError, 1)))
         elif parts[0] == "x":
-            stations.append(Xst(int(parts[1]), int(parts[2])))
+            stations.append(Xst(*read_numbers(raw, parts[1:], CurveError, 2)))
         elif parts[0] == "f":
             try:
-                fi = g.face_by_key([int(x) for x in parts[1:]])
+                fi = g.face_by_key(read_numbers(raw, parts[1:], CurveError))
             except PlaneGraphError as exc:
                 raise CurveError(str(exc)) from exc
             stations.append(Fst(fi))
         elif parts[0] == "e":
-            contained.add(edge_key(int(parts[1]), int(parts[2])))
+            contained.add(edge_key(*read_numbers(raw, parts[1:], CurveError, 2)))
         else:
             raise CurveError(f"unrecognized line: {raw!r}")
     if closed is None:

@@ -84,12 +84,8 @@ class PlaneGraph:
                 f"V-E+F = {self.n}-{self.m}+{len(self.faces)} != 2)")
         if (outer_walk is None) == (outer_face is None):
             raise PlaneGraphError("exactly one of outer_walk / outer_face required")
-        if outer_face is not None:
-            if not (0 <= outer_face < len(self.faces)):
-                raise PlaneGraphError("outer face index out of range")
-            self.outer = outer_face
-        else:
-            self.outer = self._resolve_outer(tuple(outer_walk))
+        self.outer = (self._check_face(outer_face) if outer_walk is None
+                      else self._resolve_outer(tuple(outer_walk)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -126,6 +122,11 @@ class PlaneGraph:
             faces.append(tuple(walk))
         return tuple(faces)
 
+    def _check_face(self, face: int) -> int:
+        if not 0 <= face < len(self.faces):
+            raise PlaneGraphError("outer face index out of range")
+        return face
+
     def _resolve_outer(self, walk: Tuple[int, ...]) -> int:
         want = tuple(walk)
         for i, fwalk in enumerate(self.faces):
@@ -153,9 +154,6 @@ class PlaneGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._edge_set
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.rot[v]
 
     def degree(self, v: int) -> int:
         return len(self.rot[v])
@@ -188,8 +186,16 @@ class PlaneGraph:
         return self.face_vertices(self.outer)
 
     def with_outer(self, face: int) -> "PlaneGraph":
-        """Same embedding, different designated outer face."""
-        return PlaneGraph(self.rot, outer_face=face)
+        """Same embedding with face index ``face`` as the outer face.
+
+        O(1): the copy shares the rotation system, the faces and the
+        dart-to-face map with ``self``; only ``outer`` differs.
+        """
+        g = object.__new__(PlaneGraph)
+        for name in PlaneGraph.__slots__:
+            setattr(g, name, getattr(self, name))
+        g.outer = self._check_face(face)
+        return g
 
     # -- outer boundary walks --------------------------------------------------
 
@@ -315,12 +321,7 @@ class PlaneGraph:
         if len(cands) != 1:
             raise PlaneGraphError(
                 f"outer face of subgraph is ambiguous ({len(cands)} candidates)")
-        if cands[0] == 0:
-            return sub
-        return PlaneGraph(rot, outer_face=cands[0])
-
-    def delete_edge(self, u: int, v: int) -> "PlaneGraph":
-        return self.subgraph(drop_edges=[(u, v)])
+        return sub.with_outer(cands[0])
 
     # -- misc ------------------------------------------------------------------
 
@@ -512,7 +513,7 @@ def graph_from_positions(pos: Mapping[int, Tuple], edges: Iterable[Tuple[int, in
         if len(cands) != 1:
             raise PlaneGraphError(f"outer face not unique ({len(cands)} candidates)")
         outer = cands[0]
-    return g if outer == g.outer else g.with_outer(outer)
+    return g.with_outer(outer)
 
 
 def canonical_code(g: PlaneGraph) -> Tuple:
@@ -551,6 +552,20 @@ def _rooted_code(g: PlaneGraph, root_dart: Dart) -> Tuple:
 
 # -- interchange format --------------------------------------------------------
 
+def read_numbers(raw: str, tokens: Sequence[str], error: type,
+                 count: Optional[int] = None, kind: type = int) -> list:
+    """The ``tokens`` of input line ``raw`` read as ``kind`` (int or
+    Fraction).  A malformed token, or a token count other than ``count``
+    when one is given, raises ``error`` naming the line."""
+    try:
+        vals = [kind(t) for t in tokens]
+    except (ValueError, ZeroDivisionError):
+        vals = None
+    if vals is None or (count is not None and len(vals) != count):
+        raise error(f"bad line: {raw!r}")
+    return vals
+
+
 def parse_plane_graph(text: str) -> PlaneGraph:
     """Parse the plane-graph interchange format.
 
@@ -570,20 +585,16 @@ def parse_plane_graph(text: str) -> PlaneGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        head, _, rest = line.partition(":")
         if line.startswith("planegraph"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise PlaneGraphError(f"bad header line: {raw!r}")
-            n = int(parts[1])
+            n, = read_numbers(raw, line.split()[1:], PlaneGraphError, 1)
         elif line.startswith("rot"):
-            head, _, rest = line.partition(":")
-            v = int(head.split()[1])
+            v, = read_numbers(raw, head.split()[1:], PlaneGraphError, 1)
             if v in rot:
                 raise PlaneGraphError(f"duplicate rotation line for vertex {v}")
-            rot[v] = [int(x) for x in rest.split()]
+            rot[v] = read_numbers(raw, rest.split(), PlaneGraphError)
         elif line.startswith("outer"):
-            _, _, rest = line.partition(":")
-            outer = [int(x) for x in rest.split()]
+            outer = read_numbers(raw, rest.split(), PlaneGraphError)
         else:
             raise PlaneGraphError(f"unrecognized line: {raw!r}")
     if n is None:

@@ -41,9 +41,9 @@ from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, line_h,
                    line_intersection, line_through, on_segment, orient,
                    point_in_triangle, seg_line_y0_crossing, side_h)
 from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
-                          graph_from_positions, _cyclic_eq)
+                          graph_from_positions, read_numbers, _cyclic_eq)
 from .curves import GoodCurve, AugmentedCurve, augment_with_curve
-from .three_tree import ThreeTreeError, decompose
+from .three_tree import ThreeTreeDecomp, ThreeTreeError, decompose
 
 Point = Tuple[Fraction, Fraction]
 Elem = Tuple[str, object]          # ('v', vertex) or ('e', (u, v))
@@ -68,9 +68,6 @@ class Drawing:
     designated (intended collinear) vertex set."""
     coords: Dict[int, Point]
     designated: Tuple[int, ...] = ()
-
-    def point(self, v: int) -> Point:
-        return self.coords[v]
 
 
 @dataclass(frozen=True)
@@ -106,13 +103,15 @@ def parse_drawing(text: str) -> Drawing:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split()
         if line.startswith("drawing "):
-            n_declared = int(line.split()[1])
+            n_declared, = read_numbers(line, parts[1:], RealizeError, 1)
         elif line.startswith("v "):
-            _, v, xs, ys = line.split()
-            coords[int(v)] = (Fraction(xs), Fraction(ys))
+            v, = read_numbers(line, parts[1:2], RealizeError, 1)
+            coords[v] = tuple(read_numbers(line, parts[2:], RealizeError, 2, Fraction))
         elif line.startswith("designated:"):
-            designated = tuple(int(t) for t in line.split(":", 1)[1].split())
+            designated = tuple(read_numbers(line, line.split(":", 1)[1].split(),
+                                            RealizeError))
         else:
             raise RealizeError(f"unrecognized drawing line: {line!r}")
     if n_declared is not None and n_declared != len(coords):
@@ -447,122 +446,65 @@ def _arc_cw(rot: Sequence[int], start: int, stop: int) -> List[int]:
     return out
 
 
-def _side_seeds(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
-    """Split the neighbors of the curve path into the two sides of the curve.
+def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
+    """(above, below): the two sides of a proper curve drawn along the x-axis
+    with its first endpoint on the left.
 
-    Which of the two returned sets is 'up' is fixed later by the orientation
-    test in ``_orient_sides``; here side A is the side swept clockwise from
-    the path-successor to the path-predecessor at each path vertex.
+    The sides are read off the clockwise rotation system.  At a path vertex
+    with predecessor p and successor s, draw p to the left and s to the
+    right: a clockwise sweep from s to p passes below the line, so those
+    neighbours lie right of the path (below), and the sweep from p to s
+    above it.  At an endpoint that is a vertex of the graph the line goes on
+    into the unbounded region through the outer-face corner of that vertex,
+    which takes the place of the missing neighbour.  A flood fill that does
+    not cross the path labels the rest.  A single-vertex path has no sides:
+    every other vertex is reported above.
     """
+    if not aug.proper:
+        raise RealizeError("curve sides are defined for proper open curves")
     g = aug.graph
     path = aug.path_vertices
     on_path = set(path)
-    side_a: Set[int] = set()    # clockwise from successor to predecessor
-    side_b: Set[int] = set()
-
-    def classify(v: int, nxt: Optional[int], prv: Optional[int]) -> None:
+    if len(path) < 2:
+        return set(g.vertices) - on_path, set()
+    below: Set[int] = set()     # clockwise from successor to predecessor
+    above: Set[int] = set()
+    for i, v in enumerate(path):
         rot = g.rot[v]
-        if nxt is None and prv is None:    # single-vertex path: no seeds
-            return
-        if nxt is not None and prv is not None:
-            for w in _arc_cw(rot, nxt, prv):
-                side_a.add(w)
-            for w in _arc_cw(rot, prv, nxt):
-                side_b.add(w)
-            return
-        # path endpoint that is a real vertex: the line continues into the
-        # unbounded region through the outer-face corner of v
-        if len(rot) == 1:
-            return
-        w_in, w_out = _outer_corner(g, v)
-        if nxt is not None:        # first path vertex
-            arc = _arc_cw(rot, nxt, w_out)
-            side_a.update(arc)
-            side_b.update(x for x in rot
-                          if x not in arc and x != nxt and x not in on_path)
-        else:                      # last path vertex
-            arc = _arc_cw(rot, prv, w_out)
-            side_b.update(arc)
-            side_a.update(x for x in rot
-                          if x not in arc and x != prv and x not in on_path)
-
-    for i, p in enumerate(path):
         nxt = path[i + 1] if i + 1 < len(path) else None
         prv = path[i - 1] if i > 0 else None
-        classify(p, nxt, prv)
-    side_a -= on_path
-    side_b -= on_path
-    if side_a & side_b:
+        if nxt is not None and prv is not None:
+            below.update(_arc_cw(rot, nxt, prv))
+            above.update(_arc_cw(rot, prv, nxt))
+        elif len(rot) > 1:
+            w_out = _outer_corner(g, v)[1]
+            ref = prv if nxt is None else nxt
+            arc = _arc_cw(rot, ref, w_out)
+            rest = (x for x in rot if x not in arc and x != ref and x not in on_path)
+            (above if nxt is None else below).update(arc)
+            (below if nxt is None else above).update(rest)
+    above -= on_path
+    below -= on_path
+    if above & below:
         raise RealizeError(
-            f"curve does not separate its neighborhood: {sorted(side_a & side_b)}")
-
-    # flood fill the rest of the graph
-    label: Dict[int, int] = {}
-    for v in side_a:
-        label[v] = 0
-    for v in side_b:
-        label[v] = 1
-    stack = list(label)
+            f"curve does not separate its neighborhood: {sorted(above & below)}")
+    side = dict.fromkeys(above, above)
+    side.update(dict.fromkeys(below, below))
+    stack = list(side)
     while stack:
         v = stack.pop()
         for u in g.rot[v]:
             if u in on_path:
                 continue
-            if u in label:
-                if label[u] != label[v]:
+            if u in side:
+                if side[u] is not side[v]:
                     raise RealizeError(
                         f"vertices {v} and {u} connect the two sides of the curve")
                 continue
-            label[u] = label[v]
+            side[u] = side[v]
+            side[u].add(u)
             stack.append(u)
-    a = {v for v, s in label.items() if s == 0}
-    b = {v for v, s in label.items() if s == 1}
-    rest = set(g.vertices) - on_path - a - b
-    if rest:
-        # no seed reached these vertices (single-vertex curves); they form
-        # one side on their own
-        a |= rest
-    return a, b
-
-
-def _path_dart_orientation(sub: PlaneGraph, path: Sequence[int]) -> Optional[bool]:
-    """True if sub's outer walk traverses the path backwards (last to first),
-    False if forwards, None if undecidable (both sides empty)."""
-    darts = set(sub.faces[sub.outer])
-    fwd = sum((a, b) in darts and (b, a) not in darts
-              for a, b in zip(path, path[1:]))
-    bwd = sum((b, a) in darts and (a, b) not in darts
-              for a, b in zip(path, path[1:]))
-    if fwd and bwd:
-        return None
-    if bwd:
-        return True
-    if fwd:
-        return False
-    return None
-
-
-def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
-    """(above, below): the two sides of a proper curve drawn along the x-axis
-    with its first endpoint on the left.
-
-    The side whose subgraph's outer walk traverses the curve path from its
-    last vertex back to its first is the one drawn above the line.
-    """
-    if not aug.proper:
-        raise RealizeError("curve sides are defined for proper open curves")
-    side_a, side_b = _side_seeds(aug)
-    path = aug.path_vertices
-    if len(path) < 2 or (not side_a and not side_b):
-        return side_a | side_b, set()
-    on_path = set(path)
-    ori = _path_dart_orientation(aug.graph.subgraph(on_path | side_a), path)
-    if ori is None:
-        ori_b = _path_dart_orientation(aug.graph.subgraph(on_path | side_b), path)
-        if ori_b is None:
-            return side_a, side_b
-        ori = not ori_b
-    return (side_a, side_b) if ori else (side_b, side_a)
+    return above, below
 
 
 def labeling_from_curve(g: PlaneGraph, c: GoodCurve) -> LabelingOrder:
@@ -606,8 +548,7 @@ def _midpoint(a: Point, b: Point) -> Point:
 
 
 class _Placer:
-    def __init__(self, g: PlaneGraph, lab: LabelingOrder):
-        self.g = g
+    def __init__(self, lab: LabelingOrder):
         self.lab = lab
         self.pts: Dict[int, Point] = {}
 
@@ -785,8 +726,12 @@ def place_free(g: PlaneGraph, lab: LabelingOrder) -> Drawing:
     sits exactly at its target and every crossing edge meets y = 0 exactly at
     its target."""
     lab.validate(g)
-    decomp = decompose(g)
-    placer = _Placer(g, lab)
+    return _place(decompose(g), lab)
+
+
+def _place(decomp: ThreeTreeDecomp, lab: LabelingOrder) -> Drawing:
+    """``place_free`` given the graph's decomposition and a validated ``lab``."""
+    placer = _Placer(lab)
     placer.pts.update(_root_triangle(decomp.root.corners, lab))
     stack = [decomp.root]
     while stack:
@@ -1078,15 +1023,15 @@ def _add_apex(sub: PlaneGraph, path: Sequence[int]) -> Tuple[PlaneGraph, int]:
         _insert_before(rot[end], succ, apex)
     rot[apex] = [a, b] if a != b else [a]
     # the apex splits the old outer region in two; the new outer face is the
-    # side bounded by the whole path (the other side may carry stretches of
-    # the old outer walk that do not belong to the path)
+    # side bounded by the path and the apex alone (the other side carries the
+    # rest of the old outer walk, and may pass every path vertex too)
     g2 = PlaneGraph(rot, outer_face=0)
     need = set(path)
     for nb in rot[apex]:
         f = g2.face_of_dart((apex, nb))
-        if need <= {x for (x, _) in g2.faces[f]}:
+        if len(g2.faces[f]) == len(path) + 1 and need <= {x for (x, _) in g2.faces[f]}:
             return g2.with_outer(f), apex
-    raise RealizeError("no face beside the apex is bounded by the whole path")
+    raise RealizeError("no face beside the apex is bounded by the path alone")
 
 
 def _star_triangulate(gr: PlaneGraph) -> Tuple[PlaneGraph, Set[int]]:
@@ -1148,14 +1093,14 @@ def _regular_convex_drawing(g: PlaneGraph, anchor: Optional[int] = None) -> Draw
 
 def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
     """Each side of the curve drawn barycentrically against the curve's path
-    laid on the x-axis (at least two path vertices); an edge the curve
-    crosses bends where it meets the axis."""
+    laid on the x-axis at (1, 0) .. (L, 0) (at least two path vertices); an
+    edge the curve crosses bends where it meets the axis."""
     path = aug.path_vertices
-    above, below = curve_sides(aug)
     on_path = set(path)
-    coords: Dict[int, Point] = {}
-    coords.update(_tutte_half(aug.graph.subgraph(on_path | above), path, above=True))
-    coords.update(_tutte_half(aug.graph.subgraph(on_path | below), path, above=False))
+    coords = {v: _pt(i + 1, 0) for i, v in enumerate(path)}
+    for side, up in zip(curve_sides(aug), (True, False)):
+        if side:        # an empty side has only the path on its boundary
+            coords.update(_tutte_half(aug.graph.subgraph(on_path | side), path, up))
     return PolylineDrawing(
         coords={v: coords[v] for v in g.vertices},
         bends={e: (coords[w],) for e, w in aug.subdivision.items()})
@@ -1181,14 +1126,9 @@ def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     x-axis: vertex stations exactly on it, crossed edges meeting it once."""
     if c.closed:
         raise RealizeError("only open (proper) curves can be realized on a line")
-    designated = tuple(s[1] for s in c.stations if s[0] == 'v')
     try:
-        decompose(g)
-        is_3tree = True
+        decomp = decompose(g)
     except ThreeTreeError:
-        is_3tree = False
-    if is_3tree:
-        lab = labeling_from_curve(g, c)
-        d = place_free(g, lab)
-        return Drawing(d.coords, designated)
-    return _theorem1_pipeline(g, c)
+        return _theorem1_pipeline(g, c)
+    d = _place(decomp, labeling_from_curve(g, c))
+    return Drawing(d.coords, tuple(s[1] for s in c.stations if s[0] == 'v'))

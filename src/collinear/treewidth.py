@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import Fst, GoodCurve, Station, Vst, Xst, cut_closed_curve, validate_curve
-from .plane_graph import PlaneGraph, edge_key
+from .plane_graph import PlaneGraph, edge_key, read_numbers
 
 Edge = Tuple[int, int]
 Index = Tuple[int, int]
@@ -198,17 +198,19 @@ def parse_grid_model(text: str) -> GridModel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("gridmodel "):
         raise GridError("expected header 'gridmodel <side>'")
-    side = int(lines[0].split()[1])
+    side, = read_numbers(lines[0], lines[0].split()[1:], GridError, 1)
     branch: Dict[Index, FrozenSet[int]] = {}
     ref_h: Dict[Index, Edge] = {}
     ref_v: Dict[Index, Edge] = {}
     for ln in lines[1:]:
         head, _, rest = ln.partition(":")
         parts = head.split()
-        vals = [int(t) for t in rest.split()]
         if len(parts) != 3:
             raise GridError(f"bad line: {ln!r}")
-        kind, i, j = parts[0], int(parts[1]), int(parts[2])
+        kind = parts[0]
+        i, j = read_numbers(ln, parts[1:], GridError, 2)
+        vals = read_numbers(ln, rest.split(), GridError,
+                            None if kind == "branch" else 2)
         if kind == "branch":
             branch[(i, j)] = frozenset(vals)
         elif kind == "refh":
@@ -228,11 +230,6 @@ class CellMap:
     """Face sets of the cells, keyed by their lower-left grid index."""
     cells: Dict[Index, FrozenSet[int]]
     blocked: FrozenSet[Edge]
-
-    def cell_refs(self, m: GridModel, idx: Index) -> Dict[str, Edge]:
-        i, j = idx
-        return {"bottom": m.ref_h[(i, j)], "top": m.ref_h[(i, j + 1)],
-                "left": m.ref_v[(i, j)], "right": m.ref_v[(i + 1, j)]}
 
 
 def _face_edges(g: PlaneGraph, f: int) -> List[Edge]:
@@ -345,34 +342,6 @@ def _route_in_cell(g: PlaneGraph, faces: FrozenSet[int], blocked: FrozenSet[Edge
         sts.append(Fst(item) if isinstance(item, int) else Xst(*item))
     sts.append(Xst(*e_to))
     return sts
-
-
-def _common_cell(cells: CellMap, m: GridModel, e_from: Edge, e_to: Edge,
-                 opposite: bool) -> Index:
-    pairs = {True: [("bottom", "top"), ("left", "right")],
-             False: [("bottom", "left"), ("left", "top"),
-                     ("top", "right"), ("right", "bottom")]}[opposite]
-    for idx in cells.cells:
-        refs = cells.cell_refs(m, idx)
-        for a, b in pairs:
-            if {refs[a], refs[b]} == {edge_key(*e_from), edge_key(*e_to)}:
-                return idx
-    kind = "opposite" if opposite else "adjacent"
-    raise GridError(f"no cell has {e_from} and {e_to} as {kind} reference edges")
-
-
-def route_type_a(g: PlaneGraph, cells: CellMap, m: GridModel,
-                 e_from: Edge, e_to: Edge) -> List[Station]:
-    """Cell traversal: between two opposite reference edges of one cell."""
-    idx = _common_cell(cells, m, e_from, e_to, opposite=True)
-    return _route_in_cell(g, cells.cells[idx], cells.blocked, e_from, e_to)
-
-
-def route_type_b(g: PlaneGraph, cells: CellMap, m: GridModel,
-                 e_from: Edge, e_to: Edge) -> List[Station]:
-    """Cell turn: between two adjacent reference edges of one cell."""
-    idx = _common_cell(cells, m, e_from, e_to, opposite=False)
-    return _route_in_cell(g, cells.cells[idx], cells.blocked, e_from, e_to)
 
 
 def route_type_c(g: PlaneGraph, cells: CellMap, m: GridModel, i: int, j: int,

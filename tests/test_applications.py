@@ -1,5 +1,6 @@
 """Tests for universal point subsets and untangling."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,8 @@ from collinear.applications import (
     unrotate,
     untangle,
 )
-from collinear.realize import DrawingReport, RealizeError, verify_drawing, Drawing
+from collinear.realize import (Drawing, DrawingReport, RealizeError, serialize_drawing,
+                               verify_drawing)
 from collinear.three_tree import random_plane_3tree
 
 
@@ -158,6 +160,13 @@ class TestUntangle:
         with pytest.raises(ApplicationError, match="distinct"):
             untangle(g, bad)
 
+    def test_rejects_missing_positions(self):
+        g = random_plane_3tree(10, seed=2)
+        bad = random_positions(g, random.Random(3))
+        del bad[7]
+        with pytest.raises(ApplicationError, match="every vertex"):
+            untangle(g, bad)
+
 
 @pytest.mark.parametrize("feature", ["ups", "untangle"])
 def test_own_check_failure_raises_realize_error(monkeypatch, feature):
@@ -170,3 +179,18 @@ def test_own_check_failure_raises_realize_error(monkeypatch, feature):
         else:
             untangle(g, random_positions(g, random.Random(3)))
     assert isinstance(info.value, RealizeError)       # library callers keep it
+
+
+def test_outputs_pinned():
+    # sha256 of one universal placement and one untangling, computed before
+    # both passed their decomposition on to the placement
+    rng = random.Random(40)
+    g = random_plane_3tree(40, 40)
+    d = universal_placement(g, PointSet(random_points(rng, 5)))
+    text = serialize_drawing(d)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5260ed2ba5d6951543cf891b0b120467b60dfa43773ff17042e222d0720d7340")
+    res = untangle(g, random_positions(g, rng))
+    text = serialize_drawing(res.drawing) + f"fixed: {sorted(res.fixed)}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d96b038d922cc8b8e04db13a4a531344de19f7b6e7ba1075ea451849beb0c4aa")

@@ -114,7 +114,8 @@ class TestCurveCommand:
 class TestInternalErrors:
     @pytest.mark.parametrize("exc", [AssertionError("pieces do not meet"),
                                      RecursionError("maximum depth"),
-                                     MemoryError("no room")])
+                                     MemoryError("no room"),
+                                     ValueError("math domain error")])
     def test_exit_4_with_one_line(self, monkeypatch, capsys, exc):
         def fail(args):
             raise exc
@@ -123,6 +124,36 @@ class TestInternalErrors:
         assert code == 4
         assert out == ""
         assert err == f"error internal {type(exc).__name__}: {exc}\n"
+
+
+class TestMalformedInput:
+    # one bad line per file format: exit 2 and one line naming it, never a
+    # traceback from the parser
+    @pytest.mark.parametrize("fmt,line", [
+        ("graph", "rot 0: 1 x"),
+        ("curve", "x 1"),
+        ("drawing", "v 0 1/0 2"),
+        ("model", "refh 1 1: 3"),
+        ("targets", "v 3"),
+        ("points", "p 1/0 2"),
+    ])
+    def test_bad_line_is_input_error(self, tmp_path, capsys, tree_graph, fmt, line):
+        head = {"graph": "planegraph 2", "curve": "curve open", "drawing": "drawing 1",
+                "model": "gridmodel 4", "targets": "", "points": ""}[fmt]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{head}\n{line}\n")
+        curve = tmp_path / "c.txt"
+        run(capsys, "curve", str(tree_graph), "--method", "3tree", "--out", str(curve))
+        g = str(tree_graph)
+        argv = {"graph": ["verify", str(bad), "--curve", str(curve)],
+                "curve": ["draw", g, str(bad)],
+                "drawing": ["verify", g, "--drawing", str(bad)],
+                "model": ["verify", g, "--model", str(bad)],
+                "targets": ["place", g, str(curve), str(bad)],
+                "points": ["ups", g, str(bad)]}[fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error input bad line: {line!r}\n"
 
 
 class TestDrawAndVerify:

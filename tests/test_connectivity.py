@@ -29,7 +29,7 @@ def connected_without(g, removed):
     stack = [start]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in g.rot[v]:
             if w in alive and w not in seen:
                 seen.add(w)
                 stack.append(w)

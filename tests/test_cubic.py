@@ -85,7 +85,7 @@ class TestMakeQuadruple:
         assert q.beta == (0, 3, 2, 1)
 
     def test_k4_minus_outer_edge(self):
-        g = k4().delete_edge(0, 1)
+        g = k4().subgraph(drop_edges=[(0, 1)])
         q = make_quadruple(g, 0, 1, ())
         assert q.beta == (0, 2, 1)
         assert q.tau == (0, 3, 1)
@@ -100,11 +100,11 @@ class TestMakeQuadruple:
 
     def test_rejects_internal_pole(self):
         with pytest.raises(CubicError, match=r"\(b\)"):
-            make_quadruple(k4().delete_edge(0, 3), 0, 3, ())
+            make_quadruple(k4().subgraph(drop_edges=[(0, 3)]), 0, 3, ())
 
     def test_rejects_cubic_pole(self):
         with pytest.raises(CubicError, match=r"\(c\)"):
-            make_quadruple(k4().delete_edge(0, 1), 0, 3, ())
+            make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 3, ())
 
     def test_pole_edge_must_bound_clockwise(self):
         with pytest.raises(CubicError, match=r"\(d\)"):
@@ -122,7 +122,7 @@ class TestMakeQuadruple:
 
     def test_rejects_cubic_skip_vertex(self):
         with pytest.raises(CubicError, match=r"\(f\)"):
-            make_quadruple(k4().delete_edge(0, 1), 0, 1, (3,))
+            make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 1, (3,))
 
 
 # -- chain decomposition -----------------------------------------------------------
@@ -151,7 +151,7 @@ class TestChainDecompose:
         assert cd.p0 == (6,) and cd.pk == (1,)
 
     def test_requires_separation_pair(self):
-        q = make_quadruple(k4().delete_edge(0, 1), 0, 1, ())
+        q = make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 1, ())
         with pytest.raises(CubicError, match="separation pair"):
             chain_decompose(q, 0, 1)
 
@@ -177,7 +177,7 @@ class TestBuildCubicCurve:
         assert cc.charges == {1: 0}
 
     def test_k4_minus_edge(self):
-        q = make_quadruple(k4().delete_edge(0, 1), 0, 1, ())
+        q = make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 1, ())
         cc = build_cubic_curve(q)
         check(q, cc)
         assert cc.curve.vertex_count >= 1

@@ -1,10 +1,13 @@
-"""Source hygiene: every name a module imports is used by that module, and
-importing the package stays light."""
+"""Source hygiene: every name a module imports is used by that module, every
+public name has a caller in the package or is documented, and importing the
+package stays light."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,44 @@ def test_import_loads_no_numpy_or_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for every public module-level
+    function and class and every public method of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield f"{node.name}.{item.name}", item.name, item
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """How often each name or attribute name is loaded in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _readme_names():
+    """Identifiers in the README's code spans and code blocks."""
+    text = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", " ".join(code)))
+
+
+def test_public_api_is_used_or_documented():
+    # a public function, class or method needs a caller in src/ other than
+    # its own body, or a mention in the README
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    loads = sum((_loads(t) for t in trees.values()), Counter())
+    documented = _readme_names()
+    orphans = [f"{module}.{qual}" for module, tree in trees.items()
+               for qual, name, node in _definitions(tree)
+               if name not in documented and loads[name] == _loads(node)[name]]
+    assert not orphans, ("public names neither used in src/ nor named in "
+                         f"README.md: {', '.join(sorted(orphans))}")

@@ -2,9 +2,11 @@
 
 import pytest
 
+from collinear.cubic import generate_triconnected_cubic
 from collinear.plane_graph import (
     PlaneGraph, PlaneGraphError, parse_plane_graph, serialize_plane_graph,
 )
+from collinear.three_tree import random_plane_3tree
 
 
 def triangle():
@@ -120,9 +122,29 @@ def test_subgraph_outer_inheritance():
                                    frozenset((0, 2))}) or sub.m == 3
     assert set(sub.outer_walk()) == {0, 1, 2}
     # deleting an outer edge of the square merges the outer face with nothing odd
-    h = square().delete_edge(0, 1)
+    h = square().subgraph(drop_edges=[(0, 1)])
     assert h.m == 3
     assert len(h.faces) == 1  # a path: single face, necessarily outer
+
+
+@pytest.mark.parametrize("make", [triangle, k4, square, octahedron,
+                                  lambda: random_plane_3tree(30, 1),
+                                  lambda: generate_triconnected_cubic(2, 20)])
+def test_with_outer_shares_faces(make):
+    g = make()
+    outer = g.outer
+    for f in range(len(g.faces)):
+        h = g.with_outer(f)
+        fresh = PlaneGraph(g.rot, outer_face=f)
+        assert h == fresh and h.outer == fresh.outer == f
+        assert h.faces is g.faces and h.rot is g.rot
+        assert h.faces == fresh.faces and h.outer_walk() == fresh.outer_walk()
+        assert all(h.face_of_dart(d) == fresh.face_of_dart(d)
+                   for walk in g.faces for d in walk)
+        assert g.outer == outer
+    for bad in (-1, len(g.faces)):
+        with pytest.raises(PlaneGraphError, match="out of range"):
+            g.with_outer(bad)
 
 
 def test_subgraph_inner_outer():
@@ -147,6 +169,10 @@ def test_format_errors():
         parse_plane_graph("planegraph 2\nrot 0: 5\nrot 5: 0\nouter: 0 5\n")
     with pytest.raises(PlaneGraphError, match="outer"):
         parse_plane_graph("planegraph 2\nrot 0: 1\nrot 1: 0\n")
+    for bad in ("planegraph 3 4", "planegraph x", "rot 0 1 2", "rot a: 1",
+                "rot 0: 1 b", "outer: 0 1.5"):
+        with pytest.raises(PlaneGraphError, match="bad line"):
+            parse_plane_graph(bad + "\n")
 
 
 def test_comments_and_blank_lines():

@@ -12,15 +12,17 @@ from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
 from collinear.curves import (GoodCurve, Vst, Xst, Fst, augment_with_curve,
                               validate_curve, curve_from_drawing)
 from collinear.cubic import generate_triconnected_cubic, theorem4
+from collinear.oracle import enumerate_curves
 from collinear.treewidth import identity_grid_model, theorem5_curve
-from collinear.three_tree import random_plane_3tree, decompose, build_curve_bundle
+from collinear.three_tree import (random_plane_3tree, decompose, build_curve_bundle,
+                                  dp_optimal_collinear)
 from collinear.geom import seg_line_y0_crossing
 from collinear.realize import (
     Drawing, PolylineDrawing, LabelingOrder, RealizeError,
     parse_drawing, serialize_drawing, drawing_to_svg,
     verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
     lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
-    _regular_convex_drawing,
+    _regular_convex_drawing, curve_sides, _arc_cw, _outer_corner,
 )
 
 
@@ -700,10 +702,7 @@ def test_theorem1_straightening_matches_reference(case, data):
     aug = augment_with_curve(g, c)
     assume(len(aug.path_vertices) >= 2)
     designated = tuple(s[1] for s in c.stations if s[0] == 'v')
-    try:
-        pl = _split_drawing(g, aug)
-    except RealizeError:            # fails before any straightening
-        assume(False)
+    pl = _split_drawing(g, aug)
     # the pipeline: ranked levels; the same split drawing given straight to
     # the public function, with its bends on y = 0; and a sheared copy
     assert curve_to_drawing(g, c) == reference_straighten(
@@ -847,3 +846,158 @@ def test_roundtrip_line_recovers_at_least_the_stations(make, curve):
     got = sum(1 for s in back.stations if s[0] == 'v')
     assert got >= want
     assert validate_curve(g, back).good
+
+
+# -- the two sides of a curve ----------------------------------------------------------
+
+
+def reference_curve_sides(aug):
+    """The side code that ``curve_sides`` replaced: seeds from the rotation
+    system, a flood fill, and the orientation decided by whether the outer
+    walk of each side's subgraph runs along the path backwards."""
+    g, path = aug.graph, aug.path_vertices
+    on_path = set(path)
+    side_a, side_b = set(), set()   # side A: clockwise from successor to predecessor
+    for i, v in enumerate(path):
+        rot = g.rot[v]
+        nxt = path[i + 1] if i + 1 < len(path) else None
+        prv = path[i - 1] if i > 0 else None
+        if nxt is None and prv is None:
+            continue
+        if nxt is not None and prv is not None:
+            side_a.update(_arc_cw(rot, nxt, prv))
+            side_b.update(_arc_cw(rot, prv, nxt))
+            continue
+        if len(rot) == 1:
+            continue
+        w_out = _outer_corner(g, v)[1]
+        if nxt is not None:
+            arc = _arc_cw(rot, nxt, w_out)
+            side_a.update(arc)
+            side_b.update(x for x in rot if x not in arc and x != nxt and x not in on_path)
+        else:
+            arc = _arc_cw(rot, prv, w_out)
+            side_b.update(arc)
+            side_a.update(x for x in rot if x not in arc and x != prv and x not in on_path)
+    side_a -= on_path
+    side_b -= on_path
+    assert not side_a & side_b
+    label = {**dict.fromkeys(side_a, 0), **dict.fromkeys(side_b, 1)}
+    stack = list(label)
+    while stack:
+        v = stack.pop()
+        for u in g.rot[v]:
+            if u not in on_path and u not in label:
+                label[u] = label[v]
+                stack.append(u)
+            assert u in on_path or label[u] == label[v]
+    a = {v for v, k in label.items() if k == 0} | (set(g.vertices) - on_path - set(label))
+    b = {v for v, k in label.items() if k == 1}
+    if len(path) < 2 or (not a and not b):
+        return a | b, set()
+
+    def backwards(sub):
+        darts = set(sub.faces[sub.outer])
+        fwd = sum((p, q) in darts and (q, p) not in darts for p, q in zip(path, path[1:]))
+        bwd = sum((q, p) in darts and (p, q) not in darts for p, q in zip(path, path[1:]))
+        return None if bool(fwd) == bool(bwd) else bool(bwd)
+
+    ori = backwards(g.subgraph(on_path | a))
+    if ori is None:
+        ori_b = backwards(g.subgraph(on_path | b))
+        if ori_b is None:
+            return a, b
+        ori = not ori_b
+    return (a, b) if ori else (b, a)
+
+
+def _outer_edge_curve(g):
+    """Along the first outer edge, from the outer face back into it: a proper
+    good curve with nothing on one side."""
+    a, b = g.faces[g.outer][0]
+    return GoodCurve((Fst(g.outer), Vst(a), Vst(b), Fst(g.outer)))
+
+
+@st.composite
+def side_cases(draw):
+    """Proper curves of every family the pipeline meets: bundle, DP, oracle
+    witness, Theorem 4, line read-back and grid snake curves, single-vertex
+    curves and curves along an outer edge; any of them reversed."""
+    kind = draw(st.sampled_from(["bundle", "dp", "oracle", "theorem4", "readback",
+                                 "snake", "single", "outer_edge"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "theorem4":
+        g = generate_triconnected_cubic(seed, 2 * draw(st.integers(2, 20)))
+        c = theorem4(g).curve
+    elif kind == "snake":
+        g, c = theorem5_curve(*identity_grid_model(draw(st.integers(6, 8))))
+    elif kind == "oracle":
+        g = random_plane_3tree(draw(st.integers(4, 7)), seed)
+        c = enumerate_curves(g).witness
+    else:
+        family = draw(st.sampled_from(["3tree", "cubic", "grid"]))
+        if family == "3tree":
+            g = random_plane_3tree(draw(st.integers(4, 50)), seed)
+        elif family == "cubic":
+            g = generate_triconnected_cubic(seed, 2 * draw(st.integers(2, 15)))
+        else:
+            g, _ = identity_grid_model(draw(st.integers(3, 6)))
+        if kind in ("bundle", "dp"):
+            assume(family == "3tree")
+            d = decompose(g)
+            c = (draw(st.sampled_from(build_curve_bundle(d).curves)) if kind == "bundle"
+                 else dp_optimal_collinear(d)[1])
+        elif kind == "single":
+            c = GoodCurve((Vst(draw(st.sampled_from(g.outer_walk()))),))
+        elif kind == "outer_edge":
+            c = _outer_edge_curve(g)
+        else:
+            d = _regular_convex_drawing(g)
+            a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
+                                 max_size=2, unique=True))
+            (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+            c = curve_from_drawing(g, d.coords,
+                                   (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+    if draw(st.booleans()):
+        c = c.reversed()
+    rep = validate_curve(g, c)
+    assume(rep.good and rep.proper and len(c.stations) > 1)
+    return g, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(side_cases())
+def test_curve_sides_match_reference(case):
+    aug = augment_with_curve(*case)
+    assert curve_sides(aug) == reference_curve_sides(aug)
+
+
+def test_curve_sides_builds_no_graph(monkeypatch):
+    cases = [(K4, k4_cross_curve()), (K4, GoodCurve((Vst(0),))),
+             (K4, _outer_edge_curve(K4)), (cube(), _outer_edge_curve(cube()).reversed())]
+    augs = [augment_with_curve(g, c) for g, c in cases]
+    want = [reference_curve_sides(aug) for aug in augs]
+
+    def build(*args, **kwargs):
+        raise AssertionError("curve_sides built a PlaneGraph")
+    monkeypatch.setattr(PlaneGraph, "__init__", build)
+    assert [curve_sides(aug) for aug in augs] == want
+
+
+@pytest.mark.parametrize("side,a,b", [(4, 0, 1), (8, 60, 61)])
+def test_curve_along_an_outer_edge_realizes(side, a, b):
+    # the line through two adjacent outer vertices of a convex drawing reads
+    # back as a curve along an outer edge, with nothing on one side of it;
+    # the empty side gets no drawing of its own, and the apex of the other
+    # side closes the face bounded by the path alone
+    g, _ = identity_grid_model(side)
+    d = _regular_convex_drawing(g)
+    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+    c = curve_from_drawing(g, d.coords, (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+    assert validate_curve(g, c).proper and set(c.vertices) == {a, b}
+    sides = curve_sides(augment_with_curve(g, c))
+    assert sorted(map(len, sides)) == [0, g.n - 2]
+    out = curve_to_drawing(g, c)
+    assert out.designated == c.vertices
+    assert out.coords[a][1] == out.coords[b][1] == 0
+    assert verify_drawing(g, out).ok

@@ -11,6 +11,7 @@ from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
 from collinear.curves import (GoodCurve, Vst, Xst, Fst, serialize_curve,
                               validate_curve)
 from collinear.oracle import enumerate_curves, catalog_plane_3trees
+from collinear.realize import labeling_from_curve, place_free, serialize_drawing
 from collinear.three_tree import (
     ThreeTreeError, decompose, format_decomposition, lemma1_chord,
     build_curve_bundle, check_lemma3, dp_optimal_collinear,
@@ -526,3 +527,19 @@ def test_outputs_pinned():
         h.update(serialize_curve(g, curve).encode() + b"value %d\n" % val)
     assert h.hexdigest() == ("a09eef1d2dd17a3f9621ff9beec2245a"
                              "594444c85840f21ffd919478d818788d")
+
+
+def test_free_placements_pinned():
+    # sha256 of place_free on the DP curve's labeling, computed before
+    # curve_sides read the sides off the rotation system: a mirrored
+    # labeling or a changed placement order would change the coordinates
+    cases = [
+        (random_plane_3tree(400, 2),
+         "2e0ef0e57896e83c8c25936514a082db1baf83a91e21ebe86c167e3a1e41c12d"),
+        (deep_stacking(400, 3),
+         "4ea5e3cf8043afac27e70980dc1d188e66096d72ade1afc2e0d42a5acf1df596"),
+    ]
+    for g, digest in cases:
+        lab = labeling_from_curve(g, dp_optimal_collinear(decompose(g))[1])
+        text = serialize_drawing(place_free(g, lab))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -13,8 +13,7 @@ from collinear.treewidth import (
     designated_side,
     identity_grid_model,
     parse_grid_model,
-    route_type_a,
-    route_type_b,
+    _route_in_cell,
     route_type_c,
     serialize_grid_model,
     snake_curve,
@@ -105,36 +104,27 @@ class TestRouting:
     def test_traversal_of_empty_cell_is_one_face_hop(self):
         g, m = identity_grid_model(5)
         cells = build_cells(g, m)
-        sts = route_type_a(g, cells, m, m.ref_h[(2, 2)], m.ref_h[(2, 3)])
+        sts = _route_in_cell(g, cells.cells[(2, 2)], cells.blocked,
+                             m.ref_h[(2, 2)], m.ref_h[(2, 3)])
         assert [s[0] for s in sts] == ['x', 'f', 'x']
 
     def test_traversal_crosses_interior_edges_once_each(self):
         g, m = coarse_model(4)
         cells = build_cells(g, m)
-        sts = route_type_a(g, cells, m, m.ref_h[(2, 2)], m.ref_h[(2, 3)])
+        sts = _route_in_cell(g, cells.cells[(2, 2)], cells.blocked,
+                             m.ref_h[(2, 2)], m.ref_h[(2, 3)])
         inner = [s for s in sts[1:-1] if s[0] == 'x']
         faces = [s for s in sts if s[0] == 'f']
         assert len(inner) == len(faces) - 1 >= 1
         assert len({s[1] for s in inner}) == len(inner)
 
-    def test_traversal_needs_opposite_reference_edges(self):
-        g, m = identity_grid_model(5)
-        cells = build_cells(g, m)
-        with pytest.raises(GridError, match="opposite"):
-            route_type_a(g, cells, m, m.ref_h[(2, 2)], m.ref_v[(2, 2)])
-
     def test_turn_between_adjacent_reference_edges(self):
         g, m = identity_grid_model(5)
         cells = build_cells(g, m)
-        sts = route_type_b(g, cells, m, m.ref_h[(2, 2)], m.ref_v[(2, 2)])
+        sts = _route_in_cell(g, cells.cells[(2, 2)], cells.blocked,
+                             m.ref_h[(2, 2)], m.ref_v[(2, 2)])
         assert sts[0] == ('x', m.ref_h[(2, 2)])
         assert sts[-1] == ('x', m.ref_v[(2, 2)])
-
-    def test_turn_needs_adjacent_reference_edges(self):
-        g, m = identity_grid_model(5)
-        cells = build_cells(g, m)
-        with pytest.raises(GridError, match="adjacent"):
-            route_type_b(g, cells, m, m.ref_h[(2, 2)], m.ref_h[(2, 3)])
 
     def test_vertex_getter_on_identity_degenerates(self):
         # singleton branch set: the in-graph leg is a single vertex
