@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
-                     augment_with_curve, check_well_formed, edge_tallies)
+                     _augment, check_well_formed, edge_tallies)
 from .plane_graph import PlaneGraph, _blocks, edge_key
 
 __all__ = [
@@ -566,7 +566,7 @@ def verify_charged_curve(q: Quadruple, cc: ChargedCurve) -> None:
     bad = sorted((e, t) for e, t in edge_tallies(g, cc.curve).items() if t > 1)
     if bad:
         raise CubicError(f"curve is not good: {bad}")
-    aug = augment_with_curve(g, cc.curve)
+    aug = _augment(g, cc.curve)
     if not aug.proper:
         raise CubicError("curve is not proper")
     sts = cc.curve.stations
@@ -697,5 +697,5 @@ def _expand(g: PlaneGraph, rng: random.Random) -> Optional[PlaneGraph]:
     except CurveError:
         return None
     regions = [w for tag, w in eng.walks if tag == g.outer]
-    pg = PlaneGraph(eng.rot, outer_face=0)
+    pg = PlaneGraph._from_walks(eng.rot, [w for _, w in eng.walks])
     return pg.with_outer(pg.face_of_dart(regions[0][0]))

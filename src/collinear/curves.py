@@ -15,9 +15,11 @@ incident to the unbounded region of the drawing-with-curve.
 
 The central tool is an augmentation engine that embeds the curve into the
 graph (subdividing crossed edges, adding chord edges through face interiors,
-and dangling endpoint vertices), tracking how original faces split.  Goodness
-with respect to the embedding, properness, and the curve-to-drawing direction
-all reduce to this augmented embedding.
+and dangling endpoint vertices), tracking how original faces split.  Its dart
+walks are the faces of the augmented embedding, each tagged with the original
+face it descends from.  Properness is read from the walks tagged with the
+outer face, and the augmented graph for the curve-to-drawing direction is
+built from all of them; both cost O(m) per curve and trace no faces.
 """
 
 from __future__ import annotations
@@ -160,13 +162,12 @@ def check_well_formed(g: PlaneGraph, c: GoodCurve) -> None:
 
 
 def _check_face_incident(g: PlaneGraph, f: int, s: Station) -> None:
-    walk = g.faces[f]
     if s[0] == 'v':
-        if all(d[0] != s[1] for d in walk):
-            raise CurveError(f"face {f} not incident to vertex {s[1]}")
+        v = s[1]
+        if all(g.face_of_dart((v, w)) != f for w in g.rot[v]):
+            raise CurveError(f"face {f} not incident to vertex {v}")
     elif s[0] == 'x':
-        a, b = s[1]
-        if (a, b) not in walk and (b, a) not in walk:
+        if f not in g.faces_of_edge(*s[1]):
             raise CurveError(f"face {f} not incident to edge {s[1]}")
 
 
@@ -192,9 +193,10 @@ def edge_tallies(g: PlaneGraph, c: GoodCurve) -> Dict[Tuple[int, int], int]:
 class AugmentedCurve:
     """Result of embedding a curve into its plane graph.
 
-    graph:          the augmented plane graph (outer face chosen among the
-                    regions the original outer face split into; when the curve
-                    is open and proper, the chosen region touches both ends).
+    graph:          the augmented plane graph, built from the engine's walks
+                    without tracing faces (outer face chosen among the regions
+                    the original outer face split into; when the curve is open
+                    and proper, the chosen region touches both ends).
     station_vertex: vertex realizing each station (None for pass-through hops).
     endpoints:      (a, b) endpoint vertices, None for closed curves.
     path_vertices:  the curve as a vertex path of the augmented graph.
@@ -221,66 +223,57 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     terminal crossing dangles an endpoint just past the crossed edge.  Raises
     CurveError when the hops cannot be drawn (the face region required by a
     hop no longer contains both attachment points — i.e. the curve would have
-    to cross itself or an edge twice).
+    to cross itself or an edge twice).  The augmented graph is built from the
+    engine's face walks in O(m), without tracing faces.
     """
+    _require_good(g, c)
+    return _augment(g, c)
+
+
+def _require_good(g: PlaneGraph, c: GoodCurve) -> None:
     check_well_formed(g, c)
     bad = [(e, t) for e, t in edge_tallies(g, c).items() if t > 1]
     if bad:
         raise CurveError(f"curve is not good; edges with 2+ common points: {sorted(bad)}")
 
+
+def _embed(g: PlaneGraph, c: GoodCurve):
+    """Run the engine on a well-formed good curve: returns the engine, the
+    vertex realizing each station and the endpoints (None when closed)."""
     eng = _Engine(g)
     sts = c.stations
     n = len(sts)
-    station_vertex: List[Optional[int]] = [None] * n
-
-    crossings = [s[1] for s in sts if s[0] == 'x']
-    for e in crossings:
-        eng.subdivide(e)
-    for i, s in enumerate(sts):
-        if s[0] == 'v':
-            station_vertex[i] = s[1]
-        elif s[0] == 'x':
-            station_vertex[i] = eng.sub[s[1]]
-
+    for s in sts:
+        if s[0] == 'x':
+            eng.subdivide(s[1])
+    station_vertex: List[Optional[int]] = [
+        s[1] if s[0] == 'v' else eng.sub[s[1]] if s[0] == 'x' else None for s in sts]
     endpoints = None
-    a = b = None
     if not c.closed:
         a = _terminal(eng, sts, station_vertex, first=True)
     # interior hops -> chords, in curve order
-    idxs = range(n) if c.closed else range(1, n - 1)
-    for i in idxs:
-        if sts[i][0] != 'f':
-            continue
-        left = station_vertex[(i - 1) % n]
-        right = station_vertex[(i + 1) % n]
-        eng.insert_chord(left, right, sts[i][1])
+    for i in range(n) if c.closed else range(1, n - 1):
+        if sts[i][0] == 'f':
+            eng.insert_chord(station_vertex[i - 1], station_vertex[(i + 1) % n],
+                             sts[i][1])
     if not c.closed:
-        b = _terminal(eng, sts, station_vertex, first=False)
-        endpoints = (a, b)
+        endpoints = (a, _terminal(eng, sts, station_vertex, first=False))
+    return eng, station_vertex, endpoints
 
-    # curve path
-    path_v: List[int] = []
-    path_e: List[Tuple[int, int]] = []
-    anchors = [v for v in station_vertex if v is not None]
-    if endpoints is not None and sts[0][0] == 'f':
-        path_v.append(endpoints[0])
-    for v in anchors:
-        if path_v:
-            path_e.append(edge_key(path_v[-1], v))
-        path_v.append(v)
-    if endpoints is not None and sts[-1][0] == 'f':
-        path_e.append(edge_key(path_v[-1], endpoints[1]))
-        path_v.append(endpoints[1])
+
+def _augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
+    """augment_with_curve for a curve already known to be well formed and good."""
+    eng, station_vertex, endpoints = _embed(g, c)
+    # the curve path: the anchors, plus the endpoints an open curve dangles
+    path_v = [v for v in station_vertex if v is not None]
     if endpoints is not None:
-        if sts[0][0] == 'x':
-            path_e.insert(0, edge_key(endpoints[0], path_v[0]))
+        if c.stations[0][0] != 'v':
             path_v.insert(0, endpoints[0])
-        if sts[-1][0] == 'x':
-            path_e.append(edge_key(path_v[-1], endpoints[1]))
+        if c.stations[-1][0] != 'v':
             path_v.append(endpoints[1])
+    path_e = [edge_key(p, q) for p, q in zip(path_v, path_v[1:])]
     if c.closed and len(path_v) > 1:
         path_e.append(edge_key(path_v[-1], path_v[0]))
-
     return eng.finish(g, station_vertex, endpoints, path_v, path_e)
 
 
@@ -317,7 +310,8 @@ class _Engine:
 
     Faces are kept as dart walks tagged with the original face they descend
     from; inserting a chord splits one walk into two (both keep the tag), and
-    an antenna grows a walk in place.
+    an antenna grows a walk in place.  The walks stay the faces of ``rot``
+    under the tracing convention, so ``finish`` builds the graph from them.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -412,23 +406,25 @@ class _Engine:
         raise CurveError(f"cannot route hop between {a} and {b} through face {face}: "
                          "no region of that face touches both (curve not embeddable)")
 
+    def touches_both(self, tag: int, ends: Tuple[int, int]) -> List[int]:
+        """Indices of the walks tagged ``tag`` whose boundary passes both ends."""
+        ends = set(ends)
+        return [wi for wi in self.by_tag[tag]
+                if ends <= {d[1] for d in self.walks[wi][1]}]
+
     def finish(self, g: PlaneGraph, station_vertex, endpoints,
                path_v, path_e) -> AugmentedCurve:
         try:
-            pg = PlaneGraph(self.rot, outer_face=0)
+            pg = PlaneGraph._from_walks(self.rot, [darts for _, darts in self.walks])
         except PlaneGraphError as exc:
             raise CurveError(f"curve augmentation is not a plane graph: {exc}") from exc
-        # map traced faces back to engine walks for descent tags
-        tags: Dict[int, int] = {}
-        for tag, darts in self.walks:
-            tags[pg.face_of_dart(darts[0])] = tag
-        if len(tags) != len(pg.faces):
-            raise CurveError("internal error: face bookkeeping out of sync")
+        index = [pg.face_of_dart(darts[0]) for _, darts in self.walks]
+        tags = {fi: tag for fi, (tag, _) in zip(index, self.walks)}
         # the outer region: a region of the old outer face, one touching both
         # ends if there is one (then the curve is proper)
-        cands = [fi for fi in range(len(pg.faces)) if tags[fi] == g.outer]
-        ends = set(endpoints or ())
-        touching = [fi for fi in cands if ends and ends <= {d[1] for d in pg.faces[fi]}]
+        cands = sorted(index[wi] for wi in self.by_tag[g.outer])
+        touching = (sorted(index[wi] for wi in self.touches_both(g.outer, endpoints))
+                    if endpoints else [])
         return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
                               endpoints, path_v, path_e, dict(self.sub), tags,
                               bool(touching))
@@ -438,26 +434,49 @@ class _Engine:
 
 
 def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
-    """Check goodness (per-edge common-point tallies) and properness."""
+    """Check goodness (per-edge common-point tallies) and properness.
+
+    Properness is read from the engine's walks, as in ``is_proper``; the
+    curve is checked once and no graph is built.
+    """
     check_well_formed(g, c)
     tally = edge_tallies(g, c)
     violations = sorted((e, t) for e, t in tally.items() if t > 1)
     good = not violations
-    proper = False
-    if good and not c.closed:
-        proper = is_proper(g, c)
+    proper = good and _proper(g, c)
     verts = frozenset(c.vertices)
     return CurveReport(len(verts), verts, good, proper, violations)
 
 
 def is_proper(g: PlaneGraph, c: GoodCurve) -> bool:
-    """Both endpoints of the open curve incident to the unbounded region."""
+    """Both endpoints of the open curve incident to the unbounded region.
+
+    Raises CurveError for a closed, malformed or non-good curve.  The engine
+    embeds the curve, and the curve is proper when one of the walks that
+    descend from the outer face passes both endpoints: O(m), with no face
+    tracing and no graph built.
+    """
     if c.closed:
         raise CurveError("properness is defined for open curves; "
                          "use cut_closed_curve first")
-    if len(c.stations) == 1 and c.stations[0][0] == 'f':
+    if not _single_hop(c):
+        _require_good(g, c)
+    return _proper(g, c)
+
+
+def _single_hop(c: GoodCurve) -> bool:
+    return len(c.stations) == 1 and c.stations[0][0] == 'f'
+
+
+def _proper(g: PlaneGraph, c: GoodCurve) -> bool:
+    """Whether a curve already known to be well formed and good is open and
+    proper."""
+    if c.closed:
+        return False
+    if _single_hop(c):
         return c.stations[0][1] == g.outer
-    return augment_with_curve(g, c).proper
+    eng, _, endpoints = _embed(g, c)
+    return bool(eng.touches_both(g.outer, endpoints))
 
 
 def cut_closed_curve(g: PlaneGraph, c: GoodCurve) -> Tuple[PlaneGraph, GoodCurve]:

@@ -52,42 +52,77 @@ class PlaneGraph:
     def __init__(self, rot: Mapping[int, Sequence[int]],
                  outer_walk: Optional[Sequence[int]] = None,
                  outer_face: Optional[int] = None):
-        self.rot: Dict[int, Tuple[int, ...]] = {}
-        for v, nbrs in rot.items():
-            t = tuple(nbrs)
-            if v in t:
-                raise PlaneGraphError(f"self-loop at vertex {v}")
-            if len(set(t)) != len(t):
-                raise PlaneGraphError(f"duplicate neighbour in rotation of {v}")
-            self.rot[int(v)] = t
-        self._vertex_list = tuple(sorted(self.rot))
+        self._set_rotation(rot)
         for v, nbrs in self.rot.items():
             for w in nbrs:
                 if w not in self.rot or v not in self.rot[w]:
                     raise PlaneGraphError(f"rotation not symmetric at edge ({v},{w})")
-        self.n = len(self._vertex_list)
         if self.n == 0:
             raise PlaneGraphError("empty graph")
-        self.m = sum(len(nbrs) for nbrs in self.rot.values()) // 2
-        self._edge_set = frozenset(edge_key(v, w)
-                                   for v in self.rot for w in self.rot[v])
         if not self._connected():
             raise PlaneGraphError("graph is not connected")
-        self.faces = self._trace_faces()
-        self._face_of_dart = {}
-        for i, walk in enumerate(self.faces):
-            for d in walk:
-                self._face_of_dart[d] = i
-        if self.n - self.m + len(self.faces) != 2:
-            raise PlaneGraphError(
-                "rotation system is not planar (Euler check failed: "
-                f"V-E+F = {self.n}-{self.m}+{len(self.faces)} != 2)")
+        self._set_faces(self._trace_faces())
         if (outer_walk is None) == (outer_face is None):
             raise PlaneGraphError("exactly one of outer_walk / outer_face required")
         self.outer = (self._check_face(outer_face) if outer_walk is None
                       else self._resolve_outer(tuple(outer_walk)))
 
+    @classmethod
+    def _from_walks(cls, rot: Mapping[int, Sequence[int]],
+                    walks: Iterable[Sequence[Dart]]) -> "PlaneGraph":
+        """The plane graph of ``rot`` whose faces are ``walks``, with face 0
+        outer, in O(m + F log F) and without tracing.
+
+        The walks must be the faces of ``rot`` under the tracing convention,
+        as an engine that edits an embedding keeps them.  Each walk is
+        rotated to start at its least dart and the walks are sorted by that
+        dart, which is the order ``_trace_faces`` produces, so the face
+        indices are those of ``PlaneGraph(rot, outer_face=0)``.  Raises
+        PlaneGraphError unless the walks cover every dart exactly once and
+        V - E + F = 2.
+        """
+        g = object.__new__(cls)
+        g._set_rotation(rot)
+        faces = []
+        for walk in walks:
+            k = walk.index(min(walk))
+            faces.append(tuple(walk[k:]) + tuple(walk[:k]))
+        faces.sort()
+        g._set_faces(tuple(faces))
+        g.outer = 0
+        return g
+
     # -- construction helpers -------------------------------------------------
+
+    def _set_rotation(self, rot: Mapping[int, Sequence[int]]) -> None:
+        self.rot: Dict[int, Tuple[int, ...]] = {int(v): tuple(nbrs)
+                                                for v, nbrs in rot.items()}
+        for v, nbrs in self.rot.items():
+            if v in nbrs:
+                raise PlaneGraphError(f"self-loop at vertex {v}")
+            if len(set(nbrs)) != len(nbrs):
+                raise PlaneGraphError(f"duplicate neighbour in rotation of {v}")
+        self._vertex_list = tuple(sorted(self.rot))
+        self.n = len(self._vertex_list)
+        self.m = sum(len(nbrs) for nbrs in self.rot.values()) // 2
+        self._edge_set = frozenset(edge_key(v, w)
+                                   for v in self.rot for w in self.rot[v])
+
+    def _set_faces(self, faces: Tuple[Tuple[Dart, ...], ...]) -> None:
+        """Install the face walks and the dart-to-face map; check that the
+        walks cover every dart exactly once and that V - E + F = 2."""
+        self.faces = faces
+        fod = self._face_of_dart = {}
+        for i, walk in enumerate(faces):
+            for d in walk:
+                fod[d] = i
+        if (len(fod) != 2 * self.m or sum(len(walk) for walk in faces) != len(fod)
+                or not all((v, w) in fod for v, nbrs in self.rot.items() for w in nbrs)):
+            raise PlaneGraphError("face walks do not cover every dart exactly once")
+        if self.n - self.m + len(faces) != 2:
+            raise PlaneGraphError(
+                "rotation system is not planar (Euler check failed: "
+                f"V-E+F = {self.n}-{self.m}+{len(faces)} != 2)")
 
     def _connected(self) -> bool:
         seen = {self._vertex_list[0]}

@@ -3,17 +3,21 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collinear import oracle
 from collinear.cubic import generate_triconnected_cubic, theorem4
 from collinear.curves import (
-    CurveError, Fst, GoodCurve, Vst, Xst, augment_with_curve, cut_closed_curve,
-    curve_from_drawing, is_proper, parse_curve, serialize_curve, validate_curve,
+    AugmentedCurve, CurveError, CurveReport, Fst, GoodCurve, Vst, Xst, _Engine,
+    _check_face_incident, _terminal, augment_with_curve, check_well_formed,
+    cut_closed_curve, curve_from_drawing, edge_tallies, is_proper, parse_curve,
+    serialize_curve, validate_curve,
 )
 from collinear.geom import F, line_through, on_segment
-from collinear.plane_graph import PlaneGraph, edge_key
+from collinear.plane_graph import PlaneGraph, PlaneGraphError, edge_key
 from collinear.realize import (LabelingOrder, curve_to_drawing,
                                labeling_from_curve, place_free, verify_drawing)
 from collinear.three_tree import (build_curve_bundle, decompose,
@@ -165,6 +169,46 @@ def test_not_embeddable_hop():
     f123 = face_with(g, [1, 2, 3])
     with pytest.raises(CurveError):
         validate_curve(g, GoodCurve((Xst(0, 1), Fst(f123), Xst(0, 2))))
+
+
+def test_hop_through_a_face_neither_station_touches():
+    # octahedron: the inner triangle 3-4-5 misses vertex 0 and edge 1-2
+    g = PlaneGraph({0: (1, 4, 3, 2), 1: (2, 5, 4, 0), 2: (0, 3, 5, 1),
+                    3: (0, 4, 5, 2), 4: (1, 5, 3, 0), 5: (2, 3, 4, 1)},
+                   outer_walk=[0, 1, 2])
+    f = face_with(g, [3, 4, 5])
+    with pytest.raises(CurveError, match=f"face {f} not incident to vertex 0"):
+        validate_curve(g, GoodCurve((Vst(0), Fst(f), Xst(1, 2))))
+    with pytest.raises(CurveError, match=rf"face {f} not incident to edge \(1, 2\)"):
+        is_proper(g, GoodCurve((Xst(1, 2), Fst(f), Vst(0))))
+
+
+def walk_scan_incidence(g, f, s):
+    """The incidence test that scanned the whole face walk."""
+    walk = g.faces[f]
+    if s[0] == 'v':
+        return any(d[0] == s[1] for d in walk)
+    a, b = s[1]
+    return (a, b) in walk or (b, a) in walk
+
+
+@pytest.mark.parametrize("make", [k4, square, k4_spec,
+                                  lambda: random_plane_3tree(12, 3),
+                                  lambda: generate_triconnected_cubic(1, 12),
+                                  lambda: identity_grid_model(3)[0]])
+def test_face_incidence_matches_walk_scan(make):
+    g = make()
+    stations = [Vst(v) for v in g.vertices] + [Xst(*e) for e in sorted(g.edges)]
+    for f in range(len(g.faces)):
+        for s in stations:
+            try:
+                _check_face_incident(g, f, s)
+                raised = False
+            except CurveError as exc:
+                kind = "vertex" if s[0] == 'v' else "edge"
+                assert str(exc) == f"face {f} not incident to {kind} {s[1]}"
+                raised = True
+            assert raised != walk_scan_incidence(g, f, s)
 
 
 def test_closed_curve_cut():
@@ -436,3 +480,219 @@ def test_read_back_equals_point_in_polygon_reference(spec, kind, data):
     assert (new.stations, new.closed, new.contained) == \
         (old.stations, old.closed, old.contained)
     assert validate_curve(g, new).good
+
+
+# -- the augmentation that re-traced faces, kept as the reference ----------------------
+
+
+def reference_augment(g, c):
+    """Checks, the engine, then a PlaneGraph traced afresh from the engine's
+    rotation system, with the outer region chosen among the traced faces."""
+    check_well_formed(g, c)
+    bad = [(e, t) for e, t in edge_tallies(g, c).items() if t > 1]
+    if bad:
+        raise CurveError(f"curve is not good; edges with 2+ common points: {sorted(bad)}")
+    eng = _Engine(g)
+    sts = c.stations
+    n = len(sts)
+    station_vertex = [None] * n
+    for e in [s[1] for s in sts if s[0] == 'x']:
+        eng.subdivide(e)
+    for i, s in enumerate(sts):
+        if s[0] == 'v':
+            station_vertex[i] = s[1]
+        elif s[0] == 'x':
+            station_vertex[i] = eng.sub[s[1]]
+    endpoints = None
+    if not c.closed:
+        a = _terminal(eng, sts, station_vertex, first=True)
+    for i in (range(n) if c.closed else range(1, n - 1)):
+        if sts[i][0] == 'f':
+            eng.insert_chord(station_vertex[(i - 1) % n], station_vertex[(i + 1) % n],
+                             sts[i][1])
+    if not c.closed:
+        endpoints = (a, _terminal(eng, sts, station_vertex, first=False))
+    path_v, path_e = [], []
+    if endpoints is not None and sts[0][0] == 'f':
+        path_v.append(endpoints[0])
+    for v in [v for v in station_vertex if v is not None]:
+        if path_v:
+            path_e.append(edge_key(path_v[-1], v))
+        path_v.append(v)
+    if endpoints is not None and sts[-1][0] == 'f':
+        path_e.append(edge_key(path_v[-1], endpoints[1]))
+        path_v.append(endpoints[1])
+    if endpoints is not None:
+        if sts[0][0] == 'x':
+            path_e.insert(0, edge_key(endpoints[0], path_v[0]))
+            path_v.insert(0, endpoints[0])
+        if sts[-1][0] == 'x':
+            path_e.append(edge_key(path_v[-1], endpoints[1]))
+            path_v.append(endpoints[1])
+    if c.closed and len(path_v) > 1:
+        path_e.append(edge_key(path_v[-1], path_v[0]))
+    try:
+        pg = PlaneGraph(eng.rot, outer_face=0)
+    except PlaneGraphError as exc:
+        raise CurveError(f"curve augmentation is not a plane graph: {exc}") from exc
+    tags = {}
+    for tag, darts in eng.walks:
+        tags[pg.face_of_dart(darts[0])] = tag
+    if len(tags) != len(pg.faces):
+        raise CurveError("internal error: face bookkeeping out of sync")
+    cands = [fi for fi in range(len(pg.faces)) if tags[fi] == g.outer]
+    ends = set(endpoints or ())
+    touching = [fi for fi in cands if ends and ends <= {d[1] for d in pg.faces[fi]}]
+    return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
+                          endpoints, path_v, path_e, dict(eng.sub), tags, bool(touching))
+
+
+def reference_is_proper(g, c):
+    if c.closed:
+        raise CurveError("properness is defined for open curves; "
+                         "use cut_closed_curve first")
+    if len(c.stations) == 1 and c.stations[0][0] == 'f':
+        return c.stations[0][1] == g.outer
+    return reference_augment(g, c).proper
+
+
+def reference_validate_curve(g, c):
+    check_well_formed(g, c)
+    violations = sorted((e, t) for e, t in edge_tallies(g, c).items() if t > 1)
+    proper = not violations and not c.closed and reference_is_proper(g, c)
+    verts = frozenset(c.vertices)
+    return CurveReport(len(verts), verts, not violations, proper, violations)
+
+
+def _outcome(f, g, c):
+    """The result of f(g, c), an augmentation as a tuple of all its fields, or
+    the class and message of the exception it raised."""
+    try:
+        out = f(g, c)
+    except (CurveError, PlaneGraphError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, AugmentedCurve):
+        h = out.graph
+        return (h.rot, h.faces, h.outer, out.station_vertex, out.endpoints,
+                out.path_vertices, out.path_edges, out.subdivision, out.walk_tags,
+                out.proper)
+    return out
+
+
+def assert_agrees_with_reference(g, c):
+    for new, old in ((is_proper, reference_is_proper),
+                     (validate_curve, reference_validate_curve),
+                     (augment_with_curve, reference_augment)):
+        assert _outcome(new, g, c) == _outcome(old, g, c), new.__name__
+    try:
+        aug = augment_with_curve(g, c)
+    except CurveError:
+        return
+    assert aug.graph.faces == PlaneGraph(aug.graph.rot, outer_face=aug.graph.outer).faces
+
+
+@lru_cache(maxsize=None)
+def _oracle_curves(n, seed):
+    """Every curve the oracle asks about on a small random 3-tree."""
+    g = random_plane_3tree(n, seed)
+    asked = []
+
+    def spy(h, c):
+        asked.append(c)
+        return is_proper(h, c)
+    with mock.patch.object(oracle, "is_proper", spy):
+        oracle.enumerate_curves(g)
+    return g, tuple(asked)
+
+
+@st.composite
+def augment_cases(draw):
+    """Bundle, DP, oracle, Theorem 4, grid-snake and read-back curves, any of
+    them reversed, and copies with one station dropped or two swapped, or
+    closed up."""
+    kind = draw(st.sampled_from(["bundle", "dp", "oracle", "theorem4", "snake",
+                                 "readback"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind in ("bundle", "dp"):
+        d = decompose(random_plane_3tree(draw(st.integers(4, 40)), seed))
+        g = d.graph
+        c = (draw(st.sampled_from(build_curve_bundle(d).curves)) if kind == "bundle"
+             else dp_optimal_collinear(d)[1])
+    elif kind == "oracle":
+        g, asked = _oracle_curves(draw(st.integers(4, 7)), draw(st.integers(0, 3)))
+        c = draw(st.sampled_from(asked))
+    elif kind == "theorem4":
+        g = generate_triconnected_cubic(seed, 2 * draw(st.integers(2, 12)))
+        c = theorem4(g).curve
+    elif kind == "snake":
+        g, c = theorem5_curve(*identity_grid_model(draw(st.integers(6, 8))))
+    else:
+        g, pos = _drawn(*draw(_drawings))
+        p, q = draw(st.lists(st.sampled_from(sorted(pos)), min_size=2, max_size=2,
+                             unique=True))
+        c = curve_from_drawing(g, pos, line_through(pos[p], pos[q]))
+    if draw(st.booleans()):
+        c = c.reversed()
+    sts = list(c.stations)
+    edit = draw(st.sampled_from(["none", "drop", "swap", "reface", "close"]))
+    hops = [i for i, s in enumerate(sts) if s[0] == 'f']
+    if edit == "drop" and len(sts) > 1:
+        del sts[draw(st.integers(0, len(sts) - 1))]
+        c = GoodCurve(tuple(sts))
+    elif edit == "swap" and len(sts) > 1:
+        i = draw(st.integers(0, len(sts) - 2))
+        sts[i], sts[i + 1] = sts[i + 1], sts[i]
+        c = GoodCurve(tuple(sts))
+    elif edit == "reface" and hops:
+        # another face that both neighbours of the hop touch
+        i = draw(st.sampled_from(hops))
+        near = [s for s in (sts[i - 1] if i else None,
+                            sts[i + 1] if i + 1 < len(sts) else None) if s]
+        common = set.intersection(*(_faces_at(g, s) for s in near)) if near else {g.outer}
+        sts[i] = Fst(draw(st.sampled_from(sorted(common))))
+        c = GoodCurve(tuple(sts), contained=c.contained)
+    elif edit == "close":
+        if len(hops) > 1 and hops[0] == 0 and hops[-1] == len(sts) - 1:
+            del sts[0]
+        c = GoodCurve(tuple(sts), closed=True, contained=c.contained)
+    return g, c
+
+
+def _faces_at(g, s):
+    if s[0] == 'v':
+        return {g.face_of_dart((s[1], w)) for w in g.rot[s[1]]}
+    return set(g.faces_of_edge(*s[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(augment_cases())
+def test_augmentation_matches_reference(case):
+    assert_agrees_with_reference(*case)
+
+
+def test_outer_face_hop_read_back_stays_improper():
+    # a line that leaves the drawing and re-enters it: the hop through the
+    # outer face between two events takes the first corner it finds, so the
+    # read-back curve is called not proper, here and by the reference
+    g, pos = _drawn("cubic", 12, 1)
+    c = curve_from_drawing(g, pos, (0, 1, -1))
+    assert [s for s in c.stations if s[0] == 'f'].count(Fst(g.outer)) == 3
+    assert_agrees_with_reference(g, c)
+    assert not is_proper(g, c)
+
+
+def test_properness_builds_no_graph(monkeypatch):
+    d = decompose(random_plane_3tree(40, 5))
+    g = d.graph
+    curves = build_curve_bundle(d).curves
+    want = [(reference_validate_curve(g, c), _outcome(reference_augment, g, c))
+            for c in curves]
+
+    def trace(*args, **kwargs):
+        raise AssertionError("faces were traced")
+    monkeypatch.setattr(PlaneGraph, "__init__", trace)
+    monkeypatch.setattr(PlaneGraph, "_trace_faces", trace)
+    for c, (report, aug) in zip(curves, want):
+        assert validate_curve(g, c) == report
+        assert is_proper(g, c) == report.proper
+        assert _outcome(augment_with_curve, g, c) == aug

@@ -1,5 +1,7 @@
 """Rotation-system plane graphs: tracing, validation, subgraphs, format."""
 
+import random
+
 import pytest
 
 from collinear.cubic import generate_triconnected_cubic
@@ -145,6 +147,41 @@ def test_with_outer_shares_faces(make):
     for bad in (-1, len(g.faces)):
         with pytest.raises(PlaneGraphError, match="out of range"):
             g.with_outer(bad)
+
+
+@pytest.mark.parametrize("make", [triangle, k4, square, octahedron,
+                                  lambda: random_plane_3tree(30, 1),
+                                  lambda: generate_triconnected_cubic(2, 20)])
+def test_from_walks_matches_trace(make):
+    # the walks in any order, each from any dart, give the traced faces
+    g = make()
+    rng = random.Random(len(g.faces))
+    walks = []
+    for walk in g.faces:
+        k = rng.randrange(len(walk))
+        walks.append(list(walk[k:] + walk[:k]))
+    rng.shuffle(walks)
+    h = PlaneGraph._from_walks(g.rot, walks)
+    traced = PlaneGraph(g.rot, outer_face=0)
+    assert h.faces == traced.faces and h.outer == 0 and h == traced
+    assert (h.rot, h.vertices, h.n, h.m, list(h.edges)) == \
+        (traced.rot, traced.vertices, traced.n, traced.m, list(traced.edges))
+    assert all(h.face_of_dart(d) == traced.face_of_dart(d)
+               for walk in g.faces for d in walk)
+
+
+def test_from_walks_rejects_bad_walks():
+    g = octahedron()
+    walks = [list(w) for w in g.faces]
+    with pytest.raises(PlaneGraphError, match="every dart exactly once"):
+        PlaneGraph._from_walks(g.rot, walks[1:])                   # a walk missing
+    with pytest.raises(PlaneGraphError, match="every dart exactly once"):
+        PlaneGraph._from_walks(g.rot, walks + [walks[0][:1]])      # a dart twice
+    with pytest.raises(PlaneGraphError, match="every dart exactly once"):
+        PlaneGraph._from_walks(g.rot, walks[:-1] + [walks[-1][1:]])  # one dart lost
+    merged = walks[0] + walks[1]                                    # a face too few
+    with pytest.raises(PlaneGraphError, match="Euler"):
+        PlaneGraph._from_walks(g.rot, [merged] + walks[2:])
 
 
 def test_subgraph_inner_outer():
