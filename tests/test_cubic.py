@@ -1,12 +1,15 @@
 """Tests for collinear sets in triconnected cubic plane graphs."""
 
 import hashlib
+import random
 
 import pytest
 
+from collinear import cubic
 from collinear.cubic import (
     ChainDecomposition,
     CubicError,
+    Quadruple,
     build_cubic_curve,
     chain_decompose,
     charge_lines,
@@ -15,8 +18,10 @@ from collinear.cubic import (
     theorem4,
     verify_charged_curve,
 )
-from collinear.plane_graph import (PlaneGraph, graph_from_positions,
-                                   serialize_plane_graph)
+from collinear.curves import serialize_curve
+from collinear.plane_graph import (PlaneGraph, PlaneGraphError,
+                                   _articulation_points, edge_key,
+                                   graph_from_positions, serialize_plane_graph)
 from collinear.realize import curve_to_drawing, verify_drawing
 
 
@@ -123,6 +128,129 @@ class TestMakeQuadruple:
     def test_rejects_cubic_skip_vertex(self):
         with pytest.raises(CubicError, match=r"\(f\)"):
             make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 1, (3,))
+
+
+# -- reference: condition (e) by Tarjan per vertex and a component search ------------
+
+
+def reference_separation_pairs(g):
+    """Every pair {a, b} such that b is an articulation point of G - a."""
+    return sorted({edge_key(a, b) for a in g.vertices
+                   for b in _articulation_points({v: [w for w in nbrs if w != a]
+                                                  for v, nbrs in g.rot.items()
+                                                  if v != a})})
+
+
+def reference_make_quadruple(g, u, v, x_seq):
+    """``make_quadruple`` with condition (e) checked the O(n*m) way: one
+    Tarjan pass of G - a for every vertex a, then a component search of
+    G - {a, b} for every separation pair."""
+    if any(g.degree(w) > 3 for w in g.vertices):
+        raise CubicError("(a) graph is not subcubic")
+    if not g.is_biconnected():
+        raise CubicError("(a) graph is not biconnected")
+    outer = g.outer_walk()
+    outer_set = set(outer)
+    if u == v or u not in outer_set or v not in outer_set:
+        raise CubicError("(b) u and v must be distinct external vertices")
+    if g.degree(u) != 2 or g.degree(v) != 2:
+        raise CubicError("(c) u and v must have degree 2")
+    if g.has_edge(u, v):
+        tau = g.boundary_path(u, v, clockwise=True)
+        if len(tau) != 2:
+            raise CubicError("(d) edge (u,v) exists but is not the clockwise "
+                             "boundary path from u to v")
+    beta = g.boundary_path(u, v, clockwise=False)
+    beta_pos = {w: i for i, w in enumerate(beta)}
+    for (a, b) in reference_separation_pairs(g):
+        if a not in outer_set or b not in outer_set:
+            raise CubicError(f"(e) separation pair ({a},{b}) has an internal vertex")
+        internal = [w for w in (a, b)
+                    if w in beta_pos and 0 < beta_pos[w] < len(beta) - 1]
+        if not internal:
+            raise CubicError(f"(e) separation pair ({a},{b}) has no vertex "
+                             "internal to the counter-clockwise boundary path")
+        for comp in g.components_without([a, b]):
+            if not (comp & outer_set):
+                raise CubicError(f"(e) a nontrivial ({a},{b})-component has no "
+                                 "external vertex besides the pair")
+    seen_x = set()
+    last = 0
+    for x in x_seq:
+        if x in seen_x:
+            raise CubicError(f"(f) duplicate vertex {x} in X")
+        seen_x.add(x)
+        if g.degree(x) != 2:
+            raise CubicError(f"(f) X vertex {x} does not have degree 2")
+        pos = beta_pos.get(x)
+        if pos is None or pos == 0 or pos == len(beta) - 1:
+            raise CubicError(f"(f) X vertex {x} is not internal to the "
+                             "counter-clockwise boundary path")
+        if pos <= last:
+            raise CubicError(f"(f) X vertex {x} out of boundary order")
+        last = pos
+    return Quadruple(g, u, v, tuple(x_seq))
+
+
+def _verdict(build, g, u, v, x_seq):
+    try:
+        q = build(g, u, v, x_seq)
+    except CubicError as e:
+        return str(e)
+    assert q.g is g
+    return (q.u, q.v, q.x_seq)
+
+
+def _theorem4_quadruples(monkeypatch, g):
+    """Every quadruple ``theorem4(g)`` validates, as (g, u, v, x_seq)."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return make_quadruple(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "make_quadruple", record)
+        theorem4(g)
+    return seen
+
+
+def _mutations(rng, g, u, v, x_seq):
+    """The quadruple itself, then twice each: the same graph with another
+    outer face, with other poles on the outer walk, with one edge dropped."""
+    yield g, u, v, x_seq
+    others = [f for f in range(len(g.faces)) if f != g.outer]
+    walk = g.outer_walk()
+    poles = [w for w in walk if g.degree(w) == 2]
+    for _ in range(2):
+        if others:
+            yield g.with_outer(rng.choice(others)), u, v, x_seq
+        a, b = rng.sample(poles if len(poles) >= 2 else walk, 2)
+        yield g, a, b, ()
+        try:
+            yield g.subgraph(drop_edges=[rng.choice(sorted(g.edges))]), u, v, x_seq
+        except PlaneGraphError:     # the graph fell apart or lost its outer face
+            pass
+
+
+def test_condition_e_matches_reference(monkeypatch):
+    # every quadruple theorem4 builds on seeds 0-11, and mutations of each,
+    # get the verdict and the message of the O(n*m) reference
+    rng = random.Random(2024)
+    reached = {"internal vertex": 0, "no vertex internal": 0, "nontrivial": 0}
+    verdicts = 0
+    for seed in range(12):
+        g = generate_triconnected_cubic(seed, 10 + 4 * seed)
+        for args in _theorem4_quadruples(monkeypatch, g):
+            for mutant in _mutations(rng, *args):
+                want = _verdict(reference_make_quadruple, *mutant)
+                assert _verdict(make_quadruple, *mutant) == want, mutant[1:]
+                verdicts += 1
+                for key in reached:
+                    if isinstance(want, str) and want.startswith("(e)") and key in want:
+                        reached[key] += 1
+    assert verdicts > 1000
+    assert all(reached.values()), reached
 
 
 # -- chain decomposition -----------------------------------------------------------
@@ -250,6 +378,21 @@ class TestTheorem4:
             g = generate_triconnected_cubic(seed, n)
             cc = theorem4(g)
             assert cc.curve.vertex_count >= -(-len(list(g.vertices)) // 4)
+
+
+    @pytest.mark.parametrize("seed,n,digest", [
+        (1, 30, "5bae16ec90ac7336ed83ca6b5b8aad2f8eafe8fbbee26c6a7af8c33cea3fa0a9"),
+        (7, 100, "6cd9bbe7bfad2d0d2bb601f6370019483989dde3b42631885a34d8f59f38e308"),
+        (3, 200, "e58c34680dc4988ee8c76e94d675716f8252be2ae9ff60f51e530b6d2122079b"),
+        (1, 400, "e1987ea57a85f27576dada7fe2ee7bc68d1cd077a0759cdc9e7980decc3de09c"),
+    ])
+    def test_output_pinned(self, seed, n, digest):
+        # digests of the curves and charges computed while condition (e)
+        # ran one Tarjan pass per vertex and a component search per pair
+        g = generate_triconnected_cubic(seed, n)
+        cc = theorem4(g)
+        text = serialize_curve(g, cc.curve) + charge_lines(cc)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- generator ---------------------------------------------------------------------
