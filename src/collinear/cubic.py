@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
                      _augment, check_well_formed, edge_tallies)
-from .plane_graph import PlaneGraph, _blocks, edge_key
+from .plane_graph import PlaneGraph, PlaneGraphError, _blocks, edge_key
 
 __all__ = [
     "CubicError", "Quadruple", "ChainDecomposition", "ChargedCurve",
@@ -88,11 +88,30 @@ class ChargedCurve:
 
 def make_quadruple(g: PlaneGraph, u: int, v: int,
                    x_seq: Sequence[int]) -> Quadruple:
-    """Validate properties (a)-(f) and return the quadruple, else raise."""
+    """Validate properties (a)-(f) and return the quadruple, else raise.
+
+    Condition (e) goes through the separation pairs in sorted order and
+    checks (e1) both vertices external, (e2) one of them internal to the
+    counter-clockwise boundary path, (e3) every nontrivial {a,b}-component
+    has an external vertex other than a and b.  (e3) needs no component
+    search.  The faces a and b share, in their order around a, cut the
+    edges at a into sectors, and each sector that holds more than the edge
+    ab holds exactly one component of G - {a,b}: two components in one
+    sector would leave a face between them that passes b, a shared face
+    inside the sector.  Once a and b are external, the outer face is one of
+    the shared faces.  The outer boundary runs from a into both sectors
+    beside it, so their components have external vertices; a sector between
+    two internal faces is sealed off from the outer face.  So (e3) fails
+    exactly when two consecutive shared faces are internal and are not the
+    two faces of an edge ab.  On a subcubic graph with P separation pairs
+    the whole check costs O(n + P), with one Tarjan pass for (a).
+    """
     if any(g.degree(w) > 3 for w in g.vertices):
         raise CubicError("(a) graph is not subcubic")
-    if not g.is_biconnected():
-        raise CubicError("(a) graph is not biconnected")
+    try:
+        pairs = g.separation_pairs()
+    except PlaneGraphError:
+        raise CubicError("(a) graph is not biconnected") from None
     outer = g.outer_walk()
     outer_set = set(outer)
     if u == v or u not in outer_set or v not in outer_set:
@@ -106,7 +125,7 @@ def make_quadruple(g: PlaneGraph, u: int, v: int,
                              "boundary path from u to v")
     beta = g.boundary_path(u, v, clockwise=False)
     beta_pos = {w: i for i, w in enumerate(beta)}
-    for (a, b) in g.separation_pairs():
+    for (a, b) in pairs:
         if a not in outer_set or b not in outer_set:
             raise CubicError(f"(e) separation pair ({a},{b}) has an internal vertex")
         internal = [w for w in (a, b)
@@ -114,8 +133,10 @@ def make_quadruple(g: PlaneGraph, u: int, v: int,
         if not internal:
             raise CubicError(f"(e) separation pair ({a},{b}) has no vertex "
                              "internal to the counter-clockwise boundary path")
-        for comp in g.components_without([a, b]):
-            if not (comp & outer_set):
+        shared = g.shared_faces(a, b)
+        ab_faces = set(g.faces_of_edge(a, b)) if g.has_edge(a, b) else set()
+        for f, f2 in zip(shared, shared[1:] + shared[:1]):
+            if g.outer not in (f, f2) and {f, f2} != ab_faces:
                 raise CubicError(f"(e) a nontrivial ({a},{b})-component has no "
                                  "external vertex besides the pair")
     seen_x = set()
@@ -433,7 +454,8 @@ def _lemma5(q: Quadruple) -> _Partial:
         b2_verts = set(comp) | {y_2, v}
     h = g.subgraph(h_verts)
     beta_h = h.boundary_path(u, y_1, clockwise=False)
-    xp = tuple(sorted((set(X) & set(h_verts)) | {y_2}, key=beta_h.index))
+    at_h = {w: i for i, w in enumerate(beta_h)}
+    xp = tuple(sorted((set(X) & set(h_verts)) | {y_2}, key=at_h.__getitem__))
     xpset = set(xp)
     vp = beta[-2]  # boundary neighbour of v
 
@@ -488,14 +510,14 @@ def _lemma5(q: Quadruple) -> _Partial:
         w_2 = att.pop()
         d2_verts = set(comp) | {w_2, y_1}
     k = g.subgraph(k_verts)
-    beta_k = k.boundary_path(u, w_1, clockwise=False)
+    at_k = {w: i for i, w in enumerate(k.boundary_path(u, w_1, clockwise=False))}
 
     if y_2 in k_verts:
         # Case 4
         if len(d2_verts) != 2:
             raise CubicError("inner bridge should be a single edge here")
         xpp = tuple(sorted((set(X) & set(k_verts)) | {y_2, w_2},
-                           key=beta_k.index))
+                           key=at_k.__getitem__))
         part = _lemma5(make_quadruple(k, u, w_1, xpp))
         part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
                               ('hop', (v, y_1)), ('x', edge_key(vp, v))])
@@ -503,7 +525,7 @@ def _lemma5(q: Quadruple) -> _Partial:
         return _Partial(part.stations, part.charges, ('x', edge_key(vp, v)))
 
     # Case 5
-    xpp = tuple(sorted((set(X) & set(k_verts)) | {w_2}, key=beta_k.index))
+    xpp = tuple(sorted((set(X) & set(k_verts)) | {w_2}, key=at_k.__getitem__))
     part = _lemma5(make_quadruple(k, u, w_1, xpp))
     if d2_verts - {w_2, y_1} <= xpset:
         part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
@@ -543,18 +565,24 @@ def _resolve(g: PlaneGraph, stations: Sequence[_AStation]) -> GoodCurve:
     return GoodCurve(tuple(out), closed=False)
 
 
+def _charged_curve(q: Quadruple, g: PlaneGraph) -> ChargedCurve:
+    """Run Lemma 5 on ``q`` and resolve its dart-tagged hops to faces of
+    ``g``; the recursion limit is raised for this run only."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 40 * g.n + 1000))
+    try:
+        part = _lemma5(q)
+    finally:
+        sys.setrecursionlimit(old)
+    return ChargedCurve(_resolve(g, part.stations), dict(part.charges))
+
+
 # -- public construction + verification ------------------------------------------------
 
 
 def build_cubic_curve(q: Quadruple) -> ChargedCurve:
     """Proper good curve for a well-formed quadruple, with its charge map."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 40 * q.g.n + 1000))
-    try:
-        part = _lemma5(q)
-    finally:
-        sys.setrecursionlimit(old)
-    cc = ChargedCurve(_resolve(q.g, part.stations), dict(part.charges))
+    cc = _charged_curve(q, q.g)
     verify_charged_curve(q, cc)
     return cc
 
@@ -627,14 +655,7 @@ def theorem4(g: PlaneGraph) -> ChargedCurve:
     walk = g.outer_walk()
     u, v = walk[0], walk[1]
     gp = g.subgraph(drop_edges=[(u, v)])
-    q = make_quadruple(gp, u, v, ())
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 40 * g.n + 1000))
-    try:
-        part = _lemma5(q)
-    finally:
-        sys.setrecursionlimit(old)
-    cc = ChargedCurve(_resolve(g, part.stations), dict(part.charges))
+    cc = _charged_curve(make_quadruple(gp, u, v, ()), g)
     verify_charged_curve(Quadruple(g, u, v, ()), cc)
     need = -(-g.n // 4)
     if cc.curve.vertex_count < need:

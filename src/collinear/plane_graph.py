@@ -257,36 +257,80 @@ class PlaneGraph:
         raise PlaneGraphError(f"no outer walk from {u} to {v}")
 
     # -- connectivity ----------------------------------------------------------
+    #
+    # Separation pairs are read off the faces.  In a biconnected plane graph
+    # every face is bounded by a simple cycle, so a face meets a vertex in at
+    # most one angle.  If a and b share two faces f and f', a closed curve
+    # a - f - b - f' - a meets the graph in a and b only and splits the edges
+    # at a into the two sectors between f and f'.  A sector that holds more
+    # than the edge ab holds a vertex inside the curve, so {a, b} separates
+    # unless one sector is the edge ab alone: f and f' are the two faces of
+    # ab.  Conversely, if G - {a, b} falls apart, each part has an edge at a;
+    # the face at an angle of a between two parts (or a part and the edge
+    # ab) must pass b to close its cycle, and there are at least two such
+    # angles, not both beside ab.  Hence {a, b} separates iff a and b share
+    # two faces that are not the two faces of an edge ab.
 
     def is_biconnected(self) -> bool:
         return self.n >= 3 and not _articulation_points(self.rot)
 
     def is_triconnected(self) -> bool:
-        return (self.n >= 4 and self.is_biconnected()
-                and not any(self._cut_vertices_without(a) for a in self._vertex_list))
+        """n >= 4, biconnected and without a separation pair; O(Σ deg² + P)
+        as in ``separation_pairs``, after the O(n + m) biconnectivity check."""
+        return self.n >= 4 and self.is_biconnected() and not self._face_pairs()
 
     def separation_pairs(self) -> List[Tuple[int, int]]:
         """All pairs {a,b} whose removal disconnects the graph, sorted.
 
-        The graph must be biconnected; then {a,b} separates iff b is an
-        articulation point of G - a, so the cost is O(n*m).
+        The graph must be biconnected; then {a,b} separates iff a and b lie
+        together on two faces other than the two faces of an edge ab.  Every
+        vertex goes into one bucket per pair of its faces and each bucket
+        emits its vertex pairs, which costs O(Σ deg² + P) for P pairs emitted
+        (a pair that shares k faces is emitted k(k-1)/2 times; linear on
+        subcubic graphs), after the O(n + m) biconnectivity check.
         """
         self._require_biconnected()
-        return sorted({edge_key(a, b) for a in self._vertex_list
-                       for b in self._cut_vertices_without(a)})
+        return self._face_pairs()
 
     def is_separation_pair(self, a: int, b: int) -> bool:
-        """Whether removing a and b disconnects the (biconnected) graph; O(m)."""
+        """Whether removing a and b disconnects the (biconnected) graph: a and
+        b share two faces other than the two faces of an edge ab.  The faces
+        are intersected through the dart map in O(deg a + deg b), after the
+        O(n + m) biconnectivity check."""
         self._require_biconnected()
-        return a != b and b in self._cut_vertices_without(a)
+        return a != b and self._separates(a, b, set(self.shared_faces(a, b)))
+
+    def shared_faces(self, a: int, b: int) -> Tuple[int, ...]:
+        """The faces incident to both a and b, in clockwise order of their
+        angles at a; O(deg a + deg b).  The face of dart (a, w) holds the
+        angle at a just before w."""
+        fod = self._face_of_dart
+        at_b = {fod[(b, w)] for w in self.rot[b]}
+        return tuple(f for f in (fod[(a, w)] for w in self.rot[a]) if f in at_b)
+
+    def _separates(self, a: int, b: int, shared: Set[int]) -> bool:
+        fod = self._face_of_dart
+        return len(shared) >= 2 and shared != {fod.get((a, b)), fod.get((b, a))}
+
+    def _face_pairs(self) -> List[Tuple[int, int]]:
+        fod = self._face_of_dart
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for v, nbrs in self.rot.items():
+            fs = sorted(fod[(v, w)] for w in nbrs)
+            for i, f in enumerate(fs):
+                for f2 in fs[i + 1:]:
+                    buckets.setdefault((f, f2), []).append(v)
+        pairs = set()
+        for (f, f2), verts in buckets.items():
+            for i, a in enumerate(verts):
+                for b in verts[i + 1:]:
+                    if self._separates(a, b, {f, f2}):
+                        pairs.add(edge_key(a, b))
+        return sorted(pairs)
 
     def _require_biconnected(self) -> None:
         if not self.is_biconnected():
             raise PlaneGraphError("separation pairs need a biconnected graph")
-
-    def _cut_vertices_without(self, a: int) -> Set[int]:
-        return _articulation_points({v: [w for w in nbrs if w != a]
-                                     for v, nbrs in self.rot.items() if v != a})
 
     def components_without(self, removed: Iterable[int]) -> List[FrozenSet[int]]:
         removed = set(removed)

@@ -1,8 +1,12 @@
-"""Tarjan connectivity in ``PlaneGraph`` against a brute-force reference.
+"""Connectivity in ``PlaneGraph`` against a brute-force reference.
 
-The reference removes every vertex pair and tests what is left for
-connectivity with a plain set-based search, so it shares no code with the
-library.  It also audits every intermediate graph of the cubic generator,
+The library tests biconnectivity with one Tarjan pass and reads separation
+pairs off the faces: two vertices that share two faces, other than the two
+faces of an edge between them.  The reference removes every vertex pair and
+tests what is left for connectivity with a plain set-based search, so it
+shares no code with the library.  Wheels put many faces at one vertex;
+cycles with one chord have pairs on an edge that do and do not separate.
+The reference also audits every intermediate graph of the cubic generator,
 which itself checks triconnectivity only on the graph it returns.
 """
 
@@ -67,6 +71,22 @@ def k4():
                       outer_walk=(0, 1, 2))
 
 
+def wheel(k):
+    """Hub 0 joined to every vertex of the rim cycle 1..k."""
+    rot = {0: tuple(range(1, k + 1))}
+    for i in range(1, k + 1):
+        rot[i] = (i % k + 1, 0, (i - 2) % k + 1)
+    return PlaneGraph(rot, outer_face=0)
+
+
+def chorded_cycle(n, j):
+    """The cycle 0..n-1 with the chord (0, j)."""
+    rot = {v: ((v + 1) % n, (v - 1) % n) for v in range(n)}
+    rot[0] = (1, j, n - 1)
+    rot[j] = (j + 1, 0, j - 1)
+    return PlaneGraph(rot, outer_face=0)
+
+
 def path(n):
     return PlaneGraph({v: tuple(w for w in (v - 1, v + 1) if 0 <= w < n)
                        for v in range(n)}, outer_face=0)
@@ -74,11 +94,17 @@ def path(n):
 
 @st.composite
 def plane_graphs(draw):
-    kind = draw(st.sampled_from(["cycle", "square", "cubic", "3tree"]))
+    kind = draw(st.sampled_from(["cycle", "square", "cubic", "3tree",
+                                 "wheel", "chord"]))
     if kind == "cycle":
         return cycle(draw(st.integers(3, 12)))
     if kind == "square":
         return square()
+    if kind == "wheel":
+        return wheel(draw(st.integers(3, 12)))
+    if kind == "chord":
+        n = draw(st.integers(4, 14))
+        return chorded_cycle(n, draw(st.integers(2, n - 2)))
     if kind == "cubic":
         return generate_triconnected_cubic(draw(st.integers(0, 50)),
                                            2 * draw(st.integers(2, 10)))

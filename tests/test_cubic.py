@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from collinear import cubic
+from collinear import cubic, plane_graph
 from collinear.cubic import (
     ChainDecomposition,
     CubicError,
@@ -251,6 +251,29 @@ def test_condition_e_matches_reference(monkeypatch):
                         reached[key] += 1
     assert verdicts > 1000
     assert all(reached.values()), reached
+
+
+def test_make_quadruple_runs_tarjan_once(monkeypatch):
+    # condition (e) reads the separation pairs off the faces, so the only
+    # Tarjan pass left per quadruple is the biconnectivity check of (a);
+    # one Tarjan pass per vertex would make Theorem 4 quadratic
+    g = generate_triconnected_cubic(1, 200)
+    calls = {"tarjan": 0, "quadruples": 0}
+    tarjan = plane_graph._articulation_points
+
+    def count_tarjan(adj):
+        calls["tarjan"] += 1
+        return tarjan(adj)
+
+    def count_quadruple(*args):
+        calls["quadruples"] += 1
+        return make_quadruple(*args)
+
+    monkeypatch.setattr(plane_graph, "_articulation_points", count_tarjan)
+    monkeypatch.setattr(cubic, "make_quadruple", count_quadruple)
+    theorem4(g)
+    assert calls["quadruples"] > 10
+    assert calls["tarjan"] <= calls["quadruples"] + 2, calls
 
 
 # -- chain decomposition -----------------------------------------------------------
