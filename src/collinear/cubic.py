@@ -19,7 +19,6 @@ matter how deep the recursion that emitted them.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -325,8 +324,8 @@ class _PathWalker:
         self.stations.append(('v', s))
         self.at_vertex = True
 
-    def block(self, quad: Quadruple) -> Tuple:
-        part = _lemma5(quad)
+    def block(self, quad: Quadruple):
+        part = yield quad
         self.stations.extend(part.stations[1:])
         _merge_charges(self.charges, part.charges)
         self.at_vertex = part.z[0] == 'v'
@@ -347,8 +346,9 @@ class _PathWalker:
 
 
 def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
-                inner: Tuple[int, int], start: int, b: int) -> _Partial:
-    """Curve along a chain from ``start`` to just before ``b`` (Case-1 style)."""
+                inner: Tuple[int, int], start: int, b: int):
+    """Curve along a chain from ``start`` to just before ``b`` (Case-1 style),
+    yielding each block's quadruple to ``_lemma5``."""
     w = _PathWalker(avoid, inner)
     if cd.is_path:
         seq = cd.path
@@ -376,7 +376,7 @@ def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
     for i, quad in enumerate(cd.blocks):
         if w.stations[-1] != ('v', quad.u):
             raise CubicError("chain walk lost its footing at a block entry")
-        z = w.block(quad)
+        z = yield from w.block(quad)
         tail = cd.links[i] if i < len(cd.blocks) - 1 else cd.pk
         if i < len(cd.blocks) - 1:
             w.rejoin(tail)
@@ -403,7 +403,26 @@ def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
 
 
 def _lemma5(q: Quadruple) -> _Partial:
-    """The recursive construction; dispatches base case then Cases 1-5."""
+    """The Lemma 5 construction as a loop over a stack of pending tails: each
+    suspended ``_lemma5_steps`` generator waits for the result of the
+    quadruple it yielded, then only appends stations and merges charges.
+    The interpreter stack stays flat however deep the induction goes."""
+    stack, part = [_lemma5_steps(q)], None
+    while stack:
+        try:
+            sub = stack[-1].send(part)
+        except StopIteration as done:
+            stack.pop()
+            part = done.value
+        else:
+            stack.append(_lemma5_steps(sub))
+            part = None
+    return part
+
+
+def _lemma5_steps(q: Quadruple):
+    """The construction for one quadruple; dispatches base case then Cases
+    1-5, yielding each quadruple it recurses on and receiving its result."""
     g, u, v, X = q.g, q.u, q.v, q.x_seq
     xset = set(X)
     beta = q.beta
@@ -430,7 +449,7 @@ def _lemma5(q: Quadruple) -> _Partial:
         cd = _chain_structure(gp, u, v, X)
         if cd.is_path:
             raise CubicError("cycle escaped the base case")
-        part = _walk_chain(cd, xset, (v, u), u, v)
+        part = yield from _walk_chain(cd, xset, (v, u), u, v)
         _merge_charges(part.charges, {v: u})
         return part
 
@@ -462,13 +481,13 @@ def _lemma5(q: Quadruple) -> _Partial:
     # Case 2: the component hanging off y_2 has substance of its own
     if any(w not in xset | {v, y_2} for w in b2_verts - {v, y_2}):
         hq = make_quadruple(h, u, y_1, xp)
-        part = _lemma5(hq)
+        part = yield hq
         u2 = next(w for w in beta[beta.index(y_2) + 1:] if w not in xset)
         part.stations.append(('hop', (v, y_1)))
         part.stations.append(('v', u2))
         b2 = g.subgraph(b2_verts)
         cd = _chain_structure(b2, y_2, v, X)
-        tail = _walk_chain(cd, xset, (v, y_1), u2, v)
+        tail = yield from _walk_chain(cd, xset, (v, y_1), u2, v)
         part.stations.extend(tail.stations[1:])
         _merge_charges(part.charges, tail.charges)
         _merge_charges(part.charges, {y_2: u2, v: u2})
@@ -483,7 +502,7 @@ def _lemma5(q: Quadruple) -> _Partial:
             return _Partial(stations, {y_2: y_1, v: y_1}, ('x', edge_key(vp, v)))
         hp = h.subgraph(drop_edges=[(u, y_1)])
         cd = _chain_structure(hp, u, y_1, xp)
-        part = _walk_chain(cd, xpset, (y_1, u), u, y_1)
+        part = yield from _walk_chain(cd, xpset, (y_1, u), u, y_1)
         part.stations.append(('hop', (v, y_1)))
         part.stations.append(('x', edge_key(vp, v)))
         u3 = next(w for w in beta_h[1:] if w not in xpset)
@@ -518,7 +537,7 @@ def _lemma5(q: Quadruple) -> _Partial:
             raise CubicError("inner bridge should be a single edge here")
         xpp = tuple(sorted((set(X) & set(k_verts)) | {y_2, w_2},
                            key=at_k.__getitem__))
-        part = _lemma5(make_quadruple(k, u, w_1, xpp))
+        part = yield make_quadruple(k, u, w_1, xpp)
         part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
                               ('hop', (v, y_1)), ('x', edge_key(vp, v))])
         _merge_charges(part.charges, {v: y_1, y_2: y_1, w_2: y_1})
@@ -526,7 +545,7 @@ def _lemma5(q: Quadruple) -> _Partial:
 
     # Case 5
     xpp = tuple(sorted((set(X) & set(k_verts)) | {w_2}, key=at_k.__getitem__))
-    part = _lemma5(make_quadruple(k, u, w_1, xpp))
+    part = yield make_quadruple(k, u, w_1, xpp)
     if d2_verts - {w_2, y_1} <= xpset:
         part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
                               ('hop', (v, y_1)), ('x', edge_key(vp, v))])
@@ -538,11 +557,13 @@ def _lemma5(q: Quadruple) -> _Partial:
     part.stations.append(('v', u5))
     d2 = h.subgraph(d2_verts)
     cd = _chain_structure(d2, w_2, y_1, xp)
-    tail = _walk_chain(cd, xpset, (y_1, w_1), u5, y_1)
+    tail = yield from _walk_chain(cd, xpset, (y_1, w_1), u5, y_1)
     yprime = beta_w2y1[-2]
     if tail.z == ('x', edge_key(yprime, y_1)):
         # reroute the final approach to terminate at y_1 itself
-        assert tail.stations[-1] == ('x', edge_key(yprime, y_1))
+        if tail.stations[-1] != tail.z:
+            raise CubicError("Case 5 tail does not end by crossing edge "
+                             f"{edge_key(yprime, y_1)}")
         tail.stations[-1] = ('v', y_1)
     else:
         tail.stations.extend([('hop', (v, y_1)), ('v', y_1)])
@@ -567,13 +588,8 @@ def _resolve(g: PlaneGraph, stations: Sequence[_AStation]) -> GoodCurve:
 
 def _charged_curve(q: Quadruple, g: PlaneGraph) -> ChargedCurve:
     """Run Lemma 5 on ``q`` and resolve its dart-tagged hops to faces of
-    ``g``; the recursion limit is raised for this run only."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 40 * g.n + 1000))
-    try:
-        part = _lemma5(q)
-    finally:
-        sys.setrecursionlimit(old)
+    ``g``."""
+    part = _lemma5(q)
     return ChargedCurve(_resolve(g, part.stations), dict(part.charges))
 
 

@@ -1,11 +1,10 @@
 """Exact rational plane geometry: predicates and intersections.
 
 All coordinates are ``fractions.Fraction``.  Every predicate is exact.  Where
-one point meets many predicates (the sweep in drawing verification, angular
-sorts), points are first converted to integer homogeneous coordinates
-(``homogeneous``) and handled by ``direction_h``, ``line_h``, ``side_h`` and
-``crosses_h``, which use integer products only: no float and no gcd per
-predicate.
+one point meets many predicates (the verifier's sweep, angular sorts, free
+placement), points are first converted to integer homogeneous coordinates
+(``homogeneous``) and handled by the ``*_h`` functions, which use integer
+products only: no float and no gcd per predicate.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ def direction_h(p: HPoint, q: HPoint) -> Tuple[int, int]:
 
 def line_h(p: HPoint, q: HPoint) -> HPoint:
     """The line through p and q as the cross product p x q: its dot product
-    with r is the 3x3 determinant of the rows p, q, r."""
+    with r is the 3x3 determinant of the rows p, q, r.  The same cross
+    product of two lines is the point where they meet, with weight 0 when
+    they are parallel (or equal)."""
     (x1, y1, w1), (x2, y2, w2) = p, q
     return (y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2)
 
@@ -73,21 +74,20 @@ def crosses_h(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> bool:
     return side_h(ab, c) * side_h(ab, d) < 0 and side_h(cd, a) * side_h(cd, b) < 0
 
 
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True iff p lies on the closed segment [a, b] (assumes collinear not required)."""
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+def inside_h(p: HPoint, a: HPoint, b: HPoint, c: HPoint) -> bool:
+    """p strictly inside triangle (a, b, c), either orientation; none if collinear."""
+    ab = line_h(a, b)
+    s = side_h(ab, c)
+    return (s != 0 and side_h(ab, p) == s and side_h(line_h(b, c), p) == s
+            and side_h(line_h(c, a), p) == s)
 
 
-def seg_line_y0_crossing(a: Point, b: Point) -> Point | None:
-    """Intersection of segment (a,b) with the x-axis when a, b are strictly on
-    opposite sides; None otherwise."""
-    if a[1] == 0 or b[1] == 0 or (a[1] > 0) == (b[1] > 0):
-        return None
-    t = a[1] / (a[1] - b[1])
-    return (a[0] + t * (b[0] - a[0]), Fraction(0))
+def on_segment_h(p: HPoint, a: HPoint, b: HPoint) -> bool:
+    """True iff p lies on the closed segment [a, b]: on its line and in its
+    bounding box, where each coordinate's differences to a and b do not
+    share a sign.  p's weight may be negative; it enters squared."""
+    (ax, ay), (bx, by) = direction_h(p, a), direction_h(p, b)
+    return side_h(line_h(a, b), p) == 0 and ax * bx <= 0 and ay * by <= 0
 
 
 def line_through(p: Point, q: Point) -> Tuple[Fraction, Fraction, Fraction]:
@@ -96,23 +96,3 @@ def line_through(p: Point, q: Point) -> Tuple[Fraction, Fraction, Fraction]:
     B = p[0] - q[0]
     C = A * p[0] + B * p[1]
     return A, B, C
-
-
-def line_intersection(l1, l2) -> Point | None:
-    A1, B1, C1 = l1
-    A2, B2, C2 = l2
-    det = A1 * B2 - A2 * B1
-    if det == 0:
-        return None
-    return ((C1 * B2 - C2 * B1) / det, (A1 * C2 - A2 * C1) / det)
-
-
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point, strict: bool = True) -> bool:
-    """Membership of p in triangle (a,b,c); strict means interior only."""
-    s = orient(a, b, c)
-    if s == 0:
-        return False
-    os_ = (orient(a, b, p) * s, orient(b, c, p) * s, orient(c, a, p) * s)
-    if strict:
-        return all(o > 0 for o in os_)
-    return all(o >= 0 for o in os_)

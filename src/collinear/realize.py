@@ -13,8 +13,9 @@ provides:
 * ``LabelingOrder`` / ``labeling_from_curve`` -- the side labels (above /
   below / on the line), the crossing order, and the target positions that
   a proper good curve induces;
-* ``place_free`` -- recursive placement of a plane 3-tree that puts every
-  on-line vertex and every crossing edge exactly at its target;
+* ``place_free`` -- placement of a plane 3-tree, parent triangle before
+  child, that puts every on-line vertex and every crossing edge exactly at
+  its target, checked on integer homogeneous coordinates;
 * ``straighten_preserving_y`` -- replace y-monotone polyline edges by
   straight segments keeping every y-coordinate: one bottom-to-top level
   sweep over the active edges gives the left-to-right order at every
@@ -37,9 +38,8 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, line_h,
-                   line_intersection, line_through, on_segment, orient,
-                   point_in_triangle, seg_line_y0_crossing, side_h)
+from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
+                   line_h, on_segment_h, orient, side_h)
 from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                           graph_from_positions, read_numbers, _cyclic_eq)
 from .curves import GoodCurve, AugmentedCurve, augment_with_curve
@@ -539,18 +539,19 @@ def labeling_from_curve(g: PlaneGraph, c: GoodCurve) -> LabelingOrder:
 
 # -- free placement of plane 3-trees ----------------------------------------------
 
-def _centroid(a: Point, b: Point, c: Point) -> Point:
-    return ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
-
-
-def _midpoint(a: Point, b: Point) -> Point:
-    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+def _affine(p: HPoint) -> Point:
+    return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
 
 
 class _Placer:
     def __init__(self, lab: LabelingOrder):
         self.lab = lab
         self.pts: Dict[int, Point] = {}
+        self.hpts: Dict[int, HPoint] = {}
+
+    def put(self, v: int, p: Point) -> None:
+        self.pts[v] = p
+        self.hpts[v] = homogeneous(p)
 
     def fail(self, tri: Tuple[int, int, int], msg: str) -> None:
         raise RealizeError(f"inconsistent labeling at triangle {tri}: {msg}")
@@ -567,26 +568,25 @@ class _Placer:
             self.fail(tri, f"crossing edge {edge_key(a, b)} has no target")
         return q
 
-    def beyond(self, tri, pa: Point, qx: Fraction) -> Point:
-        """Midpoint between (qx, 0) and the exit of the ray from pa through it."""
-        q = _pt(qx, 0)
-        pu, pv, pz = (self.pts[c] for c in tri)
-        if not point_in_triangle(q, pu, pv, pz, strict=True):
+    def beyond(self, tri, a: int, qx: Fraction) -> Point:
+        """Midpoint of (qx, 0) and the exit of the ray from corner a through it."""
+        q = homogeneous((qx, 0))
+        if not inside_h(q, *(self.hpts[c] for c in tri)):
             self.fail(tri, f"target x = {qx} is not interior to the triangle")
-        others = [self.pts[c] for c in tri if self.pts[c] != pa]
-        exit_pt = line_intersection(line_through(pa, q), line_through(*others))
-        if exit_pt is None or not on_segment(exit_pt, *others):
+        b, c = (self.hpts[x] for x in tri if x != a)
+        ex, ey, ew = line_h(line_h(self.hpts[a], q), line_h(b, c))
+        if ew == 0 or not on_segment_h((ex, ey, ew), b, c):
             self.fail(tri, f"ray through x = {qx} does not exit the opposite side")
-        return _midpoint(q, exit_pt)
+        return _affine((q[0] * ew + ex * q[2], ey * q[2], 2 * q[2] * ew))
 
-    def cross2(self, tri, pa: Point, qa: Fraction, pb: Point, qb: Fraction) -> Point:
-        p = line_intersection(line_through(pa, _pt(qa, 0)),
-                              line_through(pb, _pt(qb, 0)))
-        if p is None:
+    def cross2(self, tri, a: int, qa: Fraction, b: int, qb: Fraction) -> Point:
+        p = line_h(line_h(self.hpts[a], homogeneous((qa, 0))),
+                   line_h(self.hpts[b], homogeneous((qb, 0))))
+        if p[2] == 0:
             self.fail(tri, f"crossing rays through x = {qa} and x = {qb} are parallel")
-        return p
+        return _affine(p)
 
-    def place(self, tri: Tuple[int, int, int], w: int) -> Point:
+    def place(self, tri: Tuple[int, int, int], w: int) -> None:
         u, v, z = tri
         L = self.lab.labels
         lw = L[w]
@@ -596,7 +596,8 @@ class _Placer:
             side = UP if all(l in (UP, ON) for l in labs) else DOWN
             if lw != side:
                 self.fail(tri, f"vertex {w} labeled {lw} inside a one-sided triangle")
-            p = _centroid(*(self.pts[c] for c in tri))
+            a, b, c = (self.pts[x] for x in tri)
+            p = ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
         else:
             rots = [(u, v, z), (v, z, u), (z, u, v)]
             frame = next(((a, b, c) for (a, b, c) in rots
@@ -607,19 +608,19 @@ class _Placer:
                 if lw == ON:
                     p = _pt(self.target_v(tri, w), 0)
                 elif lz == ON:
-                    p = (self.beyond(tri, self.pts[rv], self.target_e(tri, rv, w))
+                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w))
                          if lw == UP else
-                         self.beyond(tri, self.pts[ru], self.target_e(tri, ru, w)))
+                         self.beyond(tri, ru, self.target_e(tri, ru, w)))
                 elif lz == UP:
-                    p = (self.beyond(tri, self.pts[rv], self.target_e(tri, rv, w))
+                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w))
                          if lw == UP else
-                         self.cross2(tri, self.pts[ru], self.target_e(tri, ru, w),
-                                     self.pts[rz], self.target_e(tri, rz, w)))
+                         self.cross2(tri, ru, self.target_e(tri, ru, w),
+                                     rz, self.target_e(tri, rz, w)))
                 else:  # lz == DOWN; mirror of the previous case across the line
-                    p = (self.beyond(tri, self.pts[ru], self.target_e(tri, ru, w))
+                    p = (self.beyond(tri, ru, self.target_e(tri, ru, w))
                          if lw == DOWN else
-                         self.cross2(tri, self.pts[rv], self.target_e(tri, rv, w),
-                                     self.pts[rz], self.target_e(tri, rz, w)))
+                         self.cross2(tri, rv, self.target_e(tri, rv, w),
+                                     rz, self.target_e(tri, rz, w)))
             else:
                 # cyclic pattern (up, on, down): left-right mirror of the
                 # (up, down, on) case
@@ -631,17 +632,16 @@ class _Placer:
                 if lw == ON:
                     p = _pt(self.target_v(tri, w), 0)
                 elif lw == UP:
-                    p = self.beyond(tri, self.pts[r2], self.target_e(tri, r2, w))
+                    p = self.beyond(tri, r2, self.target_e(tri, r2, w))
                 else:
-                    p = self.beyond(tri, self.pts[r0], self.target_e(tri, r0, w))
+                    p = self.beyond(tri, r0, self.target_e(tri, r0, w))
 
-        pu, pv, pz = (self.pts[c] for c in tri)
-        if not point_in_triangle(p, pu, pv, pz, strict=True):
+        self.put(w, p)
+        if not inside_h(self.hpts[w], *(self.hpts[c] for c in tri)):
             self.fail(tri, f"vertex {w} falls outside its triangle")
         want = {UP: 1, DOWN: -1, ON: 0}[lw]
         if (p[1] > 0) - (p[1] < 0) != want:
             self.fail(tri, f"vertex {w} labeled {lw} lands at y = {p[1]}")
-        return p
 
 
 def _root_triangle(corners: Tuple[int, int, int], lab: LabelingOrder) -> Dict[int, Point]:
@@ -724,7 +724,8 @@ def _root_triangle(corners: Tuple[int, int, int], lab: LabelingOrder) -> Dict[in
 def place_free(g: PlaneGraph, lab: LabelingOrder) -> Drawing:
     """Straight-line drawing of a plane 3-tree in which every on-line vertex
     sits exactly at its target and every crossing edge meets y = 0 exactly at
-    its target."""
+    its target.  Its exact tests cost one gcd per placed vertex, for the
+    integer homogeneous coordinates (``geom.homogeneous``) they run on."""
     lab.validate(g)
     return _place(decompose(g), lab)
 
@@ -732,28 +733,30 @@ def place_free(g: PlaneGraph, lab: LabelingOrder) -> Drawing:
 def _place(decomp: ThreeTreeDecomp, lab: LabelingOrder) -> Drawing:
     """``place_free`` given the graph's decomposition and a validated ``lab``."""
     placer = _Placer(lab)
-    placer.pts.update(_root_triangle(decomp.root.corners, lab))
+    for v, p in _root_triangle(decomp.root.corners, lab).items():
+        placer.put(v, p)
     stack = [decomp.root]
     while stack:
         node = stack.pop()
         if node.kind == 'empty':
             continue
-        placer.pts[node.w] = placer.place(node.corners, node.w)
+        placer.place(node.corners, node.w)
         stack.extend(node.children)
 
-    coords = dict(placer.pts)
     for elem in lab.order:
+        q = lab.targets[elem]
         if elem[0] == 'v':
-            q = lab.targets[elem]
-            assert coords[elem[1]] == (q, 0)
-        else:
-            a, b = elem[1]
-            hit = seg_line_y0_crossing(coords[a], coords[b])
-            if hit is None or hit[0] != lab.targets[elem]:
-                raise RealizeError(
-                    f"edge {elem[1]} does not cross the line at its target")
+            if placer.pts[elem[1]] != (q, 0):
+                raise RealizeError(f"on-line vertex {elem[1]} is not at its target")
+            continue
+        # edge ab must cross y = 0 strictly, at the meet of line ab with the
+        # x-axis (0, 1, 0): the point (ya*xb - xa*yb, 0, ya*wb - wa*yb)
+        (xa, ya, wa), (xb, yb, wb) = (placer.hpts[v] for v in elem[1])
+        num, den = q.as_integer_ratio()
+        if ya * yb >= 0 or (ya * xb - xa * yb) * den != num * (ya * wb - wa * yb):
+            raise RealizeError(f"edge {elem[1]} does not cross the line at its target")
     designated = tuple(e[1] for e in lab.order if e[0] == 'v')
-    return Drawing(coords, designated)
+    return Drawing(dict(placer.pts), designated)
 
 
 def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) -> Drawing:
@@ -762,7 +765,8 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
     The designated vertices of ``d`` must lie on y = 0 with distinct x's.
     Every vertex (x, y) is re-placed at (x, M*y + h(x)) where h is the
     piecewise-linear interpolant of the prescribed heights and M doubles
-    until the drawing verifies.
+    until the drawing verifies.  h(x) does not depend on M: it is evaluated
+    once per vertex, by bisection over the knots, before the first try.
     """
     des = sorted(d.designated, key=lambda v: d.coords[v][0])
     if not des:
@@ -772,21 +776,19 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
             raise RealizeError(f"designated vertex {v} is not on the line")
         if v not in heights:
             raise RealizeError(f"no height prescribed for designated vertex {v}")
-    knots = [(d.coords[v][0], F(heights[v])) for v in des]
+    xs = [d.coords[v][0] for v in des]
+    ys = [F(heights[v]) for v in des]
 
     def h(x: Fraction) -> Fraction:
-        if x <= knots[0][0]:
-            return knots[0][1]
-        if x >= knots[-1][0]:
-            return knots[-1][1]
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError
+        i = bisect_left(xs, x)          # xs[i - 1] < x <= xs[i]
+        if 0 < i < len(xs):
+            return ys[i - 1] + (ys[i] - ys[i - 1]) * (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[min(i, len(xs) - 1)]
 
+    base = [(v, x, y, h(x)) for v, (x, y) in d.coords.items()]
     M = Fraction(1)
     for _ in range(70):
-        coords = {v: (x, M * y + h(x)) for v, (x, y) in d.coords.items()}
+        coords = {v: (x, M * y + hx) for v, x, y, hx in base}
         lifted = Drawing(coords, d.designated)
         rep = verify_drawing(g, lifted)
         if rep.planar and rep.embedding_ok and rep.outer_ok:

@@ -1,7 +1,12 @@
 """Tests for collinear sets in triconnected cubic plane graphs."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +279,41 @@ def test_make_quadruple_runs_tarjan_once(monkeypatch):
     theorem4(g)
     assert calls["quadruples"] > 10
     assert calls["tarjan"] <= calls["quadruples"] + 2, calls
+
+
+
+def test_lemma5_runs_without_recursion():
+    # the Lemma 5 induction on the prism C_k x K2 is k - 1 quadruples deep;
+    # at k = 150 it must finish under a recursion limit of 200 without
+    # touching the limit
+    code = textwrap.dedent("""
+        import sys
+        from collinear.cubic import theorem4
+        from collinear.plane_graph import PlaneGraph
+
+        k = 150
+        rot = {}
+        for i in range(k):
+            rot[i] = (k + i, (i + 1) % k, (i - 1) % k)
+            rot[k + i] = (k + (i + 1) % k, i, k + (i - 1) % k)
+        g = PlaneGraph(rot, outer_walk=tuple(range(k - 1, -1, -1)))
+        sys.setrecursionlimit(200)
+
+        def forbidden(limit):
+            raise RuntimeError(f"setrecursionlimit({limit}) called")
+
+        sys.setrecursionlimit = forbidden
+        cc = theorem4(g)
+        print(g.n, sum(s[0] == 'v' for s in cc.curve.stations))
+    """)
+    src = Path(cubic.__file__).resolve().parent.parent
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    n, on_curve = map(int, out.stdout.split())
+    assert n == 300 and on_curve >= n // 4
 
 
 # -- chain decomposition -----------------------------------------------------------

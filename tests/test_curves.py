@@ -16,7 +16,7 @@ from collinear.curves import (
     cut_closed_curve, curve_from_drawing, edge_tallies, is_proper, parse_curve,
     serialize_curve, validate_curve,
 )
-from collinear.geom import F, line_through, on_segment
+from collinear.geom import F, line_through, orient
 from collinear.plane_graph import PlaneGraph, PlaneGraphError, edge_key
 from collinear.realize import (LabelingOrder, curve_to_drawing,
                                labeling_from_curve, place_free, verify_drawing)
@@ -402,6 +402,12 @@ def reference_curve_from_drawing(g, pos, line):
     cont_used = {edge_key(s1[1], s2[1]) for s1, s2 in zip(stations, stations[1:])
                  if s1[0] == 'v' and s2[0] == 'v'}
     return GoodCurve(tuple(stations), closed=False, contained=frozenset(cont_used))
+
+
+def on_segment(p, a, b):
+    """p on the closed segment [a, b], in Fractions."""
+    return (orient(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def reference_face_containing(g, pos, p):

@@ -54,6 +54,20 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
 
 
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips assert statements, so a runtime check must raise
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert as a check on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_recursion_limit_untouched(path):
+    # no module changes interpreter-wide state such as the recursion limit
+    assert "setrecursionlimit" not in path.read_text(encoding="utf-8")
+
 def test_import_loads_no_numpy_or_scipy():
     # numpy and scipy are imported only when a drawing is straightened, so
     # every command starts without paying for them

@@ -16,13 +16,12 @@ from collinear.oracle import enumerate_curves
 from collinear.treewidth import identity_grid_model, theorem5_curve
 from collinear.three_tree import (random_plane_3tree, decompose, build_curve_bundle,
                                   dp_optimal_collinear)
-from collinear.geom import seg_line_y0_crossing
 from collinear.realize import (
     Drawing, PolylineDrawing, LabelingOrder, RealizeError,
     parse_drawing, serialize_drawing, drawing_to_svg,
     verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
     lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
-    _regular_convex_drawing, curve_sides, _arc_cw, _outer_corner,
+    _regular_convex_drawing, curve_sides, _arc_cw, _outer_corner, _place,
 )
 
 
@@ -401,6 +400,15 @@ def test_labeling_validation_catches_gaps():
 # -- free placement ------------------------------------------------------------------
 
 
+def seg_line_y0_crossing(a, b):
+    """Reference in Fractions: where segment (a, b) crosses y = 0, when its
+    ends lie strictly on opposite sides; None otherwise."""
+    if a[1] == 0 or b[1] == 0 or (a[1] > 0) == (b[1] > 0):
+        return None
+    t = a[1] / (a[1] - b[1])
+    return (a[0] + t * (b[0] - a[0]), Fr(0))
+
+
 def test_place_free_k4_hub_on_line():
     lab = LabelingOrder(
         {0: 'up', 1: 'down', 2: 'up', 3: 'on'},
@@ -430,6 +438,77 @@ def test_place_free_one_sided():
     assert d.coords[0] == (Fr(7), Fr(0))
     assert all(d.coords[v][1] > 0 for v in (1, 2, 3))
     assert verify_drawing(K4, d).ok
+
+
+def _e(a, b):
+    return ('e', (a, b))
+
+
+def _v(v):
+    return ('v', v)
+
+
+U, D, O = 'up', 'down', 'on'
+_AT = "inconsistent labeling at triangle "
+
+# Corrupted labelings, each with the exact message free placement gave for
+# it before its tests ran on integer homogeneous coordinates.  A graph is K4
+# or random_plane_3tree(n, seed); targets are 1, 2, ... in order unless
+# given.  Two more messages are unreachable: a mixed triangle always has an
+# up corner followed by a down corner or the cyclic (up, on, down) pattern,
+# so "unplaceable corner labels" cannot occur, and the ray from a corner
+# through a point strictly inside the triangle always leaves through the
+# opposite side, so "does not exit the opposite side" cannot either.
+PLACEMENT_FAILURES = [
+    ("K4", (U, U, D, D), [_e(0, 2), _e(1, 3), _e(0, 3), _e(1, 2)], {},
+     _AT + "(2, 1, 0): vertex 3 labeled down lands at y = 1/7"),
+    ("K4", (U, D, D, U), [_e(0, 2), _e(1, 3), _e(2, 3), _e(0, 1)], {},
+     _AT + "(2, 1, 0): vertex 3 labeled up lands at y = -1/7"),
+    ((5, 1), (U, D, U, U, U), [_e(1, 2), _e(1, 4), _e(1, 3), _e(0, 1)], {},
+     _AT + "(1, 0, 3): target x = 2 is not interior to the triangle"),
+    ((5, 1), (U, U, D, D, O), [_e(0, 2), _e(0, 3), _e(1, 3), _v(4), _e(1, 2)], {},
+     _AT + "(1, 0, 3): vertex 4 falls outside its triangle"),
+    ((5, 1), (U, U, D, U, D),
+     [_e(0, 2), _e(0, 4), _e(3, 4), _e(2, 3), _e(1, 4), _e(1, 2)], {},
+     _AT + "(1, 0, 3): vertex 4 labeled down inside a one-sided triangle"),
+    # the two rays that should meet at vertex 5 are parallel
+    ((9, 5), (D, U, U, O, D, U, O, O, O),
+     [_e(0, 1), _e(0, 5), _v(7), _v(6), _e(1, 4), _e(4, 5), _v(3), _v(8), _e(0, 2)],
+     {_v(7): 4, _v(6): 5, _e(1, 4): 6, _e(4, 5): Fr(69, 11), _v(3): 7, _v(8): 8,
+      _e(0, 2): 9},
+     _AT + "(1, 0, 4): crossing rays through x = 2 and x = 69/11 are parallel"),
+    # the two rays meet exactly at corner 0 of the triangle: on its
+    # boundary, not inside
+    ((8, 3), (U, D, O, U, D, O, O, O),
+     [_v(2), _v(6), _e(0, 4), _e(1, 3), _v(5), _v(7), _e(3, 4), _e(0, 1)],
+     {_e(0, 4): Fr(23, 11), _e(1, 3): 3, _v(5): 4, _v(7): 5, _e(3, 4): 6, _e(0, 1): 8},
+     _AT + "(1, 0, 3): vertex 4 falls outside its triangle"),
+]
+
+
+@pytest.mark.parametrize("graph,labels,order,targets,message", PLACEMENT_FAILURES)
+def test_place_free_failure_messages(graph, labels, order, targets, message):
+    g = K4 if graph == "K4" else random_plane_3tree(*graph)
+    ts = {e: Fr(i + 1) for i, e in enumerate(order)}
+    ts.update(targets)
+    lab = LabelingOrder(dict(enumerate(labels)), tuple(order), ts)
+    with pytest.raises(RealizeError) as err:
+        place_free(g, lab)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("labels,message", [
+    ((U, D, U, O), _AT + "(2, 1, 0): on-line vertex 3 has no target"),
+    ((U, D, U, U), _AT + "(2, 1, 0): crossing edge (1, 3) has no target"),
+])
+def test_place_reports_a_missing_target(labels, message):
+    # place_free validates its labeling first, so only _place, which takes
+    # an already validated one, can meet an element without a target
+    order = (_e(1, 2), _e(0, 1))
+    lab = LabelingOrder(dict(enumerate(labels)), order, {order[0]: Fr(1), order[1]: Fr(2)})
+    with pytest.raises(RealizeError) as err:
+        _place(decompose(K4), lab)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n,seed", [(50, 4), (120, 9)])
