@@ -15,7 +15,8 @@ provides:
   a proper good curve induces;
 * ``place_free`` -- placement of a plane 3-tree, parent triangle before
   child, that puts every on-line vertex and every crossing edge exactly at
-  its target, checked on integer homogeneous coordinates;
+  its target, stepping along each crossing edge's ray from its corner and
+  checked on integer homogeneous coordinates;
 * ``straighten_preserving_y`` -- replace y-monotone polyline edges by
   straight segments keeping every y-coordinate: one bottom-to-top level
   sweep over the active edges gives the left-to-right order at every
@@ -26,7 +27,8 @@ provides:
   not 3-trees: both sides drawn barycentrically, then straightened on the
   ranked vertex levels);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
-  prescribed heights while keeping the drawing planar.
+  prescribed heights while keeping the drawing planar, at a magnification
+  read off the faces' orientations (one verifier call on a triangulation).
 """
 
 from __future__ import annotations
@@ -419,6 +421,9 @@ class LabelingOrder:
             raise RealizeError(
                 f"ordering covers {sorted(have - want)} unexpectedly and misses "
                 f"{sorted(want - have)}")
+        missing = next((e for e in self.order if e not in self.targets), None)
+        if missing is not None:
+            raise RealizeError(f"ordering element {missing} has no target")
         xs = [self.targets[e] for e in self.order]
         for a, b in zip(xs, xs[1:]):
             if not a < b:
@@ -569,15 +574,32 @@ class _Placer:
         return q
 
     def beyond(self, tri, a: int, qx: Fraction) -> Point:
-        """Midpoint of (qx, 0) and the exit of the ray from corner a through it."""
+        """A point p on the ray from corner a through q = (qx, 0), strictly
+        between q and the ray's exit e through the opposite side.
+
+        With a = (x_a, y_a, w_a) (``geom.homogeneous``, y_a != 0 since a
+        is off the line), p = q + mu*w_a*(q - a) = (qx + mu*(qx*w_a - x_a),
+        -mu*y_a) for mu = 2^-k, so p carries about a's bits plus k, never
+        the bits of e, which mix all three corners.  Along the ray
+        y = -t*y_a, so e sits at t_e = -e_y / (e_w*y_a) > 0.  With
+        N = |e_y| and D = |e_w*y_a|, D/N < 2^(len(D) - len(N) + 1) for bit
+        lengths len, so k = len(D) - len(N) + 2 gives mu < t_e / 2 (k may
+        be negative: mu is then an integer).  Since q is strictly inside
+        the triangle and e on its boundary, p is strictly inside too; p is
+        on line a-q and on the other side of y = 0 from a, so the edge from
+        a to p meets y = 0 exactly at q.
+        """
         q = homogeneous((qx, 0))
         if not inside_h(q, *(self.hpts[c] for c in tri)):
             self.fail(tri, f"target x = {qx} is not interior to the triangle")
+        xa, ya, wa = self.hpts[a]
         b, c = (self.hpts[x] for x in tri if x != a)
         ex, ey, ew = line_h(line_h(self.hpts[a], q), line_h(b, c))
         if ew == 0 or not on_segment_h((ex, ey, ew), b, c):
             self.fail(tri, f"ray through x = {qx} does not exit the opposite side")
-        return _affine((q[0] * ew + ex * q[2], ey * q[2], 2 * q[2] * ew))
+        k = abs(ew * ya).bit_length() - abs(ey).bit_length() + 2
+        mu = Fraction(1, 2) ** k
+        return _pt(qx + mu * (qx * wa - xa), -mu * ya)
 
     def cross2(self, tri, a: int, qa: Fraction, b: int, qb: Fraction) -> Point:
         p = line_h(line_h(self.hpts[a], homogeneous((qa, 0))),
@@ -759,14 +781,63 @@ def _place(decomp: ThreeTreeDecomp, lab: LabelingOrder) -> Drawing:
     return Drawing(dict(placer.pts), designated)
 
 
+def _det(p: HPoint, q: HPoint, r: HPoint) -> int:
+    """The 3x3 determinant of the rows p, q, r: the signed area of the
+    triangle (p, q, r) doubled and times the product of the three weights."""
+    line = line_h(p, q)
+    return line[0] * r[0] + line[1] * r[1] + line[2] * r[2]
+
+
+def _first_magnification(g: PlaneGraph, flat: Mapping[int, HPoint],
+                         bent: Mapping[int, HPoint]) -> int:
+    """The least j >= 0 such that at M = 2^j every triangular face whose
+    flat orientation has its required sign keeps that sign in the lift.
+
+    ``flat`` holds the points (x, y) and ``bent`` the points (x, h(x)).
+    With x fixed and y' = M*y + h(x), a face's lifted orientation is
+    M*A + B: A from ``flat`` and B from ``bent`` (the determinant is linear
+    in the y column).  Internal walks are counter-clockwise, the outer walk
+    clockwise (``plane_graph``), so the face needs s*(M*A + B) > 0 with
+    s = +1, or -1 for the outer face.  When s*A > 0 that is
+    M > q = -s*B / |A|, and for integer M it is M > floor(q).  A face with
+    s*A <= 0, that is not a triangle or that has an unplaced vertex gives
+    no bound.
+    """
+    j = 0
+    for i, walk in enumerate(g.faces):
+        if len(walk) != 3 or any(v not in flat for v, _ in walk):
+            continue
+        (a, _), (b, _), (c, _) = walk
+        s = -1 if i == g.outer else 1
+        A = s * _det(flat[a], flat[b], flat[c])
+        if A > 0:
+            # A and B carry the weight products of their own points
+            wa, wb, wc = flat[a][2], flat[b][2], flat[c][2]
+            va, vb, vc = bent[a][2], bent[b][2], bent[c][2]
+            B = s * _det(bent[a], bent[b], bent[c])
+            j = max(j, max(0, -B * wa * wb * wc // (A * va * vb * vc)).bit_length())
+    return j
+
+
 def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) -> Drawing:
     """Move the designated (on-line) vertices to prescribed heights.
 
     The designated vertices of ``d`` must lie on y = 0 with distinct x's.
     Every vertex (x, y) is re-placed at (x, M*y + h(x)) where h is the
-    piecewise-linear interpolant of the prescribed heights and M doubles
-    until the drawing verifies.  h(x) does not depend on M: it is evaluated
-    once per vertex, by bisection over the knots, before the first try.
+    piecewise-linear interpolant of the prescribed heights, evaluated once
+    per vertex by bisection over the knots, and M is the first power of two
+    2^j, j < 70, at which the drawing verifies.
+
+    The powers below ``_first_magnification`` are skipped: each leaves some
+    triangular face oriented against its walk (or flat), and a drawing that
+    verifies draws every face of ``g`` as a face with ``g``'s walk, internal
+    ones counter-clockwise and the outer one clockwise, so none of them can
+    verify and the result is the one of trying every power from 1 up.  When
+    ``d`` is a verified drawing of a triangulation every face has a bound,
+    so at the first power tried every face is oriented as its walk; a
+    triangulation drawn so is planar with its own rotation system and outer
+    face (a locally injective simplicial map of a disk that is injective on
+    its boundary is injective), and the lift makes one verifier call.
     """
     des = sorted(d.designated, key=lambda v: d.coords[v][0])
     if not des:
@@ -786,14 +857,14 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
         return ys[min(i, len(xs) - 1)]
 
     base = [(v, x, y, h(x)) for v, (x, y) in d.coords.items()]
-    M = Fraction(1)
-    for _ in range(70):
-        coords = {v: (x, M * y + hx) for v, x, y, hx in base}
+    j0 = _first_magnification(g, {v: homogeneous(p) for v, p in d.coords.items()},
+                              {v: homogeneous((x, hx)) for v, x, _, hx in base})
+    for j in range(j0, 70):
+        coords = {v: (x, (1 << j) * y + hx) for v, x, y, hx in base}
         lifted = Drawing(coords, d.designated)
         rep = verify_drawing(g, lifted)
         if rep.planar and rep.embedding_ok and rep.outer_ok:
             return lifted
-        M *= 2
     raise RealizeError("lift failed to verify at any tested magnification")
 
 

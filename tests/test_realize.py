@@ -2,12 +2,14 @@
 
 import hashlib
 import re
+from bisect import bisect_left
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from collinear import realize
 from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
 from collinear.curves import (GoodCurve, Vst, Xst, Fst, augment_with_curve,
                               validate_curve, curve_from_drawing)
@@ -23,6 +25,7 @@ from collinear.realize import (
     lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
     _regular_convex_drawing, curve_sides, _arc_cw, _outer_corner, _place,
 )
+from test_three_tree import deep_stacking
 
 
 K4 = PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
@@ -451,8 +454,9 @@ def _v(v):
 U, D, O = 'up', 'down', 'on'
 _AT = "inconsistent labeling at triangle "
 
-# Corrupted labelings, each with the exact message free placement gave for
-# it before its tests ran on integer homogeneous coordinates.  A graph is K4
+# Corrupted labelings, each with the exact message free placement gives for
+# it (all but the parallel-rays case unchanged since before its tests ran
+# on integer homogeneous coordinates).  A graph is K4
 # or random_plane_3tree(n, seed); targets are 1, 2, ... in order unless
 # given.  Two more messages are unreachable: a mixed triangle always has an
 # up corner followed by a down corner or the cyclic (up, on, down) pattern,
@@ -471,12 +475,11 @@ PLACEMENT_FAILURES = [
     ((5, 1), (U, U, D, U, D),
      [_e(0, 2), _e(0, 4), _e(3, 4), _e(2, 3), _e(1, 4), _e(1, 2)], {},
      _AT + "(1, 0, 3): vertex 4 labeled down inside a one-sided triangle"),
-    # the two rays that should meet at vertex 5 are parallel
-    ((9, 5), (D, U, U, O, D, U, O, O, O),
-     [_e(0, 1), _e(0, 5), _v(7), _v(6), _e(1, 4), _e(4, 5), _v(3), _v(8), _e(0, 2)],
-     {_v(7): 4, _v(6): 5, _e(1, 4): 6, _e(4, 5): Fr(69, 11), _v(3): 7, _v(8): 8,
-      _e(0, 2): 9},
-     _AT + "(1, 0, 4): crossing rays through x = 2 and x = 69/11 are parallel"),
+    # the two rays that should meet at vertex 4 are parallel (found by a
+    # seeded search over random labels and orders once vertices stepped
+    # along their rays from the corner)
+    ((5, 17), (U, D, U, U, D), [_e(1, 2), _e(1, 3), _e(3, 4), _e(2, 4), _e(0, 1)], {},
+     _AT + "(2, 1, 3): crossing rays through x = 4 and x = 3 are parallel"),
     # the two rays meet exactly at corner 0 of the triangle: on its
     # boundary, not inside
     ((8, 3), (U, D, O, U, D, O, O, O),
@@ -527,6 +530,52 @@ def test_place_free_hits_every_target_exactly(n, seed):
     assert verify_drawing(g, d).ok
 
 
+def test_place_free_names_an_element_without_target():
+    lab = LabelingOrder(
+        {0: 'up', 1: 'down', 2: 'up', 3: 'on'},
+        (('e', (1, 2)), ('v', 3), ('e', (0, 1))),
+        {('e', (1, 2)): Fr(1), ('e', (0, 1)): Fr(3)})
+    with pytest.raises(RealizeError, match=re.escape("ordering element ('v', 3) has no target")):
+        place_free(K4, lab)
+
+
+def _bundle_labeling(g):
+    return labeling_from_curve(g, build_curve_bundle(decompose(g)).best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_plane_3tree, deep_stacking]), st.integers(4, 60),
+       st.integers(0, 50), st.data())
+def test_place_free_hits_random_increasing_targets(make, n, seed, data):
+    # acceptance criterion 5 for any strictly increasing targets, not only
+    # the curve's 1, 2, ...: the ray steps from a corner keep every crossing
+    # edge on its own target
+    g = make(n, seed)
+    lab = _bundle_labeling(g)
+    x = data.draw(st.fractions(-1000, 1000, max_denominator=100))
+    targets = {}
+    for elem in lab.order:
+        targets[elem] = x
+        x += data.draw(st.fractions(Fr(1, 1000), 1000, max_denominator=1000))
+    d = place_free(g, LabelingOrder(lab.labels, lab.order, targets))
+    for elem, q in targets.items():
+        if elem[0] == 'v':
+            assert d.coords[elem[1]] == (q, Fr(0))
+        else:
+            assert seg_line_y0_crossing(*(d.coords[v] for v in elem[1])) == (q, Fr(0))
+    assert verify_drawing(g, d).ok
+
+
+def test_place_free_deep_stacking_coordinates_stay_small():
+    # the midpoint of a target and its ray's exit grew about 8 bits per
+    # stacking level (14,373 bits at this size); a step from the corner
+    # keeps about the corner's bits
+    g = deep_stacking(1000, 1)
+    d = place_free(g, _bundle_labeling(g))
+    assert max(x.numerator.bit_length() + x.denominator.bit_length()
+               for p in d.coords.values() for x in p) <= 3000
+
+
 def test_lift_off_line_arbitrary_heights():
     g = random_plane_3tree(50, seed=4)
     c = build_curve_bundle(decompose(g)).best
@@ -538,6 +587,97 @@ def test_lift_off_line_arbitrary_heights():
         assert lifted.coords[v][1] == heights[v]
     rep = verify_drawing(g, lifted)
     assert rep.planar and rep.embedding_ok and rep.outer_ok
+
+
+def reference_lift_off_line(g, d, heights):
+    """The lift before its first magnification was read off the faces: M
+    doubles from 1 until the drawing verifies, at most 70 times."""
+    des = sorted(d.designated, key=lambda v: d.coords[v][0])
+    if not des:
+        raise RealizeError("drawing has no designated vertices to lift")
+    for v in des:
+        if d.coords[v][1] != 0:
+            raise RealizeError(f"designated vertex {v} is not on the line")
+        if v not in heights:
+            raise RealizeError(f"no height prescribed for designated vertex {v}")
+    xs = [d.coords[v][0] for v in des]
+    ys = [Fr(heights[v]) for v in des]
+
+    def h(x):
+        i = bisect_left(xs, x)
+        if 0 < i < len(xs):
+            return ys[i - 1] + (ys[i] - ys[i - 1]) * (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[min(i, len(xs) - 1)]
+
+    M = Fr(1)
+    for _ in range(70):
+        lifted = Drawing({v: (x, M * y + h(x)) for v, (x, y) in d.coords.items()},
+                         d.designated)
+        rep = realize.verify_drawing(g, lifted)
+        if rep.planar and rep.embedding_ok and rep.outer_ok:
+            return lifted
+        M *= 2
+    raise RealizeError("lift failed to verify at any tested magnification")
+
+
+def _outcome(lift, g, d, heights):
+    try:
+        return serialize_drawing(lift(g, d, heights))
+    except RealizeError as exc:
+        return f"error: {exc}"
+
+
+heights_st = st.one_of(st.fractions(-100, 100, max_denominator=20),
+                       st.integers(-2 ** 90, 2 ** 90).map(Fr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_plane_3tree, deep_stacking]), st.integers(4, 40),
+       st.integers(0, 50), st.data())
+def test_lift_matches_the_doubling_loop(make, n, seed, data):
+    # the same drawing, bit for bit, or the same error; heights near 2^90
+    # leave no tried magnification that verifies
+    g = make(n, seed)
+    d = place_free(g, _bundle_labeling(g))
+    heights = {v: data.draw(heights_st) for v in d.designated}
+    assert _outcome(lift_off_line, g, d, heights) == _outcome(reference_lift_off_line,
+                                                               g, d, heights)
+
+
+def test_lift_of_a_partial_drawing_fails_as_the_doubling_loop():
+    g = random_plane_3tree(20, 1)
+    d = place_free(g, _bundle_labeling(g))
+    coords = dict(d.coords)
+    del coords[next(v for v in g.vertices if v not in d.designated)]
+    partial = Drawing(coords, d.designated)
+    heights = {v: Fr(1) for v in d.designated}
+    assert (_outcome(lift_off_line, g, partial, heights)
+            == _outcome(reference_lift_off_line, g, partial, heights)
+            == "error: lift failed to verify at any tested magnification")
+
+
+def test_lift_verifies_once_per_lift_on_a_3tree(monkeypatch):
+    calls = []
+
+    def counting(g, d):
+        calls.append(d)
+        return verify_drawing(g, d)
+    monkeypatch.setattr(realize, "verify_drawing", counting)
+    # (deep stackings much larger than these need more than 2^69)
+    cases = [(random_plane_3tree, 60, 3), (random_plane_3tree, 200, 7),
+             (deep_stacking, 40, 4), (deep_stacking, 60, 4)]
+    skipped = 0
+    for make, n, seed in cases:
+        g = make(n, seed)
+        d = place_free(g, _bundle_labeling(g))
+        heights = {v: Fr((-1) ** i * (7 * i % 11), 3) for i, v in enumerate(d.designated)}
+        calls.clear()
+        lifted = lift_off_line(g, d, heights)
+        assert len(calls) == 1 and calls[0] is lifted
+        calls.clear()
+        assert reference_lift_off_line(g, d, heights) == lifted
+        skipped += len(calls) - 1
+    assert skipped > 0          # the doubling loop verified rejected drawings
 
 
 # -- straightening -------------------------------------------------------------------

@@ -530,14 +530,14 @@ def test_outputs_pinned():
 
 
 def test_free_placements_pinned():
-    # sha256 of place_free on the DP curve's labeling, computed before
-    # curve_sides read the sides off the rotation system: a mirrored
+    # sha256 of place_free on the DP curve's labeling, re-pinned when ray
+    # steps were anchored at the corner (both drawings verify): a mirrored
     # labeling or a changed placement order would change the coordinates
     cases = [
         (random_plane_3tree(400, 2),
-         "2e0ef0e57896e83c8c25936514a082db1baf83a91e21ebe86c167e3a1e41c12d"),
+         "7a692255f843e32e5916fab082dbe89921d82ccc69302ac1b35224d567414d20"),
         (deep_stacking(400, 3),
-         "4ea5e3cf8043afac27e70980dc1d188e66096d72ade1afc2e0d42a5acf1df596"),
+         "dbc41d6e896168ff91e3de02bd85a051e51faf84c391575eaeb2980b16eded3c"),
     ]
     for g, digest in cases:
         lab = labeling_from_curve(g, dp_optimal_collinear(decompose(g))[1])
