@@ -59,7 +59,7 @@ class PlaneGraph:
                     raise PlaneGraphError(f"rotation not symmetric at edge ({v},{w})")
         if self.n == 0:
             raise PlaneGraphError("empty graph")
-        if not self._connected():
+        if len(self.components_without(())) != 1:
             raise PlaneGraphError("graph is not connected")
         self._set_faces(self._trace_faces())
         if (outer_walk is None) == (outer_face is None):
@@ -123,17 +123,6 @@ class PlaneGraph:
             raise PlaneGraphError(
                 "rotation system is not planar (Euler check failed: "
                 f"V-E+F = {self.n}-{self.m}+{len(faces)} != 2)")
-
-    def _connected(self) -> bool:
-        seen = {self._vertex_list[0]}
-        stack = [self._vertex_list[0]]
-        while stack:
-            v = stack.pop()
-            for w in self.rot[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
     def _trace_faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         nxt_idx = {v: {w: i for i, w in enumerate(nbrs)}
@@ -207,11 +196,14 @@ class PlaneGraph:
         return _min_rotation(self.face_vertices(i))
 
     def face_by_key(self, key: Sequence[int]) -> int:
-        want = _min_rotation(tuple(key))
-        for i in range(len(self.faces)):
-            if self.face_key(i) == want:
-                return i
-        raise PlaneGraphError(f"no face with walk {list(key)}")
+        """The face whose vertex walk is a rotation of ``key``.  Its first
+        two vertices are a dart of that face, so the face of that dart is
+        the only candidate: one ``face_key``, not one per face."""
+        key = tuple(key)
+        i = self._face_of_dart.get(key[:2])
+        if i is None or self.face_key(i) != _min_rotation(key):
+            raise PlaneGraphError(f"no face with walk {list(key)}")
+        return i
 
     def internal_faces(self) -> Tuple[int, ...]:
         return tuple(i for i in range(len(self.faces)) if i != self.outer)
@@ -444,44 +436,13 @@ def _min_rotation(seq: Tuple) -> Tuple:
 # -- connectivity (iterative Tarjan) -------------------------------------------
 
 def _articulation_points(adj: Mapping[int, Sequence[int]]) -> Set[int]:
-    """Articulation vertices of an undirected graph, iterative Tarjan."""
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
+    """Articulation vertices of an undirected graph: those in two or more
+    blocks."""
+    seen: Set[int] = set()
     out: Set[int] = set()
-    timer = 0
-    for root in adj:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p == root:
-                    root_children += 1
-                elif low[v] >= disc[p]:
-                    out.add(p)
-        if root_children > 1:
-            out.add(root)
+    for block in _blocks(adj):
+        out |= seen & block
+        seen |= block
     return out
 
 

@@ -9,7 +9,8 @@ provides:
   determinant signs), embedding fidelity (rotation system and outer face),
   and collinearity of the designated vertices;
 * ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
-  solved exactly over the rationals;
+  solved exactly over the rationals by the one barycentric solver that
+  also draws the two sides of a curve;
 * ``LabelingOrder`` / ``labeling_from_curve`` -- the side labels (above /
   below / on the line), the crossing order, and the target positions that
   a proper good curve induces;
@@ -24,8 +25,8 @@ provides:
   x-coordinates, re-checked exactly in integers;
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
   drawing with all its vertex stations on the x-axis (for graphs that are
-  not 3-trees: both sides drawn barycentrically, then straightened on the
-  ranked vertex levels);
+  not 3-trees: both sides drawn by one barycentric system against the path
+  on the axis, then straightened on the ranked vertex levels);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
   read off the faces' orientations (one verifier call on a triangulation).
@@ -292,7 +293,7 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 # -- barycentric (Tutte) embedding ------------------------------------------------
 
 def _solve_barycentric(rows: Dict[int, Dict[int, Fraction]],
-                       rhs: Dict[int, List[Fraction]]) -> Dict[int, List[Fraction]]:
+                       rhs: Dict[int, List[Fraction]]) -> Dict[int, Point]:
     """Exact sparse Gaussian elimination with min-degree pivoting.
 
     ``rows[v]`` maps unknowns to coefficients; ``rhs[v]`` is a pair of right
@@ -332,7 +333,7 @@ def _solve_barycentric(rows: Dict[int, Dict[int, Fraction]],
             rhs[r][0] -= factor * prhs[0]
             rhs[r][1] -= factor * prhs[1]
         occurs[p] = set()
-    sol: Dict[int, List[Fraction]] = {}
+    sol: Dict[int, Point] = {}
     for p, prow, prhs in reversed(order):
         acc = [prhs[0], prhs[1]]
         for v, c in prow.items():
@@ -341,15 +342,37 @@ def _solve_barycentric(rows: Dict[int, Dict[int, Fraction]],
             acc[0] -= c * sol[v][0]
             acc[1] -= c * sol[v][1]
         piv = prow[p]
-        sol[p] = [acc[0] / piv, acc[1] / piv]
+        sol[p] = (acc[0] / piv, acc[1] / piv)
     return sol
+
+
+def _barycentric(nbrs: Mapping[int, Sequence[int]],
+                 fixed: Mapping[int, Point]) -> Dict[int, Point]:
+    """Every vertex of ``nbrs`` that ``fixed`` does not place, exactly at the
+    average of its neighbours ``nbrs[v]``; returns the fixed positions and
+    the solved ones."""
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    rhs: Dict[int, List[Fraction]] = {}
+    for v, ws in nbrs.items():
+        if v in fixed:
+            continue
+        row: Dict[int, Fraction] = {v: Fraction(len(ws))}
+        b = [Fraction(0), Fraction(0)]
+        for u in ws:
+            if u in fixed:
+                b[0] += fixed[u][0]
+                b[1] += fixed[u][1]
+            else:
+                row[u] = Fraction(-1)
+        rows[v] = row
+        rhs[v] = b
+    return {**fixed, **_solve_barycentric(rows, rhs)}
 
 
 def tutte_convex(g: PlaneGraph, polygon: Mapping[int, Point]) -> Drawing:
     """Barycentric drawing: the outer walk fixed at the given convex positions,
     every interior vertex exactly at the average of its neighbors."""
     walk = g.outer_walk()
-    boundary = set(walk)
     for v in walk:
         if v not in polygon:
             raise RealizeError(f"no polygon position for outer vertex {v}")
@@ -359,33 +382,14 @@ def tutte_convex(g: PlaneGraph, polygon: Mapping[int, Point]) -> Drawing:
         raise RealizeError("outer walk is not a cycle")
     if len(set(walk)) != k:
         raise RealizeError("outer walk repeats a vertex; boundary is not a simple cycle")
-    signs = set()
-    for i in range(k):
-        signs.add(orient(pos[walk[i]], pos[walk[(i + 1) % k]], pos[walk[(i + 2) % k]]))
+    signs = {orient(pos[walk[i]], pos[walk[(i + 1) % k]], pos[walk[(i + 2) % k]])
+             for i in range(k)}
     if signs - {0, -1}:
         raise RealizeError("polygon positions do not traverse a convex boundary clockwise")
     if -1 not in signs:
         raise RealizeError("polygon positions are collinear")
 
-    interior = [v for v in g.vertices if v not in boundary]
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    rhs: Dict[int, List[Fraction]] = {}
-    for v in interior:
-        row: Dict[int, Fraction] = {v: Fraction(g.degree(v))}
-        b = [Fraction(0), Fraction(0)]
-        for u in g.rot[v]:
-            if u in boundary:
-                b[0] += pos[u][0]
-                b[1] += pos[u][1]
-            else:
-                row[u] = row.get(u, Fraction(0)) - 1
-        rows[v] = row
-        rhs[v] = b
-    sol = _solve_barycentric(rows, rhs) if rows else {}
-    coords = dict(pos)
-    for v, (x, y) in sol.items():
-        coords[v] = (x, y)
-    return Drawing(coords)
+    return Drawing(_barycentric(g.rot, pos))
 
 
 # -- labelings induced by a curve -------------------------------------------------
@@ -826,12 +830,13 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
     Every vertex (x, y) is re-placed at (x, M*y + h(x)) where h is the
     piecewise-linear interpolant of the prescribed heights, evaluated once
     per vertex by bisection over the knots, and M is the first power of two
-    2^j, j < 70, at which the drawing verifies.
+    2^j, j0 <= j < j0 + 70, at which the drawing verifies, j0 being
+    ``_first_magnification``.
 
-    The powers below ``_first_magnification`` are skipped: each leaves some
-    triangular face oriented against its walk (or flat), and a drawing that
-    verifies draws every face of ``g`` as a face with ``g``'s walk, internal
-    ones counter-clockwise and the outer one clockwise, so none of them can
+    The powers below j0 are skipped: each leaves some triangular face
+    oriented against its walk (or flat), and a drawing that verifies draws
+    every face of ``g`` as a face with ``g``'s walk, internal ones
+    counter-clockwise and the outer one clockwise, so none of them can
     verify and the result is the one of trying every power from 1 up.  When
     ``d`` is a verified drawing of a triangulation every face has a bound,
     so at the first power tried every face is oriented as its walk; a
@@ -859,7 +864,7 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
     base = [(v, x, y, h(x)) for v, (x, y) in d.coords.items()]
     j0 = _first_magnification(g, {v: homogeneous(p) for v, p in d.coords.items()},
                               {v: homogeneous((x, hx)) for v, x, _, hx in base})
-    for j in range(j0, 70):
+    for j in range(j0, j0 + 70):
         coords = {v: (x, (1 << j) * y + hx) for v, x, y, hx in base}
         lifted = Drawing(coords, d.designated)
         rep = verify_drawing(g, lifted)
@@ -1079,71 +1084,6 @@ def straighten_preserving_y(g: PlaneGraph, pl: PolylineDrawing,
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------
 
-def _insert_before(rot: List[int], anchor: int, new: int) -> None:
-    rot.insert(rot.index(anchor), new)
-
-
-def _add_apex(sub: PlaneGraph, path: Sequence[int]) -> Tuple[PlaneGraph, int]:
-    """New degree-2 vertex in sub's outer face adjacent to the path ends; the
-    cycle (apex, path) becomes the outer face."""
-    a, b = path[0], path[-1]
-    apex = max(sub.vertices) + 1
-    rot: Dict[int, List[int]] = {v: list(sub.rot[v]) for v in sub.vertices}
-    walk = sub.faces[sub.outer]
-    for end in {a, b}:
-        i = next(i for i, (x, y) in enumerate(walk) if y == end)
-        succ = walk[(i + 1) % len(walk)][1]
-        _insert_before(rot[end], succ, apex)
-    rot[apex] = [a, b] if a != b else [a]
-    # the apex splits the old outer region in two; the new outer face is the
-    # side bounded by the path and the apex alone (the other side carries the
-    # rest of the old outer walk, and may pass every path vertex too)
-    g2 = PlaneGraph(rot, outer_face=0)
-    need = set(path)
-    for nb in rot[apex]:
-        f = g2.face_of_dart((apex, nb))
-        if len(g2.faces[f]) == len(path) + 1 and need <= {x for (x, _) in g2.faces[f]}:
-            return g2.with_outer(f), apex
-    raise RealizeError("no face beside the apex is bounded by the path alone")
-
-
-def _star_triangulate(gr: PlaneGraph) -> Tuple[PlaneGraph, Set[int]]:
-    """Add a hub vertex inside every non-triangular internal face, joined to
-    each face vertex; never creates an edge between existing vertices."""
-    rot: Dict[int, List[int]] = {v: list(gr.rot[v]) for v in gr.vertices}
-    next_id = max(gr.vertices) + 1
-    stars: Set[int] = set()
-    for i in gr.internal_faces():
-        walk = gr.faces[i]
-        if len(walk) <= 3:
-            continue
-        vs = [x for (x, y) in walk]
-        if len(set(vs)) != len(vs):
-            raise RealizeError(
-                f"internal face {tuple(vs)} repeats a vertex; cannot star-triangulate")
-        hub = next_id
-        next_id += 1
-        stars.add(hub)
-        rot[hub] = list(reversed(vs))
-        for (x, y) in walk:
-            _insert_before(rot[x], y, hub)
-    g2 = PlaneGraph(rot, outer_walk=gr.outer_walk())
-    return g2, stars
-
-
-def _tutte_half(sub: PlaneGraph, path: Sequence[int], above: bool) -> Dict[int, Point]:
-    """Positions for one side of the curve: path fixed at (1, 0)..(L, 0), the
-    apex at |y| = L + 1, interior vertices barycentric."""
-    g_apex, apex = _add_apex(sub, path)
-    g_tri, stars = _star_triangulate(g_apex)
-    L = len(path)
-    y = F(L + 1) if above else F(-(L + 1))
-    polygon: Dict[int, Point] = {path[i]: _pt(i + 1, 0) for i in range(L)}
-    polygon[apex] = (F(1 + L) / 2, y)
-    d = tutte_convex(g_tri, polygon)
-    return {v: p for v, p in d.coords.items() if v != apex and v not in stars}
-
-
 def _regular_convex_drawing(g: PlaneGraph, anchor: Optional[int] = None) -> Drawing:
     """Any verified convex-boundary drawing; the anchor vertex (if given and
     on the outer face) is pinned to the origin."""
@@ -1167,13 +1107,53 @@ def _regular_convex_drawing(g: PlaneGraph, anchor: Optional[int] = None) -> Draw
 def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
     """Each side of the curve drawn barycentrically against the curve's path
     laid on the x-axis at (1, 0) .. (L, 0) (at least two path vertices); an
-    edge the curve crosses bends where it meets the axis."""
-    path = aug.path_vertices
-    on_path = set(path)
-    coords = {v: _pt(i + 1, 0) for i, v in enumerate(path)}
-    for side, up in zip(curve_sides(aug), (True, False)):
+    edge the curve crosses bends where it meets the axis.
+
+    One barycentric system is read off ``aug.graph``.  The path is fixed; a
+    non-empty side gets an apex fixed at ((1 + L)/2, +-(L + 1)), joined to
+    the path ends, which closes that side's arc of the outer walk (clockwise
+    from ``path[0]`` over the top to ``path[-1]``, then back below) into an
+    apex face.  The apex faces and the internal faces with a vertex off the
+    path get a hub joined to their corners when they have more than three.
+    Every other vertex sits at the average of its neighbours.
+
+    The sides meet only in fixed vertices, so each is an independent block:
+    the system that ``tutte_convex`` solves for the plane graph of the path,
+    the side, the apex (the outer face is the path and the apex) and a hub
+    in each non-triangular internal face.  Its internal faces are those of
+    ``aug.graph`` with a vertex on the side, which lose no edge, and the
+    apex face (faces of path vertices alone get hubs no unknown sees), so
+    every unknown has the same neighbours in both and the unique exact
+    solution is the same.
+    """
+    ga, path = aug.graph, aug.path_vertices
+    L = len(path)
+    fixed = {v: _pt(i + 1, 0) for i, v in enumerate(path)}
+    nbrs = {v: list(ga.rot[v]) for v in ga.vertices if v not in fixed}
+    faces = [vs for vs in map(ga.face_vertices, ga.internal_faces())
+             if any(v not in fixed for v in vs)]
+    walk = ga.outer_walk()
+    i = walk.index(path[0])
+    walk = walk[i:] + walk[:i + 1]      # clockwise from path[0] round to it
+    k = walk.index(path[-1])
+    hub = max(ga.vertices) + 1
+    for side, arc, y in zip(curve_sides(aug), (walk[:k + 1], walk[k:]), (L + 1, -L - 1)):
         if side:        # an empty side has only the path on its boundary
-            coords.update(_tutte_half(aug.graph.subgraph(on_path | side), path, up))
+            fixed[hub] = (F(1 + L) / 2, F(y))
+            faces.append((hub,) + arc)
+            hub += 1
+    for vs in faces:
+        if len(vs) <= 3:
+            continue
+        if len(set(vs)) != len(vs):
+            raise RealizeError(
+                f"internal face {vs} repeats a vertex; cannot star-triangulate")
+        nbrs[hub] = vs
+        for v in vs:
+            if v not in fixed:
+                nbrs[v].append(hub)
+        hub += 1
+    coords = _barycentric(nbrs, fixed)
     return PolylineDrawing(
         coords={v: coords[v] for v in g.vertices},
         bends={e: (coords[w],) for e, w in aug.subdivision.items()})

@@ -22,6 +22,7 @@ from collinear.applications import (
 from collinear.realize import (Drawing, DrawingReport, RealizeError, serialize_drawing,
                                verify_drawing)
 from collinear.three_tree import random_plane_3tree
+from test_three_tree import deep_stacking
 
 
 frac = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -108,6 +109,15 @@ class TestUniversalPlacement:
         pts = tuple((F(i), F(0)) for i in range(2))
         with pytest.raises(ApplicationError, match="exceed"):
             universal_placement(g, PointSet(pts))
+
+    def test_deep_stacking_lifts_past_two_to_the_seventy(self):
+        # the first magnification that can verify is past 2^70 here, and the
+        # lift tries 70 powers from it
+        g = deep_stacking(200, 8)
+        pts = ((F(0), F(0)), (F(3), F(5)))
+        d = universal_placement(g, PointSet(pts))
+        assert sorted(d.coords[v] for v in d.designated) == sorted(pts)
+        assert verify_drawing(g, Drawing(d.coords, ())).ok
 
     def test_empty_point_set(self):
         g = random_plane_3tree(12, seed=0)

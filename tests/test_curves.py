@@ -315,6 +315,20 @@ def test_format_roundtrip():
         assert serialize_curve(g, c2) == text
 
 
+def test_parse_curve_keys_each_face_line_once(monkeypatch):
+    # a face line is found through the dart of its first two vertices, not
+    # by keying every face of the graph
+    g = random_plane_3tree(200, 1)
+    c = build_curve_bundle(decompose(g)).best
+    text = serialize_curve(g, c)
+    calls = []
+    face_key = PlaneGraph.face_key
+    monkeypatch.setattr(PlaneGraph, "face_key",
+                        lambda self, i: calls.append(i) or face_key(self, i))
+    assert parse_curve(g, text).stations == c.stations
+    assert 0 < len(calls) <= sum(line.startswith("f ") for line in text.splitlines())
+
+
 def test_tally_independence():
     # validator tallies equal a naive recount from stations
     g = k4_spec()

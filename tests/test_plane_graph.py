@@ -129,6 +129,25 @@ def test_subgraph_outer_inheritance():
     assert len(h.faces) == 1  # a path: single face, necessarily outer
 
 
+def path3():
+    # the path 0-1-2: one face, whose walk 0, 1, 2, 1 repeats vertex 1
+    return PlaneGraph({0: (1,), 1: (0, 2), 2: (1,)}, outer_face=0)
+
+
+@pytest.mark.parametrize("make", [triangle, k4, square, octahedron, path3,
+                                  lambda: random_plane_3tree(30, 1),
+                                  lambda: generate_triconnected_cubic(2, 20)])
+def test_face_by_key_resolves_every_rotation(make):
+    g = make()
+    for i in range(len(g.faces)):
+        walk = g.face_vertices(i)
+        for k in range(len(walk)):
+            assert g.face_by_key(walk[k:] + walk[:k]) == i
+        for bad in (walk[:-1], walk + walk[:1], walk[:1], ()):
+            with pytest.raises(PlaneGraphError, match="no face with walk"):
+                g.face_by_key(bad)
+
+
 @pytest.mark.parametrize("make", [triangle, k4, square, octahedron,
                                   lambda: random_plane_3tree(30, 1),
                                   lambda: generate_triconnected_cubic(2, 20)])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collinear import realize
+from collinear.geom import homogeneous, orient
 from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
 from collinear.curves import (GoodCurve, Vst, Xst, Fst, augment_with_curve,
                               validate_curve, curve_from_drawing)
@@ -591,7 +592,8 @@ def test_lift_off_line_arbitrary_heights():
 
 def reference_lift_off_line(g, d, heights):
     """The lift before its first magnification was read off the faces: M
-    doubles from 1 until the drawing verifies, at most 70 times."""
+    doubles from 1 until the drawing verifies, and gives up where the lift
+    does, after 2^(j0 + 69) for the first magnification j0."""
     des = sorted(d.designated, key=lambda v: d.coords[v][0])
     if not des:
         raise RealizeError("drawing has no designated vertices to lift")
@@ -609,8 +611,11 @@ def reference_lift_off_line(g, d, heights):
             return ys[i - 1] + (ys[i] - ys[i - 1]) * (x - xs[i - 1]) / (xs[i] - xs[i - 1])
         return ys[min(i, len(xs) - 1)]
 
+    j0 = realize._first_magnification(
+        g, {v: homogeneous(p) for v, p in d.coords.items()},
+        {v: homogeneous((x, h(x))) for v, (x, _) in d.coords.items()})
     M = Fr(1)
-    for _ in range(70):
+    for _ in range(j0 + 70):
         lifted = Drawing({v: (x, M * y + h(x)) for v, (x, y) in d.coords.items()},
                          d.designated)
         rep = realize.verify_drawing(g, lifted)
@@ -636,7 +641,7 @@ heights_st = st.one_of(st.fractions(-100, 100, max_denominator=20),
        st.integers(0, 50), st.data())
 def test_lift_matches_the_doubling_loop(make, n, seed, data):
     # the same drawing, bit for bit, or the same error; heights near 2^90
-    # leave no tried magnification that verifies
+    # need magnifications past 2^70
     g = make(n, seed)
     d = place_free(g, _bundle_labeling(g))
     heights = {v: data.draw(heights_st) for v in d.designated}
@@ -1220,3 +1225,156 @@ def test_curve_along_an_outer_edge_realizes(side, a, b):
     assert out.designated == c.vertices
     assert out.coords[a][1] == out.coords[b][1] == 0
     assert verify_drawing(g, out).ok
+
+
+# -- the split drawing ------------------------------------------------------------------
+
+
+def reference_tutte_convex(g, polygon):
+    """``tutte_convex`` with its own row loop, before it shared one with
+    ``_split_drawing``."""
+    walk = g.outer_walk()
+    boundary = set(walk)
+    for v in walk:
+        if v not in polygon:
+            raise RealizeError(f"no polygon position for outer vertex {v}")
+    pos = {v: (Fr(polygon[v][0]), Fr(polygon[v][1])) for v in walk}
+    k = len(walk)
+    if k < 3 or len(boundary) != k:
+        raise RealizeError("outer walk is not a simple cycle")
+    signs = {orient(pos[walk[i]], pos[walk[(i + 1) % k]], pos[walk[(i + 2) % k]])
+             for i in range(k)}
+    if signs - {0, -1} or -1 not in signs:
+        raise RealizeError("polygon positions are not convex and clockwise")
+    rows, rhs = {}, {}
+    for v in g.vertices:
+        if v in boundary:
+            continue
+        row, b = {v: Fr(g.degree(v))}, [Fr(0), Fr(0)]
+        for u in g.rot[v]:
+            if u in boundary:
+                b[0] += pos[u][0]
+                b[1] += pos[u][1]
+            else:
+                row[u] = row.get(u, Fr(0)) - 1
+        rows[v], rhs[v] = row, b
+    coords = dict(pos)
+    if rows:
+        coords.update((v, tuple(p)) for v, p in realize._solve_barycentric(rows, rhs).items())
+    return coords
+
+
+def _insert_before(rot, anchor, new):
+    rot.insert(rot.index(anchor), new)
+
+
+def reference_split_drawing(g, aug):
+    """The split drawing before it became one system: for each non-empty
+    side, the subgraph on the path and that side, an apex in the outer
+    corners of the path ends, a hub in every non-triangular internal face,
+    and a Tutte system of its own with the path and the apex fixed."""
+    path = aug.path_vertices
+    on_path, L = set(path), len(path)
+    coords = {v: (Fr(i + 1), Fr(0)) for i, v in enumerate(path)}
+    for side, y in zip(curve_sides(aug), (L + 1, -L - 1)):
+        if not side:
+            continue
+        sub = aug.graph.subgraph(on_path | side)
+        apex = max(sub.vertices) + 1
+        rot = {v: list(sub.rot[v]) for v in sub.vertices}
+        walk = sub.faces[sub.outer]
+        for end in {path[0], path[-1]}:
+            i = next(i for i, (_, w) in enumerate(walk) if w == end)
+            _insert_before(rot[end], walk[(i + 1) % len(walk)][1], apex)
+        rot[apex] = [path[0], path[-1]]
+        g2 = PlaneGraph(rot, outer_face=0)
+        outer = [f for f in map(g2.face_of_dart, ((apex, w) for w in rot[apex]))
+                 if len(g2.faces[f]) == L + 1 and on_path <= set(g2.face_vertices(f))]
+        if not outer:
+            raise RealizeError("no face beside the apex is bounded by the path alone")
+        g2 = g2.with_outer(outer[0])
+        rot = {v: list(g2.rot[v]) for v in g2.vertices}
+        hub = apex + 1
+        for i in g2.internal_faces():
+            vs = g2.face_vertices(i)
+            if len(vs) <= 3:
+                continue
+            if len(set(vs)) != len(vs):
+                raise RealizeError(f"internal face {vs} repeats a vertex")
+            rot[hub] = list(reversed(vs))
+            for x, w in g2.faces[i]:
+                _insert_before(rot[x], w, hub)
+            hub += 1
+        g3 = PlaneGraph(rot, outer_walk=g2.outer_walk())
+        polygon = {**{v: coords[v] for v in path}, apex: (Fr(1 + L) / 2, Fr(y))}
+        drawn = reference_tutte_convex(g3, polygon)
+        coords.update((v, drawn[v]) for v in side)
+    return PolylineDrawing({v: coords[v] for v in g.vertices},
+                           {e: (coords[w],) for e, w in aug.subdivision.items()})
+
+
+def split_outcome(split, g, aug):
+    try:
+        return split(g, aug)
+    except RealizeError:
+        return "raises"
+
+
+@settings(max_examples=40, deadline=None)
+@given(theorem1_inputs())
+def test_split_drawing_matches_reference(case):
+    g, c = case
+    aug = augment_with_curve(g, c)
+    assume(len(aug.path_vertices) >= 2)
+    assert (split_outcome(_split_drawing, g, aug)
+            == split_outcome(reference_split_drawing, g, aug))
+
+
+def _line_curve(g, a, b):
+    """The read-back of the line through a and b in a convex drawing of g."""
+    d = _regular_convex_drawing(g)
+    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+    return curve_from_drawing(g, d.coords, (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+
+
+def split_case(kind, size, *args):
+    if kind == "cubic":
+        g = generate_triconnected_cubic(args[0], size)
+        return g, theorem4(g).curve
+    g, m = identity_grid_model(size)
+    return (g, _line_curve(g, *args)) if args else theorem5_curve(g, m)
+
+
+# the theorem4 curve of the cubic graph runs along the outer walk through
+# 20, 90 and 89; the line cases run along an outer edge, one side empty
+@pytest.mark.parametrize("case", [("cubic", 100, 1), ("grid", 4, 0, 1),
+                                  ("grid", 8, 60, 61), ("grid", 16)],
+                         ids=["cubic100", "grid4-edge", "grid8-edge", "grid16"])
+def test_split_drawing_matches_reference_building_no_graph(case, monkeypatch):
+    g, c = split_case(*case)
+    aug = augment_with_curve(g, c)
+    calls = []
+    for name in ("__init__", "subgraph"):
+        def counting(*args, _name=name, _real=getattr(PlaneGraph, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(PlaneGraph, name, counting)
+    got = _split_drawing(g, aug)
+    assert calls == []
+    assert got == reference_split_drawing(g, aug)
+    sides = sum(1 for side in curve_sides(aug) if side)
+    assert sorted(calls) == ["__init__"] * 3 * sides + ["subgraph"] * sides
+
+
+def test_split_drawing_rejects_a_face_that_repeats_a_vertex():
+    # a square with a pendant edge 0-4 inside; the curve through 1 and 3
+    # leaves the face 0, 1, 3, 0, 4 on one side, which has no star
+    g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (4, 4), 3: (0, 4), 4: (1, 1)},
+                             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    inner, = g.internal_faces()
+    aug = augment_with_curve(g, GoodCurve((Fst(g.outer), Vst(1), Fst(inner), Vst(3),
+                                           Fst(g.outer))))
+    with pytest.raises(RealizeError, match=r"internal face \(0, 1, 3, 0, 4\) repeats a "
+                                           "vertex; cannot star-triangulate"):
+        _split_drawing(g, aug)
+    assert split_outcome(reference_split_drawing, g, aug) == "raises"
