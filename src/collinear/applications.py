@@ -43,6 +43,13 @@ def collinear_guarantee(n: int) -> int:
     return -(-(n - 3) // 8)
 
 
+def untangle_guarantee(n: int) -> int:
+    """ceil(sqrt(ceil((n-3)/8))): how many vertices ``untangle`` keeps fixed,
+    0 when no vertex is guaranteed to be collinear."""
+    k = collinear_guarantee(n)
+    return math.isqrt(k - 1) + 1 if k > 0 else 0
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Exact rational points, pairwise distinct."""
@@ -208,7 +215,7 @@ def _longest_monotone(seq: List[F]) -> Tuple[List[int], bool]:
 def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
     """Planar re-drawing of the plane 3-tree fixing many of ``bad``'s positions.
 
-    At least ceil(sqrt(ceil((n-3)/8))) vertices keep their exact positions:
+    At least ``untangle_guarantee(n)`` vertices keep their exact positions:
     the guaranteed collinear set induces an ordered point sequence, and its
     longest monotone subsequence can be laid back on a line.
     """
@@ -230,7 +237,7 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
         picked = sorted(len(line) - 1 - i for i in picked)
         seq = [rotate(bad[v], cs)[0] for v in line]
     fixed = [line[i] for i in picked]
-    need = math.isqrt(collinear_guarantee(g.n) - 1) + 1
+    need = untangle_guarantee(g.n)
     if len(fixed) < need:
         raise AssertionError(f"monotone selection kept {len(fixed)} < {need}")
 
@@ -240,7 +247,8 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
     flat = _lined_drawing(d, lab, assigned)
     heights = {v: F(0) for v in flat.designated}
     heights.update({v: rotate(bad[v], cs)[1] for v in fixed})
-    lifted = lift_off_line(g, flat, heights)
+    # with no vertex on the line there is nothing to lift
+    lifted = lift_off_line(g, flat, heights) if flat.designated else flat
     coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
     final = Drawing(coords, tuple(fixed))
     for v in fixed:

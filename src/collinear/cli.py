@@ -21,12 +21,13 @@ from fractions import Fraction as F
 from typing import List, Optional, Sequence
 
 from .applications import (ApplicationError, DrawingRejected, PointSet,
-                           collinear_guarantee, universal_placement, untangle)
+                           collinear_guarantee, universal_placement, untangle,
+                           untangle_guarantee)
 from .cubic import CubicError, charge_lines, generate_triconnected_cubic, theorem4
 from .curves import CurveError, parse_curve, serialize_curve, validate_curve
 from .oracle import OracleError, enumerate_curves
-from .plane_graph import (PlaneGraphError, edge_key, parse_plane_graph,
-                          read_numbers, serialize_plane_graph)
+from .plane_graph import (PlaneGraphError, content_lines, edge_key,
+                          parse_plane_graph, read_numbers, serialize_plane_graph)
 from .realize import (Drawing, LabelingOrder, RealizeError, curve_to_drawing,
                       drawing_to_svg, labeling_from_curve, parse_drawing,
                       place_free, serialize_drawing, verify_drawing)
@@ -163,15 +164,12 @@ def _cmd_place(args) -> int:
     curve = parse_curve(g, _read(args.curve))
     lab = labeling_from_curve(g, curve)
     targets = {}
-    for raw in _read(args.targets).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for raw, line in content_lines(_read(args.targets)):
         parts = line.split()
         if parts[0] not in ("v", "e"):
-            raise RealizeError(f"unrecognized targets line: {line!r}")
-        ids = read_numbers(line, parts[1:-1], RealizeError, 1 if parts[0] == "v" else 2)
-        x, = read_numbers(line, parts[-1:], RealizeError, 1, F)
+            raise RealizeError(f"unrecognized targets line: {raw!r}")
+        ids = read_numbers(raw, parts[1:-1], RealizeError, 1 if parts[0] == "v" else 2)
+        x, = read_numbers(raw, parts[-1:], RealizeError, 1, F)
         targets[("v", ids[0]) if parts[0] == "v" else ("e", edge_key(*ids))] = x
     lab2 = LabelingOrder(labels=lab.labels, order=lab.order, targets=targets)
     d = place_free(g, lab2)
@@ -183,11 +181,8 @@ def _cmd_untangle(args) -> int:
     g = _load_graph(args.graph)
     bad = parse_drawing(_read(args.drawing))
     res = untangle(g, bad.coords)
-    need = 1
-    while need * need < collinear_guarantee(g.n):
-        need += 1
     print(f"fixed {len(res.fixed)}")
-    print(f"bound {need}")
+    print(f"bound {untangle_guarantee(g.n)}")
     print("fixed_vertices " + " ".join(str(v) for v in sorted(res.fixed)))
     # the fixed positions need not be collinear
     moved = [f"fixed vertex {v} moved" for v in sorted(res.fixed)
@@ -198,14 +193,11 @@ def _cmd_untangle(args) -> int:
 def _cmd_ups(args) -> int:
     g = _load_graph(args.graph)
     pts = []
-    for raw in _read(args.points).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for raw, line in content_lines(_read(args.points)):
         parts = line.split()
         if parts[0] != "p":
-            raise ApplicationError(f"unrecognized points line: {line!r}")
-        pts.append(tuple(read_numbers(line, parts[1:], ApplicationError, 2, F)))
+            raise ApplicationError(f"unrecognized points line: {raw!r}")
+        pts.append(tuple(read_numbers(raw, parts[1:], ApplicationError, 2, F)))
     d = universal_placement(g, PointSet(tuple(pts)))
     print(f"placed {len(d.designated)}")
     print("at_points " + " ".join(str(v) for v in d.designated))

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
-                     _augment, check_well_formed, edge_tallies)
-from .plane_graph import PlaneGraph, PlaneGraphError, _blocks, edge_key
+from .curves import (Fst, GoodCurve, Station, Vst, Xst, _Engine, _augment,
+                     check_well_formed, edge_tallies)
+from .plane_graph import PlaneGraph, PlaneGraphError, _blocks, edge_key, path_to, reach
 
 __all__ = [
     "CubicError", "Quadruple", "ChainDecomposition", "ChargedCurve",
@@ -189,23 +189,10 @@ def _chain_structure(graph: PlaneGraph, a: int, b: int,
             for i in bs:
                 tree.setdefault(('C', v), []).append(('B', i))
                 tree.setdefault(('B', i), []).append(('C', v))
-    start, goal = ('C', a), ('C', b)
-    prev_node: Dict[Tuple, Tuple] = {start: start}
-    queue = [start]
-    while queue and goal not in prev_node:
-        nxt = []
-        for node in queue:
-            for w in tree.get(node, ()):
-                if w not in prev_node:
-                    prev_node[w] = node
-                    nxt.append(w)
-        queue = nxt
-    if goal not in prev_node:
+    prev_node = reach([('C', a)], lambda node: tree.get(node, ()))
+    if ('C', b) not in prev_node:
         raise CubicError("boundary component does not connect the pair")
-    node_path = [goal]
-    while node_path[-1] != start:
-        node_path.append(prev_node[node_path[-1]])
-    node_path.reverse()
+    node_path = path_to(prev_node, ('C', b))
 
     # linearize: alternating cut vertices and blocks
     segments: List[Tuple[str, object]] = []  # ('path', verts) | ('block', (set, u_i, v_i))
@@ -698,6 +685,12 @@ def generate_triconnected_cubic(seed: int, target_n: int) -> PlaneGraph:
     degree 3.  A cubic graph is 3-connected iff it is 3-edge-connected, so
     every intermediate graph is triconnected and only the final graph is
     audited.
+
+    A step cannot fail.  Every face of a simple graph has at least three
+    darts, so two distinct positions of its walk can be drawn.  In a
+    2-connected plane graph every face is bounded by a simple cycle, so two
+    darts of one face walk lie on different edges.  Both midpoints then lie
+    on the chosen face, and the chord between them splits it.
     """
     if target_n < 4 or target_n % 2:
         raise CubicError("target_n must be an even number >= 4")
@@ -705,34 +698,20 @@ def generate_triconnected_cubic(seed: int, target_n: int) -> PlaneGraph:
     g = PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
                    outer_walk=(0, 1, 2))
     while g.n < target_n:
-        for _ in range(64):
-            cand = _expand(g, rng)
-            if cand is not None:
-                g = cand
-                break
-        else:
-            raise CubicError("expansion failed 64 times in a row")
+        g = _expand(g, rng)
     if not g.is_triconnected():
         raise CubicError("generated graph is not triconnected")
     return g
 
 
-def _expand(g: PlaneGraph, rng: random.Random) -> Optional[PlaneGraph]:
+def _expand(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     fi = rng.randrange(len(g.faces))
     walk = g.faces[fi]
-    if len(walk) < 2:
-        return None
     i, j = rng.sample(range(len(walk)), 2)
-    e1, e2 = edge_key(*walk[i]), edge_key(*walk[j])
-    if e1 == e2:
-        return None
     eng = _Engine(g)
-    m1 = eng.subdivide(e1)
-    m2 = eng.subdivide(e2)
-    try:
-        eng.insert_chord(m1, m2, fi)
-    except CurveError:
-        return None
+    m1 = eng.subdivide(edge_key(*walk[i]))
+    m2 = eng.subdivide(edge_key(*walk[j]))
+    eng.insert_chord(m1, m2, fi)
     regions = [w for tag, w in eng.walks if tag == g.outer]
     pg = PlaneGraph._from_walks(eng.rot, [w for _, w in eng.walks])
     return pg.with_outer(pg.face_of_dart(regions[0][0]))

@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .geom import F, orient
-from .plane_graph import PlaneGraph, PlaneGraphError, edge_key, read_numbers
+from .plane_graph import (PlaneGraph, PlaneGraphError, content_lines, edge_key,
+                          read_numbers)
 
 Station = Tuple  # ('v', int) | ('x', (int,int)) | ('f', int)
 
@@ -163,9 +164,8 @@ def check_well_formed(g: PlaneGraph, c: GoodCurve) -> None:
 
 def _check_face_incident(g: PlaneGraph, f: int, s: Station) -> None:
     if s[0] == 'v':
-        v = s[1]
-        if all(g.face_of_dart((v, w)) != f for w in g.rot[v]):
-            raise CurveError(f"face {f} not incident to vertex {v}")
+        if f not in g.faces_at(s[1]):
+            raise CurveError(f"face {f} not incident to vertex {s[1]}")
     elif s[0] == 'x':
         if f not in g.faces_of_edge(*s[1]):
             raise CurveError(f"face {f} not incident to edge {s[1]}")
@@ -606,10 +606,7 @@ def parse_curve(g: PlaneGraph, text: str) -> GoodCurve:
     closed = None
     stations: List[Station] = []
     contained = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         if parts[0] == "curve":
             if len(parts) != 2 or parts[1] not in ("open", "closed"):

@@ -30,21 +30,19 @@ class OracleResult:
     explored: int
 
 
-def enumerate_curves(g: PlaneGraph, budget: Optional[int] = None,
+def enumerate_curves(g: PlaneGraph,
                      edge_limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
     """Maximum vertex count over all proper good open curves, by exhaustive DFS.
 
-    ``budget`` caps the station-sequence length; ``edge_limit`` guards against
-    accidentally searching a graph too large to enumerate.
+    Station sequences are at most 2(n + m) + 1 long; ``edge_limit`` guards
+    against accidentally searching a graph too large to enumerate.
     """
     if g.m > edge_limit:
         raise OracleError(f"graph has {g.m} > {edge_limit} edges; "
                           "the oracle is for tiny instances only")
-    max_len = budget if budget is not None else 2 * (g.n + g.m) + 1
+    max_len = 2 * (g.n + g.m) + 1
 
-    faces_at: Dict[int, Tuple[int, ...]] = {}
-    for v in g.vertices:
-        faces_at[v] = tuple(sorted({g.face_of_dart((v, w)) for w in g.rot[v]}))
+    faces_at = {v: sorted(set(g.faces_at(v))) for v in g.vertices}
     face_verts = [tuple(dict.fromkeys(g.face_vertices(i)))
                   for i in range(len(g.faces))]
     face_edges = [tuple(sorted({edge_key(*d) for d in g.faces[i]}))

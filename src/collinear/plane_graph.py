@@ -14,8 +14,9 @@ an orientation hint.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from collections import deque
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Set, Tuple)
 
 from .geom import direction_h, homogeneous
 
@@ -59,7 +60,7 @@ class PlaneGraph:
                     raise PlaneGraphError(f"rotation not symmetric at edge ({v},{w})")
         if self.n == 0:
             raise PlaneGraphError("empty graph")
-        if len(self.components_without(())) != 1:
+        if len(reach(self._vertex_list[:1], self.rot.__getitem__)) != self.n:
             raise PlaneGraphError("graph is not connected")
         self._set_faces(self._trace_faces())
         if (outer_walk is None) == (outer_face is None):
@@ -185,6 +186,12 @@ class PlaneGraph:
     def face_of_dart(self, d: Dart) -> int:
         return self._face_of_dart[d]
 
+    def faces_at(self, v: int) -> Tuple[int, ...]:
+        """The faces of the darts leaving v, in clockwise order of v's
+        neighbours; a face that meets v in two angles appears twice."""
+        fod = self._face_of_dart
+        return tuple(fod[(v, w)] for w in self.rot[v])
+
     def faces_of_edge(self, u: int, v: int) -> Tuple[int, int]:
         return (self._face_of_dart[(u, v)], self._face_of_dart[(v, u)])
 
@@ -296,19 +303,17 @@ class PlaneGraph:
         """The faces incident to both a and b, in clockwise order of their
         angles at a; O(deg a + deg b).  The face of dart (a, w) holds the
         angle at a just before w."""
-        fod = self._face_of_dart
-        at_b = {fod[(b, w)] for w in self.rot[b]}
-        return tuple(f for f in (fod[(a, w)] for w in self.rot[a]) if f in at_b)
+        at_b = set(self.faces_at(b))
+        return tuple(f for f in self.faces_at(a) if f in at_b)
 
     def _separates(self, a: int, b: int, shared: Set[int]) -> bool:
         fod = self._face_of_dart
         return len(shared) >= 2 and shared != {fod.get((a, b)), fod.get((b, a))}
 
     def _face_pairs(self) -> List[Tuple[int, int]]:
-        fod = self._face_of_dart
         buckets: Dict[Tuple[int, int], List[int]] = {}
-        for v, nbrs in self.rot.items():
-            fs = sorted(fod[(v, w)] for w in nbrs)
+        for v in self.rot:
+            fs = sorted(self.faces_at(v))
             for i, f in enumerate(fs):
                 for f2 in fs[i + 1:]:
                     buckets.setdefault((f, f2), []).append(v)
@@ -325,23 +330,17 @@ class PlaneGraph:
             raise PlaneGraphError("separation pairs need a biconnected graph")
 
     def components_without(self, removed: Iterable[int]) -> List[FrozenSet[int]]:
-        removed = set(removed)
+        """The vertex sets of the components of the graph minus ``removed``,
+        in order of their least vertex."""
         seen = set(removed)
+
+        def nbrs(v):
+            return (w for w in self.rot[v] if w not in seen)
         comps = []
         for s in self._vertex_list:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                for w in self.rot[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
+            if s not in seen:
+                comps.append(frozenset(reach((s,), nbrs)))
+                seen |= comps[-1]
         return comps
 
     # -- subgraphs -------------------------------------------------------------
@@ -431,6 +430,39 @@ def _min_rotation(seq: Tuple) -> Tuple:
         if cand < best:
             best = cand
     return best
+
+
+# -- breadth-first search --------------------------------------------------------
+
+def reach(sources: Iterable[Hashable],
+          nbrs: Callable[[Hashable], Iterable[Hashable]]) -> Dict[Hashable, Hashable]:
+    """Breadth-first search from ``sources``: every reachable node mapped to
+    the node it was discovered from, or None for a source.
+
+    The map is in discovery order: the sources first, in the given order
+    (a repeat counts once), then each expanded node's undiscovered
+    neighbours in the order ``nbrs`` yields them.  So the first key in a
+    goal set is a goal nearest to the sources, and following parents from
+    any node gives a shortest path back to a source.
+    """
+    parent: Dict[Hashable, Hashable] = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        for w in nbrs(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
+def path_to(parent: Mapping[Hashable, Hashable], end: Hashable) -> List[Hashable]:
+    """The path from a source to ``end`` in a ``reach`` parent map."""
+    path = [end]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 # -- connectivity (iterative Tarjan) -------------------------------------------
@@ -592,6 +624,16 @@ def _rooted_code(g: PlaneGraph, root_dart: Dart) -> Tuple:
 
 # -- interchange format --------------------------------------------------------
 
+def content_lines(text: str) -> Iterator[Tuple[str, str]]:
+    """(raw, line) for every line of an input file that holds more than a
+    comment: ``#`` starts a comment, ``line`` is ``raw`` without it,
+    stripped, and ``raw`` is kept for error messages."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield raw, line
+
+
 def read_numbers(raw: str, tokens: Sequence[str], error: type,
                  count: Optional[int] = None, kind: type = int) -> list:
     """The ``tokens`` of input line ``raw`` read as ``kind`` (int or
@@ -621,10 +663,7 @@ def parse_plane_graph(text: str) -> PlaneGraph:
     n = None
     rot: Dict[int, List[int]] = {}
     outer = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         head, _, rest = line.partition(":")
         if line.startswith("planegraph"):
             n, = read_numbers(raw, line.split()[1:], PlaneGraphError, 1)

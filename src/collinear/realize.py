@@ -43,8 +43,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
                    line_h, on_segment_h, orient, side_h)
-from .plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
-                          graph_from_positions, read_numbers, _cyclic_eq)
+from .plane_graph import (PlaneGraph, PlaneGraphError, content_lines, edge_key,
+                          graph_from_positions, reach, read_numbers, _cyclic_eq)
 from .curves import GoodCurve, AugmentedCurve, augment_with_curve
 from .three_tree import ThreeTreeDecomp, ThreeTreeError, decompose
 
@@ -102,21 +102,18 @@ def parse_drawing(text: str) -> Drawing:
     coords: Dict[int, Point] = {}
     designated: Tuple[int, ...] = ()
     n_declared = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         if line.startswith("drawing "):
-            n_declared, = read_numbers(line, parts[1:], RealizeError, 1)
+            n_declared, = read_numbers(raw, parts[1:], RealizeError, 1)
         elif line.startswith("v "):
-            v, = read_numbers(line, parts[1:2], RealizeError, 1)
-            coords[v] = tuple(read_numbers(line, parts[2:], RealizeError, 2, Fraction))
+            v, = read_numbers(raw, parts[1:2], RealizeError, 1)
+            coords[v] = tuple(read_numbers(raw, parts[2:], RealizeError, 2, Fraction))
         elif line.startswith("designated:"):
-            designated = tuple(read_numbers(line, line.split(":", 1)[1].split(),
+            designated = tuple(read_numbers(raw, line.split(":", 1)[1].split(),
                                             RealizeError))
         else:
-            raise RealizeError(f"unrecognized drawing line: {line!r}")
+            raise RealizeError(f"unrecognized drawing line: {raw!r}")
     if n_declared is not None and n_declared != len(coords):
         raise RealizeError(f"drawing declares {n_declared} vertices, has {len(coords)}")
     missing = [v for v in designated if v not in coords]
@@ -465,8 +462,9 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
     neighbours lie right of the path (below), and the sweep from p to s
     above it.  At an endpoint that is a vertex of the graph the line goes on
     into the unbounded region through the outer-face corner of that vertex,
-    which takes the place of the missing neighbour.  A flood fill that does
-    not cross the path labels the rest.  A single-vertex path has no sides:
+    which takes the place of the missing neighbour.  A search from each
+    side's vertices that does not cross the path labels the rest, and the
+    two sides must not meet.  A single-vertex path has no sides:
     every other vertex is reported above.
     """
     if not aug.proper:
@@ -492,27 +490,14 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
             rest = (x for x in rot if x not in arc and x != ref and x not in on_path)
             (above if nxt is None else below).update(arc)
             (below if nxt is None else above).update(rest)
-    above -= on_path
-    below -= on_path
+
+    def off_path(v):
+        return (u for u in g.rot[v] if u not in on_path)
+    above, below = (set(reach(seeds - on_path, off_path))
+                    for seeds in (above, below))
     if above & below:
-        raise RealizeError(
-            f"curve does not separate its neighborhood: {sorted(above & below)}")
-    side = dict.fromkeys(above, above)
-    side.update(dict.fromkeys(below, below))
-    stack = list(side)
-    while stack:
-        v = stack.pop()
-        for u in g.rot[v]:
-            if u in on_path:
-                continue
-            if u in side:
-                if side[u] is not side[v]:
-                    raise RealizeError(
-                        f"vertices {v} and {u} connect the two sides of the curve")
-                continue
-            side[u] = side[v]
-            side[u].add(u)
-            stack.append(u)
+        raise RealizeError("curve does not separate the graph: vertices "
+                           f"{sorted(above & below)} lie on both sides")
     return above, below
 
 

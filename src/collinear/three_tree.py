@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .plane_graph import PlaneGraph, edge_key
+from .plane_graph import PlaneGraph, edge_key, reach
 from .curves import GoodCurve, Station, Vst, Xst, Fst, validate_curve
 
 
@@ -223,19 +223,10 @@ class _Region:
         self.cycle = cycle
         k = len(cycle)
         self.cycle_edges = {edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-        start = g.face_of_dart((cycle[0], cycle[1]))
-        faces = {start}
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for (a, b) in g.faces[f]:
-                if edge_key(a, b) in self.cycle_edges:
-                    continue
-                f2 = g.face_of_dart((b, a))
-                if f2 not in faces:
-                    faces.add(f2)
-                    stack.append(f2)
-        self.faces = faces
+        faces = self.faces = set(reach(
+            [g.face_of_dart((cycle[0], cycle[1]))],
+            lambda f: (g.face_of_dart((b, a)) for (a, b) in g.faces[f]
+                       if edge_key(a, b) not in self.cycle_edges)))
         self.adj: Dict[int, List[Tuple[Tuple[int, int], int]]] = {f: [] for f in faces}
         chords = set()
         for f in faces:
@@ -298,16 +289,9 @@ def _lemma1_with_region(g: PlaneGraph, region: _Region,
     a2 = region.anchors(g, p2)
     if not a1 or not a2:
         raise ThreeTreeError("end-point not on the cycle")
-    dist = {f: 0 for f in a2}
-    frontier = list(a2)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for (_, f2) in region.adj[f]:
-                if f2 not in dist:
-                    dist[f2] = dist[f] + 1
-                    nxt.append(f2)
-        frontier = nxt
+    dist: Dict[int, int] = {}
+    for f, up in reach(a2, lambda f: (f2 for (_, f2) in region.adj[f])).items():
+        dist[f] = 0 if up is None else dist[up] + 1
     start = min(a1, key=lambda f: (dist[f], f))
     stations: List[Station] = [p1, Fst(start)]
     f = start

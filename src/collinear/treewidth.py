@@ -22,12 +22,12 @@ trivial model of the grid graph itself for testing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import Fst, GoodCurve, Station, Vst, Xst, cut_closed_curve, validate_curve
-from .plane_graph import PlaneGraph, edge_key, read_numbers
+from .plane_graph import (PlaneGraph, content_lines, edge_key, path_to, reach,
+                          read_numbers)
 
 Edge = Tuple[int, int]
 Index = Tuple[int, int]
@@ -126,7 +126,9 @@ def validate_model(g: PlaneGraph, m: GridModel) -> ModelReport:
                 problems.append(f"branch sets {owner[v]} and {idx} share vertex {v}")
             else:
                 owner[v] = idx
-        if not _connected_in(g, vs):
+        inside = [v for v in vs if v in g.rot]
+        spread = reach(inside[:1], lambda v: (w for w in g.rot[v] if w in vs))
+        if not inside or len(spread) != len(inside):
             problems.append(f"branch set {idx} is not connected")
     for name, refs, di, dj in (("refh", m.ref_h, 1, 0), ("refv", m.ref_v, 0, 1)):
         hi = side - 1 if di else side
@@ -162,21 +164,6 @@ def validate_model(g: PlaneGraph, m: GridModel) -> ModelReport:
     return ModelReport(ok=not problems, problems=tuple(problems))
 
 
-def _connected_in(g: PlaneGraph, vs: FrozenSet[int]) -> bool:
-    vs = frozenset(v for v in vs if v in g.rot)
-    if not vs:
-        return False
-    seen = {next(iter(sorted(vs)))}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w in g.rot[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
-
-
 # -- model text format ---------------------------------------------------------------
 
 
@@ -195,21 +182,21 @@ def serialize_grid_model(m: GridModel) -> str:
 
 
 def parse_grid_model(text: str) -> GridModel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gridmodel "):
+    lines = list(content_lines(text))
+    if not lines or not lines[0][1].startswith("gridmodel "):
         raise GridError("expected header 'gridmodel <side>'")
-    side, = read_numbers(lines[0], lines[0].split()[1:], GridError, 1)
+    side, = read_numbers(lines[0][0], lines[0][1].split()[1:], GridError, 1)
     branch: Dict[Index, FrozenSet[int]] = {}
     ref_h: Dict[Index, Edge] = {}
     ref_v: Dict[Index, Edge] = {}
-    for ln in lines[1:]:
-        head, _, rest = ln.partition(":")
+    for raw, line in lines[1:]:
+        head, _, rest = line.partition(":")
         parts = head.split()
         if len(parts) != 3:
-            raise GridError(f"bad line: {ln!r}")
+            raise GridError(f"bad line: {raw!r}")
         kind = parts[0]
-        i, j = read_numbers(ln, parts[1:], GridError, 2)
-        vals = read_numbers(ln, rest.split(), GridError,
+        i, j = read_numbers(raw, parts[1:], GridError, 2)
+        vals = read_numbers(raw, rest.split(), GridError,
                             None if kind == "branch" else 2)
         if kind == "branch":
             branch[(i, j)] = frozenset(vals)
@@ -251,24 +238,15 @@ def build_cells(g: PlaneGraph, m: GridModel) -> CellMap:
                 if w in vs:
                     blocked.add(edge_key(v, w))
     # flood fill the dual across unblocked edges
+    def across(f):
+        return (nf for e in _face_edges(g, f) if e not in blocked
+                for nf in g.faces_of_edge(*e))
     comp: Dict[int, int] = {}
-    n_faces = len(g.faces)
-    cid = 0
-    for f0 in range(n_faces):
-        if f0 in comp:
-            continue
-        comp[f0] = cid
-        queue = deque([f0])
-        while queue:
-            f = queue.popleft()
-            for e in _face_edges(g, f):
-                if e in blocked:
-                    continue
-                for nf in g.faces_of_edge(*e):
-                    if nf not in comp:
-                        comp[nf] = cid
-                        queue.append(nf)
-        cid += 1
+    regions: List[FrozenSet[int]] = []
+    for f0 in range(len(g.faces)):
+        if f0 not in comp:
+            regions.append(frozenset(reach((f0,), across)))
+            comp.update(dict.fromkeys(regions[-1], len(regions) - 1))
     # which reference edges bound each region
     touches: Dict[int, set] = {}
     for e in m.reference_edges:
@@ -283,7 +261,7 @@ def build_cells(g: PlaneGraph, m: GridModel) -> CellMap:
             if len(hits) != 1:
                 raise GridError(f"cell ({i},{j}) is not bounded by its four "
                                 f"reference edges ({len(hits)} candidate regions)")
-            cells[(i, j)] = frozenset(f for f, c in comp.items() if c == hits[0])
+            cells[(i, j)] = regions[hits[0]]
     return CellMap(cells=cells, blocked=frozenset(blocked))
 
 
@@ -299,36 +277,23 @@ def _face_in(g: PlaneGraph, e: Edge, faces: FrozenSet[int], what: str) -> int:
 
 def _dual_path(g: PlaneGraph, faces: FrozenSet[int], blocked: FrozenSet[Edge],
                start: int, goals: FrozenSet[int]) -> List:
-    """Alternating face/edge sequence of a shortest dual path inside a region."""
-    parent: Dict[int, Tuple[int, Edge]] = {}
-    seen = {start}
-    queue = deque([start])
-    end = start if start in goals else None
-    while queue and end is None:
-        f = queue.popleft()
-        steps = []
-        for e in _face_edges(g, f):
-            if e in blocked:
-                continue
-            for nf in g.faces_of_edge(*e):
-                if nf != f and nf in faces and nf not in seen:
-                    steps.append((nf, e))
-        for nf, e in sorted(steps):
-            if nf in seen:
-                continue
-            seen.add(nf)
-            parent[nf] = (f, e)
-            if nf in goals:
-                end = nf
-                break
-            queue.append(nf)
+    """Alternating face/edge sequence of a shortest dual path inside a region.
+
+    Faces are reached in order of (face, edge) and the path ends at the
+    first goal reached; each step crosses the least unblocked edge that the
+    two faces share.
+    """
+    def steps(f):
+        return sorted((nf, e) for e in _face_edges(g, f) if e not in blocked
+                      for nf in g.faces_of_edge(*e) if nf != f and nf in faces)
+    parent = reach((start,), lambda f: (nf for nf, _ in steps(f)))
+    end = next((f for f in parent if f in goals), None)
     if end is None:
         raise GridError("region is not dual-connected (model corruption)")
-    out: List = [end]
-    while out[-1] != start:
-        f, e = parent[out[-1]]
-        out += [e, f]
-    out.reverse()
+    path = path_to(parent, end)
+    out: List = [start]
+    for f, nf in zip(path, path[1:]):
+        out += [min(e for mf, e in steps(f) if mf == nf), nf]
     return out
 
 
@@ -374,20 +339,19 @@ def _vertex_getter(g: PlaneGraph, cells: CellMap, m: GridModel, target: Index,
                    ) -> List[Station]:
     bset = m.branch[target]
     c_in, c_out = cells.cells[entry], cells.cells[exit_]
-    near = {v for v in bset
-            for f in c_in if v in g.face_vertices(f)}
-    far = {v for v in bset
-           for f in c_out if v in g.face_vertices(f)}
+    at = {v: g.faces_at(v) for v in bset if v in g.rot}
+    near = {v for v, fs in at.items() if not c_in.isdisjoint(fs)}
+    far = {v for v, fs in at.items() if not c_out.isdisjoint(fs)}
     if not near or not far:
         raise GridError(f"branch set {target} does not touch both cells "
                         f"{entry} and {exit_}")
     vpath = _branch_path(g, bset, near, far)
     v_p, v_q = vpath[0], vpath[-1]
     f_p = _face_in(g, e_from, c_in, "vertex getter start")
-    goals_p = frozenset(f for f in c_in if v_p in g.face_vertices(f))
+    goals_p = c_in.intersection(g.faces_at(v_p))
     leg1 = _dual_path(g, c_in, cells.blocked, f_p, goals_p)
     f_q = _face_in(g, e_to, c_out, "vertex getter end")
-    goals_q = frozenset(f for f in c_out if v_q in g.face_vertices(f))
+    goals_q = c_out.intersection(g.faces_at(v_q))
     leg3 = _dual_path(g, c_out, cells.blocked, f_q, goals_q)
     sts: List[Station] = [Xst(*e_from)]
     for item in leg1:
@@ -406,26 +370,11 @@ def _branch_path(g: PlaneGraph, bset: FrozenSet[int], near: set, far: set
     Being shortest, it has no internal vertex on either boundary, so the
     surrounding legs cannot collide with it.
     """
-    both = sorted(near & far)
-    if both:
-        return [both[0]]
-    parent: Dict[int, int] = {}
-    seen = set(near)
-    queue = deque(sorted(near))
-    while queue:
-        v = queue.popleft()
-        if v in far:
-            path = [v]
-            while path[-1] in parent:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for w in sorted(g.rot[v]):
-            if w in bset and w not in seen:
-                seen.add(w)
-                parent[w] = v
-                queue.append(w)
-    raise GridError("branch set boundaries are not connected inside it")
+    parent = reach(sorted(near), lambda v: (w for w in sorted(g.rot[v]) if w in bset))
+    end = next((v for v in parent if v in far), None)
+    if end is None:
+        raise GridError("branch set boundaries are not connected inside it")
+    return path_to(parent, end)
 
 
 # -- the designated branch sets and the snake ----------------------------------------

@@ -18,6 +18,7 @@ from collinear.applications import (
     universal_placement,
     unrotate,
     untangle,
+    untangle_guarantee,
 )
 from collinear.realize import (Drawing, DrawingReport, RealizeError, serialize_drawing,
                                verify_drawing)
@@ -163,6 +164,14 @@ class TestUntangle:
             need += 1
         assert len(r.fixed) >= need
         assert all(r.drawing.coords[v] == base.coords[v] for v in r.fixed)
+
+    def test_triangle_keeps_nothing_and_verifies(self):
+        # ceil((3-3)/8) = 0: the curve puts no vertex on the line, so the
+        # free placement is returned unlifted
+        g = random_plane_3tree(3, seed=0)
+        r = untangle(g, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1))})
+        assert untangle_guarantee(3) == 0 and r.fixed == frozenset()
+        assert verify_drawing(g, Drawing(r.drawing.coords, ())).ok
 
     def test_rejects_coincident_positions(self):
         g = random_plane_3tree(10, seed=2)

@@ -156,6 +156,42 @@ class TestMalformedInput:
         assert err == f"error input bad line: {line!r}\n"
 
 
+class TestComments:
+    # `#` starts a comment in every input file, on a line of its own or
+    # after the data
+    @pytest.mark.parametrize("fmt", ["graph", "curve", "drawing", "model",
+                                     "targets", "points"])
+    def test_comments_are_ignored(self, tmp_path, capsys, fmt):
+        g, c, d = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "d.txt"
+        grid, model = tmp_path / "grid.txt", tmp_path / "m.txt"
+        t, p = tmp_path / "t.txt", tmp_path / "p.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "30", "--out", str(g))
+        run(capsys, "curve", str(g), "--method", "3tree", "--out", str(c))
+        run(capsys, "draw", str(g), str(c), "--out", str(d))
+        run(capsys, "gen", "--kind", "grid", "--n", "6", "--out", str(grid),
+            "--out-model", str(model))
+        graph = parse_plane_graph(g.read_text())
+        lab = labeling_from_curve(graph, parse_curve(graph, c.read_text()))
+        t.write_text("".join(
+            f"v {e[1]} {i + 1}\n" if e[0] == "v" else f"e {e[1][0]} {e[1][1]} {i + 1}\n"
+            for i, e in enumerate(lab.order)))
+        p.write_text("p 1 2\np 5 7\n")
+        path, argv = {
+            "graph": (g, ["verify", str(g), "--curve", str(c)]),
+            "curve": (c, ["draw", str(g), str(c)]),
+            "drawing": (d, ["verify", str(g), "--drawing", str(d)]),
+            "model": (model, ["verify", str(grid), "--model", str(model)]),
+            "targets": (t, ["place", str(g), str(c), str(t)]),
+            "points": (p, ["ups", str(g), str(p)]),
+        }[fmt]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        lines = path.read_text().splitlines()
+        path.write_text("# a comment line\n" + "".join(
+            f"{line}  # a trailing comment\n" for line in lines))
+        assert run(capsys, *argv) == plain
+
+
 class TestDrawAndVerify:
     def test_pipeline(self, tmp_path, capsys, tree_graph):
         cpath, dpath = tmp_path / "c.txt", tmp_path / "d.txt"
@@ -326,6 +362,32 @@ class TestPlacementCommands:
         fixed = [int(s) for s in kv["fixed_vertices"].split()]
         for v in fixed:
             assert d.coords[v] == coords[v]
+
+    def test_untangle_triangle(self, tmp_path, capsys):
+        # a triangle has no guaranteed collinear vertex: nothing is lifted
+        # and nothing need stay fixed
+        gpath, bpath = tmp_path / "g.txt", tmp_path / "bad.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", "3", "--out", str(gpath))
+        coords = {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1))}
+        bpath.write_text(serialize_drawing(Drawing(coords, ())))
+        code, out, _ = run(capsys, "untangle", str(gpath), str(bpath))
+        assert code == 0
+        kv = parse_kv(out)
+        assert (kv["bound"], kv["verified"]) == ("0", "ok")
+
+    def test_untangle_bound_matches_library(self, tmp_path, capsys):
+        gpath, bpath = tmp_path / "g.txt", tmp_path / "bad.txt"
+        for n in range(3, 41):
+            run(capsys, "gen", "--kind", "3tree", "--n", str(n), "--seed", str(n),
+                "--out", str(gpath))
+            g = parse_plane_graph(gpath.read_text())
+            coords = {v: (F(v * v % 37), F(v * 7 % 41, 3)) for v in g.vertices}
+            bpath.write_text(serialize_drawing(Drawing(coords, ())))
+            code, out, _ = run(capsys, "untangle", str(gpath), str(bpath))
+            k = -(-(n - 3) // 8)
+            want = next(b for b in range(k + 1) if b * b >= k)
+            assert code == 0
+            assert int(parse_kv(out)["bound"]) == applications.untangle_guarantee(n) == want
 
     def test_ups_verified_ok(self, tmp_path, capsys):
         # two points share an x-coordinate, so the axes are rotated

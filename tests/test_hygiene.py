@@ -68,6 +68,18 @@ def test_recursion_limit_untouched(path):
     # no module changes interpreter-wide state such as the recursion limit
     assert "setrecursionlimit" not in path.read_text(encoding="utf-8")
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_plane_graph_imports_deque(path):
+    # every breadth-first search goes through plane_graph.reach
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module == "collections"
+                and any(a.name == "deque" for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "deque")]
+    assert path.name == "plane_graph.py" or not uses, (
+        f"{path.name} uses collections.deque on lines {uses}; call reach instead")
+
+
 def test_import_loads_no_numpy_or_scipy():
     # numpy and scipy are imported only when a drawing is straightened, so
     # every command starts without paying for them

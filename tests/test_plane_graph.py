@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collinear.cubic import generate_triconnected_cubic
 from collinear.plane_graph import (
-    PlaneGraph, PlaneGraphError, parse_plane_graph, serialize_plane_graph,
+    PlaneGraph, PlaneGraphError, parse_plane_graph, path_to, reach,
+    serialize_plane_graph,
 )
 from collinear.three_tree import random_plane_3tree
 
@@ -242,3 +244,61 @@ rot 2: 0 1
 outer: 0 1 2
 """
     assert parse_plane_graph(text) == triangle()
+
+
+# -- the breadth-first search ---------------------------------------------------------
+
+
+def reference_reach(sources, adj):
+    """Level-by-level search: (node, parent) pairs in discovery order."""
+    found = []
+    for s in sources:
+        if s not in [v for v, _ in found]:
+            found.append((s, None))
+    level = [v for v, _ in found]
+    while level:
+        nxt = []
+        for v in level:
+            for w in adj[v]:
+                if w not in [u for u, _ in found]:
+                    found.append((w, v))
+                    nxt.append(w)
+        level = nxt
+    return found
+
+
+@st.composite
+def adjacency_and_sources(draw):
+    k = draw(st.integers(1, 12))
+    node = st.integers(0, k - 1)
+    adj = {v: draw(st.lists(node, max_size=5)) for v in range(k)}
+    return adj, draw(st.lists(node, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency_and_sources())
+def test_reach_matches_reference(case):
+    adj, sources = case
+    parent = reach(sources, adj.__getitem__)
+    assert list(parent.items()) == reference_reach(sources, adj)
+    for v in parent:
+        path = path_to(parent, v)
+        assert path[0] in sources and path[-1] == v
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+
+
+def test_reach_keeps_every_source_a_root():
+    # 1 is reachable from 0 but stays a source; the repeated 0 counts once
+    adj = {0: [1, 2], 1: [3], 2: [], 3: [0]}
+    parent = reach([0, 1, 0], adj.__getitem__)
+    assert list(parent.items()) == [(0, None), (1, None), (2, 0), (3, 1)]
+    assert path_to(parent, 3) == [1, 3]
+
+
+@pytest.mark.parametrize("make", [triangle, k4, octahedron, path3])
+def test_faces_at_reads_the_dart_map(make):
+    g = make()
+    for v in g.vertices:
+        assert len(g.faces_at(v)) == g.degree(v)
+        assert set(g.faces_at(v)) == {i for i in range(len(g.faces))
+                                      if v in g.face_vertices(i)}
