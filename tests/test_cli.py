@@ -1,5 +1,6 @@
 """End-to-end tests of the ``collinear`` command-line interface."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -279,6 +280,20 @@ class TestSmallGraphTools:
         code, out, _ = run(capsys, "oracle", str(gpath))
         assert code == 0
         assert int(parse_kv(out)["max_vertices"]) == optimal
+
+    @pytest.mark.parametrize("n,digest", [
+        (60, "ec0006728b5dcdd61ae462417df1de2f939b7d17f9778833b16cda21d32164ae"),
+        (400, "5b6d673b95a010ab4ec3723765d466db10fa64f706484dc547db1036c7d432e8"),
+    ])
+    def test_dp_output_pinned(self, tmp_path, capsys, n, digest):
+        # sha256 of the optimum, the root table lines and the --out curve,
+        # pinned on the dictionary-routed DP before it moved to slots
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        run(capsys, "gen", "--kind", "3tree", "--n", str(n), "--out", str(gpath))
+        code, out, _ = run(capsys, "dp", str(gpath), "--out", str(cpath))
+        assert code == 0
+        text = out + cpath.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_oracle_guard(self, capsys, tree_graph):
         code, _, err = run(capsys, "oracle", str(tree_graph))
