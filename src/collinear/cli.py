@@ -183,7 +183,7 @@ def _cmd_untangle(args) -> int:
     res = untangle(g, bad.coords)
     print(f"fixed {len(res.fixed)}")
     print(f"bound {untangle_guarantee(g.n)}")
-    print("fixed_vertices " + " ".join(str(v) for v in sorted(res.fixed)))
+    print("fixed_vertices", *sorted(res.fixed))
     # the fixed positions need not be collinear
     moved = [f"fixed vertex {v} moved" for v in sorted(res.fixed)
              if res.drawing.coords[v] != bad.coords[v]]
@@ -200,7 +200,7 @@ def _cmd_ups(args) -> int:
         pts.append(tuple(read_numbers(raw, parts[1:], ApplicationError, 2, F)))
     d = universal_placement(g, PointSet(tuple(pts)))
     print(f"placed {len(d.designated)}")
-    print("at_points " + " ".join(str(v) for v in d.designated))
+    print("at_points", *d.designated)
     # the prescribed points need not be collinear
     hit = sorted(d.coords[v] for v in d.designated) == sorted(pts)
     return _emit_verified(args, g, d, collinear=False, broken=() if hit else (

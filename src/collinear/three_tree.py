@@ -17,13 +17,16 @@ degree-3 vertex into an internal face.  This module provides:
                           in a convex drawing);
 * ``check_lemma3``     -- the six-counter audit of a bundle;
 * ``dp_optimal_collinear`` -- exact maximum over proper good curves via a
-                          six-signature dynamic program with reconstruction;
+                          six-signature dynamic program: six integer slots
+                          per node, three options per slot read through one
+                          constant table, and the optimal curve rebuilt from
+                          the chosen options in O(n);
 * ``augment_to_plane_3tree`` -- ear-clipping triangulation into a stacked one;
 * ``random_plane_3tree``   -- deterministic random stacking generator.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .plane_graph import PlaneGraph, edge_key, reach
@@ -223,24 +226,19 @@ class _Region:
         self.cycle = cycle
         k = len(cycle)
         self.cycle_edges = {edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-        faces = self.faces = set(reach(
-            [g.face_of_dart((cycle[0], cycle[1]))],
-            lambda f: (g.face_of_dart((b, a)) for (a, b) in g.faces[f]
-                       if edge_key(a, b) not in self.cycle_edges)))
-        self.adj: Dict[int, List[Tuple[Tuple[int, int], int]]] = {f: [] for f in faces}
-        chords = set()
-        for f in faces:
-            for (a, b) in g.faces[f]:
-                e = edge_key(a, b)
-                if e in self.cycle_edges or e in chords:
-                    continue
-                f2 = g.face_of_dart((b, a))
-                chords.add(e)
-                self.adj[f].append((e, f2))
-                self.adj[f2].append((e, f))
-        self.chords = chords
-        for f in faces:
-            self.adj[f].sort()
+        # per face, the (chord, face across it) pairs in order and the faces alone
+        self.adj: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
+        self.nbrs: Dict[int, List[int]] = {}
+
+        def across(f: int) -> List[int]:
+            self.adj[f] = sorted([(edge_key(a, b), g.face_of_dart((b, a)))
+                                  for (a, b) in g.faces[f]
+                                  if edge_key(a, b) not in self.cycle_edges])
+            self.nbrs[f] = [f2 for _, f2 in self.adj[f]]
+            return self.nbrs[f]
+
+        faces = self.faces = set(reach([g.face_of_dart((cycle[0], cycle[1]))], across))
+        chords = self.chords = {e for f in faces for e, _ in self.adj[f]}
         if len(faces) != len(chords) + 1:
             raise ThreeTreeError("cycle interior is not chord-filled "
                                  "(contains vertices)")
@@ -290,7 +288,7 @@ def _lemma1_with_region(g: PlaneGraph, region: _Region,
     if not a1 or not a2:
         raise ThreeTreeError("end-point not on the cycle")
     dist: Dict[int, int] = {}
-    for f, up in reach(a2, lambda f: (f2 for (_, f2) in region.adj[f])).items():
+    for f, up in reach(a2, region.nbrs.__getitem__).items():
         dist[f] = 0 if up is None else dist[up] + 1
     start = min(a1, key=lambda f: (dist[f], f))
     stations: List[Station] = [p1, Fst(start)]
@@ -333,23 +331,33 @@ class CurveBundle:
         return max(self.curves, key=lambda c: c.vertex_count)
 
 
-def _join(pieces: List[List[Station]]) -> List[Station]:
-    """Concatenate curve pieces end to end, flipping as needed.
+def _join_ends(ends: List[Tuple[Station, Station]]) -> Tuple[Station, Station, List[bool]]:
+    """Join pieces, given by their (first, last) stations, end to end: the
+    joined ends, and which pieces run backwards.  The first piece turns iff
+    its last station is not an end of the second; each later one iff its last
+    station is where the join so far ends.  Consecutive pieces must meet."""
+    first, last = ends[0]
+    flips = [len(ends) > 1 and last not in ends[1]]
+    if flips[0]:
+        first, last = last, first
+    for a, b in ends[1:]:
+        if last not in (a, b):
+            raise AssertionError(f"pieces do not meet: {last} vs {a}")
+        flips.append(last == b)
+        last = a if last == b else b
+    return first, last, flips
 
-    Consecutive pieces must share an end station; the shared station is kept
-    once (a shared Crossing becomes one proper crossing, a shared Vertex one
-    visit).
-    """
-    pieces = [list(p) for p in pieces if p]
-    out = pieces[0]
-    if len(pieces) > 1 and out[-1] not in (pieces[1][0], pieces[1][-1]):
-        out = out[::-1]
-    for q in pieces[1:]:
-        if out[-1] == q[-1]:
-            q = q[::-1]
-        if out[-1] != q[0]:
-            raise AssertionError(f"pieces do not meet: {out[-1]} vs {q[0]}")
-        out.extend(q[1:])
+
+def _join(pieces: List[List[Station]]) -> List[Station]:
+    """Concatenate curve pieces end to end, flipping as ``_join_ends`` says;
+    a shared end station is kept once (a shared Crossing becomes one proper
+    crossing, a shared Vertex one visit)."""
+    pieces = [p for p in pieces if p]
+    _, _, flips = _join_ends([(p[0], p[-1]) for p in pieces])
+    out: List[Station] = []
+    for p, flip in zip(pieces, flips):
+        p = p[::-1] if flip else p
+        out.extend(p[1:] if out else p)
     return out
 
 
@@ -582,163 +590,159 @@ def check_lemma3(d: ThreeTreeDecomp, cb: CurveBundle,
 
 # A proper good curve meets a triangle boundary in one of six ways: crossing
 # two of the three edges, or ending at a corner and crossing the opposite
-# edge.  Signature keys: ('ee', e1, e2) with e1 < e2, and ('ve', corner).
+# edge.  Signature keys: ('ee', e1, e2) with e1 < e2, and ('ve', corner).  A
+# node with corners (p, q, r) and edges E0 = pq, E1 = qr, E2 = rp numbers them
+# by slot, in ``_sigs`` order: 0 ee(E0, E1), 1 ee(E0, E2), 2 ee(E1, E2),
+# 3 ve p, 4 ve q, 5 ve r.
 
 Sig = Tuple
+_EE_PAIRS = ((0, 1), (0, 2), (1, 2))    # the edges of slots 0-2
 
 
 def _sigs(tri: Tuple[int, int, int]) -> List[Sig]:
-    a, b, c = tri
-    e = [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
-    out: List[Sig] = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            out.append(('ee',) + tuple(sorted((e[i], e[j]))))
-    for v in tri:
-        out.append(('ve', v))
-    return out
+    e = [edge_key(tri[k], tri[(k + 1) % 3]) for k in range(3)]
+    return ([('ee',) + tuple(sorted((e[i], e[j]))) for i, j in _EE_PAIRS]
+            + [('ve', v) for v in tri])
+
+
+# The three options of each slot of a node (u, v, z) with centre w, whose
+# children ``decompose`` always builds as 0 = (u, v, w), 1 = (v, z, w) and
+# 2 = (z, u, w): the pieces in the order the arc runs through them, as
+# (child, child slot), and the vertices the option adds.  Two edges at a
+# corner (slots 0-2): around the corner through its two children, the long way
+# through all three, or through w.  A corner and the opposite edge (slots
+# 3-5): out through either child at the corner and across the far one, or
+# along the spoke from the corner to w and on from w across the far child.
+_OPTIONS = (
+    ((((0, 0), (1, 1)), 0), (((0, 1), (2, 2), (1, 0)), 0), (((0, 5), (1, 5)), 1)),
+    ((((0, 1), (2, 0)), 0), (((0, 0), (1, 2), (2, 1)), 0), (((0, 5), (2, 5)), 1)),
+    ((((1, 0), (2, 1)), 0), (((1, 1), (0, 2), (2, 0)), 0), (((1, 5), (2, 5)), 1)),
+    ((((0, 3), (1, 1)), 0), (((2, 4), (1, 0)), 0), (((1, 5),), 1)),
+    ((((0, 4), (2, 0)), 0), (((1, 3), (2, 1)), 0), (((2, 5),), 1)),
+    ((((2, 3), (0, 1)), 0), (((1, 4), (0, 0)), 0), (((0, 5),), 1)),
+)
+# each option as positions in the concatenated slot values of the children
+_FLAT = tuple(tuple((tuple(6 * c + t for c, t in pieces), bonus)
+                    for pieces, bonus in options) for options in _OPTIONS)
 
 
 @dataclass
 class DpTable:
-    entries: Dict[int, Dict[Sig, int]]
-    _routes: Dict[Tuple[int, Sig], Tuple] = field(default_factory=dict, repr=False)
+    values: List[Tuple[int, ...]]       # per node index, its six slot values
+    choice: bytearray                   # per 6 * index + slot, the option taken
 
     def at(self, node: DecompNode) -> Dict[Sig, int]:
-        return self.entries[node.index]
+        return dict(zip(_sigs(node.corners), self.values[node.index]))
 
 
-def _dp_node(node: DecompNode, table: DpTable) -> None:
-    u, v, z = node.corners
-    ent: Dict[Sig, int] = {}
-    routes = table._routes
-    if node.kind == 'empty':
-        for sig in _sigs(node.corners):
-            ent[sig] = 0
-            routes[(node.index, sig)] = ('base',)
-        table.entries[node.index] = ent
-        return
-    w = node.w
-    a1 = node.child_on_edge(u, v)       # triangle (u, v, w)
-    a2 = node.child_on_edge(z, u)       # triangle (z, u, w)
-    a3 = node.child_on_edge(v, z)       # triangle (v, z, w)
-    euv, evz, ezu = edge_key(u, v), edge_key(v, z), edge_key(z, u)
-    su, sv, sz = edge_key(u, w), edge_key(v, w), edge_key(z, w)
-
-    def ee(e, f) -> Sig:
-        return ('ee',) + tuple(sorted((e, f)))
-
-    def best(sig: Sig, options) -> None:
-        val, route = max(options, key=lambda t: t[0])
-        ent[sig] = val
-        routes[(node.index, sig)] = route
-
-    # two boundary edges sharing a corner: around the corner-side child pair,
-    # the long way through all three children, or through the hub vertex.
-    for (ea, eb, ca, cb, cc) in (
-            (euv, ezu, a1, a2, a3),     # edges at u
-            (euv, evz, a1, a3, a2),     # edges at v
-            (evz, ezu, a3, a2, a1)):    # edges at z
-        sa = edge_key(_shared_corner(ea, eb), w)
-        # the spoke between the two other children is the one avoiding
-        # the shared corner entirely
-        others = {su, sv, sz} - {sa}
-        sb = next(s for s in sorted(others) if _touches(s, ea, (u, v, z), w))
-        sc = next(s for s in sorted(others) if s != sb)
-        ta, tb, tc = table.entries[ca.index], table.entries[cb.index], table.entries[cc.index]
-        best(ee(ea, eb), [
-            (ta[ee(ea, sa)] + tb[ee(sa, eb)],
-             ('seq', (ca, ee(ea, sa)), (cb, ee(sa, eb)))),
-            (ta[ee(ea, sb)] + tc[ee(sb, sc)] + tb[ee(sc, eb)],
-             ('seq', (ca, ee(ea, sb)), (cc, ee(sb, sc)), (cb, ee(sc, eb)))),
-            (ta[('ve', w)] + 1 + tb[('ve', w)],
-             ('seq', (ca, ('ve', w)), (cb, ('ve', w)))),
-        ])
-    # a corner plus the opposite edge: out through either adjacent child and
-    # across the far one, or along the contained spoke to the hub.
-    for (corner, eopp, ca, cb, cc, sa, sb) in (
-            (u, evz, a1, a2, a3, sv, sz),
-            (v, ezu, a1, a3, a2, su, sz),
-            (z, euv, a2, a3, a1, su, sv)):
-        ta, tb, tc = table.entries[ca.index], table.entries[cb.index], table.entries[cc.index]
-        best(('ve', corner), [
-            (ta[('ve', corner)] + tc[ee(sa, eopp)],
-             ('seq', (ca, ('ve', corner)), (cc, ee(sa, eopp)))),
-            (tb[('ve', corner)] + tc[ee(sb, eopp)],
-             ('seq', (cb, ('ve', corner)), (cc, ee(sb, eopp)))),
-            (1 + tc[('ve', w)],
-             ('spoke', corner, (cc, ('ve', w)))),
-        ])
-    table.entries[node.index] = ent
+def _dp_table(d: ThreeTreeDecomp) -> DpTable:
+    """Children before parents; the first maximal option wins."""
+    values: List[Tuple[int, ...]] = [(0,) * 6] * len(d.nodes)
+    choice = bytearray(6 * len(d.nodes))
+    for node in reversed(d.nodes):
+        if node.w is None:
+            continue
+        c0, c1, c2 = node.children
+        kids = values[c0.index] + values[c1.index] + values[c2.index]
+        row = []
+        for slot, options in enumerate(_FLAT):
+            best = pick = -1
+            for o, (pieces, bonus) in enumerate(options):
+                val = bonus
+                for j in pieces:
+                    val += kids[j]
+                if val > best:
+                    best, pick = val, o
+            row.append(best)
+            choice[6 * node.index + slot] = pick
+        values[node.index] = tuple(row)
+    return DpTable(values, choice)
 
 
-def _shared_corner(ea: Tuple[int, int], eb: Tuple[int, int]) -> int:
-    (s,) = set(ea) & set(eb)
-    return s
+def _base_arc(g: PlaneGraph, node: DecompNode, slot: int) -> Tuple[Station, ...]:
+    """The arc of an empty triangle: through its face, between the boundary
+    parts of ``slot``."""
+    c = node.corners
+    f = Fst(g.face_of_dart(c[:2]))
+    if slot >= 3:
+        k = slot - 3
+        return (Vst(c[k]), f, Xst(c[(k + 1) % 3], c[(k + 2) % 3]))
+    e1, e2 = sorted(edge_key(c[k], c[(k + 1) % 3]) for k in _EE_PAIRS[slot])
+    return (Xst(*e1), f, Xst(*e2))
 
 
-def _touches(spoke, edge, corners, w) -> bool:
-    (c,) = set(spoke) - {w}
-    return c in edge
+def _dp_arc(d: ThreeTreeDecomp, table: DpTable, slot: int) -> List[Station]:
+    """The arc behind the root's ``slot``, in time linear in its length.
 
-
-def _dp_arc(d: ThreeTreeDecomp, table: DpTable, sig: Sig) -> List[Station]:
-    """The arc behind the root's table entry ``sig``, joined bottom-up from
-    the arcs its routes take through the children."""
-    routes = table._routes
-    demand = [(d.root, sig)]
-    for node, s in demand:      # a route asks each child for one signature
-        route = routes[(node.index, s)]
-        demand.extend(route[2:] if route[0] == 'spoke' else route[1:])
-    arcs: Dict[int, List[Station]] = {}
-    for node, s in reversed(demand):
-        route = routes[(node.index, s)]
-        if route[0] == 'base':
-            f = Fst(d.graph.face_of_dart(node.corners[:2]))
-            if s[0] == 'ee':
-                arc = [Xst(*s[1]), f, Xst(*s[2])]
-            else:
-                opp = edge_key(node.corner_next(s[1]), node.corner_prev(s[1]))
-                arc = [Vst(s[1]), f, Xst(*opp)]
-        elif route[0] == 'spoke':
-            arc = _join([[Vst(route[1]), Vst(node.w)],
-                         arcs.pop(route[2][0].index)])
-        else:
-            arc = _join([arcs.pop(child.index) for child, _ in route[1:]])
-        arcs[node.index] = arc
-    return arcs[d.root.index]
+    The demand walk asks each child of a chosen option for one slot, top-down,
+    so every node is asked at most once.  Bottom-up, ``_join_ends`` gives each
+    asked arc its end stations and its pieces their flips, and checks that the
+    pieces meet.  Then one pass over an explicit stack emits the stations: an
+    arc read backwards is its pieces backwards, each flipped, and each piece
+    after the first drops the station it shares with the one before.  No arc
+    is copied, so a deep stacking costs O(n), not O(n * depth).
+    """
+    nodes, choice = d.nodes, table.choice
+    demand = [(d.root.index, slot)]
+    for i, s in demand:
+        node = nodes[i]
+        if node.w is not None:
+            pieces, _ = _OPTIONS[s][choice[6 * i + s]]
+            demand.extend((node.children[c].index, t) for c, t in pieces)
+    # per asked node its pieces, each an asked node or literal stations, with
+    # their flips; and its end stations
+    parts: Dict[int, List[Tuple[object, bool]]] = {}
+    ends: Dict[int, Tuple[Station, Station]] = {}
+    for i, s in reversed(demand):
+        node = nodes[i]
+        if node.w is None:
+            arc = _base_arc(d.graph, node, s)
+            parts[i], ends[i] = [(arc, False)], (arc[0], arc[-1])
+            continue
+        o = choice[6 * i + s]
+        pieces: List[object] = [node.children[c].index for c, _ in _OPTIONS[s][o][0]]
+        if s >= 3 and o == 2:       # the spoke from the corner to the centre
+            pieces.insert(0, (Vst(node.corners[s - 3]), Vst(node.w)))
+        first, last, flips = _join_ends([ends[p] if type(p) is int else (p[0], p[-1])
+                                         for p in pieces])
+        parts[i], ends[i] = list(zip(pieces, flips)), (first, last)
+    out: List[Station] = []
+    stack = [(d.root.index, False, False)]  # (piece, backwards, drop its first)
+    while stack:
+        piece, back, drop = stack.pop()
+        if type(piece) is tuple:
+            piece = piece[::-1] if back else piece
+            out.extend(piece[1:] if drop else piece)
+            continue
+        run = parts[piece][::-1] if back else parts[piece]
+        stack.extend((p, flip != back, True) for p, flip in reversed(run[1:]))
+        stack.append((run[0][0], run[0][1] != back, drop))
+    return out
 
 
 def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
     """Exact maximum number of vertices on a proper good curve.
 
     Computes, bottom-up over the decomposition, the best number of interior
-    vertices reachable by a curve arc for each of the six ways the arc can
-    meet a triangle boundary, then closes the recursion at the outer triangle
-    (where a corner end-point adds the corner itself, and walking along one
-    outer edge visits two vertices with no arc at all).
+    vertices reachable by a curve arc for each of the six slots (the ways the
+    arc can meet a triangle boundary), then closes the recursion at the outer
+    triangle (where a corner end-point adds the corner itself, and walking
+    along one outer edge visits two vertices with no arc at all).  Each slot
+    has three options, read off the children through the constant table
+    ``_OPTIONS``; a node costs one 6-tuple of values and six bytes of choices.
+    The curve is rebuilt from the choices in O(n) time and memory
+    (``_dp_arc``); joining copies of the children's arcs at every level would
+    cost O(n * depth), quadratic on deep stackings.  ``validate_curve`` checks
+    the curve and its count before it is returned.
     """
-    table = DpTable({})
-    for node in reversed(d.nodes):
-        _dp_node(node, table)
-    root = d.root
-    u, v, z = root.corners
-    ent = table.entries[root.index]
-    cands: List[Tuple[int, Tuple]] = []
-    for sig in _sigs(root.corners):
-        if sig[0] == 'ee':
-            cands.append((ent[sig], ('arc', sig)))
-        else:
-            cands.append((ent[sig] + 1, ('arc', sig)))
-    cands.append((2, ('edgewalk', edge_key(u, v))))
-    val, plan = cands[0]
-    for cval, cplan in cands[1:]:
-        if cval > val:
-            val, plan = cval, cplan
-    if plan[0] == 'edgewalk':
-        stations: List[Station] = [Vst(plan[1][0]), Vst(plan[1][1])]
+    table = _dp_table(d)
+    cands = [x + (s >= 3) for s, x in enumerate(table.values[d.root.index])]
+    val = max(cands)
+    if val < 2:
+        a, b = edge_key(*d.root.corners[:2])
+        val, stations = 2, [Vst(a), Vst(b)]
     else:
-        stations = _dp_arc(d, table, plan[1])
+        stations = _dp_arc(d, table, cands.index(val))
     curve = GoodCurve(tuple(stations))
     rep = validate_curve(d.graph, curve)
     if not (rep.good and rep.proper and rep.vertex_count_on_curve == val):
@@ -752,7 +756,7 @@ def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
 def max_internal_collinear(d: ThreeTreeDecomp) -> int:
     """Maximum number of *internal* vertices on a proper good curve."""
     table, _, _ = dp_optimal_collinear(d)
-    return max(table.entries[d.root.index].values())
+    return max(table.values[d.root.index])
 
 
 # -- augmentation ------------------------------------------------------------------

@@ -21,11 +21,12 @@ def run(capsys, *argv):
 
 
 def parse_kv(out):
+    # "key value" lines; a key alone on its line has the empty value
     d = {}
     for line in out.splitlines():
         parts = line.split(None, 1)
-        if len(parts) == 2:
-            d.setdefault(parts[0], parts[1])
+        if parts:
+            d.setdefault(parts[0], parts[1] if len(parts) == 2 else "")
     return d
 
 
@@ -389,6 +390,9 @@ class TestPlacementCommands:
         assert code == 0
         kv = parse_kv(out)
         assert (kv["bound"], kv["verified"]) == ("0", "ok")
+        assert (kv["fixed"], kv["fixed_vertices"]) == ("0", "")
+        assert "fixed_vertices\n" in out
+        assert not any(line.endswith(" ") for line in out.splitlines())
 
     def test_untangle_bound_matches_library(self, tmp_path, capsys):
         gpath, bpath = tmp_path / "g.txt", tmp_path / "bad.txt"

@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
 from collinear.curves import (GoodCurve, Vst, Xst, Fst, serialize_curve,
@@ -16,7 +17,7 @@ from collinear.three_tree import (
     ThreeTreeError, decompose, format_decomposition, lemma1_chord,
     build_curve_bundle, check_lemma3, dp_optimal_collinear,
     max_internal_collinear, augment_to_plane_3tree, random_plane_3tree,
-    _BundleBuilder,
+    _BundleBuilder, _join,
 )
 
 
@@ -407,6 +408,144 @@ def test_lemma3_at_every_node():
 
 
 # -- DP optimum ----------------------------------------------------------------------
+
+
+# The dictionary-routed DP the slot DP replaced, kept as its reference: the
+# options of each signature are found from the edge and spoke keys of the
+# node, the routes are keyed by (node index, signature), and every arc is
+# joined from copies of its children's arcs.
+
+def _ref_sigs(tri):
+    a, b, c = tri
+    e = [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
+    out = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            out.append(('ee',) + tuple(sorted((e[i], e[j]))))
+    for v in tri:
+        out.append(('ve', v))
+    return out
+
+
+def _ref_dp_node(node, entries, routes):
+    u, v, z = node.corners
+    ent = {}
+    if node.kind == 'empty':
+        for sig in _ref_sigs(node.corners):
+            ent[sig] = 0
+            routes[(node.index, sig)] = ('base',)
+        entries[node.index] = ent
+        return
+    w = node.w
+    a1 = node.child_on_edge(u, v)
+    a2 = node.child_on_edge(z, u)
+    a3 = node.child_on_edge(v, z)
+    euv, evz, ezu = edge_key(u, v), edge_key(v, z), edge_key(z, u)
+    su, sv, sz = edge_key(u, w), edge_key(v, w), edge_key(z, w)
+
+    def ee(e, f):
+        return ('ee',) + tuple(sorted((e, f)))
+
+    def best(sig, options):
+        val, route = max(options, key=lambda t: t[0])
+        ent[sig] = val
+        routes[(node.index, sig)] = route
+
+    for (ea, eb, ca, cb, cc) in ((euv, ezu, a1, a2, a3), (euv, evz, a1, a3, a2),
+                                 (evz, ezu, a3, a2, a1)):
+        (shared,) = set(ea) & set(eb)
+        sa = edge_key(shared, w)
+        others = {su, sv, sz} - {sa}
+        sb = next(s for s in sorted(others) if (set(s) - {w}) <= set(ea))
+        sc = next(s for s in sorted(others) if s != sb)
+        ta, tb, tc = entries[ca.index], entries[cb.index], entries[cc.index]
+        best(ee(ea, eb), [
+            (ta[ee(ea, sa)] + tb[ee(sa, eb)],
+             ('seq', (ca, ee(ea, sa)), (cb, ee(sa, eb)))),
+            (ta[ee(ea, sb)] + tc[ee(sb, sc)] + tb[ee(sc, eb)],
+             ('seq', (ca, ee(ea, sb)), (cc, ee(sb, sc)), (cb, ee(sc, eb)))),
+            (ta[('ve', w)] + 1 + tb[('ve', w)],
+             ('seq', (ca, ('ve', w)), (cb, ('ve', w)))),
+        ])
+    for (corner, eopp, ca, cb, cc, sa, sb) in ((u, evz, a1, a2, a3, sv, sz),
+                                               (v, ezu, a1, a3, a2, su, sz),
+                                               (z, euv, a2, a3, a1, su, sv)):
+        ta, tb, tc = entries[ca.index], entries[cb.index], entries[cc.index]
+        best(('ve', corner), [
+            (ta[('ve', corner)] + tc[ee(sa, eopp)],
+             ('seq', (ca, ('ve', corner)), (cc, ee(sa, eopp)))),
+            (tb[('ve', corner)] + tc[ee(sb, eopp)],
+             ('seq', (cb, ('ve', corner)), (cc, ee(sb, eopp)))),
+            (1 + tc[('ve', w)], ('spoke', corner, (cc, ('ve', w)))),
+        ])
+    entries[node.index] = ent
+
+
+def _ref_dp_arc(d, routes, sig):
+    demand = [(d.root, sig)]
+    for node, s in demand:
+        route = routes[(node.index, s)]
+        demand.extend(route[2:] if route[0] == 'spoke' else route[1:])
+    arcs = {}
+    for node, s in reversed(demand):
+        route = routes[(node.index, s)]
+        if route[0] == 'base':
+            f = Fst(d.graph.face_of_dart(node.corners[:2]))
+            if s[0] == 'ee':
+                arc = [Xst(*s[1]), f, Xst(*s[2])]
+            else:
+                opp = edge_key(node.corner_next(s[1]), node.corner_prev(s[1]))
+                arc = [Vst(s[1]), f, Xst(*opp)]
+        elif route[0] == 'spoke':
+            arc = _join([[Vst(route[1]), Vst(node.w)], arcs.pop(route[2][0].index)])
+        else:
+            arc = _join([arcs.pop(child.index) for child, _ in route[1:]])
+        arcs[node.index] = arc
+    return arcs[d.root.index]
+
+
+def reference_dp_optimal_collinear(d):
+    """(entries, curve, value): per node index the signature -> value dict,
+    and the optimum with its curve, as the DP computed them before slots."""
+    entries, routes = {}, {}
+    for node in reversed(d.nodes):
+        _ref_dp_node(node, entries, routes)
+    u, v, z = d.root.corners
+    ent = entries[d.root.index]
+    cands = [(ent[sig] + (sig[0] == 've'), ('arc', sig))
+             for sig in _ref_sigs(d.root.corners)]
+    cands.append((2, ('edgewalk', edge_key(u, v))))
+    val, plan = cands[0]
+    for cval, cplan in cands[1:]:
+        if cval > val:
+            val, plan = cval, cplan
+    if plan[0] == 'edgewalk':
+        stations = [Vst(plan[1][0]), Vst(plan[1][1])]
+    else:
+        stations = _ref_dp_arc(d, routes, plan[1])
+    return entries, GoodCurve(tuple(stations)), val
+
+
+_CATALOG_UP_TO_5 = [g for m in range(6) for g in catalog_plane_3trees(m)]
+
+_dp_inputs = st.one_of(
+    st.sampled_from(_CATALOG_UP_TO_5),
+    st.builds(random_plane_3tree, st.integers(3, 300), st.integers(0, 10 ** 6)),
+    st.builds(deep_stacking, st.integers(3, 400), st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_dp_inputs)
+def test_dp_matches_reference(g):
+    d = decompose(g)
+    entries, ref_curve, ref_val = reference_dp_optimal_collinear(d)
+    table, curve, val = dp_optimal_collinear(d)
+    for node in d.nodes:
+        assert table.values[node.index] == tuple(
+            entries[node.index][sig] for sig in _ref_sigs(node.corners))
+    assert table.at(d.root) == entries[d.root.index]
+    assert val == ref_val
+    assert curve.stations == ref_curve.stations
 
 
 def test_dp_triangle():
