@@ -712,6 +712,5 @@ def _expand(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     m1 = eng.subdivide(edge_key(*walk[i]))
     m2 = eng.subdivide(edge_key(*walk[j]))
     eng.insert_chord(m1, m2, fi)
-    regions = [w for tag, w in eng.walks if tag == g.outer]
-    pg = PlaneGraph._from_walks(eng.rot, [w for _, w in eng.walks])
-    return pg.with_outer(pg.face_of_dart(regions[0][0]))
+    pg, index = eng.graph()
+    return pg.with_outer(index[eng.tag.index(g.outer)])

@@ -15,17 +15,17 @@ incident to the unbounded region of the drawing-with-curve.
 
 The central tool is an augmentation engine that embeds the curve into the
 graph (subdividing crossed edges, adding chord edges through face interiors,
-and dangling endpoint vertices), tracking how original faces split.  Its dart
-walks are the faces of the augmented embedding, each tagged with the original
-face it descends from.  Properness is read from the walks tagged with the
-outer face, and the augmented graph for the curve-to-drawing direction is
-built from all of them; both cost O(m) per curve and trace no faces.
+and dangling endpoint vertices) on integer dart arrays, tracking how original
+faces split into regions.  Properness is read off the regions at the two
+ends, and the augmented graph for the curve-to-drawing direction is built
+from the region walks; neither traces faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .geom import F, orient
@@ -101,11 +101,9 @@ class CurveReport:
 
 
 def _adjacent_pairs(stations, closed):
-    n = len(stations)
-    for i in range(n - 1):
-        yield stations[i], stations[i + 1]
-    if closed and n > 1:
-        yield stations[-1], stations[0]
+    """Consecutive stations, and on a closed curve the last with the first."""
+    return zip(stations, stations[1:] + stations[:1] if closed and len(stations) > 1
+               else stations[1:])
 
 
 # -- well-formedness and tallies -------------------------------------------------
@@ -163,23 +161,28 @@ def check_well_formed(g: PlaneGraph, c: GoodCurve) -> None:
 
 
 def _check_face_incident(g: PlaneGraph, f: int, s: Station) -> None:
+    """Face f holds a dart at station s, by the dart-to-face map."""
+    fod = g._face_of_dart
     if s[0] == 'v':
-        if f not in g.faces_at(s[1]):
-            raise CurveError(f"face {f} not incident to vertex {s[1]}")
+        v = s[1]
+        if f not in map(fod.__getitem__, zip(repeat(v), g.rot[v])):
+            raise CurveError(f"face {f} not incident to vertex {v}")
     elif s[0] == 'x':
-        if f not in g.faces_of_edge(*s[1]):
+        a, b = s[1]
+        if fod[a, b] != f and fod[b, a] != f:
             raise CurveError(f"face {f} not incident to edge {s[1]}")
 
 
 def edge_tallies(g: PlaneGraph, c: GoodCurve) -> Dict[Tuple[int, int], int]:
     """Common-point count of the curve with every non-contained edge."""
     tally: Dict[Tuple[int, int], int] = {}
+    contained = c.contained
     for s in c.stations:
         if s[0] == 'v':
             v = s[1]
             for w in g.rot[v]:
-                e = edge_key(v, w)
-                if e not in c.contained:
+                e = (v, w) if v < w else (w, v)
+                if e not in contained:
                     tally[e] = tally.get(e, 0) + 1
         elif s[0] == 'x':
             tally[s[1]] = tally.get(s[1], 0) + 1
@@ -193,10 +196,8 @@ def edge_tallies(g: PlaneGraph, c: GoodCurve) -> Dict[Tuple[int, int], int]:
 class AugmentedCurve:
     """Result of embedding a curve into its plane graph.
 
-    graph:          the augmented plane graph, built from the engine's walks
-                    without tracing faces (outer face chosen among the regions
-                    the original outer face split into; when the curve is open
-                    and proper, the chosen region touches both ends).
+    graph:          the augmented plane graph; its outer face is a region of
+                    the old one, touching both ends when the curve is proper.
     station_vertex: vertex realizing each station (None for pass-through hops).
     endpoints:      (a, b) endpoint vertices, None for closed curves.
     path_vertices:  the curve as a vertex path of the augmented graph.
@@ -221,10 +222,10 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     Crossed edges are subdivided; every face hop becomes a chord (or, at the
     ends of an open curve, a dangling endpoint vertex inside the hop face); a
     terminal crossing dangles an endpoint just past the crossed edge.  Raises
-    CurveError when the hops cannot be drawn (the face region required by a
-    hop no longer contains both attachment points — i.e. the curve would have
-    to cross itself or an edge twice).  The augmented graph is built from the
-    engine's face walks in O(m), without tracing faces.
+    CurveError when a hop cannot be drawn (no region of its face holds both
+    ends, or its chord would parallel an edge).  The dart map embeds the
+    curve in O(m + k) for k stations, and the graph is built from its region
+    walks in O(m) more, without tracing faces.
     """
     _require_good(g, c)
     return _augment(g, c)
@@ -240,8 +241,7 @@ def _require_good(g: PlaneGraph, c: GoodCurve) -> None:
 def _embed(g: PlaneGraph, c: GoodCurve):
     """Run the engine on a well-formed good curve: returns the engine, the
     vertex realizing each station and the endpoints (None when closed)."""
-    eng = _Engine(g)
-    sts = c.stations
+    eng, sts = _Engine(g), c.stations
     n = len(sts)
     for s in sts:
         if s[0] == 'x':
@@ -274,7 +274,15 @@ def _augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     path_e = [edge_key(p, q) for p, q in zip(path_v, path_v[1:])]
     if c.closed and len(path_v) > 1:
         path_e.append(edge_key(path_v[-1], path_v[0]))
-    return eng.finish(g, station_vertex, endpoints, path_v, path_e)
+    pg, index = eng.graph()
+    tags = dict(zip(index, eng.tag))
+    # the outer region: a region of the old outer face, one touching both
+    # ends if there is one (then the curve is proper)
+    cands = sorted(fi for fi, tag in tags.items() if tag == g.outer)
+    touching = (sorted(index[r] for r in eng.touches_both(g.outer, endpoints))
+                if endpoints else [])
+    return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
+                          endpoints, path_v, path_e, dict(eng.sub), tags, bool(touching))
 
 
 def _terminal(eng: "_Engine", sts, station_vertex, first: bool) -> int:
@@ -306,128 +314,165 @@ def _terminal(eng: "_Engine", sts, station_vertex, first: bool) -> int:
 
 
 class _Engine:
-    """Mutable embedding under subdivision / chord insertion.
-
-    Faces are kept as dart walks tagged with the original face they descend
-    from; inserting a chord splits one walk into two (both keep the tag), and
-    an antenna grows a walk in place.  The walks stay the faces of ``rot``
-    under the tracing convention, so ``finish`` builds the graph from them.
-    """
+    """Mutable embedding on flat integer lists indexed by dart (a doubly-
+    connected edge list) copied from ``PlaneGraph._dart_arrays``.  Region r
+    descends from face ``tag[r]`` and is read from dart ``start[r]``: face f
+    is region f, from its least dart; a chord keeps the side holding its dart
+    (a, b) in the split region, from the dart after b's corner, and numbers
+    the side holding (b, a) anew, from the dart after a's corner.  Each
+    operation is O(1) link updates; a chord also relabels its new region."""
 
     def __init__(self, g: PlaneGraph):
         self.g = g
-        self.rot: Dict[int, List[int]] = {v: list(g.rot[v]) for v in g.vertices}
-        self.walks: List[Tuple[int, List[Tuple[int, int]]]] = [
-            (i, list(w)) for i, w in enumerate(g.faces)]
-        # original face tag -> indices into self.walks (regions of that face)
-        self.by_tag: Dict[int, List[int]] = {i: [i] for i in range(len(g.faces))}
+        *arrays, self.lo = g._dart_arrays()
+        self.head, self.twin, self.cw, self.region, self.start, self.first = map(
+            list, arrays)
+        self.tag = list(range(len(g.faces)))
         self.sub: Dict[Tuple[int, int], int] = {}
-        self.next_id = max(g.vertices) + 1
 
-    def _new_vertex(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        return v
+    def _around(self, v: int) -> List[int]:
+        """The darts leaving v, clockwise from its first one."""
+        cw, d0 = self.cw, self.first[v - self.lo]
+        out, d = [d0], cw[d0]
+        while d != d0:
+            out.append(d)
+            d = cw[d]
+        return out
+
+    def _corners(self, v: int, face: int, other: Optional[int] = None
+                 ) -> List[Tuple[int, int]]:
+        """(region, incoming dart) of each corner of v in a region of
+        ``face``: the corner between darts d and ``cw[d]`` is entered by
+        ``twin[d]``.  A chord from v to ``other`` must not parallel an edge."""
+        head, cw, region, tag = self.head, self.cw, self.region, self.tag
+        out = []
+        d0 = d = self.first[v - self.lo]
+        while True:
+            if head[d] == other:
+                raise CurveError(f"cannot route hop between {v} and {other} through "
+                                 f"face {face}: the chord would parallel edge "
+                                 f"{edge_key(v, other)}")
+            e = cw[d]
+            if tag[region[e]] == face:
+                out.append((region[e], self.twin[d]))
+            if e == d0:
+                return out
+            d = e
+
+    def _corner(self, v: int, r: int, corners: List[Tuple[int, int]]) -> int:
+        """v's corner in region r: the only one, or the first from the start."""
+        mine = [d for rr, d in corners if rr == r]
+        if len(mine) == 1:
+            return mine[0]
+        head, twin, cw = self.head, self.twin, self.cw
+        d = self.start[r]
+        while head[d] != v:
+            d = cw[twin[d]]
+        return d
+
+    def _add_edge(self, x: int, y: Optional[int], b: int, r: int) -> None:
+        """Darts (a, b) and (b, a) in region r, a the tail of dart x: (a, b)
+        right after x clockwise round a, (b, a) after y round b (or alone)."""
+        head, twin, cw = self.head, self.twin, self.cw
+        ab = len(head)
+        head.extend((b, head[twin[x]]))
+        twin.extend((ab + 1, ab))
+        cw.extend((cw[x], ab + 1 if y is None else cw[y]))
+        cw[x] = ab
+        if y is not None:
+            cw[y] = ab + 1
+        self.region.extend((r, r))
 
     def subdivide(self, e: Tuple[int, int]) -> int:
+        """Put a new vertex w on the original edge e = (u, v): the darts of e
+        become (u, w) and (v, w), and w's rotation is (u, v)."""
         u, v = e
-        w = self._new_vertex()
-        self.rot[u][self.rot[u].index(v)] = w
-        self.rot[v][self.rot[v].index(u)] = w
-        self.rot[w] = [u, v]
+        d = self.g._dart_id(e)
+        head, twin, region = self.head, self.twin, self.region
+        t, k = twin[d], len(head)
+        self.first.append(k + 1)    # w's rotation starts with (w, u)
+        w = self.lo + len(self.first) - 1
+        # d, t become (u, w), (v, w); k is (w, v) and k + 1 is (w, u)
+        head[d] = head[t] = w
+        head.extend((v, u))
+        twin[d], twin[t] = k + 1, k
+        twin.extend((t, d))
+        self.cw.extend((k + 1, k))
+        region.extend((region[d], region[t]))
         self.sub[e] = w
-        sides = set(self.g.faces_of_edge(u, v))
-        cand = {wi for f in sides for wi in self.by_tag.get(f, ())}
-        for wi in cand:
-            darts = self.walks[wi][1]
-            for i, d in enumerate(darts):
-                if d == (u, v):
-                    darts[i:i + 1] = [(u, w), (w, v)]
-                    break
-            for i, d in enumerate(darts):
-                if d == (v, u):
-                    darts[i:i + 1] = [(v, w), (w, u)]
-                    break
         return w
-
-    def _corners(self, darts, v) -> List[int]:
-        return [i for i, d in enumerate(darts) if d[1] == v]
 
     def insert_antenna(self, anchor: int, face: int) -> int:
         """Dangle a new degree-1 vertex off ``anchor`` inside ``face``."""
-        for wi in self.by_tag.get(face, ()):
-            darts = self.walks[wi][1]
-            cs = self._corners(darts, anchor)
-            if not cs:
-                continue
-            i = cs[0]
-            x = darts[i][0]
-            t = self._new_vertex()
-            self.rot[t] = [anchor]
-            ra = self.rot[anchor]
-            ra.insert(ra.index(x) + 1, t)
-            darts[i + 1:i + 1] = [(anchor, t), (t, anchor)]
-            return t
-        raise CurveError(f"cannot attach endpoint at {anchor} inside face {face}")
+        corners = self._corners(anchor, face)
+        if not corners:
+            raise CurveError(f"cannot attach endpoint at {anchor} inside face {face}")
+        r = min(corners)[0]
+        x = self.twin[self._corner(anchor, r, corners)]
+        self.first.append(len(self.head) + 1)
+        t = self.lo + len(self.first) - 1
+        self._add_edge(x, None, t, r)
+        return t
 
     def insert_chord(self, a: int, b: int, face: int) -> None:
-        """Connect anchors a, b by a new edge through (a region of) ``face``."""
-        for wi in self.by_tag.get(face, ()):
-            tag, darts = self.walks[wi]
-            ca = self._corners(darts, a)
-            cb = self._corners(darts, b)
-            if not ca or not cb:
-                continue
-            i, j = ca[0], cb[0]
-            if i == j:
-                continue
-            x = darts[i][0]
-            z = darts[j][0]
-            ra, rb = self.rot[a], self.rot[b]
-            ra.insert(ra.index(x) + 1, b)
-            rb.insert(rb.index(z) + 1, a)
-            n = len(darts)
-
-            def cyc(lo, hi):  # darts at positions lo+1 .. hi (cyclic, inclusive)
-                out = []
-                k = (lo + 1) % n
-                while True:
-                    out.append(darts[k])
-                    if k == hi:
-                        return out
-                    k = (k + 1) % n
-
-            w1 = cyc(i, j) + [(b, a)]
-            w2 = cyc(j, i) + [(a, b)]
-            self.walks[wi] = (tag, w2)
-            self.by_tag[tag].append(len(self.walks))
-            self.walks.append((tag, w1))
-            return
-        raise CurveError(f"cannot route hop between {a} and {b} through face {face}: "
-                         "no region of that face touches both (curve not embeddable)")
+        """Connect anchors a, b by a new edge through (a region of) ``face``;
+        the side holding the new dart (b, a) becomes a new region."""
+        twin, cw = self.twin, self.cw
+        ca, cb = self._corners(a, face, b), self._corners(b, face)
+        at_b = [r for r, _ in cb]
+        common = [r for r, _ in ca if r in at_b] if a != b else ()
+        if not common:
+            raise CurveError(f"cannot route hop between {a} and {b} through face {face}: "
+                             "no region of that face touches both (curve not embeddable)")
+        r = min(common)
+        xa = twin[ca[0][1] if len(ca) == 1 else self._corner(a, r, ca)]
+        xb = twin[cb[0][1] if len(cb) == 1 else self._corner(b, r, cb)]
+        out_a, out_b = cw[xa], cw[xb]
+        self._add_edge(xa, xb, b, r)
+        new = len(self.tag)
+        self.tag.append(self.tag[r])
+        self.start.append(out_a)
+        self.start[r] = out_b
+        for d in self._face(out_a):
+            self.region[d] = new
 
     def touches_both(self, tag: int, ends: Tuple[int, int]) -> List[int]:
-        """Indices of the walks tagged ``tag`` whose boundary passes both ends."""
-        ends = set(ends)
-        return [wi for wi in self.by_tag[tag]
-                if ends <= {d[1] for d in self.walks[wi][1]}]
+        """The regions of face ``tag`` at both ends, ascending."""
+        region, t = self.region, self.tag
+        at_a = {region[d] for d in self._around(ends[0]) if t[region[d]] == tag}
+        return sorted(at_a.intersection(region[d] for d in self._around(ends[1])))
 
-    def finish(self, g: PlaneGraph, station_vertex, endpoints,
-               path_v, path_e) -> AugmentedCurve:
+    def _face(self, d0: int) -> List[int]:
+        """The darts of the region walk through d0, from d0."""
+        twin, cw = self.twin, self.cw
+        out, d = [d0], cw[twin[d0]]
+        while d != d0:
+            out.append(d)
+            d = cw[twin[d]]
+        return out
+
+    def graph(self) -> Tuple[PlaneGraph, List[int]]:
+        """The graph built from the region walks, and each region's face.
+        Rotations and walks are read off the darts only where they changed:
+        at heads of new darts, in regions holding one (a chord leaves its
+        (a, b) in the region it splits)."""
+        g, head = self.g, self.head
+        new = range(2 * g.m, len(head))
+        rot = {v: g.rot[v] for v in g.vertices}
+        top = g.vertices[-1]
+        for v in (sorted({head[d] for d in new if head[d] <= top})
+                  + list(range(top + 1, self.lo + len(self.first)))):
+            rot[v] = [head[d] for d in self._around(v)]
+        edited = {self.region[d] for d in new}
+        twin = self.twin
+        walks = [g.faces[r] if r < len(g.faces) and r not in edited
+                 else [(head[twin[d]], head[d]) for d in self._face(d0)]
+                 for r, d0 in enumerate(self.start)]
         try:
-            pg = PlaneGraph._from_walks(self.rot, [darts for _, darts in self.walks])
+            pg = PlaneGraph._from_walks(rot, walks)
         except PlaneGraphError as exc:
             raise CurveError(f"curve augmentation is not a plane graph: {exc}") from exc
-        index = [pg.face_of_dart(darts[0]) for _, darts in self.walks]
-        tags = {fi: tag for fi, (tag, _) in zip(index, self.walks)}
-        # the outer region: a region of the old outer face, one touching both
-        # ends if there is one (then the curve is proper)
-        cands = sorted(index[wi] for wi in self.by_tag[g.outer])
-        touching = (sorted(index[wi] for wi in self.touches_both(g.outer, endpoints))
-                    if endpoints else [])
-        return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
-                              endpoints, path_v, path_e, dict(self.sub), tags,
-                              bool(touching))
+        return pg, [pg.face_of_dart(walk[0]) for walk in walks]
 
 
 # -- public validation ops ---------------------------------------------------------
@@ -436,8 +481,8 @@ class _Engine:
 def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
     """Check goodness (per-edge common-point tallies) and properness.
 
-    Properness is read from the engine's walks, as in ``is_proper``; the
-    curve is checked once and no graph is built.
+    Properness is read off the dart map, as in ``is_proper``: O(m + k) for
+    k stations, with no graph built.
     """
     check_well_formed(g, c)
     tally = edge_tallies(g, c)
@@ -451,10 +496,9 @@ def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
 def is_proper(g: PlaneGraph, c: GoodCurve) -> bool:
     """Both endpoints of the open curve incident to the unbounded region.
 
-    Raises CurveError for a closed, malformed or non-good curve.  The engine
-    embeds the curve, and the curve is proper when one of the walks that
-    descend from the outer face passes both endpoints: O(m), with no face
-    tracing and no graph built.
+    Raises CurveError for a closed, malformed or non-good curve.  The curve
+    is embedded on the dart map in O(m + k) for k stations; it is proper when
+    a region of the outer face has a dart at each end.  No graph is built.
     """
     if c.closed:
         raise CurveError("properness is defined for open curves; "

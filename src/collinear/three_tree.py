@@ -220,38 +220,34 @@ def format_decomposition(d: ThreeTreeDecomp) -> str:
 
 
 class _Region:
-    """The faces of ``g`` inside a cycle, their chord-dual tree, and lookups."""
+    """The faces of ``g`` inside a cycle; per face, its chords as darts and
+    the faces across them."""
 
     def __init__(self, g: PlaneGraph, cycle: Tuple[int, ...]):
-        self.cycle = cycle
         k = len(cycle)
         self.cycle_edges = {edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-        # per face, the (chord, face across it) pairs in order and the faces alone
-        self.adj: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
+        self.head, self.twin, _, region, start, _, _ = g._dart_arrays()
+        twin = self.twin
+        sides = [g._dart_id((cycle[i], cycle[(i + 1) % k])) for i in range(k)]
+        skip = set(sides).union(twin[i] for i in sides)
+        self.darts: Dict[int, List[int]] = {}
         self.nbrs: Dict[int, List[int]] = {}
 
         def across(f: int) -> List[int]:
-            self.adj[f] = sorted([(edge_key(a, b), g.face_of_dart((b, a)))
-                                  for (a, b) in g.faces[f]
-                                  if edge_key(a, b) not in self.cycle_edges])
-            self.nbrs[f] = [f2 for _, f2 in self.adj[f]]
-            return self.nbrs[f]
+            ds = self.darts[f] = [i for i in range(start[f], start[f] + len(g.faces[f]))
+                                  if i not in skip]
+            return self.nbrs.setdefault(f, [region[twin[i]] for i in ds])
 
-        faces = self.faces = set(reach([g.face_of_dart((cycle[0], cycle[1]))], across))
-        chords = self.chords = {e for f in faces for e, _ in self.adj[f]}
-        if len(faces) != len(chords) + 1:
+        self.faces = reach([region[sides[0]]], across)
+        if 2 * len(self.faces) != sum(map(len, self.darts.values())) + 2:
             raise ThreeTreeError("cycle interior is not chord-filled "
                                  "(contains vertices)")
-        self.vertex_faces: Dict[int, List[int]] = {}
-        for f in sorted(faces):
-            for v in g.face_vertices(f):
-                self.vertex_faces.setdefault(v, []).append(f)
 
     def anchors(self, g: PlaneGraph, p: Station) -> List[int]:
         if p[0] == 'x':
             f1, f2 = g.faces_of_edge(*p[1])
             return sorted(f for f in (f1, f2) if f in self.faces)
-        return sorted(self.vertex_faces.get(p[1], []))
+        return sorted(f for f in g.faces_at(p[1]) if f in self.faces)
 
 
 def lemma1_chord(g: PlaneGraph, cycle: Sequence[int],
@@ -293,12 +289,14 @@ def _lemma1_with_region(g: PlaneGraph, region: _Region,
     start = min(a1, key=lambda f: (dist[f], f))
     stations: List[Station] = [p1, Fst(start)]
     f = start
+    head, twin = region.head, region.twin
     while dist[f] > 0:
-        e, f2 = min(((e, f2) for (e, f2) in region.adj[f] if dist[f2] == dist[f] - 1),
-                    key=lambda t: t[1])
+        # into the least face one step nearer p2, across the least chord
+        f, e = min((f2, edge_key(head[twin[i]], head[i]))
+                   for f2, i in zip(region.nbrs[f], region.darts[f])
+                   if dist[f2] == dist[f] - 1)
         stations.append(Xst(*e))
-        stations.append(Fst(f2))
-        f = f2
+        stations.append(Fst(f))
     stations.append(p2)
     return stations
 
@@ -348,16 +346,36 @@ def _join_ends(ends: List[Tuple[Station, Station]]) -> Tuple[Station, Station, L
     return first, last, flips
 
 
-def _join(pieces: List[List[Station]]) -> List[Station]:
-    """Concatenate curve pieces end to end, flipping as ``_join_ends`` says;
-    a shared end station is kept once (a shared Crossing becomes one proper
-    crossing, a shared Vertex one visit)."""
-    pieces = [p for p in pieces if p]
-    _, _, flips = _join_ends([(p[0], p[-1]) for p in pieces])
+Piece = object  # an arc's key (int) or a literal run of stations
+
+
+def _joined(pieces: Sequence[Piece], ends: Dict[int, Tuple[Station, Station]]
+            ) -> Tuple[List[Tuple[Piece, bool]], Tuple[Station, Station]]:
+    """Pieces (arc keys into ``ends``, or literal station runs; empty runs
+    dropped) joined uncopied: each with its flip, and the joined ends."""
+    pieces = [p for p in pieces if type(p) is int or p]
+    first, last, flips = _join_ends([ends[p] if type(p) is int else (p[0], p[-1])
+                                     for p in pieces])
+    return list(zip(pieces, flips)), (first, last)
+
+
+def _emit(parts: Dict[int, List[Tuple[Piece, bool]]], key: int) -> List[Station]:
+    """The stations of arc ``key`` from ``parts`` (each arc's pieces and
+    flips), in one pass over an explicit stack: an arc read backwards is its
+    pieces backwards, each flipped, and a piece after the first drops the
+    station it shares with the one before.  Nothing is copied, so arcs
+    nested to depth D cost O(length), not O(length * D)."""
     out: List[Station] = []
-    for p, flip in zip(pieces, flips):
-        p = p[::-1] if flip else p
-        out.extend(p[1:] if out else p)
+    stack = [(key, False, False)]  # (piece, backwards, drop its first)
+    while stack:
+        piece, back, drop = stack.pop()
+        if type(piece) is not int:
+            piece = piece[::-1] if back else piece
+            out.extend(piece[1:] if drop else piece)
+            continue
+        run = parts[piece][::-1] if back else parts[piece]
+        stack.extend((p, flip != back, True) for p, flip in reversed(run[1:]))
+        stack.append((run[0][0], run[0][1] != back, drop))
     return out
 
 
@@ -368,29 +386,31 @@ class _BundleBuilder:
     corner (counter-clockwise) to the crossing with the edge to the previous
     corner.  A node's three curves are built together, after the curves of
     the nodes they are made of: children before parents, no recursion.
+    Curves are kept as pieces and end stations under key 3 * index + k for
+    a node's k-th corner, and written out by ``_emit``: O(n) on any
+    stacking, where copying curves up every level costs O(n * depth).
     """
 
     def __init__(self, d: ThreeTreeDecomp):
         self.d = d
         self.g = d.graph
-        self._memo: Dict[int, Dict[int, Tuple[Station, ...]]] = {}
+        self._parts: Dict[int, List[Tuple[Piece, bool]]] = {}
+        self._ends: Dict[int, Tuple[Station, Station]] = {}
         self._regions: Dict[Tuple[int, ...], _Region] = {}
 
-    def curve(self, node: DecompNode, corner: int) -> Tuple[Station, ...]:
-        if node.index not in self._memo:
-            todo = [node]
-            for nd in todo:
-                if nd.index not in self._memo:
-                    todo.extend(self._parts(nd))
-            for nd in reversed(todo):
-                if nd.index not in self._memo:
-                    self._memo[nd.index] = self._build(nd)
-        return self._memo[node.index][corner]
+    def _build_upto(self, node: DecompNode) -> None:
+        todo = [node]
+        for nd in todo:
+            if 3 * nd.index not in self._parts:
+                todo.extend(self._parts_of(nd))
+        for nd in reversed(todo):
+            if 3 * nd.index not in self._parts:
+                self._build(nd)
 
-    def _built(self, node: DecompNode, corner: int) -> Tuple[Station, ...]:
-        return self._memo[node.index][corner]
+    def _built(self, node: DecompNode, corner: int) -> int:
+        return 3 * node.index + node.corners.index(corner)
 
-    def _parts(self, node: DecompNode) -> Tuple[DecompNode, ...]:
+    def _parts_of(self, node: DecompNode) -> Tuple[DecompNode, ...]:
         """The nodes whose curves the curves of ``node`` are joined from."""
         if node.kind in ('C', 'D'):
             return node.children
@@ -398,21 +418,22 @@ class _BundleBuilder:
             return (self.chain_info(node).tail,)
         return ()
 
-    def _build(self, node: DecompNode) -> Dict[int, Tuple[Station, ...]]:
-        if node.kind == 'B':
-            raw = self._build_b(node)
-        else:
-            raw = {c: self._build_one(node, c) for c in node.corners}
-        out = {}
-        for corner, sts in raw.items():
+    def _join(self, pieces: Sequence[Piece]) -> tuple:
+        return _joined(pieces, self._ends)
+
+    def _build(self, node: DecompNode) -> None:
+        raw = (self._build_b(node) if node.kind == 'B'
+               else {c: self._build_one(node, c) for c in node.corners})
+        for k, corner in enumerate(node.corners):
+            parts, (a, b) = raw[corner]
             first = Xst(corner, node.corner_next(corner))
             last = Xst(corner, node.corner_prev(corner))
-            if sts[0] != first:
-                sts = sts[::-1]
-            if sts[0] != first or sts[-1] != last:
+            if a != first:
+                parts, (a, b) = [(p, not f) for p, f in reversed(parts)], (b, a)
+            if a != first or b != last:
                 raise AssertionError(f"bad end-points for corner {corner}")
-            out[corner] = tuple(sts)
-        return out
+            self._parts[3 * node.index + k] = parts
+            self._ends[3 * node.index + k] = (a, b)
 
     def _region(self, cycle: Tuple[int, ...]) -> _Region:
         if cycle not in self._regions:
@@ -425,33 +446,38 @@ class _BundleBuilder:
     def chain_info(self, node: DecompNode) -> ChainInfo:
         return node.chain if node.chain is not None else _chain_info(node)
 
-    def _build_one(self, node: DecompNode, u: int) -> List[Station]:
+    def _build_one(self, node: DecompNode, u: int) -> tuple:
         # the internal face of a triangle lies left of its counter-clockwise
         # darts
         v = node.corner_next(u)
         z = node.corner_prev(u)
         face = self.g.face_of_dart
         if node.kind == 'empty':
-            return [Xst(u, v), Fst(face((u, v))), Xst(u, z)]
+            return self._join([(Xst(u, v), Fst(face((u, v))), Xst(u, z))])
         w = node.w
         if node.kind == 'A':
-            return [Xst(u, v), Fst(face((u, v))), Vst(w),
-                    Fst(face((z, u))), Xst(u, z)]
+            return self._join([(Xst(u, v), Fst(face((u, v))), Vst(w),
+                                Fst(face((z, u))), Xst(u, z))])
         g1 = node.child_on_edge(u, v)
         g2 = node.child_on_edge(z, u)
         g3 = node.child_on_edge(v, z)
-        return _join([self._built(g1, v), self._built(g3, w), self._built(g2, z)])
+        return self._join([self._built(g1, v), self._built(g3, w), self._built(g2, z)])
 
-    def _build_b(self, node: DecompNode) -> Dict[int, List[Station]]:
+    def _build_b(self, node: DecompNode) -> dict:
         """All three corner curves of a type-B node, from its B-chain."""
         info = self.chain_info(node)
         paths, tail = info.paths, info.tail
         u, v, z = node.corners
         singles = [c for c in node.corners if len(paths[c]) == 1]
-        lam: Dict[int, List[Station]] = {}
+        lam = {}
 
-        def interior_run(p: Tuple[int, ...]) -> List[Station]:
-            return [Vst(x) for x in p[1:-1]]
+        def via(c1, a: Station, p: Tuple[int, ...], c2, b: Station) -> List[Piece]:
+            # from a in cycle c1 to path p, along p (across it if it is one
+            # edge), then in cycle c2 on to b
+            if len(p) == 2:
+                return [self._hop(c1, a, Xst(*p)), self._hop(c2, Xst(*p), b)]
+            return [self._hop(c1, a, Vst(p[1])), [Vst(x) for x in p[1:-1]],
+                    self._hop(c2, Vst(p[-2]), b)]
 
         for ru, rv, rz in ((u, v, z), (v, z, u), (z, u, v)):
             pu, pv, pz = paths[ru], paths[rv], paths[rz]
@@ -466,79 +492,52 @@ class _BundleBuilder:
             if not singles:
                 # no single path: the curve of each corner is the one of
                 # role u with the roles rotated to put the corner there
-                if len(pz) > 2:
-                    lam[ru] = _join([
-                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
-                        interior_run(pz),
-                        self._hop(c_vz, Vst(pz[-2]), Xst(v_, z_)),
-                        self._built(tail, v_),
-                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
-                else:
-                    lam[ru] = _join([
-                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
-                        self._hop(c_vz, Xst(rz, z_), Xst(v_, z_)),
-                        self._built(tail, v_),
-                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
+                lam[ru] = self._join([
+                    *via(c_uz, Xst(ru, rz), pz, c_vz, Xst(v_, z_)),
+                    self._built(tail, v_),
+                    self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
             elif len(singles) == 1:
                 # role z is the single path (z_ == rz)
-                lam[rz] = _join([
+                lam[rz] = self._join([
                     self._hop(c_uz, Xst(ru, rz), Xst(u_, rz)),
                     self._built(tail, rz),
                     self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
                 if len(pv) > 2:
-                    lam[ru] = _join([
-                        self._hop(c_uv, Xst(ru, rv), Vst(pv[1])),
-                        interior_run(pv),
-                        self._hop(c_uv, Vst(pv[-2]), Xst(u_, v_)),
+                    lam[ru] = self._join([
+                        *via(c_uv, Xst(ru, rv), pv, c_uv, Xst(u_, v_)),
                         self._built(tail, u_),
                         self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
                 else:
-                    lam[ru] = _join([
+                    lam[ru] = self._join([
                         self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
                         self._built(tail, u_),
                         self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
                 if len(pu) > 2:
-                    lam[rv] = _join([
-                        self._hop(c_uv, Xst(ru, rv), Vst(pu[1])),
-                        interior_run(pu),
-                        self._hop(c_uv, Vst(pu[-2]), Xst(u_, v_)),
+                    lam[rv] = self._join([
+                        *via(c_uv, Xst(ru, rv), pu, c_uv, Xst(u_, v_)),
                         self._built(tail, v_),
                         self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
                 else:
-                    lam[rv] = _join([
+                    lam[rv] = self._join([
                         self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
                         self._built(tail, v_),
                         self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
             else:
                 # roles u and v are single paths (u_ == ru, v_ == rv)
-                lam[rz] = _join([
+                lam[rz] = self._join([
                     self._hop(c_uz, Xst(ru, rz), Xst(ru, z_)),
                     self._built(tail, z_),
                     self._hop(c_vz, Xst(rv, z_), Xst(rv, rz))])
-                if len(pz) > 2:
-                    lam[ru] = _join([
-                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
-                        interior_run(pz),
-                        self._hop(c_vz, Vst(pz[-2]), Xst(rv, z_)),
-                        self._built(tail, rv)])
-                    lam[rv] = _join([
-                        self._hop(c_vz, Xst(rv, rz), Vst(pz[1])),
-                        interior_run(pz),
-                        self._hop(c_uz, Vst(pz[-2]), Xst(ru, z_)),
-                        self._built(tail, ru)])
-                else:
-                    lam[ru] = _join([
-                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
-                        self._hop(c_vz, Xst(rz, z_), Xst(rv, z_)),
-                        self._built(tail, rv)])
-                    lam[rv] = _join([
-                        self._hop(c_vz, Xst(rv, rz), Xst(rz, z_)),
-                        self._hop(c_uz, Xst(rz, z_), Xst(ru, z_)),
-                        self._built(tail, ru)])
+                lam[ru] = self._join([*via(c_uz, Xst(ru, rz), pz, c_vz, Xst(rv, z_)),
+                                      self._built(tail, rv)])
+                lam[rv] = self._join([*via(c_vz, Xst(rv, rz), pz, c_uz, Xst(ru, z_)),
+                                      self._built(tail, ru)])
         return lam
 
     def node_bundle(self, node: DecompNode) -> CurveBundle:
-        curves = [GoodCurve(self.curve(node, c)) for c in node.corners]
+        self._build_upto(node)
+        curves = [GoodCurve(tuple(_emit(self._parts, 3 * node.index + k)))
+                  for k in range(3)]
         s = sum(c.vertex_count for c in curves)
         on_any = set().union(*(c.vertices for c in curves))
         x = sum(1 for vv in self.d.interior(node)
@@ -547,7 +546,8 @@ class _BundleBuilder:
 
 
 def build_curve_bundle(d: ThreeTreeDecomp) -> CurveBundle:
-    """Three validated proper good curves for the whole graph."""
+    """Three validated proper good curves for the whole graph: built in O(n)
+    on any stacking, each validated in O(n) on the graph's dart map."""
     cb = _BundleBuilder(d).node_bundle(d.root)
     for lam in cb.curves:
         rep = validate_curve(d.graph, lam)
@@ -675,12 +675,8 @@ def _dp_arc(d: ThreeTreeDecomp, table: DpTable, slot: int) -> List[Station]:
     """The arc behind the root's ``slot``, in time linear in its length.
 
     The demand walk asks each child of a chosen option for one slot, top-down,
-    so every node is asked at most once.  Bottom-up, ``_join_ends`` gives each
-    asked arc its end stations and its pieces their flips, and checks that the
-    pieces meet.  Then one pass over an explicit stack emits the stations: an
-    arc read backwards is its pieces backwards, each flipped, and each piece
-    after the first drops the station it shares with the one before.  No arc
-    is copied, so a deep stacking costs O(n), not O(n * depth).
+    so every node is asked at most once.  Bottom-up, ``_joined`` gives each
+    asked arc its ends and its pieces their flips; ``_emit`` writes it out.
     """
     nodes, choice = d.nodes, table.choice
     demand = [(d.root.index, slot)]
@@ -691,33 +687,16 @@ def _dp_arc(d: ThreeTreeDecomp, table: DpTable, slot: int) -> List[Station]:
             demand.extend((node.children[c].index, t) for c, t in pieces)
     # per asked node its pieces, each an asked node or literal stations, with
     # their flips; and its end stations
-    parts: Dict[int, List[Tuple[object, bool]]] = {}
+    parts: Dict[int, List[Tuple[Piece, bool]]] = {}
     ends: Dict[int, Tuple[Station, Station]] = {}
     for i, s in reversed(demand):
-        node = nodes[i]
-        if node.w is None:
-            arc = _base_arc(d.graph, node, s)
-            parts[i], ends[i] = [(arc, False)], (arc[0], arc[-1])
-            continue
-        o = choice[6 * i + s]
-        pieces: List[object] = [node.children[c].index for c, _ in _OPTIONS[s][o][0]]
-        if s >= 3 and o == 2:       # the spoke from the corner to the centre
+        node, o = nodes[i], choice[6 * i + s]
+        pieces: List[Piece] = ([_base_arc(d.graph, node, s)] if node.w is None else
+                               [node.children[c].index for c, _ in _OPTIONS[s][o][0]])
+        if node.w is not None and s >= 3 and o == 2:    # the spoke to the centre
             pieces.insert(0, (Vst(node.corners[s - 3]), Vst(node.w)))
-        first, last, flips = _join_ends([ends[p] if type(p) is int else (p[0], p[-1])
-                                         for p in pieces])
-        parts[i], ends[i] = list(zip(pieces, flips)), (first, last)
-    out: List[Station] = []
-    stack = [(d.root.index, False, False)]  # (piece, backwards, drop its first)
-    while stack:
-        piece, back, drop = stack.pop()
-        if type(piece) is tuple:
-            piece = piece[::-1] if back else piece
-            out.extend(piece[1:] if drop else piece)
-            continue
-        run = parts[piece][::-1] if back else parts[piece]
-        stack.extend((p, flip != back, True) for p, flip in reversed(run[1:]))
-        stack.append((run[0][0], run[0][1] != back, drop))
-    return out
+        parts[i], ends[i] = _joined(pieces, ends)
+    return _emit(parts, d.root.index)
 
 
 def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
@@ -733,7 +712,8 @@ def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:
     The curve is rebuilt from the choices in O(n) time and memory
     (``_dp_arc``); joining copies of the children's arcs at every level would
     cost O(n * depth), quadratic on deep stackings.  ``validate_curve`` checks
-    the curve and its count before it is returned.
+    the curve and its count before it is returned, in O(n) more on the
+    graph's dart map.
     """
     table = _dp_table(d)
     cands = [x + (s >= 3) for s, x in enumerate(table.values[d.root.index])]

@@ -505,6 +505,104 @@ def test_read_back_equals_point_in_polygon_reference(spec, kind, data):
 # -- the augmentation that re-traced faces, kept as the reference ----------------------
 
 
+class ReferenceEngine:
+    """The engine that kept one dart walk per region and a rotation list per
+    vertex, scanning and copying a whole walk at every hop.  A chord that
+    would parallel an edge is rejected as the dart engine rejects it."""
+
+    def __init__(self, g):
+        self.g = g
+        self.rot = {v: list(g.rot[v]) for v in g.vertices}
+        self.walks = [(i, list(w)) for i, w in enumerate(g.faces)]
+        # original face tag -> indices into self.walks (regions of that face)
+        self.by_tag = {i: [i] for i in range(len(g.faces))}
+        self.sub = {}
+        self.next_id = max(g.vertices) + 1
+
+    def _new_vertex(self):
+        v = self.next_id
+        self.next_id += 1
+        return v
+
+    def subdivide(self, e):
+        u, v = e
+        w = self._new_vertex()
+        self.rot[u][self.rot[u].index(v)] = w
+        self.rot[v][self.rot[v].index(u)] = w
+        self.rot[w] = [u, v]
+        self.sub[e] = w
+        sides = set(self.g.faces_of_edge(u, v))
+        cand = {wi for f in sides for wi in self.by_tag.get(f, ())}
+        for wi in cand:
+            darts = self.walks[wi][1]
+            for i, d in enumerate(darts):
+                if d == (u, v):
+                    darts[i:i + 1] = [(u, w), (w, v)]
+                    break
+            for i, d in enumerate(darts):
+                if d == (v, u):
+                    darts[i:i + 1] = [(v, w), (w, u)]
+                    break
+        return w
+
+    def _corners(self, darts, v):
+        return [i for i, d in enumerate(darts) if d[1] == v]
+
+    def insert_antenna(self, anchor, face):
+        for wi in self.by_tag.get(face, ()):
+            darts = self.walks[wi][1]
+            cs = self._corners(darts, anchor)
+            if not cs:
+                continue
+            i = cs[0]
+            x = darts[i][0]
+            t = self._new_vertex()
+            self.rot[t] = [anchor]
+            ra = self.rot[anchor]
+            ra.insert(ra.index(x) + 1, t)
+            darts[i + 1:i + 1] = [(anchor, t), (t, anchor)]
+            return t
+        raise CurveError(f"cannot attach endpoint at {anchor} inside face {face}")
+
+    def insert_chord(self, a, b, face):
+        if a != b and b in self.rot[a]:
+            raise CurveError(f"cannot route hop between {a} and {b} through face {face}: "
+                             f"the chord would parallel edge {edge_key(a, b)}")
+        for wi in self.by_tag.get(face, ()):
+            tag, darts = self.walks[wi]
+            ca = self._corners(darts, a)
+            cb = self._corners(darts, b)
+            if not ca or not cb:
+                continue
+            i, j = ca[0], cb[0]
+            if i == j:
+                continue
+            x = darts[i][0]
+            z = darts[j][0]
+            ra, rb = self.rot[a], self.rot[b]
+            ra.insert(ra.index(x) + 1, b)
+            rb.insert(rb.index(z) + 1, a)
+            n = len(darts)
+
+            def cyc(lo, hi):  # darts at positions lo+1 .. hi (cyclic, inclusive)
+                out = []
+                k = (lo + 1) % n
+                while True:
+                    out.append(darts[k])
+                    if k == hi:
+                        return out
+                    k = (k + 1) % n
+
+            w1 = cyc(i, j) + [(b, a)]
+            w2 = cyc(j, i) + [(a, b)]
+            self.walks[wi] = (tag, w2)
+            self.by_tag[tag].append(len(self.walks))
+            self.walks.append((tag, w1))
+            return
+        raise CurveError(f"cannot route hop between {a} and {b} through face {face}: "
+                         "no region of that face touches both (curve not embeddable)")
+
+
 def reference_augment(g, c):
     """Checks, the engine, then a PlaneGraph traced afresh from the engine's
     rotation system, with the outer region chosen among the traced faces."""
@@ -512,7 +610,7 @@ def reference_augment(g, c):
     bad = [(e, t) for e, t in edge_tallies(g, c).items() if t > 1]
     if bad:
         raise CurveError(f"curve is not good; edges with 2+ common points: {sorted(bad)}")
-    eng = _Engine(g)
+    eng = ReferenceEngine(g)
     sts = c.stations
     n = len(sts)
     station_vertex = [None] * n
@@ -716,3 +814,56 @@ def test_properness_builds_no_graph(monkeypatch):
         assert validate_curve(g, c) == report
         assert is_proper(g, c) == report.proper
         assert _outcome(augment_with_curve, g, c) == aug
+
+
+def test_chord_parallel_to_a_contained_edge_is_rejected():
+    # the good closed curve (v 1, v 0, f 0) on K4 runs along edge 0-1 and
+    # comes back through face 0; its chord would be a second edge 0-1
+    g = k4()
+    c = GoodCurve((Vst(1), Vst(0), Fst(0)), closed=True)
+    assert validate_curve(g, c).good
+    with pytest.raises(CurveError, match=r"through face 0: the chord would "
+                                         r"parallel edge \(0, 1\)"):
+        augment_with_curve(g, c)
+    assert_agrees_with_reference(g, c)
+
+
+_ENGINE_GRAPHS = [k4(), square(), k4_spec(), random_plane_3tree(9, 2),
+                  generate_triconnected_cubic(2, 10), identity_grid_model(3)[0]]
+
+
+def _engine_outcome(f, *args):
+    try:
+        return f(*args)
+    except CurveError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_engines_agree_hop_by_hop(data):
+    # random subdivisions, then chords and antennas between any vertices
+    # through any faces: both engines place the same vertices, raise the
+    # same CurveError on a hop or antenna they cannot embed, and end with
+    # the same rotations, faces and face tags
+    g = data.draw(st.sampled_from(_ENGINE_GRAPHS))
+    new, old = _Engine(g), ReferenceEngine(g)
+    for e in data.draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True,
+                                max_size=4)):
+        assert new.subdivide(e) == old.subdivide(e)
+    faces = st.integers(0, len(g.faces) - 1)
+    for _ in range(data.draw(st.integers(1, 8))):
+        a, b = data.draw(st.lists(st.sampled_from(sorted(old.rot)), min_size=2,
+                                  max_size=2))
+        f = data.draw(faces)
+        if data.draw(st.booleans()):
+            got = _engine_outcome(new.insert_antenna, a, f)
+            assert got == _engine_outcome(old.insert_antenna, a, f)
+        else:
+            got = _engine_outcome(new.insert_chord, a, b, f)
+            assert got == _engine_outcome(old.insert_chord, a, b, f)
+    pg, index = new.graph()
+    ref = PlaneGraph._from_walks(old.rot, [w for _, w in old.walks])
+    assert (pg.rot, pg.faces) == (ref.rot, ref.faces)
+    assert [ref.face_of_dart(w[0]) for _, w in old.walks] == index
+    assert [tag for tag, _ in old.walks] == list(new.tag)

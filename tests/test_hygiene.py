@@ -68,6 +68,21 @@ def test_recursion_limit_untouched(path):
     # no module changes interpreter-wide state such as the recursion limit
     assert "setrecursionlimit" not in path.read_text(encoding="utf-8")
 
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_garbage_collector_untouched(path):
+    # no module switches the cyclic garbage collector off, freezes it, tunes
+    # it or runs it: a speed-up must come from allocating less
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    banned = {"disable", "freeze", "set_threshold", "collect"}
+    calls = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in banned
+                 and isinstance(node.value, ast.Name) and node.value.id == "gc")
+             or (isinstance(node, ast.ImportFrom) and node.module == "gc"
+                 and any(a.name in banned for a in node.names))]
+    assert not calls, f"{path.name} drives the garbage collector on lines {calls}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_plane_graph_imports_deque(path):
     # every breadth-first search goes through plane_graph.reach

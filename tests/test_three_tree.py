@@ -17,7 +17,8 @@ from collinear.three_tree import (
     ThreeTreeError, decompose, format_decomposition, lemma1_chord,
     build_curve_bundle, check_lemma3, dp_optimal_collinear,
     max_internal_collinear, augment_to_plane_3tree, random_plane_3tree,
-    _BundleBuilder, _join,
+    CurveBundle, _BundleBuilder, _Region, _chain_info, _join_ends,
+    _lemma1_with_region,
 )
 
 
@@ -407,6 +408,227 @@ def test_lemma3_at_every_node():
                 assert set(lam.vertices) <= d.interior(node)
 
 
+_CATALOG_UP_TO_5 = [g for m in range(6) for g in catalog_plane_3trees(m)]
+
+# -- the bundle that copied its children's curves, kept as the reference -------------
+
+
+def reference_join(pieces):
+    """Concatenate curve pieces end to end, flipping as ``_join_ends`` says;
+    a shared end station is kept once (a shared Crossing becomes one proper
+    crossing, a shared Vertex one visit)."""
+    pieces = [p for p in pieces if p]
+    _, _, flips = _join_ends([(p[0], p[-1]) for p in pieces])
+    out = []
+    for p, flip in zip(pieces, flips):
+        p = p[::-1] if flip else p
+        out.extend(p[1:] if out else p)
+    return out
+
+
+class ReferenceBundleBuilder:
+    """The three corner curves of decomposition nodes, kept across calls.
+
+    The curve for a corner runs from the crossing with the edge to the next
+    corner (counter-clockwise) to the crossing with the edge to the previous
+    corner.  A node's three curves are built together, after the curves of
+    the nodes they are made of: children before parents, no recursion.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.g = d.graph
+        self._memo = {}
+        self._regions = {}
+
+    def curve(self, node, corner):
+        if node.index not in self._memo:
+            todo = [node]
+            for nd in todo:
+                if nd.index not in self._memo:
+                    todo.extend(self._parts(nd))
+            for nd in reversed(todo):
+                if nd.index not in self._memo:
+                    self._memo[nd.index] = self._build(nd)
+        return self._memo[node.index][corner]
+
+    def _built(self, node, corner):
+        return self._memo[node.index][corner]
+
+    def _parts(self, node):
+        """The nodes whose curves the curves of ``node`` are joined from."""
+        if node.kind in ('C', 'D'):
+            return node.children
+        if node.kind == 'B':
+            return (self.chain_info(node).tail,)
+        return ()
+
+    def _build(self, node):
+        if node.kind == 'B':
+            raw = self._build_b(node)
+        else:
+            raw = {c: self._build_one(node, c) for c in node.corners}
+        out = {}
+        for corner, sts in raw.items():
+            first = Xst(corner, node.corner_next(corner))
+            last = Xst(corner, node.corner_prev(corner))
+            if sts[0] != first:
+                sts = sts[::-1]
+            if sts[0] != first or sts[-1] != last:
+                raise AssertionError(f"bad end-points for corner {corner}")
+            out[corner] = tuple(sts)
+        return out
+
+    def _region(self, cycle):
+        if cycle not in self._regions:
+            self._regions[cycle] = _Region(self.g, cycle)
+        return self._regions[cycle]
+
+    def _hop(self, cycle, p1, p2):
+        return _lemma1_with_region(self.g, self._region(cycle), p1, p2)
+
+    def chain_info(self, node):
+        return node.chain if node.chain is not None else _chain_info(node)
+
+    def _build_one(self, node, u):
+        # the internal face of a triangle lies left of its counter-clockwise
+        # darts
+        v = node.corner_next(u)
+        z = node.corner_prev(u)
+        face = self.g.face_of_dart
+        if node.kind == 'empty':
+            return [Xst(u, v), Fst(face((u, v))), Xst(u, z)]
+        w = node.w
+        if node.kind == 'A':
+            return [Xst(u, v), Fst(face((u, v))), Vst(w),
+                    Fst(face((z, u))), Xst(u, z)]
+        g1 = node.child_on_edge(u, v)
+        g2 = node.child_on_edge(z, u)
+        g3 = node.child_on_edge(v, z)
+        return reference_join([self._built(g1, v), self._built(g3, w), self._built(g2, z)])
+
+    def _build_b(self, node):
+        """All three corner curves of a type-B node, from its B-chain."""
+        info = self.chain_info(node)
+        paths, tail = info.paths, info.tail
+        u, v, z = node.corners
+        singles = [c for c in node.corners if len(paths[c]) == 1]
+        lam = {}
+
+        def interior_run(p):
+            return [Vst(x) for x in p[1:-1]]
+
+        for ru, rv, rz in ((u, v, z), (v, z, u), (z, u, v)):
+            pu, pv, pz = paths[ru], paths[rv], paths[rz]
+            # the case analysis sees the single paths in standard position:
+            # none, role z single, or roles u and v single
+            if singles and (len(pz) == 1) != (len(singles) == 1):
+                continue
+            u_, v_, z_ = pu[-1], pv[-1], pz[-1]
+            c_uv = (ru,) + pv + tuple(reversed(pu[1:]))
+            c_uz = (rz,) + pu + tuple(reversed(pz[1:]))
+            c_vz = (rv,) + pz + tuple(reversed(pv[1:]))
+            if not singles:
+                # no single path: the curve of each corner is the one of
+                # role u with the roles rotated to put the corner there
+                if len(pz) > 2:
+                    lam[ru] = reference_join([
+                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_vz, Vst(pz[-2]), Xst(v_, z_)),
+                        self._built(tail, v_),
+                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
+                else:
+                    lam[ru] = reference_join([
+                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
+                        self._hop(c_vz, Xst(rz, z_), Xst(v_, z_)),
+                        self._built(tail, v_),
+                        self._hop(c_uv, Xst(u_, v_), Xst(ru, rv))])
+            elif len(singles) == 1:
+                # role z is the single path (z_ == rz)
+                lam[rz] = reference_join([
+                    self._hop(c_uz, Xst(ru, rz), Xst(u_, rz)),
+                    self._built(tail, rz),
+                    self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
+                if len(pv) > 2:
+                    lam[ru] = reference_join([
+                        self._hop(c_uv, Xst(ru, rv), Vst(pv[1])),
+                        interior_run(pv),
+                        self._hop(c_uv, Vst(pv[-2]), Xst(u_, v_)),
+                        self._built(tail, u_),
+                        self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
+                else:
+                    lam[ru] = reference_join([
+                        self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
+                        self._built(tail, u_),
+                        self._hop(c_uz, Xst(u_, rz), Xst(ru, rz))])
+                if len(pu) > 2:
+                    lam[rv] = reference_join([
+                        self._hop(c_uv, Xst(ru, rv), Vst(pu[1])),
+                        interior_run(pu),
+                        self._hop(c_uv, Vst(pu[-2]), Xst(u_, v_)),
+                        self._built(tail, v_),
+                        self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
+                else:
+                    lam[rv] = reference_join([
+                        self._hop(c_uv, Xst(ru, rv), Xst(u_, v_)),
+                        self._built(tail, v_),
+                        self._hop(c_vz, Xst(v_, rz), Xst(rv, rz))])
+            else:
+                # roles u and v are single paths (u_ == ru, v_ == rv)
+                lam[rz] = reference_join([
+                    self._hop(c_uz, Xst(ru, rz), Xst(ru, z_)),
+                    self._built(tail, z_),
+                    self._hop(c_vz, Xst(rv, z_), Xst(rv, rz))])
+                if len(pz) > 2:
+                    lam[ru] = reference_join([
+                        self._hop(c_uz, Xst(ru, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_vz, Vst(pz[-2]), Xst(rv, z_)),
+                        self._built(tail, rv)])
+                    lam[rv] = reference_join([
+                        self._hop(c_vz, Xst(rv, rz), Vst(pz[1])),
+                        interior_run(pz),
+                        self._hop(c_uz, Vst(pz[-2]), Xst(ru, z_)),
+                        self._built(tail, ru)])
+                else:
+                    lam[ru] = reference_join([
+                        self._hop(c_uz, Xst(ru, rz), Xst(rz, z_)),
+                        self._hop(c_vz, Xst(rz, z_), Xst(rv, z_)),
+                        self._built(tail, rv)])
+                    lam[rv] = reference_join([
+                        self._hop(c_vz, Xst(rv, rz), Xst(rz, z_)),
+                        self._hop(c_uz, Xst(rz, z_), Xst(ru, z_)),
+                        self._built(tail, ru)])
+        return lam
+
+    def node_bundle(self, node):
+        curves = [GoodCurve(self.curve(node, c)) for c in node.corners]
+        s = sum(c.vertex_count for c in curves)
+        on_any = set().union(*(c.vertices for c in curves))
+        x = sum(1 for vv in self.d.interior(node)
+                if self.d.vertex_type(vv) == 'B' and vv not in on_any)
+        return CurveBundle(curves[0], curves[1], curves[2], s, x)
+
+
+_bundle_inputs = st.one_of(
+    st.sampled_from(_CATALOG_UP_TO_5),
+    st.builds(random_plane_3tree, st.integers(3, 150), st.integers(0, 10 ** 6)),
+    st.builds(deep_stacking, st.integers(3, 150), st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bundle_inputs)
+def test_bundle_matches_reference_at_every_node(g):
+    # every node's three curves, emitted from pieces, equal the copied ones;
+    # nodes are asked in preorder, so parents come before their children
+    d = decompose(g)
+    new, old = _BundleBuilder(d), ReferenceBundleBuilder(d)
+    for node in d.nodes:
+        assert new.node_bundle(node) == old.node_bundle(node)
+    assert build_curve_bundle(d) == old.node_bundle(d.root)
+
+
 # -- DP optimum ----------------------------------------------------------------------
 
 
@@ -497,9 +719,9 @@ def _ref_dp_arc(d, routes, sig):
                 opp = edge_key(node.corner_next(s[1]), node.corner_prev(s[1]))
                 arc = [Vst(s[1]), f, Xst(*opp)]
         elif route[0] == 'spoke':
-            arc = _join([[Vst(route[1]), Vst(node.w)], arcs.pop(route[2][0].index)])
+            arc = reference_join([[Vst(route[1]), Vst(node.w)], arcs.pop(route[2][0].index)])
         else:
-            arc = _join([arcs.pop(child.index) for child, _ in route[1:]])
+            arc = reference_join([arcs.pop(child.index) for child, _ in route[1:]])
         arcs[node.index] = arc
     return arcs[d.root.index]
 
@@ -525,8 +747,6 @@ def reference_dp_optimal_collinear(d):
         stations = _ref_dp_arc(d, routes, plan[1])
     return entries, GoodCurve(tuple(stations)), val
 
-
-_CATALOG_UP_TO_5 = [g for m in range(6) for g in catalog_plane_3trees(m)]
 
 _dp_inputs = st.one_of(
     st.sampled_from(_CATALOG_UP_TO_5),
