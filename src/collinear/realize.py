@@ -9,8 +9,8 @@ provides:
   determinant signs), embedding fidelity (rotation system and outer face),
   and collinearity of the designated vertices;
 * ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
-  solved exactly over the rationals by the one barycentric solver that
-  also draws the two sides of a curve;
+  solved exactly by integer fraction-free elimination in the one
+  barycentric solver that also draws the two sides of a curve;
 * ``LabelingOrder`` / ``labeling_from_curve`` -- the side labels (above /
   below / on the line), the crossing order, and the target positions that
   a proper good curve induces;
@@ -38,7 +38,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
@@ -289,81 +290,76 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 
 # -- barycentric (Tutte) embedding ------------------------------------------------
 
-def _solve_barycentric(rows: Dict[int, Dict[int, Fraction]],
-                       rhs: Dict[int, List[Fraction]]) -> Dict[int, Point]:
-    """Exact sparse Gaussian elimination with min-degree pivoting.
-
-    ``rows[v]`` maps unknowns to coefficients; ``rhs[v]`` is a pair of right
-    hand sides (x and y are solved simultaneously).
-    """
-    occurs: Dict[int, Set[int]] = {v: set() for v in rows}
-    for r, row in rows.items():
-        for v in row:
-            occurs[v].add(r)
-    order: List[Tuple[int, Dict[int, Fraction], List[Fraction]]] = []
-    remaining = set(rows)
-    while remaining:
-        p = min(remaining, key=lambda v: (len(rows[v]), v))
-        prow, prhs = rows[p], rhs[p]
-        piv = prow.get(p, Fraction(0))
-        if piv == 0:
-            raise RealizeError("singular barycentric system")
-        order.append((p, prow, prhs))
-        remaining.discard(p)
-        for r in list(occurs[p]):
-            if r == p or r not in remaining:
-                continue
-            row = rows[r]
-            factor = row[p] / piv
-            del row[p]
-            for v, c in prow.items():
-                if v == p:
-                    continue
-                nv = row.get(v, Fraction(0)) - factor * c
-                if nv == 0:
-                    row.pop(v, None)
-                    occurs[v].discard(r)
-                else:
-                    if v not in row:
-                        occurs[v].add(r)
-                    row[v] = nv
-            rhs[r][0] -= factor * prhs[0]
-            rhs[r][1] -= factor * prhs[1]
-        occurs[p] = set()
-    sol: Dict[int, Point] = {}
-    for p, prow, prhs in reversed(order):
-        acc = [prhs[0], prhs[1]]
-        for v, c in prow.items():
-            if v == p:
-                continue
-            acc[0] -= c * sol[v][0]
-            acc[1] -= c * sol[v][1]
-        piv = prow[p]
-        sol[p] = (acc[0] / piv, acc[1] / piv)
-    return sol
-
-
 def _barycentric(nbrs: Mapping[int, Sequence[int]],
                  fixed: Mapping[int, Point]) -> Dict[int, Point]:
     """Every vertex of ``nbrs`` that ``fixed`` does not place, exactly at the
     average of its neighbours ``nbrs[v]``; returns the fixed positions and
-    the solved ones."""
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    rhs: Dict[int, List[Fraction]] = {}
+    the solved ones.
+
+    Row v (``len(nbrs[v])`` on the diagonal, -1 at each unfixed neighbour,
+    the fixed neighbours' sums on the right) is scaled to integers and
+    eliminated fraction-free (Bareiss): pivot row p makes row r
+    ``piv * row_r - row_r[p] * prow`` over the gcd of its entries, a
+    non-zero multiple of its ``Fraction`` counterpart with the same
+    non-zeros.  So a lazy (row length, vertex) heap gives the pivots of a
+    minimum-degree scan, a pivot is zero (``RealizeError``) iff it is over
+    the rationals, and the one exact solution of a nonsingular system is
+    unchanged.  Cost: O((U + T) log U) pivot choice for U unknowns and T
+    row updates, and O(1) big-integer operations per entry touched.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    rhs: Dict[int, Tuple[int, int]] = {}
     for v, ws in nbrs.items():
-        if v in fixed:
+        if v not in fixed:
+            bx = sum((fixed[u][0] for u in ws if u in fixed), F(0))
+            by = sum((fixed[u][1] for u in ws if u in fixed), F(0))
+            s = lcm(bx.denominator, by.denominator)
+            rows[v] = {v: len(ws) * s, **{u: -s for u in ws if u not in fixed}}
+            rhs[v] = (bx.numerator * s // bx.denominator, by.numerator * s // by.denominator)
+    occurs: Dict[int, Set[int]] = {v: set() for v in rows}
+    for r, row in rows.items():
+        for v in row:
+            occurs[v].add(r)
+    heap = sorted((len(row), v) for v, row in rows.items())
+    order: List[Tuple[int, int, Dict[int, int], int, int]] = []
+    while heap:
+        k, p = heappop(heap)
+        if p not in rows or k != len(rows[p]):
             continue
-        row: Dict[int, Fraction] = {v: Fraction(len(ws))}
-        b = [Fraction(0), Fraction(0)]
-        for u in ws:
-            if u in fixed:
-                b[0] += fixed[u][0]
-                b[1] += fixed[u][1]
-            else:
-                row[u] = Fraction(-1)
-        rows[v] = row
-        rhs[v] = b
-    return {**fixed, **_solve_barycentric(rows, rhs)}
+        prow = rows.pop(p)
+        piv = prow.pop(p, 0)
+        if piv == 0:
+            raise RealizeError("singular barycentric system")
+        px, py = rhs.pop(p)
+        order.append((p, piv, prow, px, py))
+        for r in occurs.pop(p) & rows.keys():
+            row = rows[r]
+            a = row.pop(p)
+            new = {v: piv * c for v, c in row.items()}
+            for v, c in prow.items():
+                nv = new.get(v, 0) - a * c
+                if nv:
+                    occurs[v].add(r)
+                    new[v] = nv
+                elif v in new:
+                    del new[v]
+                    occurs[v].discard(r)
+            x, y = piv * rhs[r][0] - a * px, piv * rhs[r][1] - a * py
+            g = gcd(x, y, *new.values())
+            if g > 1:
+                x, y = x // g, y // g
+                new = {v: c // g for v, c in new.items()}
+            rows[r], rhs[r] = new, (x, y)
+            if len(new) != len(row) + 1:
+                heappush(heap, (len(new), r))
+    sol: Dict[int, Point] = {}
+    for p, piv, prow, px, py in reversed(order):
+        terms = [(c, sol[v]) for v, c in prow.items()]
+        L = lcm(*(q.denominator for _, pt in terms for q in pt))
+        x = px * L - sum(c * fx.numerator * (L // fx.denominator) for c, (fx, _) in terms)
+        y = py * L - sum(c * fy.numerator * (L // fy.denominator) for c, (_, fy) in terms)
+        sol[p] = (Fraction(x, piv * L), Fraction(y, piv * L))
+    return {**fixed, **sol}
 
 
 def tutte_convex(g: PlaneGraph, polygon: Mapping[int, Point]) -> Drawing:

@@ -70,9 +70,11 @@ class DecompNode:
     chain: Optional[ChainInfo] = None   # set on B-chain heads
 
     def child_on_edge(self, a: int, b: int) -> "DecompNode":
-        u, v, z = self.corners
-        slots = {edge_key(u, v): 0, edge_key(v, z): 1, edge_key(z, u): 2}
-        return self.children[slots[edge_key(a, b)]]
+        """The child on edge ab either way round (corner pairs 01, 12, 20)."""
+        c = self.corners
+        if a != b and a in c and b in c:
+            return self.children[(1 - c.index(a) - c.index(b)) % 3]
+        raise KeyError(edge_key(a, b))
 
     def corner_next(self, a: int) -> int:
         i = self.corners.index(a)
@@ -154,18 +156,18 @@ def decompose(g: PlaneGraph) -> ThreeTreeDecomp:
     for node in reversed(nodes):
         if node.w is None:
             continue
-        kids = node.children
+        kids = k0, k1, k2 = node.children
         center_node[node.w] = node
-        kinds = [k.kind for k in kids]
-        node.kind = 'DCBA'[kinds.count('empty')]
-        node.m = 1 + sum(k.m for k in kids)
-        node.a = sum(k.a for k in kids) + (node.kind == 'A')
-        node.b = sum(k.b for k in kids) + (node.kind == 'B')
-        node.c = sum(k.c for k in kids) + (node.kind == 'C')
-        node.d = sum(k.d for k in kids) + (node.kind == 'D')
+        kinds = (k0.kind, k1.kind, k2.kind)
+        kind = node.kind = 'DCBA'[kinds.count('empty')]
+        node.m = 1 + k0.m + k1.m + k2.m
+        node.a = k0.a + k1.a + k2.a + (kind == 'A')
+        node.b = k0.b + k1.b + k2.b + (kind == 'B')
+        node.c = k0.c + k1.c + k2.c + (kind == 'C')
+        node.d = k0.d + k1.d + k2.d + (kind == 'D')
         # a type-B vertex over no type-B child starts (and ends) a B-chain
-        node.h = sum(k.h for k in kids) + (node.kind == 'B' and 'B' not in kinds)
-        if node.kind != 'B':
+        node.h = k0.h + k1.h + k2.h + (kind == 'B' and 'B' not in kinds)
+        if kind != 'B':
             for k in kids:
                 if k.kind == 'B':
                     k.chain = _chain_info(k)

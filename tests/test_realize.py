@@ -1230,6 +1230,133 @@ def test_curve_along_an_outer_edge_realizes(side, a, b):
 # -- the split drawing ------------------------------------------------------------------
 
 
+def reference_solve_barycentric(rows, rhs):
+    """Sparse Gaussian elimination in ``Fraction``s with min-degree pivots
+    found by a scan of every remaining row (``realize._barycentric`` before
+    it solved in integers).  ``rows[v]`` maps unknowns to coefficients and
+    ``rhs[v]`` is the pair of right-hand sides; both are consumed."""
+    occurs = {v: set() for v in rows}
+    for r, row in rows.items():
+        for v in row:
+            occurs[v].add(r)
+    order = []
+    remaining = set(rows)
+    while remaining:
+        p = min(remaining, key=lambda v: (len(rows[v]), v))
+        prow, prhs = rows[p], rhs[p]
+        piv = prow.get(p, Fr(0))
+        if piv == 0:
+            raise RealizeError("singular barycentric system")
+        order.append((p, prow, prhs))
+        remaining.discard(p)
+        for r in list(occurs[p]):
+            if r == p or r not in remaining:
+                continue
+            row = rows[r]
+            factor = row[p] / piv
+            del row[p]
+            for v, c in prow.items():
+                if v == p:
+                    continue
+                nv = row.get(v, Fr(0)) - factor * c
+                if nv == 0:
+                    row.pop(v, None)
+                    occurs[v].discard(r)
+                else:
+                    if v not in row:
+                        occurs[v].add(r)
+                    row[v] = nv
+            rhs[r][0] -= factor * prhs[0]
+            rhs[r][1] -= factor * prhs[1]
+        occurs[p] = set()
+    sol = {}
+    for p, prow, prhs in reversed(order):
+        acc = [prhs[0], prhs[1]]
+        for v, c in prow.items():
+            if v == p:
+                continue
+            acc[0] -= c * sol[v][0]
+            acc[1] -= c * sol[v][1]
+        piv = prow[p]
+        sol[p] = (acc[0] / piv, acc[1] / piv)
+    return sol
+
+
+def reference_barycentric(nbrs, fixed):
+    """``realize._barycentric`` on the reference solver: the same rows (a
+    repeated neighbour still gives -1), in ``Fraction``s."""
+    rows, rhs = {}, {}
+    for v, ws in nbrs.items():
+        if v in fixed:
+            continue
+        row, b = {v: Fr(len(ws))}, [Fr(0), Fr(0)]
+        for u in ws:
+            if u in fixed:
+                b[0] += fixed[u][0]
+                b[1] += fixed[u][1]
+            else:
+                row[u] = Fr(-1)
+        rows[v], rhs[v] = row, b
+    return {**fixed, **reference_solve_barycentric(rows, rhs)}
+
+
+def captured_systems(fn, *args):
+    """The (nbrs, fixed) arguments of every ``_barycentric`` call that
+    ``fn(*args)`` makes, copied before the solve."""
+    calls, real = [], realize._barycentric
+
+    def capture(nbrs, fixed):
+        calls.append(({v: list(ws) for v, ws in nbrs.items()}, dict(fixed)))
+        return real(nbrs, fixed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_barycentric", capture)
+        fn(*args)
+    return calls
+
+
+@st.composite
+def convex_polygon_inputs(draw):
+    """A random plane 3-tree or cubic graph and a random clockwise convex
+    polygon for its outer walk: points on the parabola y = x^2 by
+    decreasing x, then sheared and shifted."""
+    if draw(st.booleans()):
+        g = random_plane_3tree(draw(st.integers(4, 60)), draw(st.integers(0, 10 ** 6)))
+    else:
+        g = generate_triconnected_cubic(draw(st.integers(0, 10 ** 6)),
+                                        draw(st.integers(2, 20)) * 2)
+    walk = g.outer_walk()
+    xs = sorted(draw(st.lists(small_fracs, min_size=len(walk), max_size=len(walk),
+                              unique=True)), reverse=True)
+    sh, dx, dy = draw(small_fracs), draw(small_fracs), draw(small_fracs)
+    return g, {v: (x + sh * x * x + dx, x * x + dy) for v, x in zip(walk, xs)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(theorem1_inputs().map(lambda case: ("split", case)),
+                 convex_polygon_inputs().map(lambda case: ("tutte", case))))
+def test_barycentric_matches_reference(case):
+    kind, (g, arg) = case
+    if kind == "split":
+        aug = augment_with_curve(g, arg)
+        assume(len(aug.path_vertices) >= 2)
+        systems = captured_systems(_split_drawing, g, aug)
+    else:
+        systems = captured_systems(tutte_convex, g, arg)
+    assert systems
+    for nbrs, fixed in systems:
+        assert realize._barycentric(nbrs, fixed) == reference_barycentric(nbrs, fixed)
+
+
+@pytest.mark.parametrize("solve", [realize._barycentric, reference_barycentric],
+                         ids=["integer", "reference"])
+@pytest.mark.parametrize("nbrs", [{0: [1], 1: [0]}, {0: []}],
+                         ids=["pair-only-adjacent", "no-neighbours"])
+def test_barycentric_rejects_a_singular_system(solve, nbrs):
+    fixed = {5: (Fr(0), Fr(0))}
+    with pytest.raises(RealizeError, match="^singular barycentric system$"):
+        solve(nbrs, fixed)
+
+
 def reference_tutte_convex(g, polygon):
     """``tutte_convex`` with its own row loop, before it shared one with
     ``_split_drawing``."""
@@ -1260,7 +1387,7 @@ def reference_tutte_convex(g, polygon):
         rows[v], rhs[v] = row, b
     coords = dict(pos)
     if rows:
-        coords.update((v, tuple(p)) for v, p in realize._solve_barycentric(rows, rhs).items())
+        coords.update(reference_solve_barycentric(rows, rhs))
     return coords
 
 

@@ -255,6 +255,20 @@ def test_decompose_counters_random(n, seed):
     assert len(seen) == r.b
 
 
+@pytest.mark.parametrize("g", [K4, random_plane_3tree(40, 3), deep_stacking(40, 6)])
+def test_child_on_edge_matches_a_lookup_by_edge_key(g):
+    for node in decompose(g).nodes:
+        if node.children is None:
+            continue
+        u, v, z = node.corners
+        slots = {edge_key(u, v): 0, edge_key(v, z): 1, edge_key(z, u): 2}
+        for (a, b), i in slots.items():
+            assert node.child_on_edge(a, b) is node.child_on_edge(b, a) is node.children[i]
+        for a, b in ((u, u), (u, node.w), (node.w, z), (v, -1)):
+            with pytest.raises(KeyError):
+                node.child_on_edge(a, b)
+
+
 def test_chain_paths_are_induced_and_disjoint():
     g = random_plane_3tree(80, 3)
     d = decompose(g)
