@@ -18,15 +18,16 @@ graph (subdividing crossed edges, adding chord edges through face interiors,
 and dangling endpoint vertices) on integer dart arrays, tracking how original
 faces split into regions.  Properness is read off the regions at the two
 ends, and the augmented graph for the curve-to-drawing direction is built
-from the region walks; neither traces faces.
+from the region walks when first read; neither traces faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .geom import F, orient
 from .plane_graph import (PlaneGraph, PlaneGraphError, content_lines, edge_key,
@@ -205,15 +206,48 @@ class AugmentedCurve:
     subdivision:    crossed edge -> subdivision vertex.
     walk_tags:      augmented face index -> original face index it descends from.
     proper:         open curve with both ends incident to the outer region.
+
+    ``graph`` and ``walk_tags`` are built from the engine's region walks when
+    first read; ``rotation`` and ``outer_corner`` read the engine's darts.
     """
-    graph: PlaneGraph
     station_vertex: List[Optional[int]]
     endpoints: Optional[Tuple[int, int]]
     path_vertices: List[int]
     path_edges: List[Tuple[int, int]]
     subdivision: Dict[Tuple[int, int], int]
-    walk_tags: Dict[int, int]
     proper: bool
+    _engine: "_Engine" = field(repr=False, compare=False)
+    _outer: int = field(repr=False, compare=False)      # the outer region
+
+    @cached_property
+    def _built(self) -> Tuple[PlaneGraph, Dict[int, int]]:
+        pg, index = self._engine.graph()
+        return pg.with_outer(index[self._outer]), dict(zip(index, self._engine.tag))
+
+    @property
+    def graph(self) -> PlaneGraph:
+        return self._built[0]
+
+    @property
+    def walk_tags(self) -> Dict[int, int]:
+        return self._built[1]
+
+    @cached_property
+    def _edited(self) -> Set[int]:
+        return set(self._engine.edited())
+
+    def rotation(self, v: int) -> Sequence[int]:
+        """v's clockwise neighbours in the augmented graph."""
+        eng = self._engine
+        return eng.rotation(v) if v in self._edited else eng.g.rot[v]
+
+    def outer_corner(self, v: int) -> int:
+        """w with (v, w) the dart after the first dart into v on the outer
+        walk, read from its least dart as a traced face is."""
+        eng = self._engine
+        walk = eng._face(eng.least_dart(self._outer))
+        i = next(i for i, d in enumerate(walk) if eng.head[d] == v)
+        return eng.head[walk[(i + 1) % len(walk)]]
 
 
 def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
@@ -224,8 +258,8 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     terminal crossing dangles an endpoint just past the crossed edge.  Raises
     CurveError when a hop cannot be drawn (no region of its face holds both
     ends, or its chord would parallel an edge).  The dart map embeds the
-    curve in O(m + k) for k stations, and the graph is built from its region
-    walks in O(m) more, without tracing faces.
+    curve in O(m + k) for k stations; the graph is built from its region
+    walks in O(m) more when first read, without tracing faces.
     """
     _require_good(g, c)
     return _augment(g, c)
@@ -274,15 +308,14 @@ def _augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     path_e = [edge_key(p, q) for p, q in zip(path_v, path_v[1:])]
     if c.closed and len(path_v) > 1:
         path_e.append(edge_key(path_v[-1], path_v[0]))
-    pg, index = eng.graph()
-    tags = dict(zip(index, eng.tag))
     # the outer region: a region of the old outer face, one touching both
-    # ends if there is one (then the curve is proper)
-    cands = sorted(fi for fi, tag in tags.items() if tag == g.outer)
-    touching = (sorted(index[r] for r in eng.touches_both(g.outer, endpoints))
-                if endpoints else [])
-    return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
-                          endpoints, path_v, path_e, dict(eng.sub), tags, bool(touching))
+    # ends if there is one (then the curve is proper); among several, the
+    # one with the least dart, which is the first in face order
+    touching = eng.touches_both(g.outer, endpoints) if endpoints else []
+    cands = touching or [r for r, tag in enumerate(eng.tag) if tag == g.outer]
+    outer = min(cands, key=lambda r: eng.pair(eng.least_dart(r)))
+    return AugmentedCurve(station_vertex, endpoints, path_v, path_e, dict(eng.sub),
+                          bool(touching), eng, outer)
 
 
 def _terminal(eng: "_Engine", sts, station_vertex, first: bool) -> int:
@@ -442,6 +475,26 @@ class _Engine:
         at_a = {region[d] for d in self._around(ends[0]) if t[region[d]] == tag}
         return sorted(at_a.intersection(region[d] for d in self._around(ends[1])))
 
+    def pair(self, d: int) -> Tuple[int, int]:
+        """Dart d as (tail, head)."""
+        return self.head[self.twin[d]], self.head[d]
+
+    def least_dart(self, r: int) -> int:
+        """Region r's dart with the least ``pair``: faces are numbered, and
+        their walks start, in that order."""
+        return min(self._face(self.start[r]), key=self.pair)
+
+    def edited(self) -> List[int]:
+        """The vertices whose rotation differs from g's, ascending: the heads
+        of new darts, then the new vertices."""
+        head, top = self.head, self.g.vertices[-1]
+        return (sorted({head[d] for d in range(2 * self.g.m, len(head)) if head[d] <= top})
+                + list(range(top + 1, self.lo + len(self.first))))
+
+    def rotation(self, v: int) -> List[int]:
+        """v's neighbours clockwise, from the head of its first dart."""
+        return [self.head[d] for d in self._around(v)]
+
     def _face(self, d0: int) -> List[int]:
         """The darts of the region walk through d0, from d0."""
         twin, cw = self.twin, self.cw
@@ -459,10 +512,8 @@ class _Engine:
         g, head = self.g, self.head
         new = range(2 * g.m, len(head))
         rot = {v: g.rot[v] for v in g.vertices}
-        top = g.vertices[-1]
-        for v in (sorted({head[d] for d in new if head[d] <= top})
-                  + list(range(top + 1, self.lo + len(self.first)))):
-            rot[v] = [head[d] for d in self._around(v)]
+        for v in self.edited():
+            rot[v] = self.rotation(v)
         edited = {self.region[d] for d in new}
         twin = self.twin
         walks = [g.faces[r] if r < len(g.faces) and r not in edited

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import cmp_to_key
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Set, Tuple)
 
-from .geom import direction_h, homogeneous
+from .geom import HPoint, direction_h, homogeneous
 
 Dart = Tuple[int, int]
 Edge = FrozenSet[int]
@@ -562,53 +563,71 @@ def _blocks(adj: Mapping[int, Sequence[int]]) -> List[FrozenSet[int]]:
 
 # -- construction from exact coordinates -----------------------------------------
 
+def angle_cmp(p: Tuple[int, int], q: Tuple[int, int]) -> int:
+    """The angular rule of drawn rotations: -1, 0 or +1 as the integer
+    direction p has a smaller, the same or a larger counter-clockwise angle
+    from (1, 0), in [0, 2*pi), than q; decided by the half plane (dy > 0, or
+    dy = 0 < dx, first) and then the sign of the cross product."""
+    hp = 0 if p[1] > 0 or (p[1] == 0 and p[0] > 0) else 1
+    hq = 0 if q[1] > 0 or (q[1] == 0 and q[0] > 0) else 1
+    if hp != hq:
+        return hp - hq
+    cr = p[0] * q[1] - p[1] * q[0]
+    return (cr < 0) - (cr > 0)
+
+
+def clockwise_order(H: Mapping[int, HPoint], v: int,
+                    ws: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """The neighbours ``ws`` of v clockwise by their directions from v in
+    the homogeneous points ``H`` (``angle_cmp`` order, reversed), or None
+    when two directions coincide: such a pair ends adjacent in the sort."""
+    dirs = {w: direction_h(H[v], H[w]) for w in ws}
+    order = sorted(ws, key=cmp_to_key(lambda a, b: angle_cmp(dirs[a], dirs[b])))
+    if any(angle_cmp(dirs[a], dirs[b]) == 0 for a, b in zip(order, order[1:])):
+        return None
+    return tuple(reversed(order))
+
+
+def leftmost_dart(pos: Mapping[int, Tuple], H: Mapping[int, HPoint],
+                  adj: Mapping[int, Sequence[int]]) -> Dart:
+    """(s, top): s the lexicographically least vertex of the drawing, top
+    its neighbour of greatest angle.  Every neighbour of s lies in the
+    directions (-90, 90] degrees, so the angle at s clockwise from the
+    lowest round to top holds (-1, 0): the face of (s, top) is the outer
+    face."""
+    s = min(pos, key=pos.__getitem__)
+    top, *rest = adj[s]
+    dirs = {w: direction_h(H[s], H[w]) for w in adj[s]}
+    for w in rest:
+        if dirs[top][0] * dirs[w][1] - dirs[top][1] * dirs[w][0] > 0:
+            top = w
+    return s, top
+
+
 def graph_from_positions(pos: Mapping[int, Tuple], edges: Iterable[Tuple[int, int]],
                          outer_vertices: Optional[Iterable[int]] = None) -> PlaneGraph:
     """Plane graph induced by an exact straight-line drawing.
 
     Rotations are the clockwise angular orders around each vertex, sorted on
-    integer direction vectors (no floats).  The outer face is the face whose
-    angle at the lexicographically smallest vertex contains the direction
-    (-1, 0), or the face with the vertex set ``outer_vertices`` if given.
+    integer direction vectors (no floats; ``clockwise_order``).  The outer
+    face is the face whose angle at the lexicographically smallest vertex
+    contains the direction (-1, 0) (``leftmost_dart``), or the face with the
+    vertex set ``outer_vertices`` if given.
     """
-    from functools import cmp_to_key
-
     H = {v: homogeneous(p) for v, p in pos.items()}
     adj: Dict[int, List[int]] = {v: [] for v in pos}
     for (a, b) in edges:
         adj[a].append(b)
         adj[b].append(a)
-
     rot = {}
     for v, ws in adj.items():
-        dirs = {w: direction_h(H[v], H[w]) for w in ws}
-        half = {w: 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-                for w, (dx, dy) in dirs.items()}
-
-        def ccw(w1, w2):
-            if half[w1] != half[w2]:
-                return half[w1] - half[w2]
-            (x1, y1), (x2, y2) = dirs[w1], dirs[w2]
-            cr = x1 * y2 - y1 * x2
-            if cr == 0:
-                raise PlaneGraphError(f"coincident edge directions at vertex {v}")
-            return -1 if cr > 0 else 1
-
-        rot[v] = tuple(reversed(sorted(ws, key=cmp_to_key(ccw))))
+        rot[v] = clockwise_order(H, v, ws)
+        if rot[v] is None:
+            raise PlaneGraphError(f"coincident edge directions at vertex {v}")
     g = PlaneGraph(rot, outer_face=0)
 
     if outer_vertices is None:
-        # every neighbour of the leftmost-lowest vertex s lies in the half
-        # plane of directions (-90, 90] degrees; the angle at s clockwise
-        # from the lowest of them round to the topmost holds (-1, 0), and
-        # the face of the dart (s, topmost) owns that angle
-        s = min(pos, key=pos.__getitem__)
-        dirs = {w: direction_h(H[s], H[w]) for w in adj[s]}
-        top = adj[s][0]
-        for w in adj[s][1:]:
-            if dirs[top][0] * dirs[w][1] - dirs[top][1] * dirs[w][0] > 0:
-                top = w
-        outer = g.face_of_dart((s, top))
+        outer = g.face_of_dart(leftmost_dart(pos, H, adj))
     else:
         want = frozenset(outer_vertices)
         cands = [i for i in range(len(g.faces))

@@ -6,8 +6,9 @@ provides:
 * ``Drawing`` / ``PolylineDrawing`` with a text interchange format and an
   SVG export;
 * ``verify_drawing`` -- exact planarity (a Shamos-Hoey sweep on integer
-  determinant signs), embedding fidelity (rotation system and outer face),
-  and collinearity of the designated vertices;
+  determinant signs), embedding fidelity (each rotation checked in place
+  against the drawn directions, then the outer face), and collinearity of
+  the designated vertices;
 * ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
   solved exactly by integer fraction-free elimination in the one
   barycentric solver that also draws the two sides of a curve;
@@ -44,8 +45,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
                    line_h, on_segment_h, orient, side_h)
-from .plane_graph import (PlaneGraph, PlaneGraphError, content_lines, edge_key,
-                          graph_from_positions, reach, read_numbers, _cyclic_eq)
+from .plane_graph import (PlaneGraph, angle_cmp, clockwise_order,
+                          content_lines, edge_key, leftmost_dart, reach, read_numbers)
 from .curves import GoodCurve, AugmentedCurve, augment_with_curve
 from .three_tree import ThreeTreeDecomp, ThreeTreeError, decompose
 
@@ -175,8 +176,8 @@ class DrawingReport:
         return self.planar and self.embedding_ok and self.outer_ok and self.collinear_ok
 
 
-def _planarity_violations(coords: Mapping[int, Point],
-                          edges: Iterable[Tuple[int, int]]) -> List[str]:
+def _planarity_violations(coords: Mapping[int, Point], edges: Iterable[Tuple[int, int]],
+                          H: Mapping[int, HPoint]) -> List[str]:
     """Exact planarity audit of a straight-line drawing: the first violation
     a Shamos-Hoey sweep meets, or ``[]`` when the drawing is planar.
 
@@ -187,16 +188,14 @@ def _planarity_violations(coords: Mapping[int, Point],
     bottom to top; at each vertex it is searched by bisection, the edges
     ending there leave, the edges starting there enter in angular order, and
     only the newly adjacent pairs are tested.  Every predicate is the sign of
-    an integer determinant on homogeneous coordinates (``geom.side_h``).
+    an integer determinant on the homogeneous coordinates ``H`` of the
+    points (``geom.homogeneous``, ``geom.side_h``).
     """
-    from functools import cmp_to_key
-
     order = sorted(sorted(coords), key=coords.__getitem__)
     for a, b in zip(order, order[1:]):
         if coords[a] == coords[b]:
             return [f"vertices {a} and {b} coincide at {coords[a]}"]
     rank = {v: i for i, v in enumerate(order)}
-    H = {v: homogeneous(p) for v, p in coords.items()}
     edges = sorted(edges)
     left: List[int] = []                 # edge index -> left end point
     right: List[int] = []                # edge index -> right end point
@@ -247,40 +246,69 @@ def _planarity_violations(coords: Mapping[int, Point],
     return []
 
 
+def _clockwise_at(g: PlaneGraph, H: Mapping[int, HPoint], v: int) -> bool:
+    """Whether the drawn directions round v turn clockwise in the order of
+    ``g.rot[v]``: at every step but one (the wrap past (1, 0)) the next
+    direction is strictly smaller by ``angle_cmp``.  Equal directions would
+    make a second such step, since a cyclic sequence that never rises is
+    constant.  O(deg v), no sort."""
+    dirs = [direction_h(H[v], H[w]) for w in g.rot[v]]
+    steps = [angle_cmp(a, b) > 0 for a, b in zip(dirs, dirs[1:] + dirs[:1])]
+    return len(dirs) < 2 or steps.count(False) == 1
+
+
 def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
     """Exact audit: planarity, rotation-system fidelity, outer-face fidelity,
-    and collinearity of the designated vertices."""
-    violations: List[str] = []
-    missing = [v for v in g.vertices if v not in d.coords]
-    if missing:
-        return DrawingReport(False, False, False, False,
-                             [f"vertices without coordinates: {missing[:10]}"])
+    and collinearity of the designated vertices, on g's vertices converted
+    once to integer homogeneous coordinates.
 
-    planar_viol = _planarity_violations(d.coords, g.edges)
-    violations.extend(planar_viol)
-    planar = not planar_viol
+    The rotations are checked in place, in O(m) with no sort and no face
+    trace (``_clockwise_at``).  Round each vertex the drawn directions must
+    step clockwise by ``angle_cmp`` at every step of ``g.rot[v]`` but one;
+    that holds iff no two coincide and ``g.rot[v]`` is a cyclic shift of
+    the order ``graph_from_positions`` sorts them into, so the verdict is
+    that of rebuilding the drawn plane graph and comparing rotations.  Equal
+    rotations give equal faces, so the drawn outer face is g's face of the
+    ``leftmost_dart``, which must be ``g.outer``; when a rotation differs,
+    ``outer_ok`` is False without a violation of its own.  A drawing whose
+    vertex set is not g's (vertices without coordinates, coordinates of
+    vertices g lacks, designated vertices without coordinates) gets one
+    violation per case and every flag False.
+    """
+    coords = d.coords
+    bad = [("vertices without coordinates", [v for v in g.vertices if v not in coords]),
+           ("coordinates for vertices not in the graph",
+            sorted(v for v in coords if v not in g.rot)),
+           ("designated vertices without coordinates",
+            [v for v in d.designated if v not in coords])]
+    bad = [f"{what}: {vs[:10]}" for what, vs in bad if vs]
+    if bad:
+        return DrawingReport(False, False, False, False, bad)
 
-    embedding_ok = outer_ok = False
-    try:
-        gp = graph_from_positions({v: d.coords[v] for v in g.vertices}, g.edges)
-        embedding_ok = all(_cyclic_eq(gp.rot[v], g.rot[v]) for v in g.vertices)
-        if not embedding_ok:
-            bad = next(v for v in g.vertices if not _cyclic_eq(gp.rot[v], g.rot[v]))
-            violations.append(
-                f"rotation at vertex {bad} is {gp.rot[bad]}, expected {g.rot[bad]}")
-        outer_ok = gp.face_key(gp.outer) == g.face_key(g.outer)
+    H = {v: homogeneous(coords[v]) for v in g.vertices}
+    violations = _planarity_violations(coords, g.edges, H)
+    planar = not violations
+
+    wrong = next((v for v in g.vertices if not _clockwise_at(g, H, v)), None)
+    embedding_ok, outer_ok = wrong is None, False
+    if embedding_ok:
+        outer = g.face_of_dart(leftmost_dart(coords, H, g.rot))
+        outer_ok = outer == g.outer
         if not outer_ok:
             violations.append(
-                f"outer face is {gp.face_key(gp.outer)}, expected {g.face_key(g.outer)}")
-    except PlaneGraphError as exc:
-        violations.append(f"embedding reconstruction failed: {exc}")
+                f"outer face is {g.face_key(outer)}, expected {g.face_key(g.outer)}")
+    else:
+        drawn = clockwise_order(H, wrong, g.rot[wrong])
+        violations.append(
+            f"rotation at vertex {wrong} is {drawn}, expected {g.rot[wrong]}" if drawn
+            else f"edge directions coincide at vertex {wrong}")
 
     collinear_ok = True
-    des = [v for v in d.designated]
+    des = d.designated
     if len(des) >= 3:
-        line = line_h(homogeneous(d.coords[des[0]]), homogeneous(d.coords[des[1]]))
+        line = line_h(H[des[0]], H[des[1]])
         for v in des[2:]:
-            if side_h(line, homogeneous(d.coords[v])) != 0:
+            if side_h(line, H[v]) != 0:
                 collinear_ok = False
                 violations.append(
                     f"designated vertices {des[0]}, {des[1]}, {v} are not collinear")
@@ -427,16 +455,6 @@ class LabelingOrder:
                 raise RealizeError("target positions are not strictly increasing")
 
 
-def _outer_corner(g: PlaneGraph, v: int) -> Tuple[int, int]:
-    """(w_in, w_out) with the darts (w_in, v), (v, w_out) consecutive on the
-    outer walk: the angular gap of v that faces the unbounded region."""
-    walk = g.faces[g.outer]
-    for i, (x, y) in enumerate(walk):
-        if y == v:
-            return x, walk[(i + 1) % len(walk)][1]
-    raise RealizeError(f"vertex {v} is not on the outer face")
-
-
 def _arc_cw(rot: Sequence[int], start: int, stop: int) -> List[int]:
     """Neighbors strictly between start and stop going clockwise."""
     i = rot.index(start)
@@ -452,7 +470,8 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
     """(above, below): the two sides of a proper curve drawn along the x-axis
     with its first endpoint on the left.
 
-    The sides are read off the clockwise rotation system.  At a path vertex
+    The sides are read off the clockwise rotations of the augmented graph,
+    on the engine's darts, so no graph is built.  At a path vertex
     with predecessor p and successor s, draw p to the left and s to the
     right: a clockwise sweep from s to p passes below the line, so those
     neighbours lie right of the path (below), and the sweep from p to s
@@ -465,30 +484,28 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
     """
     if not aug.proper:
         raise RealizeError("curve sides are defined for proper open curves")
-    g = aug.graph
     path = aug.path_vertices
     on_path = set(path)
     if len(path) < 2:
-        return set(g.vertices) - on_path, set()
+        return set(reach(path, aug.rotation)) - on_path, set()
     below: Set[int] = set()     # clockwise from successor to predecessor
     above: Set[int] = set()
     for i, v in enumerate(path):
-        rot = g.rot[v]
+        rot = aug.rotation(v)
         nxt = path[i + 1] if i + 1 < len(path) else None
         prv = path[i - 1] if i > 0 else None
         if nxt is not None and prv is not None:
             below.update(_arc_cw(rot, nxt, prv))
             above.update(_arc_cw(rot, prv, nxt))
         elif len(rot) > 1:
-            w_out = _outer_corner(g, v)[1]
             ref = prv if nxt is None else nxt
-            arc = _arc_cw(rot, ref, w_out)
+            arc = _arc_cw(rot, ref, aug.outer_corner(v))
             rest = (x for x in rot if x not in arc and x != ref and x not in on_path)
             (above if nxt is None else below).update(arc)
             (below if nxt is None else above).update(rest)
 
     def off_path(v):
-        return (u for u in g.rot[v] if u not in on_path)
+        return (u for u in aug.rotation(v) if u not in on_path)
     above, below = (set(reach(seeds - on_path, off_path))
                     for seeds in (above, below))
     if above & below:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -661,8 +662,11 @@ def reference_augment(g, c):
     cands = [fi for fi in range(len(pg.faces)) if tags[fi] == g.outer]
     ends = set(endpoints or ())
     touching = [fi for fi in cands if ends and ends <= {d[1] for d in pg.faces[fi]}]
-    return AugmentedCurve(pg.with_outer((touching + cands)[0]), station_vertex,
-                          endpoints, path_v, path_e, dict(eng.sub), tags, bool(touching))
+    return SimpleNamespace(graph=pg.with_outer((touching + cands)[0]),
+                           station_vertex=station_vertex, endpoints=endpoints,
+                           path_vertices=path_v, path_edges=path_e,
+                           subdivision=dict(eng.sub), walk_tags=tags,
+                           proper=bool(touching))
 
 
 def reference_is_proper(g, c):
@@ -683,17 +687,18 @@ def reference_validate_curve(g, c):
 
 
 def _outcome(f, g, c):
-    """The result of f(g, c), an augmentation as a tuple of all its fields, or
-    the class and message of the exception it raised."""
+    """The result of f(g, c), an augmentation as a tuple of all its fields
+    (its graph built here, when an ``AugmentedCurve`` builds it), or the
+    class and message of the exception it raised."""
     try:
         out = f(g, c)
+        if isinstance(out, (AugmentedCurve, SimpleNamespace)):
+            h = out.graph
+            return (h.rot, h.faces, h.outer, out.station_vertex, out.endpoints,
+                    out.path_vertices, out.path_edges, out.subdivision,
+                    out.walk_tags, out.proper)
     except (CurveError, PlaneGraphError) as exc:
         return type(exc), str(exc)
-    if isinstance(out, AugmentedCurve):
-        h = out.graph
-        return (h.rot, h.faces, h.outer, out.station_vertex, out.endpoints,
-                out.path_vertices, out.path_edges, out.subdivision, out.walk_tags,
-                out.proper)
     return out
 
 

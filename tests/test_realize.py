@@ -3,6 +3,7 @@
 import hashlib
 import re
 from bisect import bisect_left
+from functools import lru_cache
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collinear import realize
-from collinear.geom import homogeneous, orient
-from collinear.plane_graph import PlaneGraph, edge_key, graph_from_positions
-from collinear.curves import (GoodCurve, Vst, Xst, Fst, augment_with_curve,
+from collinear.geom import homogeneous, line_h, orient, side_h
+from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
+                                  graph_from_positions, reach, _cyclic_eq)
+from collinear.curves import (CurveError, GoodCurve, Vst, Xst, Fst, augment_with_curve,
                               validate_curve, curve_from_drawing)
 from collinear.cubic import generate_triconnected_cubic, theorem4
 from collinear.oracle import enumerate_curves
@@ -24,9 +26,10 @@ from collinear.realize import (
     parse_drawing, serialize_drawing, drawing_to_svg,
     verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
     lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
-    _regular_convex_drawing, curve_sides, _arc_cw, _outer_corner, _place,
+    _regular_convex_drawing, curve_sides, _arc_cw, _place,
 )
 from test_three_tree import deep_stacking
+from test_curves import reference_augment
 
 
 K4 = PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
@@ -123,6 +126,24 @@ def test_verify_reports_noncollinear_designated():
     d = Drawing(good_k4_drawing().coords, designated=(0, 1, 2))
     rep = verify_drawing(K4, d)
     assert not rep.collinear_ok and any("collinear" in v for v in rep.violations)
+
+
+def test_verify_reports_a_vertex_set_that_is_not_the_graphs():
+    # a designated vertex without coordinates, and a coordinate for a vertex
+    # the graph lacks (drawn onto vertex 3), each one clear violation
+    coords = good_k4_drawing().coords
+    cases = [(Drawing(coords, (0, 2, 7)), ["designated vertices without coordinates: [7]"]),
+             (Drawing({**coords, 9: coords[3]}),
+              ["coordinates for vertices not in the graph: [9]"]),
+             (Drawing({**coords, 9: coords[3]}, (9,)),
+              ["coordinates for vertices not in the graph: [9]"]),
+             (Drawing({v: coords[v] for v in (0, 1, 2)}, (5,)),
+              ["vertices without coordinates: [3]",
+               "designated vertices without coordinates: [5]"])]
+    for d, violations in cases:
+        rep = verify_drawing(K4, d)
+        assert not (rep.planar or rep.embedding_ok or rep.outer_ok or rep.collinear_ok)
+        assert rep.violations == violations
 
 
 def test_verify_exact_not_float():
@@ -251,8 +272,14 @@ def _brute_planar(coords, edges):
     return True
 
 
+def sweep(coords, edges):
+    """``_planarity_violations`` with the homogeneous points it runs on."""
+    return _planarity_violations(coords, edges,
+                                 {v: homogeneous(p) for v, p in coords.items()})
+
+
 def _check_sweep(coords, edges):
-    found = _planarity_violations(coords, edges)
+    found = sweep(coords, edges)
     planar = _brute_planar(coords, edges)
     assert (found == []) == planar, (coords, edges, found)
     if found:
@@ -292,8 +319,7 @@ def test_sweep_matches_pair_test_near_1e17(case, sx, sy, qx, qy):
     _check_sweep(coords, edges)
     shifted = {v: (x + tx, y + ty) for v, (x, y) in coords.items()}
     _check_sweep(shifted, edges)
-    assert ((_planarity_violations(coords, edges) == [])
-            == (_planarity_violations(shifted, edges) == []))
+    assert (sweep(coords, edges) == []) == (sweep(shifted, edges) == [])
 
 
 @pytest.mark.parametrize("coords, edges, message", [
@@ -330,7 +356,7 @@ def test_sweep_matches_pair_test_near_1e17(case, sx, sy, qx, qy):
 ])
 def test_sweep_degenerate_cases(coords, edges, message):
     coords = {v: (Fr(x), Fr(y)) for v, (x, y) in coords.items()}
-    assert _planarity_violations(coords, edges) == ([message] if message else [])
+    assert sweep(coords, edges) == ([message] if message else [])
     _check_sweep(coords, edges)
 
 
@@ -1075,6 +1101,16 @@ def test_roundtrip_line_recovers_at_least_the_stations(make, curve):
 # -- the two sides of a curve ----------------------------------------------------------
 
 
+def _outer_corner(g, v):
+    """(w_in, w_out) with the darts (w_in, v), (v, w_out) consecutive on the
+    outer walk: the angular gap of v that faces the unbounded region."""
+    walk = g.faces[g.outer]
+    for i, (x, y) in enumerate(walk):
+        if y == v:
+            return x, walk[(i + 1) % len(walk)][1]
+    raise RealizeError(f"vertex {v} is not on the outer face")
+
+
 def reference_curve_sides(aug):
     """The side code that ``curve_sides`` replaced: seeds from the rotation
     system, a flood fill, and the orientation decided by whether the outer
@@ -1505,3 +1541,297 @@ def test_split_drawing_rejects_a_face_that_repeats_a_vertex():
                                            "vertex; cannot star-triangulate"):
         _split_drawing(g, aug)
     assert split_outcome(reference_split_drawing, g, aug) == "raises"
+
+
+# -- the verifier against a rebuild of the drawn plane graph ---------------------------
+
+
+def reference_verify_drawing(g, d):
+    """The verifier that rebuilt the drawn plane graph: rotations sorted by
+    angle and faces traced by ``graph_from_positions``, then compared with
+    g's rotations and outer face."""
+    violations = []
+    missing = [v for v in g.vertices if v not in d.coords]
+    if missing:
+        return realize.DrawingReport(False, False, False, False,
+                                     [f"vertices without coordinates: {missing[:10]}"])
+    planar_viol = sweep(d.coords, g.edges)
+    violations.extend(planar_viol)
+    planar = not planar_viol
+    embedding_ok = outer_ok = False
+    try:
+        gp = graph_from_positions({v: d.coords[v] for v in g.vertices}, g.edges)
+        embedding_ok = all(_cyclic_eq(gp.rot[v], g.rot[v]) for v in g.vertices)
+        if not embedding_ok:
+            bad = next(v for v in g.vertices if not _cyclic_eq(gp.rot[v], g.rot[v]))
+            violations.append(
+                f"rotation at vertex {bad} is {gp.rot[bad]}, expected {g.rot[bad]}")
+        outer_ok = gp.face_key(gp.outer) == g.face_key(g.outer)
+        if not outer_ok:
+            violations.append(
+                f"outer face is {gp.face_key(gp.outer)}, expected {g.face_key(g.outer)}")
+    except PlaneGraphError as exc:
+        violations.append(f"embedding reconstruction failed: {exc}")
+    collinear_ok = True
+    des = list(d.designated)
+    if len(des) >= 3:
+        line = line_h(homogeneous(d.coords[des[0]]), homogeneous(d.coords[des[1]]))
+        for v in des[2:]:
+            if side_h(line, homogeneous(d.coords[v])) != 0:
+                collinear_ok = False
+                violations.append(
+                    f"designated vertices {des[0]}, {des[1]}, {v} are not collinear")
+                break
+    return realize.DrawingReport(planar, embedding_ok, outer_ok, collinear_ok, violations)
+
+
+@lru_cache(maxsize=None)
+def _verified_drawing(kind, size, seed):
+    """A drawing that ``verify_drawing`` accepts, from each route that makes
+    one: free placement of a 3-tree's bundle curve, the Theorem-1 path on a
+    cubic graph (Theorem 4 curve) or a grid (snake curve), and Tutte
+    embeddings of 3-trees and cubic graphs."""
+    if kind == "place_free":
+        g = random_plane_3tree(size, seed)
+        d = place_free(g, _bundle_labeling(g))
+    elif kind == "dp":
+        g = random_plane_3tree(size, seed)
+        d = curve_to_drawing(g, dp_optimal_collinear(decompose(g))[1])
+    elif kind == "cubic":
+        g = generate_triconnected_cubic(seed, 2 * size)
+        d = curve_to_drawing(g, theorem4(g).curve)
+    elif kind == "grid":
+        g, c = theorem5_curve(*identity_grid_model(size))
+        d = curve_to_drawing(g, c)
+    else:
+        g = (random_plane_3tree(size, seed) if kind == "tutte3" else
+             generate_triconnected_cubic(seed, 2 * size))
+        d = _regular_convex_drawing(g)
+    assert verify_drawing(g, d).ok
+    return g, d
+
+
+nudges = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+@st.composite
+def drawing_changes(draw):
+    """A verified drawing with one change: 0-2 vertices moved, the mirror
+    image, the positions of two neighbours of a vertex swapped, a vertex
+    moved onto the ray of another edge at one of its neighbours, edges
+    dropped until a vertex has degree 1 or 2 (that vertex then moved or
+    not), or another face declared outer."""
+    kind = draw(st.sampled_from(["place_free", "dp", "cubic", "grid", "tutte3",
+                                 "tutte_cubic"]))
+    size = draw(st.integers(6, 7) if kind == "grid" else
+                st.integers(2, 12) if kind in ("cubic", "tutte_cubic") else
+                st.integers(4, 40))
+    g, d = _verified_drawing(kind, size, draw(st.integers(0, 30)))
+    coords = dict(d.coords)
+    vs = sorted(g.vertices)
+    change = draw(st.sampled_from(["move", "mirror", "swap", "ray", "thin", "outer"]))
+    if change == "move":
+        for v in draw(st.lists(st.sampled_from(vs), max_size=2, unique=True)):
+            x, y = coords[v]
+            coords[v] = (x + draw(nudges), y + draw(nudges))
+    elif change == "outer":
+        g = g.with_outer(draw(st.sampled_from(range(len(g.faces)))))
+    elif change == "mirror":
+        coords = {v: (-x, y) for v, (x, y) in coords.items()}
+    elif change == "swap":
+        a, b = draw(st.lists(st.sampled_from(g.rot[draw(st.sampled_from(vs))]),
+                             min_size=2, max_size=2, unique=True))
+        coords[a], coords[b] = coords[b], coords[a]
+    elif change == "ray":
+        u = draw(st.sampled_from(vs))
+        w, x = draw(st.lists(st.sampled_from(g.rot[u]), min_size=2, max_size=2,
+                             unique=True))
+        t = draw(st.fractions(min_value=Fr(1, 4), max_value=3, max_denominator=4))
+        (ux, uy), (wx, wy) = coords[u], coords[w]
+        coords[x] = (ux + t * (wx - ux), uy + t * (wy - uy))
+    else:
+        v = draw(st.sampled_from(vs))
+        keep = draw(st.integers(1, 2))
+        for w in draw(st.permutations(g.rot[v])):
+            if g.degree(v) <= keep:
+                break
+            try:
+                g = g.subgraph(drop_edges=[(v, w)])
+            except PlaneGraphError:         # the edge was a bridge
+                pass
+        assume(g.degree(v) <= 2)
+        if draw(st.booleans()):
+            x, y = coords[v]
+            coords[v] = (x + draw(nudges), y + draw(nudges))
+    return g, Drawing(coords, d.designated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawing_changes())
+def test_verify_matches_rebuild_reference(case):
+    g, d = case
+    new, old = verify_drawing(g, d), reference_verify_drawing(g, d)
+    assert (new.planar, new.embedding_ok, new.ok) == (old.planar, old.embedding_ok, old.ok)
+    assert new.violations[:1 - new.planar] == old.violations[:1 - old.planar]
+
+    def messages(rep, text):
+        return [v for v in rep.violations if text in v]
+    assert messages(new, "collinear") == messages(old, "collinear")
+    if new.embedding_ok:
+        assert new.outer_ok == old.outer_ok
+        assert new.violations == old.violations
+    else:
+        # the outer face is not compared when a rotation differs; without
+        # coincident directions both name the same vertex and drawn order
+        assert not new.outer_ok and not messages(new, "outer face")
+        if not messages(old, "reconstruction failed"):
+            assert messages(new, "rotation at") == messages(old, "rotation at")
+
+
+# -- labelings without a built graph ---------------------------------------------------
+
+
+def graph_curve_sides(aug):
+    """``curve_sides`` on a built augmented graph: its rotations, the outer
+    walk's corner at an endpoint and a flood fill over its rotations."""
+    g, path = aug.graph, aug.path_vertices
+    on_path = set(path)
+    if len(path) < 2:
+        return set(g.vertices) - on_path, set()
+    below, above = set(), set()
+    for i, v in enumerate(path):
+        rot = g.rot[v]
+        nxt = path[i + 1] if i + 1 < len(path) else None
+        prv = path[i - 1] if i > 0 else None
+        if nxt is not None and prv is not None:
+            below.update(_arc_cw(rot, nxt, prv))
+            above.update(_arc_cw(rot, prv, nxt))
+        elif len(rot) > 1:
+            ref = prv if nxt is None else nxt
+            arc = _arc_cw(rot, ref, _outer_corner(g, v)[1])
+            rest = (x for x in rot if x not in arc and x != ref and x not in on_path)
+            (above if nxt is None else below).update(arc)
+            (below if nxt is None else above).update(rest)
+
+    def off_path(v):
+        return (u for u in g.rot[v] if u not in on_path)
+    above, below = (set(reach(seeds - on_path, off_path)) for seeds in (above, below))
+    if above & below:
+        raise RealizeError("curve does not separate the graph: vertices "
+                           f"{sorted(above & below)} lie on both sides")
+    return above, below
+
+
+def reference_labeling_from_curve(g, c):
+    """The labeling read off an augmented graph traced afresh
+    (``test_curves.reference_augment``) with ``graph_curve_sides``."""
+    aug = reference_augment(g, c)
+    if not aug.proper:
+        raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    order = [('v', s[1]) if s[0] == 'v' else ('e', s[1])
+             for s in c.stations if s[0] in 'vx']
+    if len(set(order)) != len(order):
+        raise RealizeError("curve visits an element twice")
+    above, below = graph_curve_sides(aug)
+    labels = {v: 'up' if v in above else 'down' if v in below else 'on'
+              for v in g.vertices}
+    lab = LabelingOrder(labels, tuple(order),
+                        {e: Fr(i + 1) for i, e in enumerate(order)})
+    lab.validate(g)
+    return lab
+
+
+def labeling_outcome(f, g, c):
+    try:
+        return f(g, c)
+    except (RealizeError, CurveError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def labeling_cases(draw):
+    """Bundle and DP curves of random 3-trees, and line read-backs from
+    convex drawings of 3-trees, cubic graphs and grids (proper or not, and
+    possibly through an edge), any of them reversed."""
+    kind = draw(st.sampled_from(["bundle", "dp", "readback"]))
+    family = "3tree" if kind != "readback" else draw(st.sampled_from(
+        ["3tree", "cubic", "grid"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if family == "3tree":
+        g = random_plane_3tree(draw(st.integers(4, 60)), seed)
+    elif family == "cubic":
+        g = generate_triconnected_cubic(seed, 2 * draw(st.integers(2, 15)))
+    else:
+        g, _ = identity_grid_model(draw(st.integers(3, 6)))
+    if kind == "bundle":
+        c = draw(st.sampled_from(build_curve_bundle(decompose(g)).curves))
+    elif kind == "dp":
+        c = dp_optimal_collinear(decompose(g))[1]
+    else:
+        d = _regular_convex_drawing(g)
+        a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
+                             max_size=2, unique=True))
+        (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+        c = curve_from_drawing(g, d.coords,
+                               (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+    return g, c.reversed() if draw(st.booleans()) else c
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeling_cases())
+def test_labeling_matches_built_graph_reference(case):
+    g, c = case
+    assert (labeling_outcome(labeling_from_curve, g, c)
+            == labeling_outcome(reference_labeling_from_curve, g, c))
+
+
+def test_verify_and_labeling_build_no_graph(monkeypatch):
+    cases = []
+    for n, seed in ((30, 1), (80, 2)):
+        g = random_plane_3tree(n, seed)
+        d = decompose(g)
+        for c in (*build_curve_bundle(d).curves, dp_optimal_collinear(d)[1]):
+            lab = reference_labeling_from_curve(g, c)
+            drawing = place_free(g, lab)
+            mirror = Drawing({v: (-x, y) for v, (x, y) in drawing.coords.items()})
+            cases.append((g, c, lab, drawing, reference_verify_drawing(g, drawing),
+                          mirror, reference_verify_drawing(g, mirror)))
+
+    def build(*args, **kwargs):
+        raise AssertionError("a plane graph was built")
+    for name in ("__init__", "_trace_faces", "_from_walks"):
+        monkeypatch.setattr(PlaneGraph, name, build)
+    for g, c, lab, drawing, rep, mirror, mirror_rep in cases:
+        assert labeling_from_curve(g, c) == lab
+        assert verify_drawing(g, drawing) == rep and rep.ok
+        got = verify_drawing(g, mirror)
+        assert not got.embedding_ok and not got.outer_ok
+        assert got.violations == mirror_rep.violations[:1]
+
+
+def bowtie():
+    """Triangles 0-1-2 and 0-3-4 sharing vertex 0, which meets the outer
+    face in two corners."""
+    return graph_from_positions({0: (0, 0), 1: (-2, -1), 2: (-2, 1), 3: (2, -1), 4: (2, 1)},
+                                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+
+
+@pytest.mark.parametrize("stations", [
+    lambda g, left, right: (Vst(0), Fst(left), Xst(1, 2), Fst(g.outer)),
+    lambda g, left, right: (Vst(0), Fst(right), Xst(3, 4), Fst(g.outer)),
+    lambda g, left, right: (Fst(g.outer), Xst(1, 2), Fst(left), Vst(0), Fst(right),
+                            Xst(3, 4), Fst(g.outer)),
+], ids=["left", "right", "through"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_sides_at_an_endpoint_with_two_outer_corners(stations, reverse):
+    # an end at vertex 0 leaves through the first of its two outer corners
+    # on the outer walk read from its least dart
+    g = bowtie()
+    left, right = (next(i for i in g.internal_faces() if a in g.face_vertices(i))
+                   for a in (1, 3))
+    c = GoodCurve(stations(g, left, right))
+    c = c.reversed() if reverse else c
+    aug = augment_with_curve(g, c)
+    assert aug.proper
+    assert curve_sides(aug) == graph_curve_sides(aug)
+    assert labeling_from_curve(g, c) == reference_labeling_from_curve(g, c)
