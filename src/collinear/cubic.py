@@ -325,11 +325,19 @@ class _PathWalker:
         if v_next in self.avoid:
             self.stations.append(('x', edge_key(v_i, v_next)))
             self.at_vertex = False
-            self.pass_path(link[2:])
         else:
             self.stations.append(('v', v_next))
             self.at_vertex = True
-            self.pass_path(link[2:])
+        self.pass_path(link[2:])
+
+    def finish(self, y: int, b: int) -> _Partial:
+        """End at y, the last vertex before b, or, when y is avoided, hop
+        through the inner face and cross the edge y-b."""
+        z = ('v', y)
+        if y in self.avoid:
+            z = ('x', edge_key(y, b))
+            self.stations.extend([('hop', self.inner), z])
+        return _Partial(self.stations, self.charges, z)
 
 
 def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
@@ -342,12 +350,7 @@ def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
         i = seq.index(start)
         w.start(start)
         w.pass_path(seq[i + 1:-1])
-        y = seq[-2]
-        if y in avoid:
-            w.stations.append(('hop', inner))
-            w.stations.append(('x', edge_key(y, b)))
-            return _Partial(w.stations, w.charges, ('x', edge_key(y, b)))
-        return _Partial(w.stations, w.charges, ('v', y))
+        return w.finish(seq[-2], b)
 
     # p0
     if start in cd.p0:
@@ -359,33 +362,17 @@ def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
     else:
         raise CubicError("chain walk must start on the leading path")
 
-    z = None
     for i, quad in enumerate(cd.blocks):
         if w.stations[-1] != ('v', quad.u):
             raise CubicError("chain walk lost its footing at a block entry")
         z = yield from w.block(quad)
-        tail = cd.links[i] if i < len(cd.blocks) - 1 else cd.pk
         if i < len(cd.blocks) - 1:
-            w.rejoin(tail)
+            w.rejoin(cd.links[i])
+        elif len(cd.pk) == 2:
+            return _Partial(w.stations, w.charges, z)
         else:
-            if len(tail) == 2:
-                return _Partial(w.stations, w.charges, z)
-            v_k, v_next = tail[0], tail[1]
-            w.stations.append(('hop', (v_next, v_k)))
-            if v_next in avoid:
-                w.stations.append(('x', edge_key(v_k, v_next)))
-                w.at_vertex = False
-            else:
-                w.stations.append(('v', v_next))
-                w.at_vertex = True
-            remainder = tail[2:-1]
-            w.pass_path(remainder)
-            y = tail[-2]
-            if y in avoid:
-                w.stations.append(('hop', inner))
-                w.stations.append(('x', edge_key(y, b)))
-                return _Partial(w.stations, w.charges, ('x', edge_key(y, b)))
-            return _Partial(w.stations, w.charges, ('v', y))
+            w.rejoin(cd.pk[:-1])
+            return w.finish(cd.pk[-2], b)
     raise CubicError("chain walk fell through")  # pragma: no cover
 
 
@@ -421,14 +408,8 @@ def _lemma5_steps(q: Quadruple):
         w = _PathWalker(xset, (v, u))
         w.start(u)
         w.pass_path(beta[1:-1])
-        vp = beta[-2]
-        if vp in xset:
-            w.stations.append(('hop', (v, u)))
-            w.stations.append(('x', edge_key(vp, v)))
-            z = ('x', edge_key(vp, v))
-        else:
-            z = ('v', vp)
-        return _Partial(w.stations, {v: u}, z)
+        w.charges[v] = u
+        return w.finish(beta[-2], v)
 
     # Case 1: edge (u,v) exists
     if g.has_edge(u, v):
@@ -465,6 +446,14 @@ def _lemma5_steps(q: Quadruple):
     xpset = set(xp)
     vp = beta[-2]  # boundary neighbour of v
 
+    def cross_out(part: _Partial, charges: Dict[int, int]) -> _Partial:
+        """End Cases 3-5: hop through the face left of (v, y_1) and cross
+        the edge vp-v, then charge ``charges``."""
+        z = ('x', edge_key(vp, v))
+        part.stations.extend([('hop', (v, y_1)), z])
+        _merge_charges(part.charges, charges)
+        return _Partial(part.stations, part.charges, z)
+
     # Case 2: the component hanging off y_2 has substance of its own
     if any(w not in xset | {v, y_2} for w in b2_verts - {v, y_2}):
         hq = make_quadruple(h, u, y_1, xp)
@@ -484,17 +473,13 @@ def _lemma5_steps(q: Quadruple):
     if g.has_edge(u, y_1):
         make_quadruple(h, u, y_1, xp)  # machine-check the induction hypothesis
         if set(h_verts) - {u, y_1} <= xpset:
-            stations: List[_AStation] = [('v', u), ('v', y_1),
-                                         ('hop', (v, y_1)), ('x', edge_key(vp, v))]
-            return _Partial(stations, {y_2: y_1, v: y_1}, ('x', edge_key(vp, v)))
+            return cross_out(_Partial([('v', u), ('v', y_1)], {}, None),
+                             {y_2: y_1, v: y_1})
         hp = h.subgraph(drop_edges=[(u, y_1)])
         cd = _chain_structure(hp, u, y_1, xp)
         part = yield from _walk_chain(cd, xpset, (y_1, u), u, y_1)
-        part.stations.append(('hop', (v, y_1)))
-        part.stations.append(('x', edge_key(vp, v)))
         u3 = next(w for w in beta_h[1:] if w not in xpset)
-        _merge_charges(part.charges, {v: u, y_1: u3, y_2: u3})
-        return _Partial(part.stations, part.charges, ('x', edge_key(vp, v)))
+        return cross_out(part, {v: u, y_1: u3, y_2: u3})
 
     # Cases 4-5 structure: peel y_1 off the core as well
     w_1 = h.boundary_path(u, y_1, clockwise=True)[-2]
@@ -518,29 +503,18 @@ def _lemma5_steps(q: Quadruple):
     k = g.subgraph(k_verts)
     at_k = {w: i for i, w in enumerate(k.boundary_path(u, w_1, clockwise=False))}
 
-    if y_2 in k_verts:
-        # Case 4
-        if len(d2_verts) != 2:
-            raise CubicError("inner bridge should be a single edge here")
-        xpp = tuple(sorted((set(X) & set(k_verts)) | {y_2, w_2},
-                           key=at_k.__getitem__))
-        part = yield make_quadruple(k, u, w_1, xpp)
-        part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
-                              ('hop', (v, y_1)), ('x', edge_key(vp, v))])
-        _merge_charges(part.charges, {v: y_1, y_2: y_1, w_2: y_1})
-        return _Partial(part.stations, part.charges, ('x', edge_key(vp, v)))
-
-    # Case 5
-    xpp = tuple(sorted((set(X) & set(k_verts)) | {w_2}, key=at_k.__getitem__))
+    # Case 4 when y_2 is in the inner core, else Case 5
+    case4 = y_2 in k_verts
+    if case4 and len(d2_verts) != 2:
+        raise CubicError("inner bridge should be a single edge here")
+    xpp = tuple(sorted((set(X) | {y_2, w_2}) & set(k_verts), key=at_k.__getitem__))
     part = yield make_quadruple(k, u, w_1, xpp)
-    if d2_verts - {w_2, y_1} <= xpset:
-        part.stations.extend([('hop', (y_1, w_1)), ('v', y_1),
-                              ('hop', (v, y_1)), ('x', edge_key(vp, v))])
-        _merge_charges(part.charges, {v: y_1, y_2: y_1, w_2: y_1})
-        return _Partial(part.stations, part.charges, ('x', edge_key(vp, v)))
+    part.stations.append(('hop', (y_1, w_1)))
+    if case4 or d2_verts - {w_2, y_1} <= xpset:
+        part.stations.append(('v', y_1))
+        return cross_out(part, {v: y_1, y_2: y_1, w_2: y_1})
     beta_w2y1 = h.boundary_path(w_2, y_1, clockwise=False)
     u5 = next(w for w in beta_w2y1[1:] if w not in xpset)
-    part.stations.append(('hop', (y_1, w_1)))
     part.stations.append(('v', u5))
     d2 = h.subgraph(d2_verts)
     cd = _chain_structure(d2, w_2, y_1, xp)
@@ -556,9 +530,7 @@ def _lemma5_steps(q: Quadruple):
         tail.stations.extend([('hop', (v, y_1)), ('v', y_1)])
     part.stations.extend(tail.stations[1:])
     _merge_charges(part.charges, tail.charges)
-    part.stations.extend([('hop', (v, y_1)), ('x', edge_key(vp, v))])
-    _merge_charges(part.charges, {v: y_1, y_2: y_1, w_2: y_1})
-    return _Partial(part.stations, part.charges, ('x', edge_key(vp, v)))
+    return cross_out(part, {v: y_1, y_2: y_1, w_2: y_1})
 
 
 def _resolve(g: PlaneGraph, stations: Sequence[_AStation]) -> GoodCurve:

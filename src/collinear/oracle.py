@@ -245,7 +245,7 @@ def plane_3tree_from_structure(structure) -> PlaneGraph:
         rec(v, z, w, t3)
 
     rec(0, 1, 2, structure)
-    return graph_from_positions(pos, edges, outer_vertices=[0, 1, 2])
+    return graph_from_positions(pos, edges)
 
 
 def catalog_plane_3trees(m: int) -> List[PlaneGraph]:

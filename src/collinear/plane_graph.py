@@ -66,7 +66,8 @@ class PlaneGraph:
             raise PlaneGraphError("empty graph")
         if len(reach(self._vertex_list[:1], self.rot.__getitem__)) != self.n:
             raise PlaneGraphError("graph is not connected")
-        self._set_faces(self._trace_faces())
+        self._set_faces(PlaneGraph._trace_faces(
+            self.rot, [(v, w) for v, nbrs in self.rot.items() for w in nbrs]))
         if (outer_walk is None) == (outer_face is None):
             raise PlaneGraphError("exactly one of outer_walk / outer_face required")
         self.outer = (self._check_face(outer_face) if outer_walk is None
@@ -79,7 +80,7 @@ class PlaneGraph:
         outer, in O(m + F log F) and without tracing.
 
         The walks must be the faces of ``rot`` under the tracing convention,
-        as an engine that edits an embedding keeps them.  Each walk is
+        as an engine that edits an embedding, or ``subgraph``, knows them.  Each walk is
         rotated to start at its least dart and the walks are sorted by that
         dart, which is the order ``_trace_faces`` produces, so the face
         indices are those of ``PlaneGraph(rot, outer_face=0)``.  Raises
@@ -130,10 +131,14 @@ class PlaneGraph:
                 "rotation system is not planar (Euler check failed: "
                 f"V-E+F = {self.n}-{self.m}+{len(faces)} != 2)")
 
-    def _trace_faces(self) -> Tuple[Tuple[Dart, ...], ...]:
-        nxt_idx = {v: {w: i for i, w in enumerate(nbrs)}
-                   for v, nbrs in self.rot.items()}
-        unused = {(v, w) for v in self.rot for w in self.rot[v]}
+    @staticmethod
+    def _trace_faces(rot: Mapping[int, Sequence[int]],
+                     darts: Iterable[Dart]) -> Tuple[Tuple[Dart, ...], ...]:
+        """The faces of ``rot`` through ``darts``, each walk from its least
+        given dart, in order of that dart: given every dart, the faces
+        sorted by least dart."""
+        nxt_idx = {v: {w: i for i, w in enumerate(nbrs)} for v, nbrs in rot.items()}
+        unused = set(darts)
         faces: List[Tuple[Dart, ...]] = []
         for d0 in sorted(unused):
             if d0 not in unused:
@@ -144,7 +149,7 @@ class PlaneGraph:
                 walk.append(d)
                 unused.discard(d)
                 u, v = d
-                nbrs = self.rot[v]
+                nbrs = rot[v]
                 i = nxt_idx[v][u]
                 d = (v, nbrs[(i + 1) % len(nbrs)])
                 if d == d0:
@@ -189,18 +194,19 @@ class PlaneGraph:
         return face
 
     def _resolve_outer(self, walk: Tuple[int, ...]) -> int:
-        want = tuple(walk)
-        for i, fwalk in enumerate(self.faces):
-            seq = tuple(d[0] for d in fwalk)
-            if len(seq) == len(want) and _cyclic_eq(seq, want):
-                return i
-        for i, fwalk in enumerate(self.faces):
-            seq = tuple(d[0] for d in fwalk)
-            if len(seq) == len(want) and _cyclic_eq(seq, tuple(reversed(want))):
+        """The face whose walk is ``walk`` (``face_by_key``); a walk that
+        matches only reversed gets the orientation hint."""
+        for reverse in (False, True):
+            try:
+                face = self.face_by_key(walk[::-1] if reverse else walk)
+            except PlaneGraphError:
+                continue
+            if reverse:
                 raise PlaneGraphError(
                     "declared outer walk matches a face only in reverse: "
                     "rotations appear to be counter-clockwise; this parser "
                     "requires clockwise neighbour order")
+            return face
         raise PlaneGraphError(f"declared outer-face walk {list(walk)} is not a traced face")
 
     # -- basic queries ---------------------------------------------------------
@@ -386,48 +392,34 @@ class PlaneGraph:
         """Connected subgraph with inherited embedding.
 
         Keeps the induced rotation order on ``vertices`` (default: all), minus
-        ``drop_edges``.  The outer face of the result is the face whose region
-        contains the parent's outer region (face-merge union-find); it must be
-        unique or a PlaneGraphError is raised.
+        ``drop_edges``.  Deleting darts only merges faces: a parent face
+        whose darts all survive is a face of the result as it is, and the
+        surviving darts of the other faces are traced anew.  The parent's
+        outer region grows by the faces it meets across deleted darts, so
+        the outer face of the result is the face of a surviving dart of one
+        of those.  O(n + m) plus the sort of the faces, with no trace of the
+        faces that lost no dart.
         """
         keep = set(self._vertex_list if vertices is None else vertices)
-        dropped = {edge_key(*e) for e in drop_edges}
-        rot = {}
-        for v in sorted(keep):
-            nbrs = tuple(w for w in self.rot[v]
-                         if w in keep and edge_key(v, w) not in dropped)
-            rot[v] = nbrs
-        # union-find over parent faces
-        parent = list(range(len(self.faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for (a, b) in self._edge_set:
-            gone = (a not in keep or b not in keep or edge_key(a, b) in dropped)
-            if gone:
-                union(self._face_of_dart[(a, b)], self._face_of_dart[(b, a)])
-        outer_class = find(self.outer)
-        sub = PlaneGraph(rot, outer_face=0)  # provisional outer, fixed below
-        cands = []
-        for i, walk in enumerate(sub.faces):
-            classes = {find(self._face_of_dart[d]) for d in walk}
-            if len(classes) != 1:
-                raise PlaneGraphError("inherited embedding is inconsistent")
-            if classes.pop() == outer_class:
-                cands.append(i)
-        if len(cands) != 1:
-            raise PlaneGraphError(
-                f"outer face of subgraph is ambiguous ({len(cands)} candidates)")
-        return sub.with_outer(cands[0])
+        dropped = {d for a, b in drop_edges for d in ((a, b), (b, a))}
+        rot = {v: tuple(w for w in self.rot[v] if w in keep and (v, w) not in dropped)
+               for v in sorted(keep)}
+        if not rot:
+            raise PlaneGraphError("empty graph")
+        if len(reach(list(rot)[:1], rot.__getitem__)) != len(rot):
+            raise PlaneGraphError("graph is not connected")
+        alive = {(v, w) for v, nbrs in rot.items() for w in nbrs}
+        intact = [alive.issuperset(walk) for walk in self.faces]
+        g = PlaneGraph._from_walks(rot, chain(
+            (walk for walk, whole in zip(self.faces, intact) if whole),
+            PlaneGraph._trace_faces(rot, [d for walk, whole in zip(self.faces, intact)
+                                          if not whole for d in walk if d in alive])))
+        fod = self._face_of_dart
+        merged = reach((self.outer,), lambda f: (fod[w, v] for v, w in self.faces[f]
+                                                 if (v, w) not in alive))
+        g.outer = g._face_of_dart[next(d for f in merged for d in self.faces[f]
+                                       if d in alive)]
+        return g
 
     # -- misc ------------------------------------------------------------------
 
@@ -443,18 +435,6 @@ class PlaneGraph:
 
     def __hash__(self):
         return hash((tuple(sorted(self.rot.items())), self.face_key(self.outer)))
-
-
-def _cyclic_eq(a: Tuple, b: Tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    doubled = a + a
-    for i in range(len(a)):
-        if doubled[i:i + len(b)] == b:
-            return True
-    return False
 
 
 def _min_rotation(seq: Tuple) -> Tuple:
@@ -604,15 +584,14 @@ def leftmost_dart(pos: Mapping[int, Tuple], H: Mapping[int, HPoint],
     return s, top
 
 
-def graph_from_positions(pos: Mapping[int, Tuple], edges: Iterable[Tuple[int, int]],
-                         outer_vertices: Optional[Iterable[int]] = None) -> PlaneGraph:
+def graph_from_positions(pos: Mapping[int, Tuple],
+                         edges: Iterable[Tuple[int, int]]) -> PlaneGraph:
     """Plane graph induced by an exact straight-line drawing.
 
     Rotations are the clockwise angular orders around each vertex, sorted on
     integer direction vectors (no floats; ``clockwise_order``).  The outer
     face is the face whose angle at the lexicographically smallest vertex
-    contains the direction (-1, 0) (``leftmost_dart``), or the face with the
-    vertex set ``outer_vertices`` if given.
+    contains the direction (-1, 0) (``leftmost_dart``).
     """
     H = {v: homogeneous(p) for v, p in pos.items()}
     adj: Dict[int, List[int]] = {v: [] for v in pos}
@@ -625,21 +604,7 @@ def graph_from_positions(pos: Mapping[int, Tuple], edges: Iterable[Tuple[int, in
         if rot[v] is None:
             raise PlaneGraphError(f"coincident edge directions at vertex {v}")
     g = PlaneGraph(rot, outer_face=0)
-
-    if outer_vertices is None:
-        outer = g.face_of_dart(leftmost_dart(pos, H, adj))
-    else:
-        want = frozenset(outer_vertices)
-        cands = [i for i in range(len(g.faces))
-                 if frozenset(g.face_vertices(i)) == want]
-        if len(cands) > 1:
-            cands = [i for i in cands
-                     if sum(pos[a][0] * pos[b][1] - pos[a][1] * pos[b][0]
-                            for (a, b) in g.faces[i]) < 0]
-        if len(cands) != 1:
-            raise PlaneGraphError(f"outer face not unique ({len(cands)} candidates)")
-        outer = cands[0]
-    return g.with_outer(outer)
+    return g.with_outer(g.face_of_dart(leftmost_dart(pos, H, adj)))
 
 
 def canonical_code(g: PlaneGraph) -> Tuple:

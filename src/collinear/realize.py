@@ -432,13 +432,15 @@ class LabelingOrder:
         return tuple(e[1] for e in self.order if e[0] == 'v')
 
     def validate(self, g: PlaneGraph) -> None:
+        labels = self.labels
         for v in g.vertices:
-            if self.labels.get(v) not in (UP, DOWN, ON):
+            if labels.get(v) not in (UP, DOWN, ON):
                 raise RealizeError(f"vertex {v} has no valid label")
-        want: Set[Elem] = {('v', v) for v in g.vertices if self.labels[v] == ON}
-        for (u, v) in g.edges:
-            if {self.labels[u], self.labels[v]} == {UP, DOWN}:
-                want.add(('e', edge_key(u, v)))
+        want: Set[Elem] = {('v', v) for v in g.vertices if labels[v] == ON}
+        for e in g.edges:
+            a, b = labels[e[0]], labels[e[1]]
+            if a != b and a != ON and b != ON:
+                want.add(('e', e))
         have = set(self.order)
         if len(have) != len(self.order):
             raise RealizeError("ordering repeats an element")

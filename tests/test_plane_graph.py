@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from collinear.cubic import generate_triconnected_cubic
 from collinear.plane_graph import (
-    PlaneGraph, PlaneGraphError, parse_plane_graph, path_to, reach,
+    PlaneGraph, PlaneGraphError, edge_key, parse_plane_graph, path_to, reach,
     serialize_plane_graph,
 )
 from collinear.three_tree import random_plane_3tree
+from collinear.treewidth import identity_grid_model
 
 
 def triangle():
@@ -210,6 +211,142 @@ def test_subgraph_inner_outer():
     g = k4()
     sub = g.subgraph(vertices=[0, 1, 3])
     assert set(sub.outer_walk()) == {0, 1, 3}
+
+
+def reference_subgraph(g, vertices=None, drop_edges=()):
+    """The subgraph that re-traced every face: a full constructor pass on
+    the induced rotations, then the outer face found by a union-find over
+    the parent faces merged across deleted edges."""
+    keep = set(g.vertices if vertices is None else vertices)
+    dropped = {edge_key(*e) for e in drop_edges}
+    rot = {}
+    for v in sorted(keep):
+        rot[v] = tuple(w for w in g.rot[v] if w in keep and edge_key(v, w) not in dropped)
+    parent = list(range(len(g.faces)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, b) in g.edges:
+        if a not in keep or b not in keep or edge_key(a, b) in dropped:
+            ra, rb = find(g.face_of_dart((a, b))), find(g.face_of_dart((b, a)))
+            if ra != rb:
+                parent[ra] = rb
+    outer_class = find(g.outer)
+    sub = PlaneGraph(rot, outer_face=0)
+    cands = []
+    for i, walk in enumerate(sub.faces):
+        classes = {find(g.face_of_dart(d)) for d in walk}
+        if len(classes) != 1:
+            raise PlaneGraphError("inherited embedding is inconsistent")
+        if classes.pop() == outer_class:
+            cands.append(i)
+    if len(cands) != 1:
+        raise PlaneGraphError(
+            f"outer face of subgraph is ambiguous ({len(cands)} candidates)")
+    return sub.with_outer(cands[0])
+
+
+def _subgraph_outcome(f, g, vertices, drop):
+    try:
+        h = f(g, vertices, drop)
+    except PlaneGraphError as exc:
+        return str(exc)
+    return h.rot, h.faces, h.outer
+
+
+@st.composite
+def subgraph_cases(draw):
+    family = draw(st.sampled_from(["3tree", "cubic", "grid"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if family == "3tree":
+        g = random_plane_3tree(draw(st.integers(4, 30)), seed)
+    elif family == "cubic":
+        g = generate_triconnected_cubic(seed, 2 * draw(st.integers(2, 12)))
+    else:
+        g, _ = identity_grid_model(draw(st.integers(2, 5)))
+    if draw(st.booleans()):
+        g = g.with_outer(draw(st.integers(0, len(g.faces) - 1)))
+    verts = list(g.vertices)
+    mode = draw(st.sampled_from(["all", "minus", "ball", "any"]))
+    if mode == "all":
+        vertices = None if draw(st.booleans()) else verts
+    elif mode == "minus":
+        gone = draw(st.lists(st.sampled_from(verts), max_size=3))
+        vertices = [v for v in verts if v not in gone]
+    elif mode == "ball":
+        order = list(reach([draw(st.sampled_from(verts))], g.rot.__getitem__))
+        vertices = order[:draw(st.integers(0, len(order)))]
+    else:
+        vertices = draw(st.lists(st.sampled_from(verts), unique=True))
+    drop = draw(st.lists(st.sampled_from(sorted(g.edges)), max_size=3))
+    drop = [e[::-1] if draw(st.booleans()) else e for e in drop]
+    return g, vertices, drop
+
+
+@settings(max_examples=300, deadline=None)
+@given(subgraph_cases())
+def test_subgraph_matches_reference(case):
+    # vertex subsets (all, a few removed, a breadth-first ball, any) and
+    # dropped edges on 3-trees, cubic graphs and grids, some with another
+    # outer face: the same rotations, faces, face indices and outer face,
+    # or the same PlaneGraphError message
+    g, vertices, drop = case
+    assert (_subgraph_outcome(PlaneGraph.subgraph, g, vertices, drop)
+            == _subgraph_outcome(reference_subgraph, g, vertices, drop))
+
+
+def test_subgraph_rejects_as_the_constructor_did():
+    g = k4()
+    for vertices, drop, message in (([], (), "empty graph"),
+                                    ([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)],
+                                     "graph is not connected"),
+                                    ([3], (), r"Euler check failed: V-E\+F = 1-0\+0")):
+        with pytest.raises(PlaneGraphError, match=message):
+            g.subgraph(vertices, drop)
+        assert _subgraph_outcome(reference_subgraph, g, vertices, drop) == \
+            _subgraph_outcome(PlaneGraph.subgraph, g, vertices, drop)
+
+
+@pytest.mark.parametrize("make, vertices, drop", [
+    (k4, [0, 1, 2], ()),
+    (k4, None, [(0, 1)]),
+    (octahedron, [0, 1, 2, 3, 4], [(1, 2)]),
+    (lambda: random_plane_3tree(40, 3), range(1, 40), [(0, 1)]),
+    (lambda: generate_triconnected_cubic(5, 60).with_outer(7), None, [(0, 8), (12, 1)]),
+    (lambda: identity_grid_model(5)[0], range(1, 25), ()),
+], ids=["k4-vertex", "k4-edge", "octahedron", "3tree", "cubic", "grid"])
+def test_subgraph_keeps_intact_faces_and_traces_only_the_rest(make, vertices, drop,
+                                                              monkeypatch):
+    g = make()
+    keep = set(g.vertices if vertices is None else vertices)
+    gone = {edge_key(*e) for e in drop}
+
+    def alive(d):
+        return keep >= set(d) and edge_key(*d) not in gone
+    intact = [w for w in g.faces if all(map(alive, w))]
+    broken = {d for w in g.faces if not all(map(alive, w)) for d in w if alive(d)}
+    assert broken and intact
+    want = reference_subgraph(g, vertices, drop)
+    traced = []
+    real = PlaneGraph._trace_faces
+
+    def record(rot, darts):
+        darts = list(darts)
+        traced.extend(darts)
+        return real(rot, darts)
+
+    def build(*args, **kwargs):
+        raise AssertionError("subgraph called PlaneGraph.__init__")
+    monkeypatch.setattr(PlaneGraph, "_trace_faces", staticmethod(record))
+    monkeypatch.setattr(PlaneGraph, "__init__", build)
+    h = g.subgraph(vertices, drop)
+    assert sorted(traced) == sorted(broken)
+    assert set(intact) <= set(h.faces)
+    assert (h.rot, h.faces, h.outer) == (want.rot, want.faces, want.outer)
 
 
 def test_format_roundtrip():
