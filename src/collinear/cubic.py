@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import groupby
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .curves import (Fst, GoodCurve, Station, Vst, Xst, _Engine, _augment,
                      check_well_formed, edge_tallies)
-from .plane_graph import PlaneGraph, PlaneGraphError, _blocks, edge_key, path_to, reach
+from .plane_graph import PlaneGraph, PlaneGraphError, edge_key, path_to, reach
 
 __all__ = [
     "CubicError", "Quadruple", "ChainDecomposition", "ChargedCurve",
@@ -103,7 +104,8 @@ def make_quadruple(g: PlaneGraph, u: int, v: int,
     two internal faces is sealed off from the outer face.  So (e3) fails
     exactly when two consecutive shared faces are internal and are not the
     two faces of an edge ab.  On a subcubic graph with P separation pairs
-    the whole check costs O(n + P), with one Tarjan pass for (a).
+    the whole check costs O(n + P), after the O(n + m) face-walk check of
+    biconnectivity for (a).
     """
     if any(g.degree(w) > 3 for w in g.vertices):
         raise CubicError("(a) graph is not subcubic")
@@ -161,74 +163,44 @@ def make_quadruple(g: PlaneGraph, u: int, v: int,
 
 def _chain_structure(graph: PlaneGraph, a: int, b: int,
                      ambient_x: Sequence[int]) -> ChainDecomposition:
-    """Decompose a boundary component into p0 + blocks + links + pk."""
-    adj = {v: list(graph.rot[v]) for v in graph.vertices}
-    blocks = _blocks(adj)
-    nontrivial = [c for c in blocks if len(c) > 2]
-    if not nontrivial:
-        # bare path from a to b
-        path = [a]
-        prev = None
-        cur = a
-        while cur != b:
-            nxt = [w for w in adj[cur] if w != prev]
-            if len(nxt) != 1:
-                raise CubicError("boundary component is neither a path nor a chain")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
+    """Decompose a boundary component into p0 + blocks + links + pk.
+
+    ``graph`` must be subcubic.  Its bridges are the edges whose two darts
+    lie on one face, and its blocks with a cycle are the components of more
+    than one vertex left without them.  Any path from a to b runs through
+    the blocks of the chain in order, entering each at its entry vertex and
+    leaving at its exit; its other edges are bridges.  A graph without a
+    cycle must be that path.
+    """
+    path = path_to(reach((a,), graph.rot.__getitem__), b)
+    if graph.m == graph.n - 1:
+        if len(path) != graph.n:
+            raise CubicError("boundary component is neither a path nor a chain")
         return ChainDecomposition(is_path=True, path=tuple(path))
+    fod = graph.face_of_dart
 
-    # block-cut tree, walked from a to b
-    in_blocks: Dict[int, List[int]] = {}
-    for i, c in enumerate(blocks):
-        for v in c:
-            in_blocks.setdefault(v, []).append(i)
-    tree: Dict[Tuple, List[Tuple]] = {}
-    for v, bs in in_blocks.items():
-        if len(bs) > 1 or v in (a, b):
-            for i in bs:
-                tree.setdefault(('C', v), []).append(('B', i))
-                tree.setdefault(('B', i), []).append(('C', v))
-    prev_node = reach([('C', a)], lambda node: tree.get(node, ()))
-    if ('C', b) not in prev_node:
-        raise CubicError("boundary component does not connect the pair")
-    node_path = path_to(prev_node, ('C', b))
+    def solid(w):
+        return (x for x in graph.rot[w] if fod((w, x)) != fod((x, w)))
 
-    # linearize: alternating cut vertices and blocks
-    segments: List[Tuple[str, object]] = []  # ('path', verts) | ('block', (set, u_i, v_i))
-    cur_path: List[int] = [a]
-    for k in range(1, len(node_path), 2):
-        bi = node_path[k][1]
-        entry = node_path[k - 1][1]
-        exit_ = node_path[k + 1][1]
-        comp = blocks[bi]
-        if len(comp) == 2:
-            cur_path.append(exit_)
-        else:
-            segments.append(('path', tuple(cur_path)))
-            segments.append(('block', (comp, entry, exit_)))
-            cur_path = [exit_]
-    segments.append(('path', tuple(cur_path)))
+    block_of: Dict[int, FrozenSet[int]] = {}
+    for w in path:
+        if w not in block_of:
+            comp = frozenset(reach((w,), solid))
+            block_of.update(dict.fromkeys(comp, comp))
 
-    amb = list(ambient_x)
+    paths: List[List[int]] = [[]]
     quads: List[Quadruple] = []
-    links: List[Tuple[int, ...]] = []
-    for idx, (kind, payload) in enumerate(segments):
-        if kind != 'block':
-            continue
-        comp, u_i, v_i = payload
-        sub = graph.subgraph(comp)
-        x_i = tuple(x for x in amb if x in comp and x not in (u_i, v_i))
-        quads.append(make_quadruple(sub, u_i, v_i, x_i))
-    p0 = segments[0][1]
-    pk = segments[-1][1]
-    inner_paths = [payload for kind, payload in segments[1:-1] if kind == 'path']
-    for lp in inner_paths:
-        if len(lp) < 2:
-            raise CubicError("chain blocks share a vertex (graph not subcubic?)")
-    return ChainDecomposition(is_path=False, p0=tuple(p0), blocks=tuple(quads),
-                              links=tuple(tuple(lp) for lp in inner_paths),
-                              pk=tuple(pk))
+    for comp, run in groupby(path, block_of.__getitem__):
+        run = list(run)
+        paths[-1].append(run[0])
+        if len(run) > 1:
+            u_i, v_i = run[0], run[-1]
+            x_i = tuple(x for x in ambient_x if x in comp and x not in (u_i, v_i))
+            quads.append(make_quadruple(graph.subgraph(comp), u_i, v_i, x_i))
+            paths.append([v_i])
+    return ChainDecomposition(is_path=False, p0=tuple(paths[0]), blocks=tuple(quads),
+                              links=tuple(map(tuple, paths[1:-1])),
+                              pk=tuple(paths[-1]))
 
 
 def chain_decompose(q: Quadruple, a: int, b: int) -> ChainDecomposition:
@@ -247,8 +219,8 @@ def chain_decompose(q: Quadruple, a: int, b: int) -> ChainDecomposition:
     beta_ab = q.g.boundary_path(a, b, clockwise=False)
     if len(beta_ab) == 2:
         return ChainDecomposition(is_path=True, path=tuple(beta_ab))
-    comp = next(c for c in q.g.components_without([a, b]) if beta_ab[1] in c)
-    sub = q.g.subgraph(set(comp) | {a, b}, drop_edges=[(a, b)])
+    comp = reach((beta_ab[1],), lambda w: (x for x in q.g.rot[w] if x not in (a, b)))
+    sub = q.g.subgraph({a, b, *comp}, drop_edges=[(a, b)])
     return _chain_structure(sub, a, b, q.x_seq)
 
 
@@ -423,26 +395,14 @@ def _lemma5_steps(q: Quadruple):
 
     # shared structure for Cases 2-5
     y_1 = q.tau[-2]
-    h_adj = {w: [x for x in g.rot[w] if x != v] for w in g.vertices if w != v}
-    h_verts = next(c for c in _blocks(h_adj) if u in c)
+    h_verts = _core(g, v, u)
     if y_1 not in h_verts:
         raise CubicError("boundary neighbour of v fell outside the biconnected core")
-    nb2 = next(x for x in g.rot[v] if x != y_1)
-    if nb2 in h_verts:
-        y_2 = nb2
-        b2_verts: Set[int] = {y_2, v}
-    else:
-        comp = next(c for c in g.components_without(set(h_verts) | {v})
-                    if nb2 in c)
-        att = {x for w in comp for x in g.rot[w] if x in h_verts}
-        if len(att) != 1:
-            raise CubicError("dangling component has multiple attachments")
-        y_2 = att.pop()
-        b2_verts = set(comp) | {y_2, v}
+    y_2, b2_verts = _dangling(g, h_verts, v, y_1)
     h = g.subgraph(h_verts)
     beta_h = h.boundary_path(u, y_1, clockwise=False)
     at_h = {w: i for i, w in enumerate(beta_h)}
-    xp = tuple(sorted((set(X) & set(h_verts)) | {y_2}, key=at_h.__getitem__))
+    xp = tuple(sorted((xset & h_verts) | {y_2}, key=at_h.__getitem__))
     xpset = set(xp)
     vp = beta[-2]  # boundary neighbour of v
 
@@ -472,7 +432,7 @@ def _lemma5_steps(q: Quadruple):
     # Case 3: edge (u, y_1) exists
     if g.has_edge(u, y_1):
         make_quadruple(h, u, y_1, xp)  # machine-check the induction hypothesis
-        if set(h_verts) - {u, y_1} <= xpset:
+        if h_verts - {u, y_1} <= xpset:
             return cross_out(_Partial([('v', u), ('v', y_1)], {}, None),
                              {y_2: y_1, v: y_1})
         hp = h.subgraph(drop_edges=[(u, y_1)])
@@ -483,23 +443,10 @@ def _lemma5_steps(q: Quadruple):
 
     # Cases 4-5 structure: peel y_1 off the core as well
     w_1 = h.boundary_path(u, y_1, clockwise=True)[-2]
-    k_adj = {w: [x for x in h.rot[w] if x != y_1]
-             for w in h.vertices if w != y_1}
-    k_verts = next(c for c in _blocks(k_adj) if u in c)
+    k_verts = _core(h, y_1, u)
     if w_1 not in k_verts:
         raise CubicError("boundary neighbour of y_1 fell outside the inner core")
-    nbd = next(x for x in h.rot[y_1] if x != w_1)
-    if nbd in k_verts:
-        w_2 = nbd
-        d2_verts: Set[int] = {w_2, y_1}
-    else:
-        comp = next(c for c in h.components_without(set(k_verts) | {y_1})
-                    if nbd in c)
-        att = {x for w in comp for x in h.rot[w] if x in k_verts}
-        if len(att) != 1:
-            raise CubicError("inner dangling component has multiple attachments")
-        w_2 = att.pop()
-        d2_verts = set(comp) | {w_2, y_1}
+    w_2, d2_verts = _dangling(h, k_verts, y_1, w_1)
     k = g.subgraph(k_verts)
     at_k = {w: i for i, w in enumerate(k.boundary_path(u, w_1, clockwise=False))}
 
@@ -507,7 +454,7 @@ def _lemma5_steps(q: Quadruple):
     case4 = y_2 in k_verts
     if case4 and len(d2_verts) != 2:
         raise CubicError("inner bridge should be a single edge here")
-    xpp = tuple(sorted((set(X) | {y_2, w_2}) & set(k_verts), key=at_k.__getitem__))
+    xpp = tuple(sorted((xset | {y_2, w_2}) & k_verts, key=at_k.__getitem__))
     part = yield make_quadruple(k, u, w_1, xpp)
     part.stations.append(('hop', (y_1, w_1)))
     if case4 or d2_verts - {w_2, y_1} <= xpset:
@@ -531,6 +478,39 @@ def _lemma5_steps(q: Quadruple):
     part.stations.extend(tail.stations[1:])
     _merge_charges(part.charges, tail.charges)
     return cross_out(part, {v: y_1, y_2: y_1, w_2: y_1})
+
+
+def _core(g: PlaneGraph, x: int, u: int) -> FrozenSet[int]:
+    """The vertex set of the block of G - x that holds u, for a biconnected
+    subcubic G and a vertex u on a cycle of G - x.
+
+    G has no bridge, and deleting x merges the faces at x into one face and
+    keeps the others.  So the bridges of G - x are its edges with both
+    darts on faces at x, read in O(size of those faces).  Two blocks with a
+    cycle share no vertex in a subcubic graph, so the block is what
+    ``reach`` finds from u without crossing x or a bridge.
+    """
+    at_x = set(g.faces_at(x))
+    bridges = {d for f in at_x for d in g.faces[f]
+               if x not in d and g.face_of_dart(d[::-1]) in at_x}
+    return frozenset(reach((u,), lambda w: (y for y in g.rot[w]
+                                            if y != x and (w, y) not in bridges)))
+
+
+def _dangling(g: PlaneGraph, core: FrozenSet[int], x: int,
+              y: int) -> Tuple[int, Set[int]]:
+    """(y', B) for the neighbour w of x other than y, x outside ``core``:
+    (w, {w, x}) when w is in the core, else y' is the one core vertex next
+    to the component C of G - core - x that holds w, and B is C + {y', x}."""
+    w = next(z for z in g.rot[x] if z != y)
+    if w in core:
+        return w, {w, x}
+    comp = reach((w,), lambda t: (z for z in g.rot[t] if z != x and z not in core))
+    att = {z for t in comp for z in g.rot[t] if z in core}
+    if len(att) != 1:
+        raise CubicError("dangling component has multiple attachments")
+    y_2 = att.pop()
+    return y_2, {y_2, x, *comp}
 
 
 def _resolve(g: PlaneGraph, stations: Sequence[_AStation]) -> GoodCurve:

@@ -299,21 +299,39 @@ class PlaneGraph:
 
     # -- connectivity ----------------------------------------------------------
     #
-    # Separation pairs are read off the faces.  In a biconnected plane graph
-    # every face is bounded by a simple cycle, so a face meets a vertex in at
-    # most one angle.  If a and b share two faces f and f', a closed curve
-    # a - f - b - f' - a meets the graph in a and b only and splits the edges
-    # at a into the two sectors between f and f'.  A sector that holds more
-    # than the edge ab holds a vertex inside the curve, so {a, b} separates
-    # unless one sector is the edge ab alone: f and f' are the two faces of
-    # ab.  Conversely, if G - {a, b} falls apart, each part has an edge at a;
+    # Biconnectivity, bridges, blocks and separation pairs are read off the
+    # faces, and components come from ``reach``.  An edge is a bridge iff
+    # both of its darts lie on one face (Diestel, Graph Theory, 4.2).  In a
+    # subcubic graph two blocks with a cycle share no vertex, so those
+    # blocks are the components of more than one vertex left when the
+    # bridges are deleted (``cubic._core`` and ``cubic._chain_structure``).
+    #
+    # Separation pairs.  In a biconnected plane graph every face is bounded
+    # by a simple cycle, so a face meets a vertex in at most one angle.  If
+    # a and b share two faces f and f', a closed curve a - f - b - f' - a
+    # meets the graph in a and b only and splits the edges at a into the
+    # two sectors between f and f'.  A sector that holds more than the edge
+    # ab holds a vertex inside the curve, so {a, b} separates unless one
+    # sector is the edge ab alone: f and f' are the two faces of ab.
+    # Conversely, if G - {a, b} falls apart, each part has an edge at a;
     # the face at an angle of a between two parts (or a part and the edge
     # ab) must pass b to close its cycle, and there are at least two such
     # angles, not both beside ab.  Hence {a, b} separates iff a and b share
     # two faces that are not the two faces of an edge ab.
 
     def is_biconnected(self) -> bool:
-        return self.n >= 3 and not _articulation_points(self.rot)
+        """n >= 3 and no face walk meets a vertex twice; O(n + m).
+
+        A cut vertex v has two clockwise-consecutive neighbours w, w' in
+        different components of G - v.  The face of that angle enters v
+        from w and leaves it to w', and must pass v again to get from w'
+        back to w.  So a graph whose face walks repeat no vertex has no cut
+        vertex, and being connected with n >= 3 it is biconnected.
+        Conversely every face of a biconnected plane graph is bounded by a
+        cycle (Diestel, Graph Theory, 4.2.6).
+        """
+        return self.n >= 3 and all(len({v for v, _ in walk}) == len(walk)
+                                   for walk in self.faces)
 
     def is_triconnected(self) -> bool:
         """n >= 4, biconnected and without a separation pair; O(Σ deg² + P)
@@ -370,20 +388,6 @@ class PlaneGraph:
     def _require_biconnected(self) -> None:
         if not self.is_biconnected():
             raise PlaneGraphError("separation pairs need a biconnected graph")
-
-    def components_without(self, removed: Iterable[int]) -> List[FrozenSet[int]]:
-        """The vertex sets of the components of the graph minus ``removed``,
-        in order of their least vertex."""
-        seen = set(removed)
-
-        def nbrs(v):
-            return (w for w in self.rot[v] if w not in seen)
-        comps = []
-        for s in self._vertex_list:
-            if s not in seen:
-                comps.append(frozenset(reach((s,), nbrs)))
-                seen |= comps[-1]
-        return comps
 
     # -- subgraphs -------------------------------------------------------------
 
@@ -479,66 +483,6 @@ def path_to(parent: Mapping[Hashable, Hashable], end: Hashable) -> List[Hashable
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-# -- connectivity (iterative Tarjan) -------------------------------------------
-
-def _articulation_points(adj: Mapping[int, Sequence[int]]) -> Set[int]:
-    """Articulation vertices of an undirected graph: those in two or more
-    blocks."""
-    seen: Set[int] = set()
-    out: Set[int] = set()
-    for block in _blocks(adj):
-        out |= seen & block
-        seen |= block
-    return out
-
-
-def _blocks(adj: Mapping[int, Sequence[int]]) -> List[FrozenSet[int]]:
-    """Vertex sets of the biconnected components (edge partition classes)."""
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    timer = 0
-    estack: List[Tuple[int, int]] = []
-    comps: List[FrozenSet[int]] = []
-    for root in adj:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    if disc[w] < disc[v]:
-                        estack.append((v, w))
-                        low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                estack.append((v, w))
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    comp = set()
-                    while True:
-                        e = estack.pop()
-                        comp.update(e)
-                        if e == (p, v):
-                            break
-                    comps.append(frozenset(comp))
-    return comps
 
 
 # -- construction from exact coordinates -----------------------------------------

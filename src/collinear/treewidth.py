@@ -405,8 +405,6 @@ class _Sub:
 
 def _snake_subs(g: PlaneGraph, cells: CellMap, m: GridModel) -> List[_Sub]:
     gp = designated_side(m.side)
-    if gp < 4:
-        raise GridError(f"grid side {m.side} is too small (needs at least 6)")
     rv, rh = m.ref_v, m.ref_h
 
     def getter(I: int, J: int) -> _Sub:
@@ -487,6 +485,8 @@ def _audit_regions(g: PlaneGraph, m: GridModel, cells: CellMap,
 
 def snake_curve(g: PlaneGraph, m: GridModel) -> GoodCurve:
     """The closed curve through one vertex of every designated branch set."""
+    if designated_side(m.side) < 4:
+        raise GridError(f"grid side {m.side} is too small (needs at least 6)")
     cells = build_cells(g, m)
     subs = _snake_subs(g, cells, m)
     _audit_regions(g, m, cells, subs)

@@ -1,13 +1,14 @@
 """Connectivity in ``PlaneGraph`` against a brute-force reference.
 
-The library tests biconnectivity with one Tarjan pass and reads separation
-pairs off the faces: two vertices that share two faces, other than the two
-faces of an edge between them.  The reference removes every vertex pair and
-tests what is left for connectivity with a plain set-based search, so it
-shares no code with the library.  Wheels put many faces at one vertex;
-cycles with one chord have pairs on an edge that do and do not separate.
-The reference also audits every intermediate graph of the cubic generator,
-which itself checks triconnectivity only on the graph it returns.
+The library reads connectivity off the faces: a graph with n >= 3 is
+biconnected iff no face walk meets a vertex twice, and a separation pair is
+two vertices that share two faces, other than the two faces of an edge
+between them.  The reference removes every vertex pair and tests what is
+left for connectivity with a plain set-based search, so it shares no code
+with the library.  Wheels put many faces at one vertex; cycles with one
+chord have pairs on an edge that do and do not separate.  The reference
+also audits every intermediate graph of the cubic generator, which itself
+checks triconnectivity only on the graph it returns.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collinear.cubic import _expand, generate_triconnected_cubic
-from collinear.plane_graph import PlaneGraph, PlaneGraphError
+from collinear.plane_graph import PlaneGraph, PlaneGraphError, graph_from_positions
 from collinear.three_tree import random_plane_3tree
 
 
@@ -121,7 +122,7 @@ def plane_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(plane_graphs())
-def test_tarjan_matches_brute_force(g):
+def test_connectivity_matches_brute_force(g):
     biconnected = ref_biconnected(g)
     assert g.is_biconnected() == biconnected
     assert g.is_triconnected() == ref_triconnected(g)
@@ -134,6 +135,23 @@ def test_tarjan_matches_brute_force(g):
     for a, b in combinations(g.vertices, 2):
         assert g.is_separation_pair(a, b) == ((a, b) in pairs)
         assert g.is_separation_pair(b, a) == ((a, b) in pairs)
+
+
+@pytest.mark.parametrize("pos,edges,biconnected", [
+    ({0: (0, 0), 1: (1, 0), 2: (2, 0)}, [(0, 1), (1, 2)], False),
+    ({0: (0, 0), 1: (2, 0), 2: (1, 2)}, [(0, 1), (1, 2), (2, 0)], True),
+    ({0: (0, 0), 1: (-2, 1), 2: (-2, -1), 3: (2, 1), 4: (2, -1)},
+     [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], False),
+    ({0: (0, 0), 1: (2, 0), 2: (1, 2), 3: (1, 4)},
+     [(0, 1), (1, 2), (2, 0), (2, 3)], False),
+    ({0: (0, 0), 1: (4, 0), 2: (2, 4), 3: (2, 1)},
+     [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)], True),
+    ({0: (0, 0), 1: (4, 0), 2: (2, 2), 3: (2, 0), 4: (2, -2)},
+     [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)], True),
+], ids=["P3", "triangle", "bowtie", "triangle-pendant", "K4", "theta"])
+def test_is_biconnected_small_cases(pos, edges, biconnected):
+    g = graph_from_positions(pos, edges)
+    assert g.is_biconnected() == ref_biconnected(g) == biconnected
 
 
 @pytest.mark.parametrize("g", [path(2), path(3), path(5),

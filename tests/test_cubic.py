@@ -9,8 +9,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collinear import cubic, plane_graph
+from collinear import cubic
 from collinear.cubic import (
     ChainDecomposition,
     CubicError,
@@ -24,9 +25,9 @@ from collinear.cubic import (
     verify_charged_curve,
 )
 from collinear.curves import serialize_curve
-from collinear.plane_graph import (PlaneGraph, PlaneGraphError,
-                                   _articulation_points, edge_key,
-                                   graph_from_positions, serialize_plane_graph)
+from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
+                                   graph_from_positions, path_to, reach,
+                                   serialize_plane_graph)
 from collinear.realize import curve_to_drawing, verify_drawing
 
 
@@ -135,15 +136,143 @@ class TestMakeQuadruple:
             make_quadruple(k4().subgraph(drop_edges=[(0, 1)]), 0, 1, (3,))
 
 
+# -- reference: Tarjan's block search ----------------------------------------------
+
+
+def reference_blocks(adj):
+    """Vertex sets of the biconnected components (edge partition classes),
+    by an iterative Tarjan lowpoint search."""
+    disc, low = {}, {}
+    timer = 0
+    estack, comps = [], []
+    for root in adj:
+        if root in disc:
+            continue
+        stack = [(root, None, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w in disc:
+                    if disc[w] < disc[v]:
+                        estack.append((v, w))
+                        low[v] = min(low[v], disc[w])
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                estack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                advanced = True
+                break
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    comp = set()
+                    while True:
+                        e = estack.pop()
+                        comp.update(e)
+                        if e == (p, v):
+                            break
+                    comps.append(frozenset(comp))
+    return comps
+
+
+def reference_articulation_points(adj):
+    """Articulation vertices: those in two or more blocks."""
+    seen, out = set(), set()
+    for block in reference_blocks(adj):
+        out |= seen & block
+        seen |= block
+    return out
+
+
+def reference_core(g, x, u):
+    """The Tarjan block of G - x that holds u."""
+    adj = {w: [y for y in g.rot[w] if y != x] for w in g.vertices if w != x}
+    return next(c for c in reference_blocks(adj) if u in c)
+
+
+def reference_chain_structure(graph, a, b, ambient_x):
+    """``_chain_structure`` by Tarjan's blocks and a walk of the block-cut
+    tree from a to b."""
+    adj = {v: list(graph.rot[v]) for v in graph.vertices}
+    blocks = reference_blocks(adj)
+    if not [c for c in blocks if len(c) > 2]:
+        path, prev, cur = [a], None, a
+        while cur != b:
+            nxt = [w for w in adj[cur] if w != prev]
+            if len(nxt) != 1:
+                raise CubicError("boundary component is neither a path nor a chain")
+            prev, cur = cur, nxt[0]
+            path.append(cur)
+        return ChainDecomposition(is_path=True, path=tuple(path))
+    in_blocks = {}
+    for i, c in enumerate(blocks):
+        for v in c:
+            in_blocks.setdefault(v, []).append(i)
+    tree = {}
+    for v, bs in in_blocks.items():
+        if len(bs) > 1 or v in (a, b):
+            for i in bs:
+                tree.setdefault(('C', v), []).append(('B', i))
+                tree.setdefault(('B', i), []).append(('C', v))
+    node_path = path_to(reach([('C', a)], lambda node: tree.get(node, ())), ('C', b))
+    segments, cur_path = [], [a]
+    for k in range(1, len(node_path), 2):
+        comp = blocks[node_path[k][1]]
+        entry, exit_ = node_path[k - 1][1], node_path[k + 1][1]
+        if len(comp) == 2:
+            cur_path.append(exit_)
+        else:
+            segments += [('path', tuple(cur_path)), ('block', (comp, entry, exit_))]
+            cur_path = [exit_]
+    segments.append(('path', tuple(cur_path)))
+    quads = []
+    for kind, payload in segments:
+        if kind == 'block':
+            comp, u_i, v_i = payload
+            x_i = tuple(x for x in ambient_x if x in comp and x not in (u_i, v_i))
+            quads.append(make_quadruple(graph.subgraph(comp), u_i, v_i, x_i))
+    links = tuple(payload for kind, payload in segments[1:-1] if kind == 'path')
+    if any(len(lp) < 2 for lp in links):
+        raise CubicError("chain blocks share a vertex (graph not subcubic?)")
+    return ChainDecomposition(is_path=False, p0=segments[0][1], blocks=tuple(quads),
+                              links=links, pk=segments[-1][1])
+
+
 # -- reference: condition (e) by Tarjan per vertex and a component search ------------
 
 
 def reference_separation_pairs(g):
     """Every pair {a, b} such that b is an articulation point of G - a."""
     return sorted({edge_key(a, b) for a in g.vertices
-                   for b in _articulation_points({v: [w for w in nbrs if w != a]
-                                                  for v, nbrs in g.rot.items()
-                                                  if v != a})})
+                   for b in reference_articulation_points(
+                       {v: [w for w in nbrs if w != a]
+                        for v, nbrs in g.rot.items() if v != a})})
+
+
+def components_without(g, removed):
+    """The vertex sets of the components of G minus ``removed``."""
+    seen, comps = set(removed), []
+    for s in g.vertices:
+        if s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                for w in g.rot[stack.pop()]:
+                    if w not in seen and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            comps.append(comp)
+    return comps
 
 
 def reference_make_quadruple(g, u, v, x_seq):
@@ -175,7 +304,7 @@ def reference_make_quadruple(g, u, v, x_seq):
         if not internal:
             raise CubicError(f"(e) separation pair ({a},{b}) has no vertex "
                              "internal to the counter-clockwise boundary path")
-        for comp in g.components_without([a, b]):
+        for comp in components_without(g, {a, b}):
             if not (comp & outer_set):
                 raise CubicError(f"(e) a nontrivial ({a},{b})-component has no "
                                  "external vertex besides the pair")
@@ -258,28 +387,99 @@ def test_condition_e_matches_reference(monkeypatch):
     assert all(reached.values()), reached
 
 
-def test_make_quadruple_runs_tarjan_once(monkeypatch):
+def test_make_quadruple_checks_biconnectivity_once(monkeypatch):
     # condition (e) reads the separation pairs off the faces, so the only
-    # Tarjan pass left per quadruple is the biconnectivity check of (a);
-    # one Tarjan pass per vertex would make Theorem 4 quadratic
+    # whole-graph pass left per quadruple is the face-walk biconnectivity
+    # check of (a); one pass per vertex would make Theorem 4 quadratic
     g = generate_triconnected_cubic(1, 200)
-    calls = {"tarjan": 0, "quadruples": 0}
-    tarjan = plane_graph._articulation_points
+    calls = {"biconnected": 0, "quadruples": 0}
+    is_biconnected = PlaneGraph.is_biconnected
 
-    def count_tarjan(adj):
-        calls["tarjan"] += 1
-        return tarjan(adj)
+    def count_biconnected(self):
+        calls["biconnected"] += 1
+        return is_biconnected(self)
 
     def count_quadruple(*args):
         calls["quadruples"] += 1
         return make_quadruple(*args)
 
-    monkeypatch.setattr(plane_graph, "_articulation_points", count_tarjan)
+    monkeypatch.setattr(PlaneGraph, "is_biconnected", count_biconnected)
     monkeypatch.setattr(cubic, "make_quadruple", count_quadruple)
     theorem4(g)
     assert calls["quadruples"] > 10
-    assert calls["tarjan"] <= calls["quadruples"] + 2, calls
+    assert calls["biconnected"] <= calls["quadruples"] + 2, calls
 
+
+def _record_connectivity(monkeypatch, run, *args):
+    """Every (g, x, u) that ``run(*args)`` passes to ``_core`` and every
+    argument tuple of ``_chain_structure``."""
+    cores, chains = [], []
+    core, chain_structure = cubic._core, cubic._chain_structure
+
+    def record_core(*args):
+        cores.append(args)
+        return core(*args)
+
+    def record_chain(*args):
+        chains.append(args)
+        return chain_structure(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "_core", record_core)
+        m.setattr(cubic, "_chain_structure", record_chain)
+        run(*args)
+    return cores, chains
+
+
+def _check_connectivity(monkeypatch, g):
+    cores, chains = _record_connectivity(monkeypatch, theorem4, g)
+    for h, x, u in cores:
+        assert cubic._core(h, x, u) == reference_core(h, x, u), (x, u)
+    for args in chains:
+        assert cubic._chain_structure(*args) == reference_chain_structure(*args)
+    return len(cores), len(chains)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), half=st.integers(2, 100))
+def test_blocks_match_tarjan_reference(seed, half):
+    # the cores of Lemma 5 and the chain blocks, read off the faces, equal
+    # Tarjan's blocks on every call theorem4 makes
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_connectivity(monkeypatch, generate_triconnected_cubic(seed, 2 * half))
+
+
+def test_chain_decompose_matches_tarjan_reference(monkeypatch):
+    # chain_decompose on every separation pair of the boundary path of the
+    # quadruples theorem4 builds, bare paths included
+    kinds = set()
+    for seed in range(6):
+        for g, u, v, x_seq in _theorem4_quadruples(
+                monkeypatch, generate_triconnected_cubic(seed, 10 + 4 * seed)):
+            q = Quadruple(g, u, v, x_seq)
+            pos = {w: i for i, w in enumerate(q.beta)}
+            for a, b in g.separation_pairs():
+                if a in pos and b in pos:
+                    a, b = sorted((a, b), key=pos.__getitem__)
+                    _, chains = _record_connectivity(monkeypatch, chain_decompose,
+                                                     q, a, b)
+                    for args in chains:
+                        cd = cubic._chain_structure(*args)
+                        assert cd == reference_chain_structure(*args)
+                        kinds.add(cd.is_path)
+    assert kinds == {True, False}
+
+
+def test_blocks_match_tarjan_reference_on_prism(monkeypatch):
+    # the prism C_k x K2 runs Lemma 5 k - 1 quadruples deep
+    k = 40
+    rot = {}
+    for i in range(k):
+        rot[i] = (k + i, (i + 1) % k, (i - 1) % k)
+        rot[k + i] = (k + (i + 1) % k, i, k + (i - 1) % k)
+    g = PlaneGraph(rot, outer_walk=tuple(range(k - 1, -1, -1)))
+    cores, chains = _check_connectivity(monkeypatch, g)
+    assert cores and chains
 
 
 def test_lemma5_runs_without_recursion():

@@ -184,9 +184,12 @@ class TestSnake:
         assert c.vertex_count >= designated_count(6)
 
     def test_side_too_small(self):
-        g, m = identity_grid_model(5)
-        with pytest.raises(GridError, match="too small"):
-            theorem5_curve(g, m)
+        # the side is checked before the cells are built, so side 2, whose
+        # cells build_cells cannot bound, gets the same message as 3 to 5
+        for side in (2, 3, 4, 5):
+            g, m = identity_grid_model(side)
+            with pytest.raises(GridError, match=f"grid side {side} is too small"):
+                theorem5_curve(g, m)
 
     def test_snake_realizes_to_drawing(self):
         g, m = identity_grid_model(6)
