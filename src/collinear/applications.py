@@ -136,6 +136,33 @@ def _lined_drawing(d: ThreeTreeDecomp, lab: LabelingOrder,
     return _place(d, lab2)
 
 
+def _pin(d: ThreeTreeDecomp, lab: LabelingOrder, cs: Tuple[F, F],
+         pins: Mapping[int, Point], what: str) -> Drawing:
+    """``d.graph`` with each vertex of ``pins`` (on-line in ``lab``) exactly
+    at its point, designated: the points rotated by ``cs`` give the targets
+    and the heights of the lift, and the drawing is rotated back.  It is
+    verified for planarity only; ``what`` names a rejection."""
+    g = d.graph
+    at = {e[1]: i for i, e in enumerate(lab.order) if e[0] == 'v'}
+    rotated = {v: rotate(q, cs) for v, q in pins.items()}
+    xs = [q[0] for q in rotated.values()]
+    if len(set(xs)) != len(xs):
+        raise AssertionError("rotation failed to separate x-coordinates")
+    flat = _lined_drawing(d, lab, {at[v]: q[0] for v, q in rotated.items()})
+    heights = {v: F(0) for v in flat.designated}
+    heights.update({v: q[1] for v, q in rotated.items()})
+    # with no vertex pinned there is nothing to lift
+    lifted = lift_off_line(g, flat, heights) if pins else flat
+    coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
+    for v, q in pins.items():
+        if coords[v] != q:
+            raise AssertionError(f"vertex {v} missed its prescribed point")
+    report = verify_drawing(g, Drawing(coords, ()))
+    if not report.ok:
+        raise DrawingRejected(f"{what} failed: {report.violations}")
+    return Drawing(coords, tuple(pins))
+
+
 # -- universal point subsets ------------------------------------------------------
 
 
@@ -150,37 +177,13 @@ def universal_placement(g: PlaneGraph, p: PointSet) -> Drawing:
         raise ApplicationError(f"{len(p)} points exceed the guarantee of {k} "
                                f"collinear vertices for n={g.n}")
     d = decompose(g)
-    if not p.points:
-        curve = build_curve_bundle(d).best
-        lab = labeling_from_curve(g, curve)
-        return Drawing(_lined_drawing(d, lab, {}).coords, ())
-    cs = rotation_for(p.points)
-    rpts = sorted(rotate(q, cs) for q in p.points)
-    xs = [q[0] for q in rpts]
-    if len(set(xs)) != len(xs):
-        raise AssertionError("rotation failed to separate x-coordinates")
-
-    curve = build_curve_bundle(d).best
-    lab = labeling_from_curve(g, curve)
-    v_positions = [i for i, e in enumerate(lab.order) if e[0] == 'v']
-    if len(v_positions) < len(p):
+    lab = labeling_from_curve(g, build_curve_bundle(d).best)
+    chosen = lab.on_line[:len(p)]
+    if len(chosen) < len(p):
         raise AssertionError("curve visits fewer vertices than guaranteed")
-    chosen_pos = v_positions[:len(p)]
-    flat = _lined_drawing(d, lab, dict(zip(chosen_pos, xs)))
-    chosen = tuple(lab.order[i][1] for i in chosen_pos)
-    heights = {v: F(0) for v in flat.designated}
-    heights.update({v: rpts[i][1] for i, v in enumerate(chosen)})
-    lifted = lift_off_line(g, flat, heights)
-    coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
-    final = Drawing(coords, chosen)
-    for v, q in zip(chosen, sorted(rotate(t, cs) for t in p.points)):
-        if coords[v] != unrotate(q, cs):
-            raise AssertionError(f"vertex {v} missed its prescribed point")
-    # the prescribed points need not be collinear: verify planarity only
-    report = verify_drawing(g, Drawing(coords, ()))
-    if not report.ok:
-        raise DrawingRejected(f"universal placement drawing failed: {report.violations}")
-    return final
+    cs = rotation_for(p.points)
+    pins = dict(zip(chosen, sorted(p.points, key=lambda q: rotate(q, cs))))
+    return _pin(d, lab, cs, pins, "universal placement drawing")
 
 
 # -- untangling -------------------------------------------------------------------
@@ -235,27 +238,9 @@ def untangle(g: PlaneGraph, bad: Mapping[int, Point]) -> UntangleResult:
         lab = labeling_from_curve(g, curve.reversed())
         line = list(lab.on_line)
         picked = sorted(len(line) - 1 - i for i in picked)
-        seq = [rotate(bad[v], cs)[0] for v in line]
     fixed = [line[i] for i in picked]
     need = untangle_guarantee(g.n)
     if len(fixed) < need:
         raise AssertionError(f"monotone selection kept {len(fixed)} < {need}")
-
-    v_positions = [i for i, e in enumerate(lab.order) if e[0] == 'v']
-    pos_of = {line[i]: v_positions[i] for i in range(len(line))}
-    assigned = {pos_of[v]: seq[i] for v, i in zip(fixed, picked)}
-    flat = _lined_drawing(d, lab, assigned)
-    heights = {v: F(0) for v in flat.designated}
-    heights.update({v: rotate(bad[v], cs)[1] for v in fixed})
-    # with no vertex on the line there is nothing to lift
-    lifted = lift_off_line(g, flat, heights) if flat.designated else flat
-    coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
-    final = Drawing(coords, tuple(fixed))
-    for v in fixed:
-        if coords[v] != bad[v]:
-            raise AssertionError(f"fixed vertex {v} moved")
-    # the fixed positions need not be collinear: verify planarity only
-    report = verify_drawing(g, Drawing(coords, ()))
-    if not report.ok:
-        raise DrawingRejected(f"untangled drawing failed: {report.violations}")
-    return UntangleResult(fixed=frozenset(fixed), drawing=final)
+    drawing = _pin(d, lab, cs, {v: bad[v] for v in fixed}, "untangled drawing")
+    return UntangleResult(fixed=frozenset(fixed), drawing=drawing)

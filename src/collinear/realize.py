@@ -17,8 +17,11 @@ provides:
   a proper good curve induces;
 * ``place_free`` -- placement of a plane 3-tree, parent triangle before
   child, that puts every on-line vertex and every crossing edge exactly at
-  its target, stepping along each crossing edge's ray from its corner and
-  checked on integer homogeneous coordinates;
+  its target by one rule: a centre in a triangle on one side of the line
+  goes to its centroid, an on-line centre to its target, and any other
+  centre onto the ray from each corner labelled opposite to it through
+  that crossing edge's target (a step along the one ray, or the meet of
+  the two); checked on integer homogeneous coordinates;
 * ``straighten_preserving_y`` -- replace y-monotone polyline edges by
   straight segments keeping every y-coordinate: one bottom-to-top level
   sweep over the active edges gives the left-to-right order at every
@@ -36,6 +39,7 @@ provides:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -54,6 +58,7 @@ Point = Tuple[Fraction, Fraction]
 Elem = Tuple[str, object]          # ('v', vertex) or ('e', (u, v))
 
 UP, DOWN, ON = "up", "down", "on"
+_SIGN = {UP: 1, DOWN: -1, ON: 0}     # the sign of y on each side of the line
 
 
 class RealizeError(ValueError):
@@ -110,6 +115,8 @@ def parse_drawing(text: str) -> Drawing:
             n_declared, = read_numbers(raw, parts[1:], RealizeError, 1)
         elif line.startswith("v "):
             v, = read_numbers(raw, parts[1:2], RealizeError, 1)
+            if v in coords:
+                raise RealizeError(f"duplicate coordinate line for vertex {v}")
             coords[v] = tuple(read_numbers(raw, parts[2:], RealizeError, 2, Fraction))
         elif line.startswith("designated:"):
             designated = tuple(read_numbers(raw, line.split(":", 1)[1].split(),
@@ -121,7 +128,15 @@ def parse_drawing(text: str) -> Drawing:
     missing = [v for v in designated if v not in coords]
     if missing:
         raise RealizeError(f"designated vertices without coordinates: {missing}")
+    repeated = _repeated(designated)
+    if repeated:
+        raise RealizeError(f"designated vertices repeated: {repeated}")
     return Drawing(coords, designated)
+
+
+def _repeated(vs: Sequence[int]) -> List[int]:
+    """The entries of ``vs`` that occur more than once, sorted."""
+    return sorted(v for v, k in Counter(vs).items() if k > 1)
 
 
 def drawing_to_svg(g: PlaneGraph, d: Drawing, size: int = 640) -> str:
@@ -272,15 +287,18 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
     ``leftmost_dart``, which must be ``g.outer``; when a rotation differs,
     ``outer_ok`` is False without a violation of its own.  A drawing whose
     vertex set is not g's (vertices without coordinates, coordinates of
-    vertices g lacks, designated vertices without coordinates) gets one
-    violation per case and every flag False.
+    vertices g lacks, designated vertices without coordinates or repeated)
+    gets one violation per case and every flag False.  The designated
+    vertices are tested against the line through the first of them and
+    one drawn at another point.
     """
     coords = d.coords
     bad = [("vertices without coordinates", [v for v in g.vertices if v not in coords]),
            ("coordinates for vertices not in the graph",
             sorted(v for v in coords if v not in g.rot)),
            ("designated vertices without coordinates",
-            [v for v in d.designated if v not in coords])]
+            [v for v in d.designated if v not in coords]),
+           ("designated vertices repeated", _repeated(d.designated))]
     bad = [f"{what}: {vs[:10]}" for what, vs in bad if vs]
     if bad:
         return DrawingReport(False, False, False, False, bad)
@@ -305,14 +323,13 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 
     collinear_ok = True
     des = d.designated
-    if len(des) >= 3:
-        line = line_h(H[des[0]], H[des[1]])
-        for v in des[2:]:
-            if side_h(line, H[v]) != 0:
-                collinear_ok = False
-                violations.append(
-                    f"designated vertices {des[0]}, {des[1]}, {v} are not collinear")
-                break
+    b = next((v for v in des if coords[v] != coords[des[0]]), None)
+    if b is not None:
+        line = line_h(H[des[0]], H[b])
+        off = next((v for v in des if side_h(line, H[v]) != 0), None)
+        if off is not None:
+            collinear_ok = False
+            violations.append(f"designated vertices {des[0]}, {b}, {off} are not collinear")
     return DrawingReport(planar, embedding_ok, outer_ok, collinear_ok, violations)
 
 
@@ -516,13 +533,18 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
     return above, below
 
 
+def _proper_augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
+    aug = augment_with_curve(g, c)
+    if not aug.proper:
+        raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    return aug
+
+
 def labeling_from_curve(g: PlaneGraph, c: GoodCurve) -> LabelingOrder:
     """Labels, order and integer targets induced by a proper good curve: its
     vertex stations become on-line vertices, its crossings become crossing
     edges, in station order at x = 1, 2, ..."""
-    aug = augment_with_curve(g, c)
-    if not aug.proper:
-        raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    aug = _proper_augment(g, c)
     order: List[Elem] = []
     for s in c.stations:
         if s[0] == 'v':
@@ -613,66 +635,48 @@ class _Placer:
         return _affine(p)
 
     def place(self, tri: Tuple[int, int, int], w: int) -> None:
-        u, v, z = tri
+        """Put the centre w of ``tri`` (placed, counter-clockwise) by the
+        proof's one rule.  When no two corners straddle the line, w goes to
+        the centroid, on the corners' side.  Otherwise an on-line w goes to
+        its target, and an off-line w onto the ray from each corner labelled
+        opposite to it through that crossing edge's target: ``beyond`` the
+        one such corner, or where the two such rays meet (``cross2``).
+        Two such corners are read after the corner on w's side, counter-
+        clockwise when w is up and clockwise when it is down: left to right.
+        """
         L = self.lab.labels
         lw = L[w]
-        labs = (L[u], L[v], L[z])
-
-        if all(l in (UP, ON) for l in labs) or all(l in (DOWN, ON) for l in labs):
-            side = UP if all(l in (UP, ON) for l in labs) else DOWN
+        labs = {L[c] for c in tri}
+        if UP not in labs or DOWN not in labs:
+            side = UP if DOWN not in labs else DOWN
             if lw != side:
                 self.fail(tri, f"vertex {w} labeled {lw} inside a one-sided triangle")
             a, b, c = (self.pts[x] for x in tri)
             p = ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
+        elif lw == ON:
+            p = _pt(self.target_v(tri, w), 0)
         else:
-            rots = [(u, v, z), (v, z, u), (z, u, v)]
-            frame = next(((a, b, c) for (a, b, c) in rots
-                          if L[a] == UP and L[b] == DOWN), None)
-            if frame is not None:
-                ru, rv, rz = frame
-                lz = L[rz]
-                if lw == ON:
-                    p = _pt(self.target_v(tri, w), 0)
-                elif lz == ON:
-                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w))
-                         if lw == UP else
-                         self.beyond(tri, ru, self.target_e(tri, ru, w)))
-                elif lz == UP:
-                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w))
-                         if lw == UP else
-                         self.cross2(tri, ru, self.target_e(tri, ru, w),
-                                     rz, self.target_e(tri, rz, w)))
-                else:  # lz == DOWN; mirror of the previous case across the line
-                    p = (self.beyond(tri, ru, self.target_e(tri, ru, w))
-                         if lw == DOWN else
-                         self.cross2(tri, rv, self.target_e(tri, rv, w),
-                                     rz, self.target_e(tri, rz, w)))
-            else:
-                # cyclic pattern (up, on, down): left-right mirror of the
-                # (up, down, on) case
-                frame = next(((a, b, c) for (a, b, c) in rots
-                              if L[a] == UP and L[b] == ON and L[c] == DOWN), None)
-                if frame is None:
-                    self.fail(tri, f"unplaceable corner labels {labs}")
-                r0, r1, r2 = frame
-                if lw == ON:
-                    p = _pt(self.target_v(tri, w), 0)
-                elif lw == UP:
-                    p = self.beyond(tri, r2, self.target_e(tri, r2, w))
-                else:
-                    p = self.beyond(tri, r0, self.target_e(tri, r0, w))
+            ring = tri if lw == UP else tri[::-1]
+            i = [L[c] for c in ring].index(lw)
+            opp = [c for c in ring[i + 1:] + ring[:i] if L[c] not in (lw, ON)]
+            qs = [self.target_e(tri, c, w) for c in opp]
+            p = (self.beyond(tri, opp[0], qs[0]) if len(opp) == 1
+                 else self.cross2(tri, opp[0], qs[0], opp[1], qs[1]))
 
         self.put(w, p)
         if not inside_h(self.hpts[w], *(self.hpts[c] for c in tri)):
             self.fail(tri, f"vertex {w} falls outside its triangle")
-        want = {UP: 1, DOWN: -1, ON: 0}[lw]
-        if (p[1] > 0) - (p[1] < 0) != want:
+        if (p[1] > 0) - (p[1] < 0) != _SIGN[lw]:
             self.fail(tri, f"vertex {w} labeled {lw} lands at y = {p[1]}")
 
 
 def _root_triangle(corners: Tuple[int, int, int], lab: LabelingOrder) -> Dict[int, Point]:
     """Outer-triangle positions honoring the corner labels and the extreme
-    targets; the corners are given counter-clockwise."""
+    targets; the corners are given counter-clockwise.  Mixed labels are read
+    off the ordering's ends at x_1, x_k: an on-line vertex goes to (x, 0), a
+    crossing edge's ends to (x, +-1), and the far end of a last edge that
+    shares an end with the first one to 2*x_k - x_1.  The corners, and only
+    they, must be placed, counter-clockwise."""
     L = lab.labels
     labs = tuple(L[c] for c in corners)
     order = lab.order
@@ -680,71 +684,49 @@ def _root_triangle(corners: Tuple[int, int, int], lab: LabelingOrder) -> Dict[in
     def fail(msg):
         raise RealizeError(f"outer triangle {corners}: {msg}")
 
-    def check_extremes(first: Elem, last: Elem):
-        if not order or order[0] != first or order[-1] != last:
-            fail(f"ordering must start with {first} and end with {last}, "
-                 f"got {order[:1]} ... {order[-1:]}")
-
-    one = F(1)
-    if all(l in (UP, ON) for l in labs) or all(l in (DOWN, ON) for l in labs):
-        side = UP if all(l in (UP, ON) for l in labs) else DOWN
+    if UP not in labs or DOWN not in labs:
+        s = 1 if DOWN not in labs else -1
         ons = [c for c in corners if L[c] == ON]
         expect = tuple(('v', c) for c in sorted(ons, key=lambda c: lab.targets.get(('v', c), 0)))
         if tuple(order) != expect:
             fail(f"one-sided outer triangle allows only its on-line corners in "
                  f"the ordering, got {order}")
-        y = one if side == UP else -one
         if len(ons) == 3:
             fail("all three outer corners cannot lie on the line")
         if len(ons) == 2:
             a, b = ons
             qa, qb = lab.targets[('v', a)], lab.targets[('v', b)]
             t = next(c for c in corners if L[c] != ON)
-            pts = {a: _pt(qa, 0), b: _pt(qb, 0), t: ((qa + qb) / 2, y)}
+            pts = {a: _pt(qa, 0), b: _pt(qb, 0), t: _pt((qa + qb) / 2, s)}
         elif len(ons) == 1:
             c0 = ons[0]
             q = lab.targets[('v', c0)]
             rest = [c for c in corners if c != c0]
-            pts = {c0: _pt(q, 0),
-                   rest[0]: (q + (1 if side == UP else -1), y),
-                   rest[1]: (q - (1 if side == UP else -1), y)}
+            pts = {c0: _pt(q, 0), rest[0]: _pt(q + s, s), rest[1]: _pt(q - s, s)}
         else:
-            pts = dict(zip(corners, [_pt(0, y), _pt(2 if side == UP else 1, 2 * y),
-                                     _pt(1 if side == UP else 2, 2 * y)]))
-        ps = [pts[c] for c in corners]
-        if orient(*ps) != 1:
+            pts = dict(zip(corners, [_pt(0, s), _pt(2 if s > 0 else 1, 2 * s),
+                                     _pt(1 if s > 0 else 2, 2 * s)]))
+        if orient(*(pts[c] for c in corners)) != 1:
             fail("corner labels are incompatible with the counter-clockwise frame")
         return pts
 
     if not order:
         fail("mixed corner labels but empty ordering")
-    rots = [tuple(corners[(i + k) % 3] for k in range(3)) for i in range(3)]
-    frame = next((r for r in rots if L[r[0]] == UP and L[r[1]] == DOWN), None)
-    if frame is not None:
-        ru, rv, rz = frame
-        if L[rz] == ON:
-            first, last = ('e', edge_key(ru, rv)), ('v', rz)
-            check_extremes(first, last)
-            x1, xk = lab.targets[first], lab.targets[last]
-            return {ru: _pt(x1, 1), rv: _pt(x1, -1), rz: _pt(xk, 0)}
-        if L[rz] == UP:
-            first, last = ('e', edge_key(ru, rv)), ('e', edge_key(rv, rz))
-            check_extremes(first, last)
-            x1, xk = lab.targets[first], lab.targets[last]
-            return {ru: _pt(x1, 1), rv: _pt(x1, -1), rz: (2 * xk - x1, one)}
-        first, last = ('e', edge_key(ru, rv)), ('e', edge_key(ru, rz))
-        check_extremes(first, last)
-        x1, xk = lab.targets[first], lab.targets[last]
-        return {ru: _pt(x1, 1), rv: _pt(x1, -1), rz: (2 * xk - x1, -one)}
-    frame = next((r for r in rots if L[r[0]] == UP and L[r[1]] == ON and L[r[2]] == DOWN),
-                 None)
-    if frame is None:
-        fail(f"unplaceable corner labels {labs}")
-    r0, r1, r2 = frame
-    first, last = ('v', r1), ('e', edge_key(r0, r2))
-    check_extremes(first, last)
+    first, last = order[0], order[-1]
     x1, xk = lab.targets[first], lab.targets[last]
-    return {r0: _pt(xk, 1), r1: _pt(x1, 0), r2: _pt(xk, -1)}
+    pts: Dict[int, Point] = {}
+    for elem, x in ((first, x1), (last, xk)):
+        ends = [elem[1]] if elem[0] == 'v' else list(elem[1])
+        if [L[c] for c in ends] not in ([ON], [UP, DOWN], [DOWN, UP]):
+            fail(f"ordering end {elem} does not match its labels")
+        if not pts.keys().isdisjoint(ends):
+            x = 2 * xk - x1
+        for c in ends:
+            pts.setdefault(c, _pt(x, _SIGN[L[c]]))
+    if sorted(pts) != sorted(corners) or orient(*(pts[c] for c in corners)) != 1:
+        fail(f"ordering ends {first} and {last} do not place the corners "
+             f"counter-clockwise")
+    return pts
 
 
 def place_free(g: PlaneGraph, lab: LabelingOrder) -> Drawing:
@@ -761,13 +743,9 @@ def _place(decomp: ThreeTreeDecomp, lab: LabelingOrder) -> Drawing:
     placer = _Placer(lab)
     for v, p in _root_triangle(decomp.root.corners, lab).items():
         placer.put(v, p)
-    stack = [decomp.root]
-    while stack:
-        node = stack.pop()
-        if node.kind == 'empty':
-            continue
-        placer.place(node.corners, node.w)
-        stack.extend(node.children)
+    for node in decomp.nodes:              # preorder: parents first
+        if node.w is not None:
+            placer.place(node.corners, node.w)
 
     for elem in lab.order:
         q = lab.targets[elem]
@@ -1163,9 +1141,7 @@ def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Generic realization of a proper good curve: split along the curve,
     draw each side barycentrically against the path laid on the x-axis, then
     straighten the crossed edges on the ranked vertex levels."""
-    aug = augment_with_curve(g, c)
-    if not aug.proper:
-        raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    aug = _proper_augment(g, c)
     designated = tuple(s[1] for s in c.stations if s[0] == 'v')
     path = aug.path_vertices
     if len(path) < 2:

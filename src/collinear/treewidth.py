@@ -23,6 +23,7 @@ trivial model of the grid graph itself for testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import Fst, GoodCurve, Station, Vst, Xst, cut_closed_curve, validate_curve
@@ -302,11 +303,12 @@ def _route_in_cell(g: PlaneGraph, faces: FrozenSet[int], blocked: FrozenSet[Edge
     f_p = _face_in(g, e_from, faces, "route start")
     f_q = _face_in(g, e_to, faces, "route end")
     path = _dual_path(g, faces, blocked, f_p, frozenset([f_q]))
-    sts: List[Station] = [Xst(*e_from)]
-    for item in path:
-        sts.append(Fst(item) if isinstance(item, int) else Xst(*item))
-    sts.append(Xst(*e_to))
-    return sts
+    return [Xst(*e_from), *_stations(path), Xst(*e_to)]
+
+
+def _stations(path: Sequence) -> List[Station]:
+    """The stations of a dual path: its faces and the edges it crosses."""
+    return [Fst(item) if isinstance(item, int) else Xst(*item) for item in path]
 
 
 def route_type_c(g: PlaneGraph, cells: CellMap, m: GridModel, i: int, j: int,
@@ -353,14 +355,8 @@ def _vertex_getter(g: PlaneGraph, cells: CellMap, m: GridModel, target: Index,
     f_q = _face_in(g, e_to, c_out, "vertex getter end")
     goals_q = c_out.intersection(g.faces_at(v_q))
     leg3 = _dual_path(g, c_out, cells.blocked, f_q, goals_q)
-    sts: List[Station] = [Xst(*e_from)]
-    for item in leg1:
-        sts.append(Fst(item) if isinstance(item, int) else Xst(*item))
-    sts.extend(Vst(v) for v in vpath)
-    for item in reversed(leg3):
-        sts.append(Fst(item) if isinstance(item, int) else Xst(*item))
-    sts.append(Xst(*e_to))
-    return sts
+    return [Xst(*e_from), *_stations(leg1), *map(Vst, vpath),
+            *_stations(leg3[::-1]), Xst(*e_to)]
 
 
 def _branch_path(g: PlaneGraph, bset: FrozenSet[int], near: set, far: set
@@ -418,13 +414,10 @@ def _snake_subs(g: PlaneGraph, cells: CellMap, m: GridModel) -> List[_Sub]:
         block = tuple((a, b) for a in (I - 1, I) for b in (J - 1, J))
         return _Sub('C', block, (I, J), sts)
 
-    def turn(idx: Index, e_from: Edge, e_to: Edge) -> _Sub:
+    def in_cell(kind: str, idx: Index, e_from: Edge, e_to: Edge) -> _Sub:
         sts = _route_in_cell(g, cells.cells[idx], cells.blocked, e_from, e_to)
-        return _Sub('B', (idx,), None, sts)
-
-    def run(idx: Index, e_from: Edge, e_to: Edge) -> _Sub:
-        sts = _route_in_cell(g, cells.cells[idx], cells.blocked, e_from, e_to)
-        return _Sub('A', (idx,), None, sts)
+        return _Sub(kind, (idx,), None, sts)
+    turn, run = partial(in_cell, 'B'), partial(in_cell, 'A')
 
     subs: List[_Sub] = []
     rows = list(range(2, gp + 1, 2))

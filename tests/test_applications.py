@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from collinear import applications
 from collinear.applications import (
@@ -20,9 +20,9 @@ from collinear.applications import (
     untangle,
     untangle_guarantee,
 )
-from collinear.realize import (Drawing, DrawingReport, RealizeError, serialize_drawing,
-                               verify_drawing)
-from collinear.three_tree import random_plane_3tree
+from collinear.realize import (Drawing, DrawingReport, RealizeError, labeling_from_curve,
+                               lift_off_line, serialize_drawing, verify_drawing)
+from collinear.three_tree import build_curve_bundle, decompose, random_plane_3tree
 from test_three_tree import deep_stacking
 
 
@@ -214,3 +214,81 @@ def test_outputs_pinned():
     text = serialize_drawing(res.drawing) + f"fixed: {sorted(res.fixed)}\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "586177382a7af6909f561918d851e2a52e7e22a6cb9b422f90ed83f9053c4915")
+
+
+# -- the two pinning sequences as they were written, kept as references ----------
+
+
+def reference_universal_placement(g, p):
+    """``universal_placement`` before its pinning sequence was shared with
+    ``untangle``."""
+    k = collinear_guarantee(g.n)
+    if len(p) > k:
+        raise ApplicationError(f"{len(p)} points exceed the guarantee of {k} "
+                               f"collinear vertices for n={g.n}")
+    d = decompose(g)
+    if not p.points:
+        lab = labeling_from_curve(g, build_curve_bundle(d).best)
+        return Drawing(applications._lined_drawing(d, lab, {}).coords, ())
+    cs = rotation_for(p.points)
+    rpts = sorted(rotate(q, cs) for q in p.points)
+    xs = [q[0] for q in rpts]
+    lab = labeling_from_curve(g, build_curve_bundle(d).best)
+    chosen_pos = [i for i, e in enumerate(lab.order) if e[0] == 'v'][:len(p)]
+    flat = applications._lined_drawing(d, lab, dict(zip(chosen_pos, xs)))
+    chosen = tuple(lab.order[i][1] for i in chosen_pos)
+    heights = {v: F(0) for v in flat.designated}
+    heights.update({v: rpts[i][1] for i, v in enumerate(chosen)})
+    lifted = lift_off_line(g, flat, heights)
+    coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
+    assert all(coords[v] == unrotate(q, cs) for v, q in zip(chosen, rpts))
+    report = verify_drawing(g, Drawing(coords, ()))
+    if not report.ok:
+        raise DrawingRejected(f"universal placement drawing failed: {report.violations}")
+    return Drawing(coords, chosen)
+
+
+def reference_untangle(g, bad):
+    """``untangle`` before its pinning sequence was shared with
+    ``universal_placement``."""
+    bad = {v: (F(x), F(y)) for v, (x, y) in bad.items()}
+    d = decompose(g)
+    curve = build_curve_bundle(d).best
+    lab = labeling_from_curve(g, curve)
+    line = list(lab.on_line)
+    cs = rotation_for([bad[v] for v in line])
+    seq = [rotate(bad[v], cs)[0] for v in line]
+    picked, increasing = applications._longest_monotone(seq)
+    if not increasing:
+        lab = labeling_from_curve(g, curve.reversed())
+        line = list(lab.on_line)
+        picked = sorted(len(line) - 1 - i for i in picked)
+        seq = [rotate(bad[v], cs)[0] for v in line]
+    fixed = [line[i] for i in picked]
+    v_positions = [i for i, e in enumerate(lab.order) if e[0] == 'v']
+    pos_of = {line[i]: v_positions[i] for i in range(len(line))}
+    flat = applications._lined_drawing(d, lab, {pos_of[v]: seq[i]
+                                                for v, i in zip(fixed, picked)})
+    heights = {v: F(0) for v in flat.designated}
+    heights.update({v: rotate(bad[v], cs)[1] for v in fixed})
+    lifted = lift_off_line(g, flat, heights) if flat.designated else flat
+    coords = {v: unrotate(q, cs) for v, q in lifted.coords.items()}
+    assert all(coords[v] == bad[v] for v in fixed)
+    report = verify_drawing(g, Drawing(coords, ()))
+    if not report.ok:
+        raise DrawingRejected(f"untangled drawing failed: {report.violations}")
+    return applications.UntangleResult(fixed=frozenset(fixed),
+                                       drawing=Drawing(coords, tuple(fixed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([random_plane_3tree, deep_stacking]), st.integers(3, 70),
+       st.integers(0, 30), st.integers(0, 10 ** 6))
+def test_pinning_matches_the_references(make, n, seed, draw_seed):
+    # both features give their reference's drawing, designated vertices and
+    # fixed set, point for point; points and positions may share x's
+    g, rng = make(n, seed), random.Random(draw_seed)
+    pts = PointSet(random_points(rng, rng.randint(0, collinear_guarantee(n)), span=3))
+    assert universal_placement(g, pts) == reference_universal_placement(g, pts)
+    bad = random_positions(g, rng, span=2 * n)
+    assert untangle(g, bad) == reference_untangle(g, bad)

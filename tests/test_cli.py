@@ -157,6 +157,23 @@ class TestMalformedInput:
         assert code == 2
         assert err == f"error input bad line: {line!r}\n"
 
+    K4 = "planegraph 4\nrot 0: 1 3 2\nrot 1: 2 3 0\nrot 2: 0 3 1\nrot 3: 0 1 2\nouter: 0 1 2\n"
+
+    @pytest.mark.parametrize("lines,message", [
+        # 0, 1 and 2 are not collinear: the repeated 0 gave the zero line
+        ("v 3 2 1\ndesignated: 0 0 1 2", "designated vertices repeated: [0]"),
+        # five lines for four vertices: which of vertex 3's is meant?
+        ("v 3 2 1\nv 3 2 -1", "duplicate coordinate line for vertex 3"),
+    ])
+    def test_repeated_drawing_vertex_is_input_error(self, tmp_path, capsys, lines,
+                                                    message):
+        g, d = tmp_path / "g.txt", tmp_path / "d.txt"
+        g.write_text(self.K4)
+        d.write_text(f"drawing 4\nv 0 0 0\nv 1 2 4\nv 2 4 0\n{lines}\n")
+        code, out, err = run(capsys, "verify", str(g), "--drawing", str(d))
+        assert (code, out) == (2, "")
+        assert err == f"error input {message}\n"
+
 
 class TestComments:
     # `#` starts a comment in every input file, on a line of its own or

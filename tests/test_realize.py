@@ -1,6 +1,7 @@
 """Exact drawings: verification, Tutte embeddings, free placement, curve realization."""
 
 import hashlib
+import itertools
 import re
 from bisect import bisect_left
 from functools import lru_cache
@@ -79,6 +80,18 @@ def test_parse_drawing_rejects_garbage():
         parse_drawing("drawing 2\nv 0 1/1 1/1\n")     # count mismatch
 
 
+@pytest.mark.parametrize("text,message", [
+    # four vertices declared and four distinct ids, but vertex 3 stated twice
+    ("drawing 4\nv 0 0 0\nv 1 2 4\nv 2 4 0\nv 3 2 1\nv 3 2 -9\n",
+     "duplicate coordinate line for vertex 3"),
+    ("drawing 3\nv 0 0 0\nv 1 2 4\nv 2 4 0\ndesignated: 0 1 0 2 1\n",
+     "designated vertices repeated: [0, 1]"),
+])
+def test_parse_drawing_rejects_a_repeated_vertex(text, message):
+    with pytest.raises(RealizeError, match=re.escape(message)):
+        parse_drawing(text)
+
+
 def test_svg_export_deterministic():
     d = Drawing({v: (Fr(v), Fr(v * v)) for v in K4.vertices}, designated=(3,))
     s1 = drawing_to_svg(K4, d)
@@ -139,11 +152,23 @@ def test_verify_reports_a_vertex_set_that_is_not_the_graphs():
               ["coordinates for vertices not in the graph: [9]"]),
              (Drawing({v: coords[v] for v in (0, 1, 2)}, (5,)),
               ["vertices without coordinates: [3]",
-               "designated vertices without coordinates: [5]"])]
+               "designated vertices without coordinates: [5]"]),
+             # a repeated first vertex gave the zero line, which every point is on
+             (Drawing(coords, (0, 0, 1, 2)), ["designated vertices repeated: [0]"])]
     for d, violations in cases:
         rep = verify_drawing(K4, d)
         assert not (rep.planar or rep.embedding_ok or rep.outer_ok or rep.collinear_ok)
         assert rep.violations == violations
+
+
+def test_verify_takes_the_line_through_two_distinct_points():
+    # vertex 3 drawn onto vertex 0: the line runs through 0 and 1, not 0 and 3
+    coords = {**good_k4_drawing().coords, 3: (Fr(0), Fr(0))}
+    rep = verify_drawing(K4, Drawing(coords, (0, 3, 1)))
+    assert rep.collinear_ok and not rep.planar
+    rep = verify_drawing(K4, Drawing(coords, (0, 3, 1, 2)))
+    assert not rep.collinear_ok
+    assert "designated vertices 0, 1, 2 are not collinear" in rep.violations
 
 
 def test_verify_exact_not_float():
@@ -483,13 +508,12 @@ _AT = "inconsistent labeling at triangle "
 
 # Corrupted labelings, each with the exact message free placement gives for
 # it (all but the parallel-rays case unchanged since before its tests ran
-# on integer homogeneous coordinates).  A graph is K4
-# or random_plane_3tree(n, seed); targets are 1, 2, ... in order unless
-# given.  Two more messages are unreachable: a mixed triangle always has an
-# up corner followed by a down corner or the cyclic (up, on, down) pattern,
-# so "unplaceable corner labels" cannot occur, and the ray from a corner
-# through a point strictly inside the triangle always leaves through the
-# opposite side, so "does not exit the opposite side" cannot either.
+# on integer homogeneous coordinates, and all unchanged since the frame
+# patterns became one rule).  A graph is K4 or random_plane_3tree(n, seed);
+# targets are 1, 2, ... in order unless given.  One more message is
+# unreachable: the ray from a corner through a point strictly inside the
+# triangle always leaves through the opposite side, so "does not exit the
+# opposite side" cannot occur.
 PLACEMENT_FAILURES = [
     ("K4", (U, U, D, D), [_e(0, 2), _e(1, 3), _e(0, 3), _e(1, 2)], {},
      _AT + "(2, 1, 0): vertex 3 labeled down lands at y = 1/7"),
@@ -601,6 +625,232 @@ def test_place_free_deep_stacking_coordinates_stay_small():
     d = place_free(g, _bundle_labeling(g))
     assert max(x.numerator.bit_length() + x.denominator.bit_length()
                for p in d.coords.values() for x in p) <= 3000
+
+
+# -- the frame-pattern placement, kept as the reference -----------------------------
+
+
+class ReferencePlacer(realize._Placer):
+    """Free placement as it was written before the one-rule ``place``: the
+    mixed triangles matched against rotated (up, down, *) frames and the
+    cyclic (up, on, down) pattern, each with its mirror."""
+
+    def place(self, tri, w):
+        u, v, z = tri
+        L = self.lab.labels
+        lw = L[w]
+        labs = (L[u], L[v], L[z])
+        if all(l in (U, O) for l in labs) or all(l in (D, O) for l in labs):
+            side = U if all(l in (U, O) for l in labs) else D
+            if lw != side:
+                self.fail(tri, f"vertex {w} labeled {lw} inside a one-sided triangle")
+            a, b, c = (self.pts[x] for x in tri)
+            p = ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
+        else:
+            rots = [(u, v, z), (v, z, u), (z, u, v)]
+            frame = next(((a, b, c) for (a, b, c) in rots if L[a] == U and L[b] == D), None)
+            if frame is not None:
+                ru, rv, rz = frame
+                lz = L[rz]
+                if lw == O:
+                    p = realize._pt(self.target_v(tri, w), 0)
+                elif lz == O:
+                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w)) if lw == U
+                         else self.beyond(tri, ru, self.target_e(tri, ru, w)))
+                elif lz == U:
+                    p = (self.beyond(tri, rv, self.target_e(tri, rv, w)) if lw == U
+                         else self.cross2(tri, ru, self.target_e(tri, ru, w),
+                                          rz, self.target_e(tri, rz, w)))
+                else:
+                    p = (self.beyond(tri, ru, self.target_e(tri, ru, w)) if lw == D
+                         else self.cross2(tri, rv, self.target_e(tri, rv, w),
+                                          rz, self.target_e(tri, rz, w)))
+            else:
+                frame = next(((a, b, c) for (a, b, c) in rots
+                              if L[a] == U and L[b] == O and L[c] == D), None)
+                if frame is None:
+                    self.fail(tri, f"unplaceable corner labels {labs}")
+                r0, r1, r2 = frame
+                if lw == O:
+                    p = realize._pt(self.target_v(tri, w), 0)
+                elif lw == U:
+                    p = self.beyond(tri, r2, self.target_e(tri, r2, w))
+                else:
+                    p = self.beyond(tri, r0, self.target_e(tri, r0, w))
+        self.put(w, p)
+        if not realize.inside_h(self.hpts[w], *(self.hpts[c] for c in tri)):
+            self.fail(tri, f"vertex {w} falls outside its triangle")
+        want = {U: 1, D: -1, O: 0}[lw]
+        if (p[1] > 0) - (p[1] < 0) != want:
+            self.fail(tri, f"vertex {w} labeled {lw} lands at y = {p[1]}")
+
+
+def reference_root_triangle(corners, lab):
+    """The outer triangle placed by rotated frames, before the ordering's two
+    ends were read directly."""
+    L = lab.labels
+    labs = tuple(L[c] for c in corners)
+    order = lab.order
+
+    def fail(msg):
+        raise RealizeError(f"outer triangle {corners}: {msg}")
+
+    def check_extremes(first, last):
+        if not order or order[0] != first or order[-1] != last:
+            fail(f"ordering must start with {first} and end with {last}, "
+                 f"got {order[:1]} ... {order[-1:]}")
+
+    one = Fr(1)
+    pt = realize._pt
+    if all(l in (U, O) for l in labs) or all(l in (D, O) for l in labs):
+        side = U if all(l in (U, O) for l in labs) else D
+        ons = [c for c in corners if L[c] == O]
+        expect = tuple(('v', c) for c in sorted(ons, key=lambda c: lab.targets.get(('v', c), 0)))
+        if tuple(order) != expect:
+            fail(f"one-sided outer triangle allows only its on-line corners in "
+                 f"the ordering, got {order}")
+        y = one if side == U else -one
+        if len(ons) == 3:
+            fail("all three outer corners cannot lie on the line")
+        if len(ons) == 2:
+            a, b = ons
+            qa, qb = lab.targets[('v', a)], lab.targets[('v', b)]
+            t = next(c for c in corners if L[c] != O)
+            pts = {a: pt(qa, 0), b: pt(qb, 0), t: ((qa + qb) / 2, y)}
+        elif len(ons) == 1:
+            c0 = ons[0]
+            q = lab.targets[('v', c0)]
+            rest = [c for c in corners if c != c0]
+            pts = {c0: pt(q, 0), rest[0]: (q + (1 if side == U else -1), y),
+                   rest[1]: (q - (1 if side == U else -1), y)}
+        else:
+            pts = dict(zip(corners, [pt(0, y), pt(2 if side == U else 1, 2 * y),
+                                     pt(1 if side == U else 2, 2 * y)]))
+        if orient(*(pts[c] for c in corners)) != 1:
+            fail("corner labels are incompatible with the counter-clockwise frame")
+        return pts
+    if not order:
+        fail("mixed corner labels but empty ordering")
+    rots = [tuple(corners[(i + k) % 3] for k in range(3)) for i in range(3)]
+    frame = next((r for r in rots if L[r[0]] == U and L[r[1]] == D), None)
+    if frame is not None:
+        ru, rv, rz = frame
+        if L[rz] == O:
+            first, last = _e(*edge_key(ru, rv)), _v(rz)
+            check_extremes(first, last)
+            x1, xk = lab.targets[first], lab.targets[last]
+            return {ru: pt(x1, 1), rv: pt(x1, -1), rz: pt(xk, 0)}
+        if L[rz] == U:
+            first, last = _e(*edge_key(ru, rv)), _e(*edge_key(rv, rz))
+            check_extremes(first, last)
+            x1, xk = lab.targets[first], lab.targets[last]
+            return {ru: pt(x1, 1), rv: pt(x1, -1), rz: (2 * xk - x1, one)}
+        first, last = _e(*edge_key(ru, rv)), _e(*edge_key(ru, rz))
+        check_extremes(first, last)
+        x1, xk = lab.targets[first], lab.targets[last]
+        return {ru: pt(x1, 1), rv: pt(x1, -1), rz: (2 * xk - x1, -one)}
+    frame = next((r for r in rots if L[r[0]] == U and L[r[1]] == O and L[r[2]] == D), None)
+    if frame is None:
+        fail(f"unplaceable corner labels {labs}")
+    r0, r1, r2 = frame
+    first, last = _v(r1), _e(*edge_key(r0, r2))
+    check_extremes(first, last)
+    x1, xk = lab.targets[first], lab.targets[last]
+    return {r0: pt(xk, 1), r1: pt(x1, 0), r2: pt(xk, -1)}
+
+
+def reference_place(decomp, lab):
+    """``_place`` with the reference placer and root, walking the nodes from
+    a stack as it did."""
+    placer = ReferencePlacer(lab)
+    for v, p in reference_root_triangle(decomp.root.corners, lab).items():
+        placer.put(v, p)
+    stack = [decomp.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == 'empty':
+            continue
+        placer.place(node.corners, node.w)
+        stack.extend(node.children)
+    for elem in lab.order:
+        q = lab.targets[elem]
+        if elem[0] == 'v':
+            if placer.pts[elem[1]] != (q, 0):
+                raise RealizeError(f"on-line vertex {elem[1]} is not at its target")
+            continue
+        (xa, ya, wa), (xb, yb, wb) = (placer.hpts[v] for v in elem[1])
+        num, den = q.as_integer_ratio()
+        if ya * yb >= 0 or (ya * xb - xa * yb) * den != num * (ya * wb - wa * yb):
+            raise RealizeError(f"edge {elem[1]} does not cross the line at its target")
+    return Drawing(dict(placer.pts), tuple(e[1] for e in lab.order if e[0] == 'v'))
+
+
+def placement_outcome(place, decomp, lab):
+    """The drawing, or the type of the exception raised."""
+    try:
+        return place(decomp, lab)
+    except Exception as exc:             # the reference may fail otherwise
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([random_plane_3tree, deep_stacking]), st.integers(4, 60),
+       st.integers(0, 50), st.sampled_from(["bundle", "dp"]),
+       st.sampled_from([None, "flip", "swap"]), st.data())
+def test_place_matches_the_frame_reference(make, n, seed, curve, corrupt, data):
+    # the one rule gives the frame patterns' drawing whenever they give one,
+    # and fails whenever they fail, on curve labelings and on corrupted ones
+    g = make(n, seed)
+    decomp = decompose(g)
+    c = (build_curve_bundle(decomp).best if curve == "bundle"
+         else dp_optimal_collinear(decomp)[1])
+    lab = labeling_from_curve(g, c)
+    labels, order = dict(lab.labels), list(lab.order)
+    if corrupt == "flip":
+        v = data.draw(st.sampled_from(sorted(labels)))
+        labels[v] = data.draw(st.sampled_from([l for l in (U, D, O) if l != labels[v]]))
+    elif corrupt == "swap" and len(order) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(order) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        order[i], order[j] = order[j], order[i]
+    x = data.draw(st.fractions(-1000, 1000, max_denominator=100))
+    targets = {}
+    for elem in order:
+        targets[elem] = x
+        x += data.draw(st.fractions(Fr(1, 1000), 1000, max_denominator=1000))
+    lab = LabelingOrder(labels, tuple(order), targets)
+    ref = placement_outcome(reference_place, decomp, lab)
+    new = placement_outcome(_place, decomp, lab)
+    if isinstance(ref, Drawing):
+        assert new == ref
+    else:
+        assert new is RealizeError
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_root_triangle_matches_the_frame_reference(reverse):
+    # every labelling of the corners and of a fourth vertex, every ordering
+    # of any of the elements those labels allow, and every ordering of one
+    # or two elements whatever their labels, with targets 1, 2, ...: equal
+    # corner positions or a failure on both sides
+    corners = (2, 1, 0) if reverse else (0, 1, 2)
+    every = [_v(v) for v in range(4)] + [_e(*e) for e in itertools.combinations(range(4), 2)]
+    outcomes = {dict: 0, str: 0}
+    for labs in itertools.product((U, D, O), repeat=4):
+        labels = dict(enumerate(labs))
+        pool = [_v(v) for v in range(4) if labels[v] == O]
+        pool += [_e(a, b) for a, b in itertools.combinations(range(4), 2)
+                 if {labels[a], labels[b]} == {U, D}]
+        orders = [order for k in range(len(pool) + 1)
+                  for order in itertools.permutations(pool, k)]
+        orders += [(a,) for a in every] + list(itertools.permutations(every, 2))
+        for order in orders:
+            lab = LabelingOrder(labels, order, {e: Fr(i + 1) for i, e in enumerate(order)})
+            ref = outcome(reference_root_triangle, corners, lab)
+            new = outcome(realize._root_triangle, corners, lab)
+            assert new == ref if isinstance(ref, dict) else isinstance(new, str)
+            outcomes[type(ref)] += 1
+    assert outcomes == {dict: 192, str: 9273}
 
 
 def test_lift_off_line_arbitrary_heights():
