@@ -636,6 +636,8 @@ def parse_plane_graph(text: str) -> PlaneGraph:
                 raise PlaneGraphError(f"duplicate rotation line for vertex {v}")
             rot[v] = read_numbers(raw, rest.split(), PlaneGraphError)
         elif line.startswith("outer"):
+            if outer is not None:
+                raise PlaneGraphError(f"duplicate outer line: {raw!r}")
             outer = read_numbers(raw, rest.split(), PlaneGraphError)
         else:
             raise PlaneGraphError(f"unrecognized line: {raw!r}")

@@ -5,10 +5,10 @@ provides:
 
 * ``Drawing`` / ``PolylineDrawing`` with a text interchange format and an
   SVG export;
-* ``verify_drawing`` -- exact planarity (a Shamos-Hoey sweep on integer
-  determinant signs), embedding fidelity (each rotation checked in place
-  against the drawn directions, then the outer face), and collinearity of
-  the designated vertices;
+* ``verify_drawing`` -- exact planarity and embedding fidelity (on a
+  triangulation one integer determinant sign per face, O(n); otherwise a
+  Shamos-Hoey sweep, O((n + m) log(n + m)), and each rotation checked in
+  place), and collinearity of the designated vertices;
 * ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
   solved exactly by integer fraction-free elimination in the one
   barycentric solver that also draws the two sides of a curve;
@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
                    line_h, on_segment_h, orient, side_h)
@@ -107,7 +107,7 @@ def serialize_drawing(d: Drawing) -> str:
 
 def parse_drawing(text: str) -> Drawing:
     coords: Dict[int, Point] = {}
-    designated: Tuple[int, ...] = ()
+    designated: Optional[Tuple[int, ...]] = None
     n_declared = None
     for raw, line in content_lines(text):
         parts = line.split()
@@ -119,12 +119,15 @@ def parse_drawing(text: str) -> Drawing:
                 raise RealizeError(f"duplicate coordinate line for vertex {v}")
             coords[v] = tuple(read_numbers(raw, parts[2:], RealizeError, 2, Fraction))
         elif line.startswith("designated:"):
+            if designated is not None:
+                raise RealizeError(f"duplicate designated line: {raw!r}")
             designated = tuple(read_numbers(raw, line.split(":", 1)[1].split(),
                                             RealizeError))
         else:
             raise RealizeError(f"unrecognized drawing line: {raw!r}")
     if n_declared is not None and n_declared != len(coords):
         raise RealizeError(f"drawing declares {n_declared} vertices, has {len(coords)}")
+    designated = designated or ()
     missing = [v for v in designated if v not in coords]
     if missing:
         raise RealizeError(f"designated vertices without coordinates: {missing}")
@@ -273,24 +276,35 @@ def _clockwise_at(g: PlaneGraph, H: Mapping[int, HPoint], v: int) -> bool:
 
 
 def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
-    """Exact audit: planarity, rotation-system fidelity, outer-face fidelity,
-    and collinearity of the designated vertices, on g's vertices converted
-    once to integer homogeneous coordinates.
+    """Exact audit of planarity, rotation and outer-face fidelity, and the
+    collinearity of the designated vertices (on the line through the first
+    and one drawn elsewhere), on integer homogeneous coordinates.  A
+    drawing whose vertex set is not g's (vertices without coordinates,
+    coordinates of vertices g lacks, designated ones without coordinates
+    or repeated) gets one violation per case and every flag False.
 
-    The rotations are checked in place, in O(m) with no sort and no face
-    trace (``_clockwise_at``).  Round each vertex the drawn directions must
-    step clockwise by ``angle_cmp`` at every step of ``g.rot[v]`` but one;
-    that holds iff no two coincide and ``g.rot[v]`` is a cyclic shift of
-    the order ``graph_from_positions`` sorts them into, so the verdict is
-    that of rebuilding the drawn plane graph and comparing rotations.  Equal
-    rotations give equal faces, so the drawn outer face is g's face of the
-    ``leftmost_dart``, which must be ``g.outer``; when a rotation differs,
-    ``outer_ok`` is False without a violation of its own.  A drawing whose
-    vertex set is not g's (vertices without coordinates, coordinates of
-    vertices g lacks, designated vertices without coordinates or repeated)
-    gets one violation per case and every flag False.  The designated
-    vertices are tested against the line through the first of them and
-    one drawn at another point.
+    On a triangulation one determinant per face (``_oriented_dets``)
+    decides the first three flags in O(n): internal walks drawn
+    counter-clockwise, the outer walk clockwise, none flat.  Sound (Floater
+    2003; Lipman 2014): for p on no drawn edge, the number of internal
+    triangles holding p sums their walks' winding numbers round p; the
+    darts of inner edges cancel, leaving the reversed outer walk's: 1
+    inside the outer triangle T, 0 outside.  So no two internal triangles
+    share an open set, as those on two crossing edges would.  Round a vertex
+    off the outer walk its faces' angles, each in (0, pi), turn clockwise
+    k >= 1 times in rotation order, covering nearby points k times: so
+    k = 1, the rotation ``_clockwise_at`` asks for, and no other face comes
+    near it.  A corner of T is inside no segment in T; its faces fill T's
+    angle, the outer walk the rest.  So g is embedded with its rotations and the
+    outer walk's face unbounded.  Complete: a drawing passing the full check
+    draws each face as the region left of its walk, internal ones as
+    bounded triangles.  So the verdict is the full check's, which runs,
+    with its messages, on any other input: a Shamos-Hoey sweep
+    (``_planarity_violations``), O((n + m) log(n + m)); each rotation in
+    place in O(m) (``_clockwise_at``), with the verdict of rebuilding the
+    drawn graph and comparing rotations; then, as equal rotations give
+    equal faces, g's face of the ``leftmost_dart`` must be ``g.outer`` (not
+    compared when a rotation differs).
     """
     coords = d.coords
     bad = [("vertices without coordinates", [v for v in g.vertices if v not in coords]),
@@ -304,22 +318,24 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
         return DrawingReport(False, False, False, False, bad)
 
     H = {v: homogeneous(coords[v]) for v in g.vertices}
-    violations = _planarity_violations(coords, g.edges, H)
-    planar = not violations
-
-    wrong = next((v for v in g.vertices if not _clockwise_at(g, H, v)), None)
-    embedding_ok, outer_ok = wrong is None, False
-    if embedding_ok:
-        outer = g.face_of_dart(leftmost_dart(coords, H, g.rot))
-        outer_ok = outer == g.outer
-        if not outer_ok:
-            violations.append(
-                f"outer face is {g.face_key(outer)}, expected {g.face_key(g.outer)}")
+    if all(len(w) == 3 for w in g.faces) and all(s > 0 for _, s in _oriented_dets(g, H)):
+        violations, planar, embedding_ok, outer_ok = [], True, True, True
     else:
-        drawn = clockwise_order(H, wrong, g.rot[wrong])
-        violations.append(
-            f"rotation at vertex {wrong} is {drawn}, expected {g.rot[wrong]}" if drawn
-            else f"edge directions coincide at vertex {wrong}")
+        violations = _planarity_violations(coords, g.edges, H)
+        planar = not violations
+        wrong = next((v for v in g.vertices if not _clockwise_at(g, H, v)), None)
+        embedding_ok, outer_ok = wrong is None, False
+        if embedding_ok:
+            outer = g.face_of_dart(leftmost_dart(coords, H, g.rot))
+            outer_ok = outer == g.outer
+            if not outer_ok:
+                violations.append(
+                    f"outer face is {g.face_key(outer)}, expected {g.face_key(g.outer)}")
+        else:
+            drawn = clockwise_order(H, wrong, g.rot[wrong])
+            violations.append(
+                f"rotation at vertex {wrong} is {drawn}, expected {g.rot[wrong]}" if drawn
+                else f"edge directions coincide at vertex {wrong}")
 
     collinear_ok = True
     des = d.designated
@@ -770,33 +786,37 @@ def _det(p: HPoint, q: HPoint, r: HPoint) -> int:
     return line[0] * r[0] + line[1] * r[1] + line[2] * r[2]
 
 
+def _oriented_dets(g: PlaneGraph, P: Mapping[int, HPoint]
+                   ) -> Iterator[Tuple[Tuple[int, int, int], int]]:
+    """Each triangular face of g whose vertices ``P`` all places, in face
+    order, as its walk (a, b, c) and s * _det(P[a], P[b], P[c]), s = -1 for
+    the outer face, else 1: positive iff the face is drawn as its walk goes,
+    internal walks counter-clockwise, the outer one clockwise."""
+    for i, walk in enumerate(g.faces):
+        if len(walk) == 3 and all(v in P for v, _ in walk):
+            (a, _), (b, _), (c, _) = walk
+            yield (a, b, c), (-1 if i == g.outer else 1) * _det(P[a], P[b], P[c])
+
+
 def _first_magnification(g: PlaneGraph, flat: Mapping[int, HPoint],
                          bent: Mapping[int, HPoint]) -> int:
     """The least j >= 0 such that at M = 2^j every triangular face whose
     flat orientation has its required sign keeps that sign in the lift.
 
-    ``flat`` holds the points (x, y) and ``bent`` the points (x, h(x)).
-    With x fixed and y' = M*y + h(x), a face's lifted orientation is
-    M*A + B: A from ``flat`` and B from ``bent`` (the determinant is linear
-    in the y column).  Internal walks are counter-clockwise, the outer walk
-    clockwise (``plane_graph``), so the face needs s*(M*A + B) > 0 with
-    s = +1, or -1 for the outer face.  When s*A > 0 that is
-    M > q = -s*B / |A|, and for integer M it is M > floor(q).  A face with
-    s*A <= 0, that is not a triangle or that has an unplaced vertex gives
-    no bound.
+    ``flat`` holds the points (x, y) and ``bent`` the points (x, h(x)) of
+    the same vertices.  With x fixed and y' = M*y + h(x), a face's lifted
+    orientation is M*A + B, A and B its ``_oriented_dets`` in ``flat`` and
+    ``bent`` (the determinant is linear in the y column), so the face needs
+    M*A + B > 0: when A > 0, M > -B / A, that is M > floor(-B / A) for an
+    integer M.  A face with A <= 0, not a triangle or with an unplaced
+    vertex gives no bound.
     """
     j = 0
-    for i, walk in enumerate(g.faces):
-        if len(walk) != 3 or any(v not in flat for v, _ in walk):
-            continue
-        (a, _), (b, _), (c, _) = walk
-        s = -1 if i == g.outer else 1
-        A = s * _det(flat[a], flat[b], flat[c])
+    for ((a, b, c), A), (_, B) in zip(_oriented_dets(g, flat), _oriented_dets(g, bent)):
         if A > 0:
             # A and B carry the weight products of their own points
             wa, wb, wc = flat[a][2], flat[b][2], flat[c][2]
             va, vb, vc = bent[a][2], bent[b][2], bent[c][2]
-            B = s * _det(bent[a], bent[b], bent[c])
             j = max(j, max(0, -B * wa * wb * wc // (A * va * vb * vc)).bit_length())
     return j
 
@@ -817,10 +837,9 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
     counter-clockwise and the outer one clockwise, so none of them can
     verify and the result is the one of trying every power from 1 up.  When
     ``d`` is a verified drawing of a triangulation every face has a bound,
-    so at the first power tried every face is oriented as its walk; a
-    triangulation drawn so is planar with its own rotation system and outer
-    face (a locally injective simplicial map of a disk that is injective on
-    its boundary is injective), and the lift makes one verifier call.
+    so at the first power tried every face is oriented as its walk: that
+    is ``verify_drawing``'s certificate, and the lift makes one verifier
+    call of O(n) determinants instead of a sweep.
     """
     des = sorted(d.designated, key=lambda v: d.coords[v][0])
     if not des:

@@ -174,6 +174,44 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"error input {message}\n"
 
+    DRAWING = "drawing 4\nv 0 0 0\nv 1 2 4\nv 2 4 0\nv 3 2 1\n"
+
+    @pytest.mark.parametrize("graph,drawing,message", [
+        # the second line used to win: the drawing had no designated vertex
+        (K4, DRAWING + "designated: 0\ndesignated:\n",
+         "duplicate designated line: 'designated:'"),
+        (K4 + "outer: 0 2 3\n", DRAWING, "duplicate outer line: 'outer: 0 2 3'"),
+    ], ids=["designated", "outer"])
+    def test_repeated_header_line_is_input_error(self, tmp_path, capsys, graph, drawing,
+                                                 message):
+        g, d = tmp_path / "g.txt", tmp_path / "d.txt"
+        g.write_text(graph)
+        d.write_text(drawing)
+        code, out, err = run(capsys, "verify", str(g), "--drawing", str(d))
+        assert (code, out) == (2, "")
+        assert err == f"error input {message}\n"
+
+
+def test_verify_reports_a_vertex_moved_across_an_edge(tmp_path, capsys):
+    # the first violation of the full check, word for word, although a
+    # triangulation's valid drawings are certified face by face
+    g, c, d = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "d.txt"
+    run(capsys, "gen", "--kind", "3tree", "--n", "30", "--out", str(g))
+    run(capsys, "curve", str(g), "--method", "3tree", "--out", str(c))
+    run(capsys, "draw", str(g), str(c), "--out", str(d))
+    graph, drawing = parse_plane_graph(g.read_text()), parse_drawing(d.read_text())
+    outer = set(graph.face_vertices(graph.outer))
+    w = min(v for v in graph.vertices if graph.degree(v) == 3 and v not in outer)
+    a, b = graph.rot[w][:2]
+    assert (w, a, b) == (13, 9, 3)
+    coords = dict(drawing.coords)
+    (ax, ay), (bx, by), (wx, wy) = coords[a], coords[b], coords[w]
+    coords[w] = (ax + bx - wx, ay + by - wy)     # mirrored in the middle of ab
+    d.write_text(serialize_drawing(Drawing(coords, drawing.designated)))
+    code, out, err = run(capsys, "verify", str(g), "--drawing", str(d))
+    assert (code, out) == (1, "drawing FAIL\n")
+    assert err == "error verification edges (1, 13) and (3, 9) intersect\n"
+
 
 class TestComments:
     # `#` starts a comment in every input file, on a line of its own or

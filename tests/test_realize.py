@@ -4,14 +4,17 @@ import hashlib
 import itertools
 import re
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from fractions import Fraction as Fr
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collinear import realize
+from collinear.applications import PointSet, universal_placement
 from collinear.geom import homogeneous, line_h, orient, side_h
 from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                                   graph_from_positions, reach)
@@ -1949,6 +1952,122 @@ def test_verify_matches_rebuild_reference(case):
         assert not new.outer_ok and not messages(new, "outer face")
         if not messages(old, "reconstruction failed"):
             assert messages(new, "rotation at") == messages(old, "rotation at")
+
+
+# -- the triangulation certificate -----------------------------------------------------
+
+
+def full_check(g, d):
+    """``verify_drawing`` with the face-orientation certificate made to fail,
+    so that the sweep, the rotation check and the outer-face check decide."""
+    with mock.patch.object(realize, "_oriented_dets", lambda g, H: iter([(None, -1)])):
+        return verify_drawing(g, d)
+
+
+@st.composite
+def triangulation_changes(draw):
+    """A verified drawing of a 3-tree with one change: a vertex moved onto
+    another vertex, onto an edge (often the edge opposite it in one of its
+    faces), along an edge's ray past its far end, or across an edge (to the
+    mirror image of its position in a point of that edge); a small nudge;
+    the mirror image; or nothing."""
+    kind = draw(st.sampled_from(["place_free", "dp", "tutte3"]))
+    g, d = _verified_drawing(kind, draw(st.integers(4, 40)), draw(st.integers(0, 30)))
+    coords = dict(d.coords)
+    v = draw(st.sampled_from(sorted(g.vertices)))
+    change = draw(st.sampled_from(["vertex", "edge", "ray", "across", "nudge",
+                                   "mirror", "none"]))
+    if change == "mirror":
+        coords = {u: (-x, y) for u, (x, y) in coords.items()}
+    elif change == "vertex":
+        coords[v] = coords[draw(st.sampled_from(sorted(set(g.vertices) - {v})))]
+    elif change == "nudge":
+        x, y = coords[v]
+        coords[v] = (x + draw(nudges) / 64, y + draw(nudges) / 64)
+    elif change != "none":
+        opposite = [(a, b) for a, b in zip(g.rot[v], g.rot[v][1:] + g.rot[v][:1])
+                    if b in g.rot[a]]
+        if change == "ray":
+            a, b = v, draw(st.sampled_from(g.rot[v]))
+            t = draw(st.fractions(min_value=1, max_value=3, max_denominator=4))
+        else:
+            a, b = draw(st.sampled_from(opposite + sorted(g.edges)))
+            t = draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+        (ax, ay), (bx, by) = coords[a], coords[b]
+        px, py = ax + t * (bx - ax), ay + t * (by - ay)
+        x, y = coords[v]
+        coords[v] = (2 * px - x, 2 * py - y) if change == "across" else (px, py)
+    return g, Drawing(coords, d.designated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangulation_changes())
+def test_certificate_gives_the_full_checks_report(case):
+    g, d = case
+    assert verify_drawing(g, d) == full_check(g, d)
+
+
+def test_certificate_gives_the_full_checks_report_on_flat_faces():
+    # a vertex of degree 3 moved onto an edge (a corner) of its triangle
+    # leaves one face (two faces) flat and every other drawn as its walk
+    g = random_plane_3tree(30, 2)
+    d = place_free(g, _bundle_labeling(g))
+    outer = set(g.face_vertices(g.outer))
+    for v in (v for v in g.vertices if g.degree(v) == 3 and v not in outer):
+        a, b, _ = g.rot[v]
+        for p in (d.coords[a], ((d.coords[a][0] + d.coords[b][0]) / 2,
+                                (d.coords[a][1] + d.coords[b][1]) / 2)):
+            moved = Drawing({**d.coords, v: p}, d.designated)
+            rep = verify_drawing(g, moved)
+            assert rep == full_check(g, moved) and not rep.planar
+
+
+@pytest.mark.parametrize("make,n,seed", [(random_plane_3tree, 60, 1),
+                                         (deep_stacking, 40, 2), (lambda n, s: K4, 4, 0)],
+                         ids=["random", "deep", "K4"])
+def test_oriented_dets_give_one_sign_per_face(make, n, seed):
+    g = make(n, seed)
+    d = place_free(g, _bundle_labeling(g))
+    for flip in (1, -1):                # the drawing, then its mirror image
+        H = {v: homogeneous((flip * x, y)) for v, (x, y) in d.coords.items()}
+        dets = list(realize._oriented_dets(g, H))
+        assert [walk for walk, _ in dets] == [g.face_vertices(i) for i in range(len(g.faces))]
+        assert all(s * flip > 0 for _, s in dets)
+
+
+def test_certificate_decides_triangulations_without_the_sweep(monkeypatch):
+    def full_check_ran(*args):
+        raise AssertionError("the full check ran")
+    for name in ("_planarity_violations", "_clockwise_at", "leftmost_dart"):
+        monkeypatch.setattr(realize, name, full_check_ran)
+    g = random_plane_3tree(200, 5)
+    assert verify_drawing(g, place_free(g, _bundle_labeling(g))).ok
+    # the lift's one verifier call and the pinning's closing one
+    pts = PointSet(((0, 0), (3, 1), (-2, 5)))
+    d = universal_placement(g, pts)
+    rep = verify_drawing(g, d)         # the points are not collinear
+    assert rep.planar and rep.embedding_ok and rep.outer_ok
+    assert {d.coords[v] for v in d.designated} == set(pts.points)
+
+
+def test_non_triangulations_take_the_full_check(monkeypatch):
+    g = generate_triconnected_cubic(1, 20)
+    d = curve_to_drawing(g, theorem4(g).curve)
+    calls = Counter()
+
+    def counting(name):
+        f = getattr(realize, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+    for name in ("_planarity_violations", "_clockwise_at"):
+        monkeypatch.setattr(realize, name, counting(name))
+    # some faces are triangles, which a certificate without its guard reads
+    assert any(len(walk) == 3 for walk in g.faces)
+    assert verify_drawing(g, d).ok
+    assert calls == {"_planarity_violations": 1, "_clockwise_at": g.n}
 
 
 # -- labelings without a built graph ---------------------------------------------------
