@@ -16,9 +16,12 @@ incident to the unbounded region of the drawing-with-curve.
 The central tool is an augmentation engine that embeds the curve into the
 graph (subdividing crossed edges, adding chord edges through face interiors,
 and dangling endpoint vertices) on integer dart arrays, tracking how original
-faces split into regions.  Properness is read off the regions at the two
-ends, and the augmented graph for the curve-to-drawing direction is built
-from the region walks when first read; neither traces faces.
+faces split into regions.  The augmented graph for the curve-to-drawing
+direction is built from the region walks when first read, without tracing
+faces.  Properness needs no engine when no face takes two interior hops and
+no interior hop goes through the outer face: it is read from the two ends in
+O(k) for k stations.  Any other curve is embedded and its properness read
+off the regions at the two ends.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ class GoodCurve:
             object.__setattr__(self, 'contained',
                                frozenset(edge_key(*e) for e in self.contained))
 
-    @property
+    @cached_property
     def vertices(self) -> Tuple[int, ...]:
+        """The vertex stations in order, computed once per curve (equality
+        and hashing read only the fields)."""
         return tuple(s[1] for s in self.stations if s[0] == 'v')
 
     @property
@@ -331,19 +336,19 @@ def _terminal(eng: "_Engine", sts, station_vertex, first: bool) -> int:
                              "(handle the empty curve separately)")
         anchor = station_vertex[j]
         return eng.insert_antenna(anchor, s[1])
-    # terminal crossing: the curve ends just past the crossed edge, in the
-    # face on the other side from the adjacent hop
-    w = eng.sub[s[1]]
-    f1, f2 = eng.g.faces_of_edge(*s[1])
+    return eng.insert_antenna(eng.sub[s[1]], _far_face(eng.g, sts, first))
+
+
+def _far_face(g: PlaneGraph, sts, first: bool) -> int:
+    """The face a terminal crossing's end lies in: just past the crossed
+    edge, on the other side from the adjacent hop."""
+    f1, f2 = g.faces_of_edge(*sts[0 if first else -1][1])
     if len(sts) == 1:
-        far = f1 if first else f2
-    else:
-        j = 1 if first else len(sts) - 2
-        near = sts[j]
-        if near[0] != 'f':
-            raise CurveError("crossing station must neighbour a face hop")
-        far = f2 if near[1] == f1 else f1
-    return eng.insert_antenna(w, far)
+        return f1 if first else f2
+    near = sts[1 if first else -2]
+    if near[0] != 'f':
+        raise CurveError("crossing station must neighbour a face hop")
+    return f2 if near[1] == f1 else f1
 
 
 class _Engine:
@@ -532,8 +537,10 @@ class _Engine:
 def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
     """Check goodness (per-edge common-point tallies) and properness.
 
-    Properness is read off the dart map, as in ``is_proper``: O(m + k) for
-    k stations, with no graph built.
+    Properness is decided as in ``is_proper``: read from the two ends in
+    O(k) for k stations when no face takes two interior hops and no
+    interior hop goes through the outer face, else by embedding the curve on
+    the dart map in O(m + k).  No graph is built either way.
     """
     check_well_formed(g, c)
     tally = edge_tallies(g, c)
@@ -547,9 +554,12 @@ def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
 def is_proper(g: PlaneGraph, c: GoodCurve) -> bool:
     """Both endpoints of the open curve incident to the unbounded region.
 
-    Raises CurveError for a closed, malformed or non-good curve.  The curve
-    is embedded on the dart map in O(m + k) for k stations; it is proper when
-    a region of the outer face has a dart at each end.  No graph is built.
+    Raises CurveError for a closed, malformed or non-good curve.  When no
+    face takes two interior hops and no interior hop goes through the outer
+    face, the answer is read from the two ends in O(k) for k stations (see
+    ``_proper``).  Otherwise the curve is embedded on the dart map in
+    O(m + k); it is proper when a region of the outer face has a dart at
+    each end.  No graph is built.
     """
     if c.closed:
         raise CurveError("properness is defined for open curves; "
@@ -565,13 +575,53 @@ def _single_hop(c: GoodCurve) -> bool:
 
 def _proper(g: PlaneGraph, c: GoodCurve) -> bool:
     """Whether a curve already known to be well formed and good is open and
-    proper."""
+    proper.
+
+    The interior hops are the face stations other than the first and the
+    last.  When no face takes two of them and none goes through the outer
+    face, the verdict is read from the two ends in O(k) for k stations (plus
+    the degree of a vertex end): each end must reach the outer face.  A
+    vertex end reaches it when one of its darts lies in it, a hop end when
+    it hops through it, and a crossing end when the face past the crossed
+    edge, away from the adjacent hop, is the outer face.
+
+    This is the engine's verdict.  The engine adds one chord per interior
+    hop, inside the hop's face, and no other split.  That face is hopped
+    once, so no earlier chord has split it, and well-formedness puts both
+    anchors on it: the chord finds its region.  The chord parallels no
+    edge, because such an edge would meet the curve twice.  The anchors
+    are distinct stations that are not consecutive, so an original edge
+    between two vertex stations is not contained and meets the curve at
+    both; a subdivision vertex is adjacent only to the ends of its edge,
+    which meets the curve at the crossing and at that end; and two chords
+    never share both anchors.  So the engine raises nothing, and the outer
+    face, which no chord enters, stays one region.  The curve is proper
+    exactly when both end vertices have a dart in that region.  A vertex
+    end gets new darts only from chords and antennas in faces it already
+    touches.  An antenna end has darts only in its antenna's face: the hop
+    face, or for a crossing the far face, which ``_terminal`` also takes
+    from ``_far_face``.  A one-station curve has no interior hop and is
+    covered too; a lone hop, which the engine cannot embed, is proper by
+    definition exactly when it lies in the outer face, as the rule reads.
+    Any other curve is embedded.
+    """
     if c.closed:
         return False
-    if _single_hop(c):
-        return c.stations[0][1] == g.outer
+    sts, outer = c.stations, g.outer
+    hops = [s[1] for s in sts[1:-1] if s[0] == 'f']
+    if outer not in hops and len(set(hops)) == len(hops):
+        return _reaches_outer(g, sts, True) and _reaches_outer(g, sts, False)
     eng, _, endpoints = _embed(g, c)
-    return bool(eng.touches_both(g.outer, endpoints))
+    return bool(eng.touches_both(outer, endpoints))
+
+
+def _reaches_outer(g: PlaneGraph, sts, first: bool) -> bool:
+    """Whether the first (or last) end of a curve that no chord embeds in
+    the outer face lies in that face."""
+    kind, x = sts[0 if first else -1]
+    if kind == 'v':
+        return g.outer in g.faces_at(x)
+    return (x if kind == 'f' else _far_face(g, sts, first)) == g.outer
 
 
 def cut_closed_curve(g: PlaneGraph, c: GoodCurve) -> Tuple[PlaneGraph, GoodCurve]:

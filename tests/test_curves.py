@@ -1,6 +1,7 @@
 """Good-curve validation, augmentation, properness, cutting, format."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from collinear.realize import (LabelingOrder, curve_to_drawing,
 from collinear.three_tree import (build_curve_bundle, decompose,
                                   dp_optimal_collinear, random_plane_3tree)
 from collinear.treewidth import identity_grid_model, theorem5_curve
+from test_three_tree import deep_stacking
 
 
 def triangle():
@@ -298,6 +300,15 @@ def test_curve_from_drawing_contained_edge():
     assert rep.good and rep.proper
     assert rep.vertices_on_curve == frozenset({0, 1})
     assert (0, 1) in c.contained
+
+
+def test_vertices_are_computed_once_and_stay_out_of_equality():
+    c = GoodCurve((Xst(0, 1), Fst(2), Vst(2), Vst(3), Fst(1)))
+    assert c.vertices == (2, 3) and c.vertices is c.vertices
+    assert c.vertex_count == 2
+    fresh = GoodCurve(c.stations)
+    assert c == fresh and hash(c) == hash(fresh) and {c: 1}[fresh] == 1
+    assert repr(c) == repr(fresh)
 
 
 def test_format_roundtrip():
@@ -728,15 +739,81 @@ def _oracle_curves(n, seed):
     return g, tuple(asked)
 
 
+def _walk_curve(g, rng, want):
+    """A random good open curve on g built hop by hop, each hop through a
+    face of the last station to a fresh station on that face that keeps
+    every edge at one common point.  For ``want`` "twice" it re-hops a face
+    it has hopped whenever it can; for "outer" it starts on the outer face
+    and hops it once between its ends whenever it can; for "single" it is
+    one vertex or crossing.  End hops go through the outer face when they
+    can."""
+    edges = sorted(g.edges)
+    tally = dict.fromkeys(edges, 0)
+
+    def station(s):
+        for e in ([edge_key(s[1], w) for w in g.rot[s[1]]] if s[0] == 'v'
+                  else [s[1]]):
+            tally[e] += 1
+        return s
+
+    def fresh(s):
+        return all(tally[edge_key(s[1], w)] == 0 for w in g.rot[s[1]]) \
+            if s[0] == 'v' else tally[s[1]] == 0
+
+    def on(f):
+        return [s for s in dict.fromkeys([Vst(v) for v in g.face_vertices(f)]
+                                          + [Xst(*d) for d in g.faces[f]])
+                if fresh(s)]
+
+    def hop(s, prefer):
+        faces = sorted(_faces_at(g, s))
+        prefer = sorted(prefer.intersection(faces))
+        return rng.choice(prefer if prefer and rng.random() < 0.8 else faces)
+
+    sts = [station(rng.choice(on(g.outer)) if want == "outer" and rng.random() < 0.8
+                   else Vst(rng.choice(g.vertices)) if rng.random() < 0.5
+                   else Xst(*rng.choice(edges)))]
+    if want == "single":
+        return GoodCurve(tuple(sts))
+    hopped = set()
+    for _ in range(rng.randint(1, 12)):
+        f = hop(sts[-1], hopped if want == "twice" else {g.outer} - hopped)
+        nxt = on(f)
+        if not nxt:
+            break
+        sts += [Fst(f), station(rng.choice(nxt))]
+        hopped.add(f)
+    if rng.random() < 0.8:
+        sts.insert(0, Fst(hop(sts[0], {g.outer})))
+    if rng.random() < 0.8:
+        sts.append(Fst(hop(sts[-1], {g.outer})))
+    return GoodCurve(tuple(sts))
+
+
+def _walk_graph(kind, size, seed):
+    if kind == "3tree":
+        return random_plane_3tree(size, seed)
+    if kind == "cubic":
+        return generate_triconnected_cubic(seed, 2 * size)
+    return identity_grid_model(size)[0]
+
+
 @st.composite
 def augment_cases(draw):
-    """Bundle, DP, oracle, Theorem 4, grid-snake and read-back curves, any of
-    them reversed, and copies with one station dropped or two swapped, or
-    closed up."""
+    """Bundle, DP, oracle, Theorem 4, grid-snake, read-back and random-walk
+    curves, any of them reversed, and copies with one station dropped or two
+    swapped, or closed up.  The walks cover the curves whose properness the
+    engine decides, those hopping a face twice or the outer face between
+    their ends, and one-station curves."""
     kind = draw(st.sampled_from(["bundle", "dp", "oracle", "theorem4", "snake",
-                                 "readback"]))
+                                 "readback", "walk"]))
     seed = draw(st.integers(0, 10 ** 6))
-    if kind in ("bundle", "dp"):
+    if kind == "walk":
+        g = _walk_graph(draw(st.sampled_from(["3tree", "cubic", "grid"])),
+                        draw(st.integers(4, 8)), seed)
+        c = _walk_curve(g, random.Random(seed),
+                        draw(st.sampled_from(["twice", "outer", "single"])))
+    elif kind in ("bundle", "dp"):
         d = decompose(random_plane_3tree(draw(st.integers(4, 40)), seed))
         g = d.graph
         c = (draw(st.sampled_from(build_curve_bundle(d).curves)) if kind == "bundle"
@@ -819,6 +896,81 @@ def test_properness_builds_no_graph(monkeypatch):
         assert validate_curve(g, c) == report
         assert is_proper(g, c) == report.proper
         assert _outcome(augment_with_curve, g, c) == aug
+
+
+def test_walks_cover_every_engine_case():
+    # the random walks reach the properness check with each condition that
+    # sends a curve to the engine, with both verdicts and the engine's own
+    # errors among them, and with one-station curves of both verdicts; every
+    # curve gets the reference's verdict or error
+    seen = Counter()
+    for want in ("twice", "outer", "single"):
+        for kind in ("3tree", "cubic", "grid"):
+            for seed in range(40):
+                g = _walk_graph(kind, 4 + seed % 5, seed)
+                c = _walk_curve(g, random.Random(seed), want)
+                assert_agrees_with_reference(g, c)
+                hops = [s[1] for s in c.stations[1:-1] if s[0] == 'f']
+                cases = {"twice": len(set(hops)) < len(hops),
+                         "outer": g.outer in hops,
+                         "single": len(c.stations) == 1}
+                try:
+                    verdict = is_proper(g, c)
+                except CurveError:
+                    verdict = "error"
+                for case, holds in cases.items():
+                    seen[case, verdict] += holds
+    assert all(seen[case, verdict] for case in ("twice", "outer")
+               for verdict in (True, False, "error"))
+    assert seen["single", True] and seen["single", False]
+
+
+def _count_engines(monkeypatch):
+    """A list that gets the graph of every ``_Engine`` built from now on."""
+    built, init = [], _Engine.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+    monkeypatch.setattr(_Engine, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("make", [random_plane_3tree, deep_stacking])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_curves_are_validated_without_an_engine(monkeypatch, make, seed):
+    # every bundle and DP curve hops each face at most once and never the
+    # outer face between its ends, so its properness is read from its ends
+    d = decompose(make(400, seed))
+    built = _count_engines(monkeypatch)
+    curves = [*build_curve_bundle(d).curves, dp_optimal_collinear(d)[1]]
+    for c in curves:
+        rep = validate_curve(d.graph, c)
+        assert rep.good and rep.proper and is_proper(d.graph, c)
+    assert built == []
+
+
+@pytest.mark.parametrize("make", [random_plane_3tree, deep_stacking])
+def test_tree_pipeline_builds_one_engine(monkeypatch, make):
+    # decompose, bundle, DP, labeling and free placement: only the labeling
+    # embeds its curve
+    g = make(200, 3)
+    built = _count_engines(monkeypatch)
+    d = decompose(g)
+    build_curve_bundle(d)
+    drawing = place_free(g, labeling_from_curve(g, dp_optimal_collinear(d)[1]))
+    assert verify_drawing(g, drawing).ok
+    assert len(built) == 1
+
+
+def test_outer_face_hop_read_back_builds_one_engine(monkeypatch):
+    # the read-back of test_outer_face_hop_read_back_stays_improper hops the
+    # outer face between its ends, so it is embedded
+    g, pos = _drawn("cubic", 12, 1)
+    c = curve_from_drawing(g, pos, (0, 1, -1))
+    built = _count_engines(monkeypatch)
+    assert not validate_curve(g, c).proper
+    assert len(built) == 1
 
 
 def test_chord_parallel_to_a_contained_edge_is_rejected():
