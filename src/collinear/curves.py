@@ -262,9 +262,10 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     ends of an open curve, a dangling endpoint vertex inside the hop face); a
     terminal crossing dangles an endpoint just past the crossed edge.  Raises
     CurveError when a hop cannot be drawn (no region of its face holds both
-    ends, or its chord would parallel an edge).  The dart map embeds the
-    curve in O(m + k) for k stations; the graph is built from its region
-    walks in O(m) more when first read, without tracing faces.
+    ends, or its chord would parallel an edge).  A crossed bridge (one face
+    on both sides) is entered on one side and left on the other.  The dart
+    map embeds the curve in O(m + k) for k stations; the graph is built from
+    its region walks in O(m) more when first read, without tracing faces.
     """
     _require_good(g, c)
     return _augment(g, c)
@@ -290,11 +291,15 @@ def _embed(g: PlaneGraph, c: GoodCurve):
     endpoints = None
     if not c.closed:
         a = _terminal(eng, sts, station_vertex, first=True)
-    # interior hops -> chords, in curve order
+    # interior hops -> chords, in curve order; a chord into a crossing names
+    # the anchor of the chord out of it, when there is one
     for i in range(n) if c.closed else range(1, n - 1):
         if sts[i][0] == 'f':
+            then = (station_vertex[(i + 3) % n] if sts[(i + 1) % n][0] == 'x'
+                    and (c.closed or i + 2 < n - 1) and sts[(i + 2) % n][0] == 'f'
+                    else None)
             eng.insert_chord(station_vertex[i - 1], station_vertex[(i + 1) % n],
-                             sts[i][1])
+                             sts[i][1], then)
     if not c.closed:
         endpoints = (a, _terminal(eng, sts, station_vertex, first=False))
     return eng, station_vertex, endpoints
@@ -367,6 +372,7 @@ class _Engine:
             list, arrays)
         self.tag = list(range(len(g.faces)))
         self.sub: Dict[Tuple[int, int], int] = {}
+        self.bridge: Dict[int, Tuple[int, int]] = {}    # subdivision vertex -> its ends
 
     def _around(self, v: int) -> List[int]:
         """The darts leaving v, clockwise from its first one."""
@@ -381,8 +387,11 @@ class _Engine:
                  ) -> List[Tuple[int, int]]:
         """(region, incoming dart) of each corner of v in a region of
         ``face``: the corner between darts d and ``cw[d]`` is entered by
-        ``twin[d]``.  A chord from v to ``other`` must not parallel an edge."""
+        ``twin[d]``.  A chord from v to ``other`` must not parallel an edge.
+        On a crossed bridge only the corners between its own two darts
+        count, so its second chord or antenna takes the side left free."""
         head, cw, region, tag = self.head, self.cw, self.region, self.tag
+        ends = self.bridge.get(v)
         out = []
         d0 = d = self.first[v - self.lo]
         while True:
@@ -391,7 +400,7 @@ class _Engine:
                                  f"face {face}: the chord would parallel edge "
                                  f"{edge_key(v, other)}")
             e = cw[d]
-            if tag[region[e]] == face:
+            if tag[region[e]] == face and (ends is None or {head[d], head[e]} == set(ends)):
                 out.append((region[e], self.twin[d]))
             if e == d0:
                 return out
@@ -402,9 +411,9 @@ class _Engine:
         mine = [d for rr, d in corners if rr == r]
         if len(mine) == 1:
             return mine[0]
-        head, twin, cw = self.head, self.twin, self.cw
+        twin, cw = self.twin, self.cw
         d = self.start[r]
-        while head[d] != v:
+        while d not in mine:
             d = cw[twin[d]]
         return d
 
@@ -438,6 +447,8 @@ class _Engine:
         self.cw.extend((k + 1, k))
         region.extend((region[d], region[t]))
         self.sub[e] = w
+        if region[d] == region[t]:
+            self.bridge[w] = e
         return w
 
     def insert_antenna(self, anchor: int, face: int) -> int:
@@ -452,9 +463,13 @@ class _Engine:
         self._add_edge(x, None, t, r)
         return t
 
-    def insert_chord(self, a: int, b: int, face: int) -> None:
+    def insert_chord(self, a: int, b: int, face: int, then: Optional[int] = None) -> None:
         """Connect anchors a, b by a new edge through (a region of) ``face``;
-        the side holding the new dart (b, a) becomes a new region."""
+        the side holding the new dart (b, a) becomes a new region.  At a
+        crossed bridge b with both corners in the region, b's corner is the
+        one that leaves the other on a side holding ``then``, the anchor of
+        the chord out of b: along the region walk from a's corner, the first
+        of the two when ``then`` follows it, else the second."""
         twin, cw = self.twin, self.cw
         ca, cb = self._corners(a, face, b), self._corners(b, face)
         at_b = [r for r, _ in cb]
@@ -464,7 +479,13 @@ class _Engine:
                              "no region of that face touches both (curve not embeddable)")
         r = min(common)
         xa = twin[ca[0][1] if len(ca) == 1 else self._corner(a, r, ca)]
-        xb = twin[cb[0][1] if len(cb) == 1 else self._corner(b, r, cb)]
+        mine = [d for rr, d in cb if rr == r]
+        if then is not None and b in self.bridge and len(mine) == 2:
+            walk = self._face(cw[xa])
+            i, k = sorted(map(walk.index, mine))
+            xb = twin[walk[i] if then in (self.head[d] for d in walk[i + 1:]) else walk[k]]
+        else:
+            xb = twin[cb[0][1] if len(cb) == 1 else self._corner(b, r, cb)]
         out_a, out_b = cw[xa], cw[xb]
         self._add_edge(xa, xb, b, r)
         new = len(self.tag)

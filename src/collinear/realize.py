@@ -9,9 +9,6 @@ provides:
   triangulation one integer determinant sign per face, O(n); otherwise a
   Shamos-Hoey sweep, O((n + m) log(n + m)), and each rotation checked in
   place), and collinearity of the designated vertices;
-* ``tutte_convex`` -- barycentric embedding with a fixed convex boundary,
-  solved exactly by integer fraction-free elimination in the one
-  barycentric solver that also draws the two sides of a curve;
 * ``LabelingOrder`` / ``labeling_from_curve`` -- the side labels (above /
   below / on the line), the crossing order, and the target positions that
   a proper good curve induces;
@@ -22,15 +19,11 @@ provides:
   centre onto the ray from each corner labelled opposite to it through
   that crossing edge's target (a step along the one ray, or the meet of
   the two); checked on integer homogeneous coordinates;
-* ``straighten_preserving_y`` -- replace y-monotone polyline edges by
-  straight segments keeping every y-coordinate: one bottom-to-top level
-  sweep over the active edges gives the left-to-right order at every
-  vertex level, and a sparse feasibility LP on those orders gives new
-  x-coordinates, re-checked exactly in integers;
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
   drawing with all its vertex stations on the x-axis (for graphs that are
   not 3-trees: both sides drawn by one barycentric system against the path
-  on the axis, then straightened on the ranked vertex levels);
+  on the axis, then straightened on the ranked vertex levels by an LP
+  re-checked exactly in integers);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
   read off the faces' orientations (one verifier call on a triangulation).
@@ -51,7 +44,7 @@ from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
                    line_h, on_segment_h, orient, side_h)
 from .plane_graph import (PlaneGraph, angle_cmp, clockwise_order,
                           content_lines, edge_key, leftmost_dart, reach, read_numbers)
-from .curves import GoodCurve, AugmentedCurve, augment_with_curve
+from .curves import GoodCurve, AugmentedCurve, Fst, Vst, augment_with_curve
 from .three_tree import ThreeTreeDecomp, ThreeTreeError, decompose
 
 Point = Tuple[Fraction, Fraction]
@@ -423,29 +416,6 @@ def _barycentric(nbrs: Mapping[int, Sequence[int]],
     return {**fixed, **sol}
 
 
-def tutte_convex(g: PlaneGraph, polygon: Mapping[int, Point]) -> Drawing:
-    """Barycentric drawing: the outer walk fixed at the given convex positions,
-    every interior vertex exactly at the average of its neighbors."""
-    walk = g.outer_walk()
-    for v in walk:
-        if v not in polygon:
-            raise RealizeError(f"no polygon position for outer vertex {v}")
-    pos = {v: _pt(*polygon[v]) for v in walk}
-    k = len(walk)
-    if k < 3:
-        raise RealizeError("outer walk is not a cycle")
-    if len(set(walk)) != k:
-        raise RealizeError("outer walk repeats a vertex; boundary is not a simple cycle")
-    signs = {orient(pos[walk[i]], pos[walk[(i + 1) % k]], pos[walk[(i + 2) % k]])
-             for i in range(k)}
-    if signs - {0, -1}:
-        raise RealizeError("polygon positions do not traverse a convex boundary clockwise")
-    if -1 not in signs:
-        raise RealizeError("polygon positions are collinear")
-
-    return Drawing(_barycentric(g.rot, pos))
-
-
 # -- labelings induced by a curve -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -717,7 +687,8 @@ def _root_triangle(corners: Tuple[int, int, int], lab: LabelingOrder) -> Dict[in
         elif len(ons) == 1:
             c0 = ons[0]
             q = lab.targets[('v', c0)]
-            rest = [c for c in corners if c != c0]
+            i = corners.index(c0)
+            rest = corners[i + 1:] + corners[:i]        # counter-clockwise after c0
             pts = {c0: _pt(q, 0), rest[0]: _pt(q + s, s), rest[1]: _pt(q - s, s)}
         else:
             pts = dict(zip(corners, [_pt(0, s), _pt(2 if s > 0 else 1, 2 * s),
@@ -775,8 +746,7 @@ def _place(decomp: ThreeTreeDecomp, lab: LabelingOrder) -> Drawing:
         num, den = q.as_integer_ratio()
         if ya * yb >= 0 or (ya * xb - xa * yb) * den != num * (ya * wb - wa * yb):
             raise RealizeError(f"edge {elem[1]} does not cross the line at its target")
-    designated = tuple(e[1] for e in lab.order if e[0] == 'v')
-    return Drawing(dict(placer.pts), designated)
+    return Drawing(dict(placer.pts), lab.on_line)
 
 
 def _det(p: HPoint, q: HPoint, r: HPoint) -> int:
@@ -969,16 +939,23 @@ def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
     return orders
 
 
-def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...],
-                ranked: bool) -> Drawing:
-    """``straighten_preserving_y``; with ``ranked`` the vertex levels are
-    mapped onto consecutive integers first, 0 staying 0 if it is a level.
-    The level orders do not change, and small integer levels keep the LP
-    numerically benign when the input carries huge rationals."""
-    for v in g.vertices:
-        if v not in pl.coords:
-            raise RealizeError(f"no position for vertex {v}")
-    pl = PolylineDrawing({v: _pt(*pl.coords[v]) for v in g.vertices}, pl.bends)
+def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
+                ) -> Drawing:
+    """Replace the y-monotone polyline edges of a planar drawing ``pl`` of g
+    (exact positions of exactly g's vertices, as ``_split_drawing`` gives)
+    by straight segments, with the vertex levels mapped onto consecutive
+    integers (0 stays 0 if it is a level), keeping at each level the
+    left-to-right order of its vertices and of the edges through it.
+
+    One bottom-to-top sweep finds those orders (``_level_orders``); a
+    non-monotone edge, coinciding vertices or a vertex on an edge raise
+    ``RealizeError``, two edges touching at a level are not detected.  The
+    x-coordinates solve a sparse feasibility LP, one row per pair of
+    neighbouring items, by HiGHS in floating point; every row is then
+    re-checked exactly in integers.  Small integer levels keep the LP
+    benign when ``pl`` carries huge rationals.  Cost: O((n + m) log n + R)
+    for R rows, plus the LP solve.
+    """
     coords = pl.coords
     verts = sorted(coords)
     col = {v: k for k, v in enumerate(verts)}
@@ -992,13 +969,8 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...],
         at_level[-1].append(v)
         lev[v] = len(levels) - 1
     orders = _level_orders(g, pl, at_level, lev)
-    if ranked:
-        shift = levels.index(0) if 0 in levels else 0
-        out_y = [Fraction(i - shift) for i in range(len(levels))]
-    else:
-        out_y = levels
-    den = lcm(*(y.denominator for y in out_y))
-    Y = [y.numerator * (den // y.denominator) for y in out_y]
+    shift = levels.index(0) if 0 in levels else 0
+    Y = [i - shift for i in range(len(levels))]
 
     # A row says item b lies right of item a by at least 1:
     # (N_b / D_b - N_a / D_a) . x >= 1, where a vertex v has N = x_v, D = 1
@@ -1052,104 +1024,75 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...],
                 raise RealizeError("straightening solution violates a level order")
     else:
         xs = [coords[v][0] for v in verts]
-    return Drawing({v: (xs[col[v]], out_y[lev[v]]) for v in verts}, designated)
-
-
-def straighten_preserving_y(g: PlaneGraph, pl: PolylineDrawing,
-                            designated: Tuple[int, ...] = ()) -> Drawing:
-    """Replace y-monotone polyline edges by straight segments.
-
-    Precondition: ``pl`` is a planar drawing of ``g`` with y-monotone
-    polyline edges (a horizontal edge has no bends) whose level orders are
-    strict: on the horizontal line through any vertex, no two vertices or
-    edges share a point.  Positions of vertices not in ``g`` are ignored.
-    A non-monotone edge, coinciding vertices or a vertex on an edge raise
-    ``RealizeError``; two edges touching at a level are not detected.
-
-    Keeps every vertex's y-coordinate and, at every vertex level, the
-    left-to-right order of its vertices and of the edges passing through
-    it.  One bottom-to-top sweep finds these orders (``_level_orders``).
-    New x-coordinates come from a feasibility LP with one row per pair of
-    neighbouring items, solved by HiGHS in floating point from a sparse
-    matrix; every row is then re-checked exactly in integers.  Cost:
-    O((n + m) log n + R) for R rows, each built in integers and re-checked
-    once, plus the LP solve (a sweep probe also bisects the probed edge's
-    bends).
-    """
-    return _straighten(g, pl, designated, ranked=False)
+    return Drawing({v: (xs[col[v]], Fraction(Y[lev[v]])) for v in verts}, designated)
 
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------
 
-def _regular_convex_drawing(g: PlaneGraph, anchor: Optional[int] = None) -> Drawing:
-    """Any verified convex-boundary drawing; the anchor vertex (if given and
-    on the outer face) is pinned to the origin."""
-    walk = list(g.outer_walk())
-    if anchor is not None and anchor in walk:
-        i = walk.index(anchor)
-        walk = walk[i:] + walk[:i]
-    k = len(walk)
-    # clockwise convex positions on a parabola-like arc, first vertex at origin
-    pos: Dict[int, Point] = {}
-    for j, v in enumerate(walk):
-        pos[v] = (F(-j * (k - j)), F(j))
-    # ensure clockwise traversal; mirror in x if not
-    area2 = sum(pos[walk[i]][0] * pos[walk[(i + 1) % k]][1]
-                - pos[walk[i]][1] * pos[walk[(i + 1) % k]][0] for i in range(k))
-    if area2 > 0:
-        pos = {v: (-x, y) for v, (x, y) in pos.items()}
-    return tutte_convex(g, pos)
+def _clip_corner(vs: Sequence[int], nbrs: Dict[int, List[int]], on_path: Set[int]
+                 ) -> Sequence[int]:
+    """Face walk ``vs`` with the corner at one occurrence of a repeated vertex
+    cut off: its walk neighbours, if distinct, not adjacent and not both on
+    the path, are joined in ``nbrs``."""
+    count = Counter(vs)
+    for j, x in enumerate(vs):
+        a, b = vs[j - 1], vs[(j + 1) % len(vs)]
+        if (count[x] > 1 and a != b and not (a in on_path and b in on_path)
+                and b not in nbrs[a]):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            return vs[:j] + vs[j + 1:]
+    raise RealizeError(f"face {tuple(vs)}: no corner to cut off")
 
 
 def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
-    """Each side of the curve drawn barycentrically against the curve's path
-    laid on the x-axis at (1, 0) .. (L, 0) (at least two path vertices); an
-    edge the curve crosses bends where it meets the axis.
+    """Each side of the curve drawn barycentrically against its path laid on
+    the x-axis at (1, 0) .. (L, 0), L >= 2; a crossed edge bends at the axis.
 
-    One barycentric system is read off ``aug.graph``.  The path is fixed; a
-    non-empty side gets an apex fixed at ((1 + L)/2, +-(L + 1)), joined to
-    the path ends, which closes that side's arc of the outer walk (clockwise
-    from ``path[0]`` over the top to ``path[-1]``, then back below) into an
-    apex face.  The apex faces and the internal faces with a vertex off the
-    path get a hub joined to their corners when they have more than three.
-    Every other vertex sits at the average of its neighbours.
-
-    The sides meet only in fixed vertices, so each is an independent block:
-    the system that ``tutte_convex`` solves for the plane graph of the path,
-    the side, the apex (the outer face is the path and the apex) and a hub
-    in each non-triangular internal face.  Its internal faces are those of
-    ``aug.graph`` with a vertex on the side, which lose no edge, and the
-    apex face (faces of path vertices alone get hubs no unknown sees), so
-    every unknown has the same neighbours in both and the unique exact
-    solution is the same.
+    One system is read off ``aug.graph``: the path fixed; for a non-empty
+    side an apex fixed at ((1 + L)/2, +-(L + 1)) closing its arc of the
+    outer walk, which runs clockwise from the dart (path[0],
+    outer_corner(path[0])) over the top to the dart (path[-1],
+    outer_corner(path[-1])), then on below: the corners ``curve_sides``
+    reads.  Each face walk that repeats a vertex is clipped
+    (``_clip_corner``), then a face with more than three corners gets a hub,
+    and every other vertex sits at the average of its neighbours.  Per side
+    this is Tutte's system for the plane graph of the path, the side, the
+    apex, the clips and the hubs: its outer face is the convex polygon of
+    the path and the apex, and each face is bounded by a simple cycle, as
+    Tutte's theorem needs.  A clip keeps the graph plane and simple with no
+    edge along the axis: it is one edge inside one face, between two
+    distinct, non-adjacent vertices that are not both on the path.
     """
     ga, path = aug.graph, aug.path_vertices
     L = len(path)
     fixed = {v: _pt(i + 1, 0) for i, v in enumerate(path)}
-    nbrs = {v: list(ga.rot[v]) for v in ga.vertices if v not in fixed}
+    nbrs = {v: list(ga.rot[v]) for v in ga.vertices}
     faces = [vs for vs in map(ga.face_vertices, ga.internal_faces())
              if any(v not in fixed for v in vs)]
-    walk = ga.outer_walk()
-    i = walk.index(path[0])
-    walk = walk[i:] + walk[:i + 1]      # clockwise from path[0] round to it
-    k = walk.index(path[-1])
+    darts = ga.faces[ga.outer]
+    i = darts.index((path[0], aug.outer_corner(path[0])))
+    # the outer walk clockwise from path[0]'s outer corner round to it
+    walk = [x for x, _ in darts[i:] + darts[:i]] + [path[0]]
+    k = (darts.index((path[-1], aug.outer_corner(path[-1]))) - i) % len(darts)
     hub = max(ga.vertices) + 1
     for side, arc, y in zip(curve_sides(aug), (walk[:k + 1], walk[k:]), (L + 1, -L - 1)):
         if side:        # an empty side has only the path on its boundary
             fixed[hub] = (F(1 + L) / 2, F(y))
-            faces.append((hub,) + arc)
+            nbrs[hub] = [arc[0], arc[-1]]
+            nbrs[arc[0]].append(hub)
+            nbrs[arc[-1]].append(hub)
+            faces.append((hub, *arc))
             hub += 1
+    on_path = set(path)
     for vs in faces:
-        if len(vs) <= 3:
-            continue
-        if len(set(vs)) != len(vs):
-            raise RealizeError(
-                f"internal face {vs} repeats a vertex; cannot star-triangulate")
-        nbrs[hub] = vs
-        for v in vs:
-            if v not in fixed:
+        while len(set(vs)) != len(vs):
+            vs = _clip_corner(vs, nbrs, on_path)
+        if len(vs) > 3:
+            nbrs[hub] = vs
+            for v in vs:
                 nbrs[v].append(hub)
-        hub += 1
+            hub += 1
     coords = _barycentric(nbrs, fixed)
     return PolylineDrawing(
         coords={v: coords[v] for v in g.vertices},
@@ -1159,24 +1102,32 @@ def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
 def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Generic realization of a proper good curve: split along the curve,
     draw each side barycentrically against the path laid on the x-axis, then
-    straighten the crossed edges on the ranked vertex levels."""
-    aug = _proper_augment(g, c)
-    designated = tuple(s[1] for s in c.stations if s[0] == 'v')
-    path = aug.path_vertices
-    if len(path) < 2:
-        d = _regular_convex_drawing(g, anchor=path[0] if path else None)
-        return Drawing(d.coords, designated)
-    return _straighten(g, _split_drawing(g, aug), designated, ranked=True)
+    straighten the crossed edges on the ranked vertex levels.  A curve of
+    one outer vertex v is realized as (f_outer, v, f_outer), so every path
+    has at least two vertices."""
+    if (len(c.stations) == 1 and c.stations[0][0] == 'v'
+            and g.outer in g.faces_at(c.stations[0][1])):
+        c = GoodCurve((Fst(g.outer), c.stations[0], Fst(g.outer)))
+    return _straighten(g, _split_drawing(g, _proper_augment(g, c)), c.vertices)
 
 
 def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Straight-line drawing of g in which the curve's stations land on the
-    x-axis: vertex stations exactly on it, crossed edges meeting it once."""
+    x-axis: vertex stations exactly on it, crossed edges meeting it once.  A
+    lone hop through the outer face (a line that misses the drawing) gets
+    the drawing of (f_outer, v, f_outer), v an outer vertex, moved above the
+    axis, with no designated vertex."""
     if c.closed:
         raise RealizeError("only open (proper) curves can be realized on a line")
+    if len(c.stations) == 1 and c.stations[0][0] == 'f':
+        if c.stations[0][1] != g.outer:
+            raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+        d = curve_to_drawing(g, GoodCurve((c.stations[0], Vst(g.outer_walk()[0]),
+                                           c.stations[0])))
+        lift = 1 - min(y for _, y in d.coords.values())
+        return Drawing({v: (x, y + lift) for v, (x, y) in d.coords.items()})
     try:
         decomp = decompose(g)
     except ThreeTreeError:
         return _theorem1_pipeline(g, c)
-    d = _place(decomp, labeling_from_curve(g, c))
-    return Drawing(d.coords, tuple(s[1] for s in c.stations if s[0] == 'v'))
+    return Drawing(_place(decomp, labeling_from_curve(g, c)).coords, c.vertices)

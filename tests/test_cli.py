@@ -309,6 +309,34 @@ class TestDrawAndVerify:
         assert err == ("error internal RealizeError: "
                        "straightening LP infeasible: no luck\n")
 
+    @pytest.mark.parametrize("y,stations,count", [
+        (-2, [('f', 0), ('v', 5), ('f', 0)], 1),     # tangent at vertex 5
+        (-3, [('f', 0)], 0),                         # misses the drawing
+    ], ids=["tangent", "miss"])
+    def test_draw_read_back_of_a_line_that_touches_or_misses(self, tmp_path, capsys,
+                                                              y, stations, count):
+        # the Theorem-4 drawing of a cubic graph spans the levels y = -2 .. 5;
+        # reading a line back from it gives a proper curve that draw realizes
+        from collinear.cubic import generate_triconnected_cubic, theorem4
+        from collinear.curves import curve_from_drawing
+        from collinear.plane_graph import serialize_plane_graph
+
+        g = generate_triconnected_cubic(1, 12)
+        d = realize.curve_to_drawing(g, theorem4(g).curve)
+        c = curve_from_drawing(g, d.coords, (F(0), F(1), F(y)))
+        assert list(c.stations) == stations
+        gpath, cpath, dpath = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "d.txt"
+        gpath.write_text(serialize_plane_graph(g))
+        cpath.write_text(serialize_curve(g, c))
+        code, out, err = run(capsys, "draw", str(gpath), str(cpath), "--out", str(dpath))
+        assert (code, err) == (0, "")
+        assert "verified ok" in out
+        assert int(parse_kv(out)["collinear_vertices"]) == count
+        assert parse_drawing(dpath.read_text()).designated == c.vertices
+        code, out, _ = run(capsys, "verify", str(gpath), "--curve", str(cpath),
+                           "--drawing", str(dpath))
+        assert code == 0 and "drawing ok" in out
+
     def test_draw_non_proper_curve_is_input_error(self, tmp_path, capsys,
                                                   tree_graph):
         g = parse_plane_graph(tree_graph.read_text())

@@ -19,7 +19,8 @@ from collinear.curves import (
     serialize_curve, validate_curve,
 )
 from collinear.geom import F, line_through, orient
-from collinear.plane_graph import PlaneGraph, PlaneGraphError, edge_key
+from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
+                                   graph_from_positions)
 from collinear.realize import (LabelingOrder, curve_to_drawing,
                                labeling_from_curve, place_free, verify_drawing)
 from collinear.three_tree import (build_curve_bundle, decompose,
@@ -879,6 +880,55 @@ def test_outer_face_hop_read_back_stays_improper():
     assert [s for s in c.stations if s[0] == 'f'].count(Fst(g.outer)) == 3
     assert_agrees_with_reference(g, c)
     assert not is_proper(g, c)
+
+
+def _hexagon_with_spoke_and_pendant():
+    """A hexagon 0..5 with a spoke 0-6 to an inner vertex and a pendant 0-7
+    outside, with its positions: 0-6 and 0-7 are bridges, with one face on
+    both sides."""
+    pos = {0: (4, 0), 1: (2, 3), 2: (-2, 3), 3: (-4, 0), 4: (-2, -3), 5: (2, -3),
+           6: (1, 0), 7: (7, 1)}
+    pos = {v: (F(x), F(y)) for v, (x, y) in pos.items()}
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (0, 7)]
+    return graph_from_positions(pos, edges), pos
+
+
+@pytest.mark.parametrize("line,bridge", [((1, 0, 2), (0, 6)),    # hopped on both sides
+                                         ((0, 1, F(1, 2)), (0, 7)),
+                                         ((1, 0, 6), (0, 7))],   # the crossing alone
+                         ids=["spoke", "pendant", "lone-crossing"])
+def test_crossing_a_bridge_takes_both_sides(line, bridge):
+    # a line through the drawing that crosses a bridge reads back as a
+    # proper curve: its embedding enters the bridge's subdivision vertex on
+    # one side and leaves on the other, so the bridge's ends lie on the two
+    # sides of the curve and the curve realizes
+    from collinear.realize import curve_sides
+
+    g, pos = _hexagon_with_spoke_and_pendant()
+    c = curve_from_drawing(g, pos, line)
+    assert Xst(*bridge) in c.stations
+    aug = augment_with_curve(g, c)
+    assert aug.proper and validate_curve(g, c).proper
+    rot = list(aug.rotation(aug.subdivision[bridge]))
+    assert len(rot) == 4 and abs(rot.index(bridge[0]) - rot.index(bridge[1])) == 2
+    above, below = curve_sides(aug)
+    assert {bridge[0] in above, bridge[1] in above} == {True, False}
+    assert {bridge[0] in below, bridge[1] in below} == {True, False}
+    assert verify_drawing(g, curve_to_drawing(g, c)).ok
+
+
+def test_crossing_a_star_edge_is_proper():
+    # the line through a leaf of a star that crosses another of its edges:
+    # the engine took one corner of that edge for both hops, so the curve
+    # touched the edge instead of crossing it and was called not proper
+    pos = {0: (0, 0), 1: (3, 0), 2: (1, 3), 3: (-2, 1), 4: (-1, -3)}
+    pos = {v: (F(x), F(y)) for v, (x, y) in pos.items()}
+    g = graph_from_positions(pos, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    c = curve_from_drawing(g, pos, (1, 1, 3))
+    assert c.stations == (Fst(0), Xst(0, 2), Fst(0), Vst(1), Fst(0))
+    assert is_proper(g, c) and validate_curve(g, c).proper
+    d = curve_to_drawing(g, c)
+    assert d.designated == (1,) and verify_drawing(g, d).ok
 
 
 def test_properness_builds_no_graph(monkeypatch):

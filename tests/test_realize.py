@@ -1,4 +1,4 @@
-"""Exact drawings: verification, Tutte embeddings, free placement, curve realization."""
+"""Exact drawings: verification, barycentric solves, free placement, curve realization."""
 
 import hashlib
 import itertools
@@ -28,9 +28,9 @@ from collinear.three_tree import (random_plane_3tree, decompose, build_curve_bun
 from collinear.realize import (
     Drawing, PolylineDrawing, LabelingOrder, RealizeError,
     parse_drawing, serialize_drawing, drawing_to_svg,
-    verify_drawing, tutte_convex, _planarity_violations, labeling_from_curve, place_free,
-    lift_off_line, straighten_preserving_y, curve_to_drawing, _split_drawing,
-    _regular_convex_drawing, curve_sides, _arc_cw, _place,
+    verify_drawing, _planarity_violations, labeling_from_curve, place_free,
+    lift_off_line, _straighten, curve_to_drawing, _split_drawing,
+    curve_sides, _arc_cw, _place,
 )
 from test_three_tree import deep_stacking
 from test_curves import reference_augment
@@ -394,7 +394,8 @@ def test_sweep_degenerate_cases(coords, edges, message):
 def test_tutte_triangle_interior():
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (2, 3), 3: (2, 1)},
                              [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    d = tutte_convex(g, {0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)), 2: (Fr(2), Fr(3))})
+    d = Drawing(realize._barycentric(g.rot, {0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)),
+                                             2: (Fr(2), Fr(3))}))
     assert d.coords[3] == (Fr(2), Fr(1))
     assert verify_drawing(g, d).ok
 
@@ -404,7 +405,7 @@ def test_tutte_square_center():
         {0: (0, 0), 1: (2, 0), 2: (2, 2), 3: (0, 2), 4: (1, 1)},
         [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (2, 4), (3, 4)])
     poly = {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(0)), 2: (Fr(2), Fr(2)), 3: (Fr(0), Fr(2))}
-    d = tutte_convex(g, poly)
+    d = Drawing(realize._barycentric(g.rot, poly))
     assert d.coords[4] == (Fr(1), Fr(1))
     assert verify_drawing(g, d).ok
 
@@ -418,22 +419,13 @@ def octahedron():
 
 def test_tutte_octahedron_residual_zero():
     g = octahedron()
-    d = tutte_convex(g, {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(4)), 2: (Fr(4), Fr(0))})
+    d = Drawing(realize._barycentric(g.rot, {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(4)),
+                                             2: (Fr(4), Fr(0))}))
     assert verify_drawing(g, d).ok
     for v in (3, 4, 5):
         nb = g.rot[v]
         assert sum(d.coords[u][0] for u in nb) == len(nb) * d.coords[v][0]
         assert sum(d.coords[u][1] for u in nb) == len(nb) * d.coords[v][1]
-
-
-def test_tutte_rejects_bad_polygons():
-    g = octahedron()
-    with pytest.raises(RealizeError):            # counter-clockwise (mirrored)
-        tutte_convex(g, {0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)), 2: (Fr(2), Fr(4))})
-    with pytest.raises(RealizeError):            # missing boundary vertex
-        tutte_convex(g, {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(4))})
-    with pytest.raises(RealizeError):            # collinear "polygon"
-        tutte_convex(g, {0: (Fr(0), Fr(0)), 1: (Fr(1), Fr(0)), 2: (Fr(2), Fr(0))})
 
 
 # -- labelings from curves -----------------------------------------------------------
@@ -835,10 +827,14 @@ def test_root_triangle_matches_the_frame_reference(reverse):
     # every labelling of the corners and of a fourth vertex, every ordering
     # of any of the elements those labels allow, and every ordering of one
     # or two elements whatever their labels, with targets 1, 2, ...: equal
-    # corner positions or a failure on both sides
+    # corner positions or a failure on both sides, except where one corner
+    # is on the line and the other two on one side: the reference put those
+    # two in list order, not counter-clockwise after the on-line corner, and
+    # failed whenever that was clockwise
     corners = (2, 1, 0) if reverse else (0, 1, 2)
     every = [_v(v) for v in range(4)] + [_e(*e) for e in itertools.combinations(range(4), 2)]
     outcomes = {dict: 0, str: 0}
+    mended = 0
     for labs in itertools.product((U, D, O), repeat=4):
         labels = dict(enumerate(labs))
         pool = [_v(v) for v in range(4) if labels[v] == O]
@@ -851,9 +847,50 @@ def test_root_triangle_matches_the_frame_reference(reverse):
             lab = LabelingOrder(labels, order, {e: Fr(i + 1) for i, e in enumerate(order)})
             ref = outcome(reference_root_triangle, corners, lab)
             new = outcome(realize._root_triangle, corners, lab)
-            assert new == ref if isinstance(ref, dict) else isinstance(new, str)
+            if isinstance(ref, dict) or isinstance(new, str):
+                assert new == ref if isinstance(ref, dict) else isinstance(new, str)
+            else:
+                on, = [c for c in corners if labels[c] == O]
+                assert len({labels[c] for c in corners}) == 2
+                assert ref.endswith("incompatible with the counter-clockwise frame")
+                assert new[on] == (lab.targets[_v(on)], 0)
+                assert orient(*(new[c] for c in corners)) == 1
+                mended += 1
             outcomes[type(ref)] += 1
     assert outcomes == {dict: 192, str: 9273}
+    assert mended == 12
+
+
+@pytest.mark.parametrize("side", [U, D])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_root_triangle_with_one_corner_on_the_line(i, side):
+    # the other two corners follow the on-line one counter-clockwise, at
+    # height +-1 beside its target, whichever corner it is
+    corners = (4, 7, 5)
+    on = corners[i]
+    labels = {c: O if c == on else side for c in corners}
+    lab = LabelingOrder(labels, (_v(on),), {_v(on): Fr(3)})
+    pts = realize._root_triangle(corners, lab)
+    assert pts[on] == (3, 0)
+    assert {pts[c][1] for c in corners if c != on} == {1 if side == U else -1}
+    assert orient(*(pts[c] for c in corners)) == 1
+
+
+@pytest.mark.parametrize("stations", [lambda g, v: (Vst(v),),
+                                      lambda g, v: (Vst(v), Fst(g.outer)),
+                                      lambda g, v: (Fst(g.outer), Vst(v))],
+                         ids=["v", "v-f", "f-v"])
+def test_one_vertex_curves_of_small_3trees_realize(stations):
+    # one outer vertex on the line, every other vertex on one side: the
+    # outer triangle has one corner on the line, any of the three
+    for n, seed in ((6, 1), (8, 2), (10, 3), (12, 4)):
+        g = random_plane_3tree(n, seed)
+        for v in g.outer_walk():
+            c = GoodCurve(stations(g, v))
+            assert validate_curve(g, c).proper
+            d = curve_to_drawing(g, c)
+            assert d.designated == (v,) and d.coords[v][1] == 0
+            assert verify_drawing(g, d).ok
 
 
 def test_lift_off_line_arbitrary_heights():
@@ -965,6 +1002,8 @@ def test_lift_verifies_once_per_lift_on_a_3tree(monkeypatch):
 
 
 # -- straightening -------------------------------------------------------------------
+# ``_straighten`` maps the vertex levels onto their ranks, so each case is
+# compared with the reference straightening of the ranked drawing
 
 
 def test_straighten_removes_bend_keeping_y():
@@ -972,8 +1011,9 @@ def test_straighten_removes_bend_keeping_y():
                              [(0, 1), (1, 2), (2, 0)])
     pl = PolylineDrawing({0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)), 2: (Fr(0), Fr(4))},
                          bends={(1, 2): ((Fr(5), Fr(1)),)})
-    d = straighten_preserving_y(g, pl)
-    assert {v: d.coords[v][1] for v in g.vertices} == {0: 0, 1: 0, 2: 4}
+    d = _straighten(g, pl, ())
+    assert {v: d.coords[v][1] for v in g.vertices} == {0: 0, 1: 0, 2: 1}
+    assert d == reference_straighten(g, reference_rank_levels(g, pl))
     assert verify_drawing(g, d).ok
 
 
@@ -983,7 +1023,7 @@ def test_straighten_rejects_non_monotone():
     pl = PolylineDrawing({0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)), 2: (Fr(0), Fr(4))},
                          bends={(1, 2): ((Fr(5), Fr(5)),)})
     with pytest.raises(RealizeError):
-        straighten_preserving_y(g, pl)
+        _straighten(g, pl, ())
 
 
 def test_straighten_preserves_level_order():
@@ -991,10 +1031,12 @@ def test_straighten_preserves_level_order():
     pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in
                           {0: (0, 0), 1: (4, 0), 2: (2, 4), 3: (1, 1),
                            4: (3, 1), 5: (2, 2)}.items()})
-    d = straighten_preserving_y(g, pl)
+    d = _straighten(g, pl, ())
     assert verify_drawing(g, d).ok
+    assert d == reference_straighten(g, reference_rank_levels(g, pl))
+    rank = {Fr(0): 0, Fr(1): 1, Fr(2): 2, Fr(4): 3}
     for v in g.vertices:
-        assert d.coords[v][1] == pl.coords[v][1]
+        assert d.coords[v][1] == rank[pl.coords[v][1]]
 
 
 @pytest.mark.parametrize("coords,message", [
@@ -1006,7 +1048,7 @@ def test_straighten_rejects_degenerate_levels(coords, message):
     g = path_graph(3)
     pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in coords.items()})
     with pytest.raises(RealizeError, match=re.escape(message)):
-        straighten_preserving_y(g, pl)
+        _straighten(g, pl, ())
 
 
 def test_straighten_rechecks_every_row_exactly(monkeypatch):
@@ -1027,11 +1069,11 @@ def test_straighten_rechecks_every_row_exactly(monkeypatch):
                             lambda *a, **k: SimpleNamespace(success=True, x=x,
                                                             message=""))
         if name == "just right":
-            d = straighten_preserving_y(g, pl)
+            d = _straighten(g, pl, ())
             assert [d.coords[v][0] for v in range(4)] == [Fr(t) for t in x]
         else:
             with pytest.raises(RealizeError, match="violates a level order"):
-                straighten_preserving_y(g, pl)
+                _straighten(g, pl, ())
 
 
 # -- the straightening of the parent commit, kept as a reference ----------------------
@@ -1134,6 +1176,12 @@ def reference_straighten(g, pl, designated=()):
                    designated)
 
 
+def reference_ranked_straighten(g, pl, designated=()):
+    """The reference straightening of ``pl`` with its levels ranked, as
+    ``_straighten`` ranks them."""
+    return reference_straighten(g, reference_rank_levels(g, pl), designated)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -1174,25 +1222,67 @@ def sheared(d, edges, breaks):
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
+def outer_drawing(g):
+    """A verified drawing of g from ``curve_to_drawing``: the curve of one
+    outer vertex."""
+    return curve_to_drawing(g, GoodCurve((Vst(g.outer_walk()[0]),)))
+
+
+def line_through_vertices(d, a, b):
+    """(A, B, C) of the line Ax + By = C through vertices a and b of d."""
+    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+    return (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya)
+
+
+def split_curve(g, c):
+    """The curve the Theorem-1 route splits g along: (f_outer, v, f_outer)
+    for a lone hop through the outer face (v the first vertex of the outer
+    walk) or for a curve of one outer vertex v, else c itself."""
+    if len(c.stations) == 1 and c.stations[0] in (Fst(g.outer), *map(Vst, g.outer_walk())):
+        v = c.vertices[0] if c.vertices else g.outer_walk()[0]
+        return GoodCurve((Fst(g.outer), Vst(v), Fst(g.outer)))
+    return c
+
+
+def reference_theorem1(g, c):
+    """``curve_to_drawing`` on a graph that is not a 3-tree, with the
+    reference straightening of the split drawing's ranked levels; a lone hop
+    through the outer face gets that drawing lifted above the axis and no
+    designated vertex."""
+    pl = _split_drawing(g, augment_with_curve(g, split_curve(g, c)))
+    d = reference_ranked_straighten(g, pl, c.vertices)
+    if c.vertices:
+        return d
+    lift = 1 - min(y for _, y in d.coords.values())
+    return Drawing({v: (x, y + lift) for v, (x, y) in d.coords.items()})
+
+
 @st.composite
 def theorem1_inputs(draw):
     """Graphs that are not 3-trees with proper good curves: cubic graphs
-    (n <= 40) with their Theorem 4 curve, and grids (sides 4-8) with either
-    the snake curve (sides >= 6) or the read-back of a line through two
-    vertices of a convex drawing."""
-    kind = draw(st.sampled_from(["cubic", "snake", "line"]))
-    if kind == "cubic":
+    (n <= 40) with their Theorem 4 curve, grids (sides 6-8) with the snake
+    curve, and read-backs from the drawing of either: of a line through two
+    vertices, of a horizontal line tangent to the drawing at its lowest or
+    highest level, or of a line that misses the drawing (a lone hop)."""
+    kind = draw(st.sampled_from(["cubic", "snake", "line", "tangent", "miss"]))
+    if kind == "cubic" or (kind != "snake" and draw(st.booleans())):
         n = draw(st.integers(3, 20)) * 2
         g = generate_triconnected_cubic(draw(st.integers(0, 10 ** 6)), n)
-        return g, theorem4(g).curve
-    g, m = identity_grid_model(draw(st.integers(6 if kind == "snake" else 4, 8)))
-    if kind == "snake":
-        return theorem5_curve(g, m)
-    d = _regular_convex_drawing(g)
-    a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
-                         max_size=2, unique=True))
-    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
-    line = (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya)
+        c = theorem4(g).curve
+    else:
+        g, c = theorem5_curve(*identity_grid_model(draw(st.integers(6, 8))))
+    if kind in ("cubic", "snake"):
+        return g, c
+    d = curve_to_drawing(g, c)
+    ys = sorted({y for _, y in d.coords.values()})
+    if kind == "line":
+        a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
+                             max_size=2, unique=True))
+        line = line_through_vertices(d, a, b)
+    elif kind == "tangent":
+        line = (Fr(0), Fr(1), draw(st.sampled_from([ys[0], ys[-1]])))
+    else:
+        line = (Fr(0), Fr(1), ys[-1] + 1)
     c = curve_from_drawing(g, d.coords, line)
     assume(validate_curve(g, c).proper)
     return g, c
@@ -1202,24 +1292,22 @@ def theorem1_inputs(draw):
 @given(theorem1_inputs(), st.data())
 def test_theorem1_straightening_matches_reference(case, data):
     g, c = case
-    aug = augment_with_curve(g, c)
-    assume(len(aug.path_vertices) >= 2)
-    designated = tuple(s[1] for s in c.stations if s[0] == 'v')
+    aug = augment_with_curve(g, split_curve(g, c))
+    designated = c.vertices
     pl = _split_drawing(g, aug)
-    # the pipeline: ranked levels; the same split drawing given straight to
-    # the public function, with its bends on y = 0; and a sheared copy
-    assert curve_to_drawing(g, c) == reference_straighten(
-        g, reference_rank_levels(g, pl), designated)
-    assert (outcome(straighten_preserving_y, g, pl, designated)
-            == outcome(reference_straighten, g, pl, designated))
-    base = straighten_preserving_y(g, pl, designated)
+    # the pipeline; the same split drawing straightened directly; and a
+    # sheared copy of that straightened drawing
+    assert curve_to_drawing(g, c) == reference_theorem1(g, c)
+    assert (outcome(_straighten, g, pl, designated)
+            == outcome(reference_ranked_straighten, g, pl, designated))
+    base = _straighten(g, pl, designated)
     levels = sorted({y for (_, y) in base.coords.values()})
     breaks = {y: data.draw(small_fracs) for y in
               data.draw(st.lists(st.sampled_from(levels + [Fr(1, 2), Fr(-1, 3)]),
                                  min_size=1, max_size=6, unique=True))}
     sh = sheared(base, g.edges, breaks)
-    assert (outcome(straighten_preserving_y, g, sh, designated)
-            == outcome(reference_straighten, g, sh, designated))
+    assert (outcome(_straighten, g, sh, designated)
+            == outcome(reference_ranked_straighten, g, sh, designated))
 
 
 @st.composite
@@ -1250,8 +1338,8 @@ def grid_drawings(draw):
 @given(grid_drawings())
 def test_straighten_matches_reference_on_sheared_grids(case):
     g, pl = case
-    got = outcome(straighten_preserving_y, g, pl)
-    assert got == outcome(reference_straighten, g, pl)
+    got = outcome(_straighten, g, pl, ())
+    assert got == outcome(reference_ranked_straighten, g, pl)
     if isinstance(got, Drawing):
         assert verify_drawing(g, got).ok
 
@@ -1465,12 +1553,10 @@ def side_cases(draw):
         elif kind == "outer_edge":
             c = _outer_edge_curve(g)
         else:
-            d = _regular_convex_drawing(g)
+            d = outer_drawing(g)
             a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
                                  max_size=2, unique=True))
-            (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
-            c = curve_from_drawing(g, d.coords,
-                                   (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+            c = curve_from_drawing(g, d.coords, line_through_vertices(d, a, b))
     if draw(st.booleans()):
         c = c.reversed()
     rep = validate_curve(g, c)
@@ -1497,16 +1583,115 @@ def test_curve_sides_builds_no_graph(monkeypatch):
     assert [curve_sides(aug) for aug in augs] == want
 
 
+def _non_biconnected_graphs():
+    """Small drawn graphs with cut vertices, each with its positions: a
+    path, a star, a bowtie, a square with a tail, and a hexagon with a spoke
+    to an inner vertex and a pendant outside."""
+    cases = [({0: (0, 0), 1: (2, 1), 2: (4, 0)}, [(0, 1), (1, 2)]),
+             ({0: (0, 0), 1: (3, 0), 2: (1, 3), 3: (-2, 1), 4: (-1, -3)},
+              [(0, 1), (0, 2), (0, 3), (0, 4)]),
+             ({0: (0, 0), 1: (-3, 1), 2: (-3, -2), 3: (3, 2), 4: (3, -1)},
+              [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+             ({0: (0, 0), 1: (4, 0), 2: (4, 4), 3: (0, 4), 4: (6, 7)},
+              [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)]),
+             ({0: (4, 0), 1: (2, 3), 2: (-2, 3), 3: (-4, 0), 4: (-2, -3), 5: (2, -3),
+               6: (1, 0), 7: (7, 1)},
+              [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (0, 7)])]
+    for pos, edges in cases:
+        pos = {v: (Fr(x), Fr(y)) for v, (x, y) in pos.items()}
+        yield graph_from_positions(pos, edges), pos
+
+
+def _read_back_lines(pos, rng):
+    """The horizontal, vertical and both diagonal lines through every
+    vertex, ten lines through two random vertices, and a line below the
+    drawing."""
+    lines = [(Fr(a), Fr(b), a * x + b * y) for _, (x, y) in sorted(pos.items())
+             for a, b in ((0, 1), (1, 0), (1, 1), (1, -1))]
+    vs = sorted(pos)
+    lines += [line_through_vertices(Drawing(pos), *rng.sample(vs, 2)) for _ in range(10)]
+    return lines + [(Fr(0), Fr(1), min(y for _, y in pos.values()) - 1)]
+
+
+def _vertex_curves(g):
+    """(v), (v, f_outer), (f_outer, v) for every vertex v; (v, w) for every
+    edge; (v, f, w) and (f_outer, v, f, w, f_outer) for every face f at two
+    vertices v != w."""
+    o = Fst(g.outer)
+    for v in g.vertices:
+        yield from (GoodCurve((Vst(v),)), GoodCurve((Vst(v), o)), GoodCurve((o, Vst(v))))
+        for w in g.vertices:
+            if w != v:
+                if g.has_edge(v, w):
+                    yield GoodCurve((Vst(v), Vst(w)))
+                for f in sorted(set(g.faces_at(v)) & set(g.faces_at(w))):
+                    yield GoodCurve((Vst(v), Fst(f), Vst(w)))
+                    yield GoodCurve((o, Vst(v), Fst(f), Vst(w), o))
+
+
+def test_every_proper_curve_realizes():
+    # every curve that validate_curve calls good and proper is realized by a
+    # drawing the verifier accepts, with exactly the curve's vertex stations
+    # designated: line read-backs (tangent lines, lines through cut vertices
+    # and bridges, a line that misses) and short vertex-ended curves on
+    # cubic graphs, a grid, graphs with cut vertices, and small 3-trees
+    rng = __import__("random").Random(7)
+    drawn = []
+    for seed, n in ((1, 12), (2, 14), (3, 20), (4, 24), (5, 30)):
+        g = generate_triconnected_cubic(seed, n)
+        drawn.append((g, curve_to_drawing(g, theorem4(g).curve).coords))
+    g, c = theorem5_curve(*identity_grid_model(6))
+    drawn.append((g, curve_to_drawing(g, c).coords))
+    drawn += list(_non_biconnected_graphs())
+    cases = []
+    for g, pos in drawn:
+        backs = {curve_from_drawing(g, pos, line) for line in _read_back_lines(pos, rng)}
+        cases += [("read-back", g, c) for c in backs]
+        cases += [("vertex", g, c) for c in set(_vertex_curves(g))]
+    for n, seed in ((6, 1), (8, 2), (10, 3), (12, 4)):
+        g = random_plane_3tree(n, seed)
+        cases += [("3-tree", g, c) for c in set(_vertex_curves(g))]
+    realized = Counter()
+    for kind, g, c in cases:
+        try:
+            rep = validate_curve(g, c)
+        except CurveError:
+            continue                     # not well formed: a face at one vertex
+        if rep.good and rep.proper:
+            d = curve_to_drawing(g, c)
+            assert verify_drawing(g, d).ok, (kind, c)
+            assert d.designated == c.vertices, (kind, c)
+            realized[kind] += 1
+    assert realized == {"read-back": 500, "vertex": 445, "3-tree": 60}
+
+
+def test_lone_hop_realizes_on_both_routes():
+    # a line that misses a drawing reads back as a lone hop through the
+    # outer face: realized with every vertex above the axis and nothing
+    # designated, so that the axis reads back as the same hop
+    for g in (random_plane_3tree(12, 4), next(_non_biconnected_graphs())[0],
+              generate_triconnected_cubic(1, 12)):
+        c = GoodCurve((Fst(g.outer),))
+        assert validate_curve(g, c).proper
+        d = curve_to_drawing(g, c)
+        assert d.designated == () and min(y for _, y in d.coords.values()) == 1
+        assert verify_drawing(g, d).ok
+        assert curve_from_drawing(g, d.coords, (Fr(0), Fr(1), Fr(0))) == c
+    inner = GoodCurve((Fst(g.internal_faces()[0]),))     # g: the cubic graph
+    assert not validate_curve(g, inner).proper
+    with pytest.raises(RealizeError, match="curve is not proper"):
+        curve_to_drawing(g, inner)
+
+
 @pytest.mark.parametrize("side,a,b", [(4, 0, 1), (8, 60, 61)])
 def test_curve_along_an_outer_edge_realizes(side, a, b):
-    # the line through two adjacent outer vertices of a convex drawing reads
-    # back as a curve along an outer edge, with nothing on one side of it;
-    # the empty side gets no drawing of its own, and the apex of the other
-    # side closes the face bounded by the path alone
+    # the line through two adjacent outer vertices of a drawing with
+    # everything else on one side of it reads back as a curve along an
+    # outer edge, with nothing on one side of it; the empty side gets no
+    # drawing of its own, and the apex of the other side closes the face
+    # bounded by the path alone
     g, _ = identity_grid_model(side)
-    d = _regular_convex_drawing(g)
-    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
-    c = curve_from_drawing(g, d.coords, (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+    c = _line_curve(g, a, b)
     assert validate_curve(g, c).proper and set(c.vertices) == {a, b}
     sides = curve_sides(augment_with_curve(g, c))
     assert sorted(map(len, sides)) == [0, g.n - 2]
@@ -1626,11 +1811,9 @@ def convex_polygon_inputs(draw):
 def test_barycentric_matches_reference(case):
     kind, (g, arg) = case
     if kind == "split":
-        aug = augment_with_curve(g, arg)
-        assume(len(aug.path_vertices) >= 2)
-        systems = captured_systems(_split_drawing, g, aug)
+        systems = captured_systems(_split_drawing, g, augment_with_curve(g, split_curve(g, arg)))
     else:
-        systems = captured_systems(tutte_convex, g, arg)
+        systems = [(g.rot, arg)]
     assert systems
     for nbrs, fixed in systems:
         assert realize._barycentric(nbrs, fixed) == reference_barycentric(nbrs, fixed)
@@ -1739,18 +1922,26 @@ def split_outcome(split, g, aug):
 @settings(max_examples=40, deadline=None)
 @given(theorem1_inputs())
 def test_split_drawing_matches_reference(case):
+    # where the reference splits, the split is the same; where it raises
+    # (a face that repeats a vertex, or an end whose first occurrence on
+    # the outer walk is not its outer corner), the split straightens into a
+    # verified drawing
     g, c = case
-    aug = augment_with_curve(g, c)
-    assume(len(aug.path_vertices) >= 2)
-    assert (split_outcome(_split_drawing, g, aug)
-            == split_outcome(reference_split_drawing, g, aug))
+    aug = augment_with_curve(g, split_curve(g, c))
+    ref = split_outcome(reference_split_drawing, g, aug)
+    if ref != "raises":
+        assert _split_drawing(g, aug) == ref
+    else:
+        d = _straighten(g, _split_drawing(g, aug), c.vertices)
+        assert verify_drawing(g, d).ok
 
 
 def _line_curve(g, a, b):
-    """The read-back of the line through a and b in a convex drawing of g."""
-    d = _regular_convex_drawing(g)
-    (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
-    return curve_from_drawing(g, d.coords, (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+    """The read-back of the line through the ends a, b of an outer edge of
+    g, in the drawing of the curve along that edge: everything else lies on
+    one side of it."""
+    d = curve_to_drawing(g, GoodCurve((Fst(g.outer), Vst(a), Vst(b), Fst(g.outer))))
+    return curve_from_drawing(g, d.coords, line_through_vertices(d, a, b))
 
 
 def split_case(kind, size, *args):
@@ -1782,18 +1973,21 @@ def test_split_drawing_matches_reference_building_no_graph(case, monkeypatch):
     assert sorted(calls) == ["__init__"] * 2 * sides + ["subgraph"] * sides
 
 
-def test_split_drawing_rejects_a_face_that_repeats_a_vertex():
+def test_split_drawing_clips_a_face_that_repeats_a_vertex():
     # a square with a pendant edge 0-4 inside; the curve through 1 and 3
-    # leaves the face 0, 1, 3, 0, 4 on one side, which has no star
+    # leaves the face 0, 1, 3, 0, 4 on one side, whose corner at one
+    # occurrence of 0 is cut off before it gets a hub; the reference, which
+    # star-triangulated only simple faces, raises
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (4, 4), 3: (0, 4), 4: (1, 1)},
                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     inner, = g.internal_faces()
-    aug = augment_with_curve(g, GoodCurve((Fst(g.outer), Vst(1), Fst(inner), Vst(3),
-                                           Fst(g.outer))))
-    with pytest.raises(RealizeError, match=r"internal face \(0, 1, 3, 0, 4\) repeats a "
-                                           "vertex; cannot star-triangulate"):
-        _split_drawing(g, aug)
+    c = GoodCurve((Fst(g.outer), Vst(1), Fst(inner), Vst(3), Fst(g.outer)))
+    aug = augment_with_curve(g, c)
     assert split_outcome(reference_split_drawing, g, aug) == "raises"
+    assert _split_drawing(g, aug).coords[4][1] != 0
+    d = curve_to_drawing(g, c)
+    assert d.designated == (1, 3) and d.coords[1][1] == d.coords[3][1] == 0
+    assert verify_drawing(g, d).ok
 
 
 # -- the verifier against a rebuild of the drawn plane graph ---------------------------
@@ -1855,8 +2049,8 @@ def reference_verify_drawing(g, d):
 def _verified_drawing(kind, size, seed):
     """A drawing that ``verify_drawing`` accepts, from each route that makes
     one: free placement of a 3-tree's bundle curve, the Theorem-1 path on a
-    cubic graph (Theorem 4 curve) or a grid (snake curve), and Tutte
-    embeddings of 3-trees and cubic graphs."""
+    cubic graph (Theorem 4 curve) or a grid (snake curve), and the lone
+    hop of a line that misses the drawing on 3-trees and cubic graphs."""
     if kind == "place_free":
         g = random_plane_3tree(size, seed)
         d = place_free(g, _bundle_labeling(g))
@@ -1870,9 +2064,9 @@ def _verified_drawing(kind, size, seed):
         g, c = theorem5_curve(*identity_grid_model(size))
         d = curve_to_drawing(g, c)
     else:
-        g = (random_plane_3tree(size, seed) if kind == "tutte3" else
+        g = (random_plane_3tree(size, seed) if kind == "miss3" else
              generate_triconnected_cubic(seed, 2 * size))
-        d = _regular_convex_drawing(g)
+        d = curve_to_drawing(g, GoodCurve((Fst(g.outer),)))
     assert verify_drawing(g, d).ok
     return g, d
 
@@ -1887,10 +2081,10 @@ def drawing_changes(draw):
     moved onto the ray of another edge at one of its neighbours, edges
     dropped until a vertex has degree 1 or 2 (that vertex then moved or
     not), or another face declared outer."""
-    kind = draw(st.sampled_from(["place_free", "dp", "cubic", "grid", "tutte3",
-                                 "tutte_cubic"]))
+    kind = draw(st.sampled_from(["place_free", "dp", "cubic", "grid", "miss3",
+                                 "miss_cubic"]))
     size = draw(st.integers(6, 7) if kind == "grid" else
-                st.integers(2, 12) if kind in ("cubic", "tutte_cubic") else
+                st.integers(2, 12) if kind in ("cubic", "miss_cubic") else
                 st.integers(4, 40))
     g, d = _verified_drawing(kind, size, draw(st.integers(0, 30)))
     coords = dict(d.coords)
@@ -1971,7 +2165,7 @@ def triangulation_changes(draw):
     faces), along an edge's ray past its far end, or across an edge (to the
     mirror image of its position in a point of that edge); a small nudge;
     the mirror image; or nothing."""
-    kind = draw(st.sampled_from(["place_free", "dp", "tutte3"]))
+    kind = draw(st.sampled_from(["place_free", "dp", "miss3"]))
     g, d = _verified_drawing(kind, draw(st.integers(4, 40)), draw(st.integers(0, 30)))
     coords = dict(d.coords)
     v = draw(st.sampled_from(sorted(g.vertices)))
@@ -2133,7 +2327,7 @@ def labeling_outcome(f, g, c):
 @st.composite
 def labeling_cases(draw):
     """Bundle and DP curves of random 3-trees, and line read-backs from
-    convex drawings of 3-trees, cubic graphs and grids (proper or not, and
+    ``outer_drawing`` of 3-trees, cubic graphs and grids (proper or not, and
     possibly through an edge), any of them reversed."""
     kind = draw(st.sampled_from(["bundle", "dp", "readback"]))
     family = "3tree" if kind != "readback" else draw(st.sampled_from(
@@ -2150,12 +2344,10 @@ def labeling_cases(draw):
     elif kind == "dp":
         c = dp_optimal_collinear(decompose(g))[1]
     else:
-        d = _regular_convex_drawing(g)
+        d = outer_drawing(g)
         a, b = draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2,
                              max_size=2, unique=True))
-        (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
-        c = curve_from_drawing(g, d.coords,
-                               (yb - ya, xa - xb, (yb - ya) * xa + (xa - xb) * ya))
+        c = curve_from_drawing(g, d.coords, line_through_vertices(d, a, b))
     return g, c.reversed() if draw(st.booleans()) else c
 
 
