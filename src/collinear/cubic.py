@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .curves import (Fst, GoodCurve, Station, Vst, Xst, _Engine, _augment,
-                     check_well_formed, edge_tallies)
+from .curves import (CurveError, Fst, GoodCurve, Station, Vst, Xst, _Engine,
+                     augment_with_curve)
 from .plane_graph import PlaneGraph, PlaneGraphError, edge_key, path_to, reach
 
 __all__ = [
@@ -545,11 +545,10 @@ def build_cubic_curve(q: Quadruple) -> ChargedCurve:
 def verify_charged_curve(q: Quadruple, cc: ChargedCurve) -> None:
     """Machine-check the curve and charge invariants; raise on any failure."""
     g, u, v, X = q.g, q.u, q.v, set(q.x_seq)
-    check_well_formed(g, cc.curve)
-    bad = sorted((e, t) for e, t in edge_tallies(g, cc.curve).items() if t > 1)
-    if bad:
-        raise CubicError(f"curve is not good: {bad}")
-    aug = _augment(g, cc.curve)
+    try:
+        aug = augment_with_curve(g, cc.curve)
+    except CurveError as exc:
+        raise CubicError(str(exc)) from exc
     if not aug.proper:
         raise CubicError("curve is not proper")
     sts = cc.curve.stations

@@ -13,6 +13,10 @@ one point against every incident non-contained edge, a crossing counts one
 against the crossed edge.  An open curve is *proper* when both endpoints are
 incident to the unbounded region of the drawing-with-curve.
 
+This module alone decides whether a curve is well formed, good and proper:
+``validate_curve`` gives the verdict and ``augment_with_curve`` the checked
+embedding.
+
 The central tool is an augmentation engine that embeds the curve into the
 graph (subdividing crossed edges, adding chord edges through face interiors,
 and dangling endpoint vertices) on integer dart arrays, tracking how original
@@ -256,8 +260,9 @@ class AugmentedCurve:
 
 
 def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
-    """Embed the curve into g.
+    """Embed the curve into g: the checked embedding.
 
+    Raises CurveError for a curve that is not well formed or not good.
     Crossed edges are subdivided; every face hop becomes a chord (or, at the
     ends of an open curve, a dangling endpoint vertex inside the hop face); a
     terminal crossing dangles an endpoint just past the crossed edge.  Raises
@@ -267,15 +272,29 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     map embeds the curve in O(m + k) for k stations; the graph is built from
     its region walks in O(m) more when first read, without tracing faces.
     """
-    _require_good(g, c)
-    return _augment(g, c)
-
-
-def _require_good(g: PlaneGraph, c: GoodCurve) -> None:
     check_well_formed(g, c)
-    bad = [(e, t) for e, t in edge_tallies(g, c).items() if t > 1]
+    bad = sorted((e, t) for e, t in edge_tallies(g, c).items() if t > 1)
     if bad:
-        raise CurveError(f"curve is not good; edges with 2+ common points: {sorted(bad)}")
+        raise CurveError(f"curve is not good; edges with 2+ common points: {bad}")
+    eng, station_vertex, endpoints = _embed(g, c)
+    # the curve path: the anchors, plus the endpoints an open curve dangles
+    path_v = [v for v in station_vertex if v is not None]
+    if endpoints is not None:
+        if c.stations[0][0] != 'v':
+            path_v.insert(0, endpoints[0])
+        if c.stations[-1][0] != 'v':
+            path_v.append(endpoints[1])
+    path_e = [edge_key(p, q) for p, q in zip(path_v, path_v[1:])]
+    if c.closed and len(path_v) > 1:
+        path_e.append(edge_key(path_v[-1], path_v[0]))
+    # the outer region: a region of the old outer face, one touching both
+    # ends if there is one (then the curve is proper); among several, the
+    # one with the least dart, which is the first in face order
+    touching = eng.touches_both(g.outer, endpoints) if endpoints else []
+    cands = touching or [r for r, tag in enumerate(eng.tag) if tag == g.outer]
+    outer = min(cands, key=lambda r: eng.pair(eng.least_dart(r)))
+    return AugmentedCurve(station_vertex, endpoints, path_v, path_e, dict(eng.sub),
+                          bool(touching), eng, outer)
 
 
 def _embed(g: PlaneGraph, c: GoodCurve):
@@ -303,29 +322,6 @@ def _embed(g: PlaneGraph, c: GoodCurve):
     if not c.closed:
         endpoints = (a, _terminal(eng, sts, station_vertex, first=False))
     return eng, station_vertex, endpoints
-
-
-def _augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
-    """augment_with_curve for a curve already known to be well formed and good."""
-    eng, station_vertex, endpoints = _embed(g, c)
-    # the curve path: the anchors, plus the endpoints an open curve dangles
-    path_v = [v for v in station_vertex if v is not None]
-    if endpoints is not None:
-        if c.stations[0][0] != 'v':
-            path_v.insert(0, endpoints[0])
-        if c.stations[-1][0] != 'v':
-            path_v.append(endpoints[1])
-    path_e = [edge_key(p, q) for p, q in zip(path_v, path_v[1:])]
-    if c.closed and len(path_v) > 1:
-        path_e.append(edge_key(path_v[-1], path_v[0]))
-    # the outer region: a region of the old outer face, one touching both
-    # ends if there is one (then the curve is proper); among several, the
-    # one with the least dart, which is the first in face order
-    touching = eng.touches_both(g.outer, endpoints) if endpoints else []
-    cands = touching or [r for r, tag in enumerate(eng.tag) if tag == g.outer]
-    outer = min(cands, key=lambda r: eng.pair(eng.least_dart(r)))
-    return AugmentedCurve(station_vertex, endpoints, path_v, path_e, dict(eng.sub),
-                          bool(touching), eng, outer)
 
 
 def _terminal(eng: "_Engine", sts, station_vertex, first: bool) -> int:
@@ -556,42 +552,21 @@ class _Engine:
 
 
 def validate_curve(g: PlaneGraph, c: GoodCurve) -> CurveReport:
-    """Check goodness (per-edge common-point tallies) and properness.
+    """The verdict on a curve: raises CurveError unless it is well formed,
+    then reports goodness (per-edge common-point tallies) and properness.
 
-    Properness is decided as in ``is_proper``: read from the two ends in
-    O(k) for k stations when no face takes two interior hops and no
+    Only an open good curve can be proper.  Properness is read from the two
+    ends in O(k) for k stations when no face takes two interior hops and no
     interior hop goes through the outer face, else by embedding the curve on
-    the dart map in O(m + k).  No graph is built either way.
+    the dart map in O(m + k) (see ``_proper``).  No graph is built either
+    way.
     """
     check_well_formed(g, c)
-    tally = edge_tallies(g, c)
-    violations = sorted((e, t) for e, t in tally.items() if t > 1)
+    violations = sorted((e, t) for e, t in edge_tallies(g, c).items() if t > 1)
     good = not violations
     proper = good and _proper(g, c)
     verts = frozenset(c.vertices)
     return CurveReport(len(verts), verts, good, proper, violations)
-
-
-def is_proper(g: PlaneGraph, c: GoodCurve) -> bool:
-    """Both endpoints of the open curve incident to the unbounded region.
-
-    Raises CurveError for a closed, malformed or non-good curve.  When no
-    face takes two interior hops and no interior hop goes through the outer
-    face, the answer is read from the two ends in O(k) for k stations (see
-    ``_proper``).  Otherwise the curve is embedded on the dart map in
-    O(m + k); it is proper when a region of the outer face has a dart at
-    each end.  No graph is built.
-    """
-    if c.closed:
-        raise CurveError("properness is defined for open curves; "
-                         "use cut_closed_curve first")
-    if not _single_hop(c):
-        _require_good(g, c)
-    return _proper(g, c)
-
-
-def _single_hop(c: GoodCurve) -> bool:
-    return len(c.stations) == 1 and c.stations[0][0] == 'f'
 
 
 def _proper(g: PlaneGraph, c: GoodCurve) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .curves import Fst, GoodCurve, Vst, Xst, is_proper
+from .curves import Fst, GoodCurve, Vst, Xst, validate_curve
 from .plane_graph import PlaneGraph, canonical_code, edge_key, graph_from_positions
 
 DEFAULT_EDGE_LIMIT = 24
@@ -83,7 +83,7 @@ def enumerate_curves(g: PlaneGraph,
         if nverts <= best[0]:
             return
         c = GoodCurve(tuple(stations), closed=False, contained=frozenset(contained))
-        if is_proper(g, c):
+        if validate_curve(g, c).proper:
             best[0] = nverts
             best[1] = c
 

@@ -3,8 +3,8 @@
 Drawings are maps from vertices to exact rational points.  This module
 provides:
 
-* ``Drawing`` / ``PolylineDrawing`` with a text interchange format and an
-  SVG export;
+* ``Drawing``, with a text interchange format and an SVG export, and
+  ``PolylineDrawing``, whose edges may bend;
 * ``verify_drawing`` -- exact planarity and embedding fidelity (on a
   triangulation one integer determinant sign per face, O(n); otherwise a
   Shamos-Hoey sweep, O((n + m) log(n + m)), and each rotation checked in
@@ -484,15 +484,13 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
     into the unbounded region through the outer-face corner of that vertex,
     which takes the place of the missing neighbour.  A search from each
     side's vertices that does not cross the path labels the rest, and the
-    two sides must not meet.  A single-vertex path has no sides:
-    every other vertex is reported above.
+    two sides must not meet.  The path needs two vertices at least.
     """
-    if not aug.proper:
-        raise RealizeError("curve sides are defined for proper open curves")
     path = aug.path_vertices
+    if not aug.proper or len(path) < 2:
+        raise RealizeError("curve sides are defined for proper open curves "
+                           "with two path vertices at least")
     on_path = set(path)
-    if len(path) < 2:
-        return set(reach(path, aug.rotation)) - on_path, set()
     below: Set[int] = set()     # clockwise from successor to predecessor
     above: Set[int] = set()
     for i, v in enumerate(path):
@@ -520,9 +518,14 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
 
 
 def _proper_augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
+    """The embedding of a proper curve, for both routes.  A curve of one
+    outer vertex v is embedded as (f_outer, v, f_outer), so every path has
+    two vertices at least."""
     aug = augment_with_curve(g, c)
     if not aug.proper:
         raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    if len(aug.path_vertices) == 1:
+        aug = augment_with_curve(g, GoodCurve((Fst(g.outer), *c.stations, Fst(g.outer))))
     return aug
 
 
@@ -537,8 +540,6 @@ def labeling_from_curve(g: PlaneGraph, c: GoodCurve) -> LabelingOrder:
             order.append(('v', s[1]))
         elif s[0] == 'x':
             order.append(('e', s[1]))
-    if len(set(order)) != len(order):
-        raise RealizeError("curve visits an element twice")
     targets = {e: Fraction(i + 1) for i, e in enumerate(order)}
     above, below = curve_sides(aug)
     labels: Dict[int, str] = {}
@@ -1102,12 +1103,7 @@ def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
 def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Generic realization of a proper good curve: split along the curve,
     draw each side barycentrically against the path laid on the x-axis, then
-    straighten the crossed edges on the ranked vertex levels.  A curve of
-    one outer vertex v is realized as (f_outer, v, f_outer), so every path
-    has at least two vertices."""
-    if (len(c.stations) == 1 and c.stations[0][0] == 'v'
-            and g.outer in g.faces_at(c.stations[0][1])):
-        c = GoodCurve((Fst(g.outer), c.stations[0], Fst(g.outer)))
+    straighten the crossed edges on the ranked vertex levels."""
     return _straighten(g, _split_drawing(g, _proper_augment(g, c)), c.vertices)
 
 
@@ -1115,15 +1111,14 @@ def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Straight-line drawing of g in which the curve's stations land on the
     x-axis: vertex stations exactly on it, crossed edges meeting it once.  A
     lone hop through the outer face (a line that misses the drawing) gets
-    the drawing of (f_outer, v, f_outer), v an outer vertex, moved above the
-    axis, with no designated vertex."""
+    the drawing of (v), v the first outer vertex, moved above the axis, with
+    no designated vertex."""
     if c.closed:
         raise RealizeError("only open (proper) curves can be realized on a line")
     if len(c.stations) == 1 and c.stations[0][0] == 'f':
         if c.stations[0][1] != g.outer:
             raise RealizeError("curve is not proper (an endpoint misses the outer region)")
-        d = curve_to_drawing(g, GoodCurve((c.stations[0], Vst(g.outer_walk()[0]),
-                                           c.stations[0])))
+        d = curve_to_drawing(g, GoodCurve((Vst(g.outer_walk()[0]),)))
         lift = 1 - min(y for _, y in d.coords.values())
         return Drawing({v: (x, y + lift) for v, (x, y) in d.coords.items()})
     try:

@@ -316,20 +316,16 @@ def route_type_c(g: PlaneGraph, cells: CellMap, m: GridModel, i: int, j: int,
     """Vertex getter: a diagonal run through a vertex of branch set (i+1, j).
 
     The endpoints sit on the vertical reference edges one grid step to each
-    side of the branch set -- below-left paired with above-right, or
-    above-left with below-right.
+    side of the branch set, from left to right -- below-left paired with
+    above-right, or above-left with below-right.  A reversed pairing (right
+    to left) is rejected like any other; the snake reverses the stations of
+    its odd rows itself.
     """
     e_from, e_to = edge_key(*e_from), edge_key(*e_to)
-    lo, hi = m.ref_v.get((i, j - 1)), m.ref_v.get((i + 2, j))
-    lo2, hi2 = m.ref_v.get((i, j)), m.ref_v.get((i + 2, j - 1))
-    if (e_from, e_to) == (lo, hi):
+    if (e_from, e_to) == (m.ref_v.get((i, j - 1)), m.ref_v.get((i + 2, j))):
         entry, exit_ = (i, j - 1), (i + 1, j)
-    elif (e_from, e_to) == (hi, lo):
-        return list(reversed(route_type_c(g, cells, m, i, j, e_to, e_from)))
-    elif (e_from, e_to) == (lo2, hi2):
+    elif (e_from, e_to) == (m.ref_v.get((i, j)), m.ref_v.get((i + 2, j - 1))):
         entry, exit_ = (i, j), (i + 1, j - 1)
-    elif (e_from, e_to) == (hi2, lo2):
-        return list(reversed(route_type_c(g, cells, m, i, j, e_to, e_from)))
     else:
         raise GridError(f"({e_from}, {e_to}) is not a vertex-getter endpoint "
                         f"pairing for branch set ({i + 1},{j})")

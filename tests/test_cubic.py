@@ -580,6 +580,22 @@ class TestBuildCubicCurve:
         # one vertex in four lands on the curve
         assert cc.curve.vertex_count >= 2
 
+    def test_bare_path_chain(self, monkeypatch):
+        # Case 2 on a pentagon u=0, y_1=1, v=3, w=4, y_2=2 with the chord
+        # y_1-y_2: the part hanging off y_2 is the bare path y_2, w, v, and
+        # the walk along it starts at w
+        pos = {0: (0, 1), 1: (2, 2), 2: (2, 0), 3: (4, 2), 4: (4, 0)}
+        g = graph_from_positions(pos, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (4, 2)])
+        q = make_quadruple(g, 0, 3, ())
+        assert q.tau == (0, 1, 3) and q.beta == (0, 2, 4, 3)
+        chains, structure = [], cubic._chain_structure
+        monkeypatch.setattr(cubic, "_chain_structure",
+                            lambda *args: chains.append(structure(*args)) or chains[-1])
+        cc = build_cubic_curve(q)
+        assert chains == [ChainDecomposition(is_path=True, path=(2, 4, 3))]
+        check(q, cc)
+        assert cc.curve.vertices == (0, 4) and cc.charges == {1: 0, 2: 4, 3: 4}
+
     def test_charge_targets_on_curve(self):
         q = make_quadruple(triangle_chain(), 7, 0, ())
         cc = build_cubic_curve(q)

@@ -15,7 +15,7 @@ from collinear.cubic import generate_triconnected_cubic, theorem4
 from collinear.curves import (
     AugmentedCurve, CurveError, CurveReport, Fst, GoodCurve, Vst, Xst, _Engine,
     _check_face_incident, _terminal, augment_with_curve, check_well_formed,
-    cut_closed_curve, curve_from_drawing, edge_tallies, is_proper, parse_curve,
+    cut_closed_curve, curve_from_drawing, edge_tallies, parse_curve,
     serialize_curve, validate_curve,
 )
 from collinear.geom import F, line_through, orient
@@ -160,6 +160,32 @@ def test_empty_curve_in_outer_face():
     assert rep.good and rep.proper and rep.vertex_count_on_curve == 0
 
 
+@pytest.mark.parametrize("make,curve,message", [
+    (k4, lambda g: GoodCurve(()), "empty station sequence"),
+    (k4, lambda g: GoodCurve((Vst(9),)), "unknown vertex 9"),
+    (k4, lambda g: GoodCurve((Xst(0, 9),)), "unknown edge (0, 9)"),
+    (lambda: generate_triconnected_cubic(1, 12), lambda g: GoodCurve((Fst(999),)),
+     "unknown face 999"),
+    (k4, lambda g: GoodCurve((Vst(0), Fst(g.outer), Vst(0))), "vertex 0 visited twice"),
+    (k4, lambda g: GoodCurve((Vst(0), Vst(1), Fst(g.outer), Xst(0, 1))),
+     "edge (0, 1) both contained and crossed"),
+    (k4, lambda g: GoodCurve((('q', 1),)), "unknown station kind ('q', 1)"),
+    (k4, lambda g: GoodCurve((Vst(0),), contained=frozenset({(1, 2)})),
+     "contained edges [(1, 2)] not spanned by consecutive vertex stations"),
+    (k4, lambda g: GoodCurve((Vst(0),), closed=True),
+     "closed curve needs at least two stations"),
+], ids=["empty", "vertex", "edge", "face", "vertex-twice", "contained-crossed",
+        "kind", "contained-unspanned", "closed-single"])
+def test_malformed_curves_are_rejected(make, curve, message):
+    # the verdict and the checked embedding reject alike, a lone hop too
+    g = make()
+    c = curve(g)
+    for check in (validate_curve, augment_with_curve):
+        with pytest.raises(CurveError) as exc:
+            check(g, c)
+        assert str(exc.value) == message
+
+
 def test_crossing_same_edge_twice_rejected():
     g = k4()
     f013 = face_with(g, [0, 1, 3])
@@ -184,7 +210,7 @@ def test_hop_through_a_face_neither_station_touches():
     with pytest.raises(CurveError, match=f"face {f} not incident to vertex 0"):
         validate_curve(g, GoodCurve((Vst(0), Fst(f), Xst(1, 2))))
     with pytest.raises(CurveError, match=rf"face {f} not incident to edge \(1, 2\)"):
-        is_proper(g, GoodCurve((Xst(1, 2), Fst(f), Vst(0))))
+        validate_curve(g, GoodCurve((Xst(1, 2), Fst(f), Vst(0))))
 
 
 def walk_scan_incidence(g, f, s):
@@ -236,13 +262,13 @@ def test_closed_curve_cut():
     assert rep2.vertex_count_on_curve == rep.vertex_count_on_curve
 
 
-def test_is_proper_rejects_closed():
+def test_closed_curve_is_not_proper():
     g = k4()
     c = GoodCurve((Xst(0, 3), Fst(face_with(g, [0, 1, 3])), Xst(1, 3),
                    Fst(face_with(g, [1, 2, 3])), Xst(2, 3),
                    Fst(face_with(g, [0, 2, 3]))), closed=True)
-    with pytest.raises(CurveError, match="open"):
-        is_proper(g, c)
+    rep = validate_curve(g, c)
+    assert rep.good and not rep.proper
 
 
 def test_cut_requires_hop():
@@ -682,9 +708,7 @@ def reference_augment(g, c):
 
 
 def reference_is_proper(g, c):
-    if c.closed:
-        raise CurveError("properness is defined for open curves; "
-                         "use cut_closed_curve first")
+    """Properness of an open good curve."""
     if len(c.stations) == 1 and c.stations[0][0] == 'f':
         return c.stations[0][1] == g.outer
     return reference_augment(g, c).proper
@@ -715,8 +739,7 @@ def _outcome(f, g, c):
 
 
 def assert_agrees_with_reference(g, c):
-    for new, old in ((is_proper, reference_is_proper),
-                     (validate_curve, reference_validate_curve),
+    for new, old in ((validate_curve, reference_validate_curve),
                      (augment_with_curve, reference_augment)):
         assert _outcome(new, g, c) == _outcome(old, g, c), new.__name__
     try:
@@ -734,8 +757,8 @@ def _oracle_curves(n, seed):
 
     def spy(h, c):
         asked.append(c)
-        return is_proper(h, c)
-    with mock.patch.object(oracle, "is_proper", spy):
+        return validate_curve(h, c)
+    with mock.patch.object(oracle, "validate_curve", spy):
         oracle.enumerate_curves(g)
     return g, tuple(asked)
 
@@ -879,7 +902,7 @@ def test_outer_face_hop_read_back_stays_improper():
     c = curve_from_drawing(g, pos, (0, 1, -1))
     assert [s for s in c.stations if s[0] == 'f'].count(Fst(g.outer)) == 3
     assert_agrees_with_reference(g, c)
-    assert not is_proper(g, c)
+    assert not validate_curve(g, c).proper
 
 
 def _hexagon_with_spoke_and_pendant():
@@ -926,7 +949,7 @@ def test_crossing_a_star_edge_is_proper():
     g = graph_from_positions(pos, [(0, 1), (0, 2), (0, 3), (0, 4)])
     c = curve_from_drawing(g, pos, (1, 1, 3))
     assert c.stations == (Fst(0), Xst(0, 2), Fst(0), Vst(1), Fst(0))
-    assert is_proper(g, c) and validate_curve(g, c).proper
+    assert validate_curve(g, c).proper
     d = curve_to_drawing(g, c)
     assert d.designated == (1,) and verify_drawing(g, d).ok
 
@@ -944,7 +967,6 @@ def test_properness_builds_no_graph(monkeypatch):
     monkeypatch.setattr(PlaneGraph, "_trace_faces", trace)
     for c, (report, aug) in zip(curves, want):
         assert validate_curve(g, c) == report
-        assert is_proper(g, c) == report.proper
         assert _outcome(augment_with_curve, g, c) == aug
 
 
@@ -965,7 +987,7 @@ def test_walks_cover_every_engine_case():
                          "outer": g.outer in hops,
                          "single": len(c.stations) == 1}
                 try:
-                    verdict = is_proper(g, c)
+                    verdict = validate_curve(g, c).proper
                 except CurveError:
                     verdict = "error"
                 for case, holds in cases.items():
@@ -996,7 +1018,7 @@ def test_tree_curves_are_validated_without_an_engine(monkeypatch, make, seed):
     curves = [*build_curve_bundle(d).curves, dp_optimal_collinear(d)[1]]
     for c in curves:
         rep = validate_curve(d.graph, c)
-        assert rep.good and rep.proper and is_proper(d.graph, c)
+        assert rep.good and rep.proper
     assert built == []
 
 

@@ -95,6 +95,22 @@ def test_only_plane_graph_imports_deque(path):
         f"{path.name} uses collections.deque on lines {uses}; call reach instead")
 
 
+def test_only_curves_checks_curves():
+    # whether a curve is well formed, good and proper is decided in curves
+    # alone: other modules call validate_curve or augment_with_curve
+    checks = {"check_well_formed", "edge_tallies", "_embed"}
+    uses = []
+    for path in MODULES:
+        if path.name == "curves.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            uses += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & checks)]
+    assert not uses, f"curve checks outside curves.py: {', '.join(uses)}"
+
+
 def test_import_loads_no_numpy_or_scipy():
     # numpy and scipy are imported only when a drawing is straightened, so
     # every command starts without paying for them

@@ -1382,6 +1382,39 @@ def test_curve_to_drawing_single_vertex():
     assert verify_drawing(K4, d).ok
 
 
+def _labels_text(g, c):
+    """The labeling of c as text, or the class and message of its error."""
+    try:
+        lab = labeling_from_curve(g, c)
+    except (CurveError, RealizeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((sorted(lab.labels.items()), lab.order, sorted(lab.targets.items())))
+
+
+@pytest.mark.parametrize("make,drawings,labels", [
+    (lambda: random_plane_3tree(30, 2),
+     "f3a33c2f3f333752b785307f9352a17ea7d9d6e5620cfbb738b69e7867095a81",
+     "afd7a18dba47704d3657347bd40020b2578151007c721d1315d5b96dc2f38efc"),
+    (lambda: generate_triconnected_cubic(1, 12),
+     "96d55118d6ad2b6e39d3c15d845106f053e2be82a2bccdc822e6751867e5a777",
+     "81d281d457bf99e345a7a4f43916cdfb2cce5e48daa88b50510fac6ddedf7788"),
+    (lambda: identity_grid_model(6)[0],
+     "3daf8e2736787963cfb43f061d6dd78575d0c00885d42c0e368b6c7bfcdf62e9",
+     "85660520e19d665311c97e30bd55945756ce8a4b840306a7aa82d5965413a07a"),
+], ids=["3tree", "cubic", "grid"])
+def test_one_station_curves_pinned(make, drawings, labels):
+    # sha256 over the curves (v), v along the outer walk, then the lone hop
+    # (f_outer): of their serialized drawings and of their labelings (the
+    # lone hop's labeling is an error)
+    g = make()
+    curves = [GoodCurve((Vst(v),)) for v in g.outer_walk()] + [GoodCurve((Fst(g.outer),))]
+    d_hash, l_hash = hashlib.sha256(), hashlib.sha256()
+    for c in curves:
+        d_hash.update(serialize_drawing(curve_to_drawing(g, c)).encode())
+        l_hash.update(_labels_text(g, c).encode())
+    assert (d_hash.hexdigest(), l_hash.hexdigest()) == (drawings, labels)
+
+
 def test_curve_to_drawing_contained_edge():
     d = curve_to_drawing(K4, GoodCurve((Vst(0), Vst(1))))
     assert d.coords[0][1] == 0 == d.coords[1][1]
@@ -1572,8 +1605,8 @@ def test_curve_sides_match_reference(case):
 
 
 def test_curve_sides_builds_no_graph(monkeypatch):
-    cases = [(K4, k4_cross_curve()), (K4, GoodCurve((Vst(0),))),
-             (K4, _outer_edge_curve(K4)), (cube(), _outer_edge_curve(cube()).reversed())]
+    cases = [(K4, k4_cross_curve()), (K4, _outer_edge_curve(K4)),
+             (cube(), _outer_edge_curve(cube()).reversed())]
     augs = [augment_with_curve(g, c) for g, c in cases]
     want = [reference_curve_sides(aug) for aug in augs]
 
@@ -1581,6 +1614,15 @@ def test_curve_sides_builds_no_graph(monkeypatch):
         raise AssertionError("curve_sides built a PlaneGraph")
     monkeypatch.setattr(PlaneGraph, "__init__", build)
     assert [curve_sides(aug) for aug in augs] == want
+
+
+def test_curve_sides_rejects_a_one_vertex_path():
+    # a proper curve of one outer vertex has no sides; the labeling embeds
+    # it as (f_outer, v, f_outer) instead
+    aug = augment_with_curve(K4, GoodCurve((Vst(0),)))
+    assert aug.proper and aug.path_vertices == [0]
+    with pytest.raises(RealizeError, match="two path vertices at least"):
+        curve_sides(aug)
 
 
 def _non_biconnected_graphs():

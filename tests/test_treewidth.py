@@ -147,6 +147,10 @@ class TestRouting:
         cells = build_cells(g, m)
         with pytest.raises(GridError, match="pairing"):
             route_type_c(g, cells, m, 3, 2, m.ref_v[(3, 1)], m.ref_v[(5, 3)])
+        # the two pairings taken right to left
+        for e_from, e_to in (((5, 2), (3, 1)), ((5, 1), (3, 2))):
+            with pytest.raises(GridError, match="pairing"):
+                route_type_c(g, cells, m, 3, 2, m.ref_v[e_from], m.ref_v[e_to])
 
 
 # -- the quadratic visiting bound ----------------------------------------------------
