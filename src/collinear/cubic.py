@@ -217,8 +217,6 @@ def chain_decompose(q: Quadruple, a: int, b: int) -> ChainDecomposition:
     if not q.g.is_separation_pair(a, b):
         raise CubicError(f"({a},{b}) is not a separation pair")
     beta_ab = q.g.boundary_path(a, b, clockwise=False)
-    if len(beta_ab) == 2:
-        return ChainDecomposition(is_path=True, path=tuple(beta_ab))
     comp = reach((beta_ab[1],), lambda w: (x for x in q.g.rot[w] if x not in (a, b)))
     sub = q.g.subgraph({a, b, *comp}, drop_edges=[(a, b)])
     return _chain_structure(sub, a, b, q.x_seq)
@@ -317,22 +315,13 @@ def _walk_chain(cd: ChainDecomposition, avoid: Set[int],
     """Curve along a chain from ``start`` to just before ``b`` (Case-1 style),
     yielding each block's quadruple to ``_lemma5``."""
     w = _PathWalker(avoid, inner)
+    w.start(start)
     if cd.is_path:
-        seq = cd.path
-        i = seq.index(start)
-        w.start(start)
-        w.pass_path(seq[i + 1:-1])
-        return w.finish(seq[-2], b)
-
-    # p0
-    if start in cd.p0:
-        i = cd.p0.index(start)
-        w.start(start)
-        w.pass_path(cd.p0[i + 1:])
-    elif start == cd.blocks[0].u:
-        w.start(start)
-    else:
+        w.pass_path(cd.path[cd.path.index(start) + 1:-1])
+        return w.finish(cd.path[-2], b)
+    if start not in cd.p0:
         raise CubicError("chain walk must start on the leading path")
+    w.pass_path(cd.p0[cd.p0.index(start) + 1:])
 
     for i, quad in enumerate(cd.blocks):
         if w.stations[-1] != ('v', quad.u):

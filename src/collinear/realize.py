@@ -22,8 +22,9 @@ provides:
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
   drawing with all its vertex stations on the x-axis (for graphs that are
   not 3-trees: both sides drawn by one barycentric system against the path
-  on the axis, then straightened on the ranked vertex levels by an LP
-  re-checked exactly in integers);
+  on the axis, then straightened on integer vertex levels by one exact
+  convex-combination system over a triangulation, Floater's theorem, each
+  triangle's orientation checked on the rounded result);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
   read off the faces' orientations (one verifier call on a triangulation).
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
+from itertools import groupby
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -44,7 +46,7 @@ from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
                    line_h, on_segment_h, orient, side_h)
 from .plane_graph import (PlaneGraph, angle_cmp, clockwise_order,
                           content_lines, edge_key, leftmost_dart, reach, read_numbers)
-from .curves import GoodCurve, AugmentedCurve, Fst, Vst, augment_with_curve
+from .curves import GoodCurve, AugmentedCurve, Fst, Vst, augment_with_curve, validate_curve
 from .three_tree import ThreeTreeDecomp, ThreeTreeError, decompose
 
 Point = Tuple[Fraction, Fraction]
@@ -344,15 +346,15 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 
 # -- barycentric (Tutte) embedding ------------------------------------------------
 
-def _barycentric(nbrs: Mapping[int, Sequence[int]],
+def _barycentric(nbrs: Mapping[int, Mapping[int, int]],
                  fixed: Mapping[int, Point]) -> Dict[int, Point]:
     """Every vertex of ``nbrs`` that ``fixed`` does not place, exactly at the
-    average of its neighbours ``nbrs[v]``; returns the fixed positions and
-    the solved ones.
+    weighted average of its neighbours, ``nbrs[v]`` mapping each to its
+    integer weight; returns the fixed positions and the solved ones.
 
-    Row v (``len(nbrs[v])`` on the diagonal, -1 at each unfixed neighbour,
-    the fixed neighbours' sums on the right) is scaled to integers and
-    eliminated fraction-free (Bareiss): pivot row p makes row r
+    Row v (the weight sum on the diagonal, minus the weight at each unfixed
+    neighbour, the fixed neighbours' weighted sums on the right) is scaled
+    to integers and eliminated fraction-free (Bareiss): pivot row p makes row r
     ``piv * row_r - row_r[p] * prow`` over the gcd of its entries, a
     non-zero multiple of its ``Fraction`` counterpart with the same
     non-zeros.  So a lazy (row length, vertex) heap gives the pivots of a
@@ -365,10 +367,11 @@ def _barycentric(nbrs: Mapping[int, Sequence[int]],
     rhs: Dict[int, Tuple[int, int]] = {}
     for v, ws in nbrs.items():
         if v not in fixed:
-            bx = sum((fixed[u][0] for u in ws if u in fixed), F(0))
-            by = sum((fixed[u][1] for u in ws if u in fixed), F(0))
+            bx = sum((w * fixed[u][0] for u, w in ws.items() if u in fixed), F(0))
+            by = sum((w * fixed[u][1] for u, w in ws.items() if u in fixed), F(0))
             s = lcm(bx.denominator, by.denominator)
-            rows[v] = {v: len(ws) * s, **{u: -s for u in ws if u not in fixed}}
+            rows[v] = {v: sum(ws.values()) * s,
+                       **{u: -w * s for u, w in ws.items() if u not in fixed}}
             rhs[v] = (bx.numerator * s // bx.denominator, by.numerator * s // by.denominator)
     occurs: Dict[int, Set[int]] = {v: set() for v in rows}
     for r, row in rows.items():
@@ -529,17 +532,25 @@ def _proper_augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     return aug
 
 
+def _misses_drawing(g: PlaneGraph, c: GoodCurve) -> bool:
+    """Whether c is a lone hop through the outer face, the read-back of a
+    line that misses the drawing; a lone hop through another face raises,
+    as it is not proper."""
+    lone = not c.closed and len(c.stations) == 1 and c.stations[0][0] == 'f'
+    if lone and not validate_curve(g, c).proper:
+        raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    return lone
+
+
 def labeling_from_curve(g: PlaneGraph, c: GoodCurve) -> LabelingOrder:
     """Labels, order and integer targets induced by a proper good curve: its
     vertex stations become on-line vertices, its crossings become crossing
-    edges, in station order at x = 1, 2, ..."""
+    edges, in station order at x = 1, 2, ...  A lone hop through the outer
+    face labels every vertex up, as ``curve_to_drawing`` draws it."""
+    if _misses_drawing(g, c):
+        return LabelingOrder(dict.fromkeys(g.vertices, UP), (), {})
     aug = _proper_augment(g, c)
-    order: List[Elem] = []
-    for s in c.stations:
-        if s[0] == 'v':
-            order.append(('v', s[1]))
-        elif s[0] == 'x':
-            order.append(('e', s[1]))
+    order: List[Elem] = [('v' if s[0] == 'v' else 'e', s[1]) for s in c.stations if s[0] != 'f']
     targets = {e: Fraction(i + 1) for i, e in enumerate(order)}
     above, below = curve_sides(aug)
     labels: Dict[int, str] = {}
@@ -843,29 +854,46 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
 
 # -- straightening y-monotone polylines -------------------------------------------
 
-def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
-                  at_level: Sequence[Sequence[int]], lev: Mapping[int, int]
-                  ) -> List[List[Tuple[int, int]]]:
-    """Left-to-right items at every vertex level, bottom to top: ``(v, v)``
-    for a vertex, ``(lower, upper)`` for an edge passing through the level.
+def _regularize(g: PlaneGraph, pl: PolylineDrawing, frame: Tuple[int, int, int]
+                ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
+    """Clockwise rotations and integer levels of g as ``pl`` draws it in a
+    frame triangle (B, B2, T) = ``frame``, with edges added so that each
+    vertex of g has neighbours strictly above and below it.
 
-    ``at_level[i]`` lists the vertices of level i by increasing x; ``lev``
-    maps a vertex to its level.  The sweep keeps the status, the edges
-    active between two levels from left to right.  It changes only at
-    vertices: a vertex's downward edges are one contiguous block, found by
-    bisection with exact orientation tests, and are replaced by its upward
-    edges in angular order.  Passing edges keep their places and are never
-    interpolated.
+    One bottom-to-top sweep keeps the status, the edges active between two
+    levels from left to right, between the frame's sides B-T and B2-T.  A
+    vertex's downward edges are one contiguous block, found by bisection
+    with exact orientation tests, and are replaced by its upward edges in
+    angular order.  Each gap between two status edges keeps its floor, the
+    vertices under it on its latest level below the sweep (Lee and
+    Preparata's helpers, SIAM J. Comput. 6, 1977).  A vertex that touches a
+    gap from above joins every floor vertex with no upper neighbour yet, and
+    if it has no lower edge, the last floor vertex.  A rotation lists the
+    upper neighbours left to right, the right horizontal one, the lower ones
+    right to left, then the left one.  A vertex at y = 0 gets level 0, any
+    other, with the sign of its y, one more than the largest |level| of its
+    neighbours between it and y = 0 (0 for those at or across it), shared
+    along horizontal edges: edges keep their directions, vertices their sides.
     """
-    ends: List[Tuple[int, int]] = []              # edge -> (lower, upper)
-    ys: List[List[Fraction]] = []                 # bottom to top
-    hs: List[List[HPoint]] = []
-    up: Dict[int, List[int]] = {v: [] for v in lev}
-    down = dict.fromkeys(lev, 0)
+    coords = pl.coords
+    B, B2, T = frame
+    ends: List[Tuple[int, int]] = [(B, T), (B2, T)]   # edge -> (lower, upper)
+    ys: List[List[Fraction]] = [[], []]               # the frame is never bisected
+    hs: List[List[HPoint]] = [[], []]
+    up: Dict[int, List[int]] = {v: [] for v in coords}
+    down = dict.fromkeys(coords, 0)
+    left, right = {B2: [B]}, {B: [B2]}                # horizontal neighbours
     for (u, v) in sorted(g.edges):
         poly = [_pt(*p) for p in pl.polyline(u, v)]
         if len(poly) == 2 and poly[0][1] == poly[1][1]:
-            continue                              # horizontal: in no status
+            if poly[0] > poly[1]:
+                u, v = v, u
+            for a, beside in ((u, right), (v, left)):
+                if a in beside:
+                    raise RealizeError(f"edges {edge_key(a, *beside[a])} and "
+                                       f"{edge_key(u, v)} overlap at vertex {a}")
+            right[u], left[v] = [v], [u]
+            continue
         if poly[0][1] > poly[-1][1]:
             poly.reverse()
             u, v = v, u
@@ -886,6 +914,8 @@ def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
             if not leftward(e, f):
                 raise RealizeError(f"edges {edge_key(*ends[e])} and "
                                    f"{edge_key(*ends[f])} overlap at vertex {v}")
+    ups = {v: [ends[e][1] for e in out] for v, out in up.items()} | {B: [T], B2: [T]}
+    downs: Dict[int, List[int]] = {}
 
     def side(e: int, y: Fraction, p: HPoint) -> int:
         """Sign of (x of edge e at level y) - (x of p), p at level y."""
@@ -896,27 +926,29 @@ def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
             return (d > 0) - (d < 0)
         return side_h(line_h(hs[e][i - 1], q), p)
 
-    orders: List[List[Tuple[int, int]]] = []
-    status: List[int] = []
-    for i, vs in enumerate(at_level):
-        y = pl.coords[vs[0]][1]
-        items: List[Tuple[int, int]] = []
-        nxt: List[int] = []
-        done = 0
+    status = [0, 1]
+    gaps = [[[B, B2], []]]        # per gap: its floor, and its vertices on the sweep level
 
-        def passing(block: Sequence[int]) -> None:
-            for e in block:
-                if lev[ends[e][1]] <= i:
-                    raise RealizeError(f"edge {edge_key(*ends[e])} misses its end "
-                                       f"vertex at level y = {y}")
-                items.append(ends[e])
-            nxt.extend(block)
+    def join(v: int, k: int, alone: bool) -> List[int]:
+        """v joins the free floor vertices of gap k, or the last one if none is
+        and ``alone``: v goes before the gap's right edge where it starts."""
+        floor, e = gaps[k][0], ends[status[k + 1]]
+        new = [f for f in floor if not ups[f]] or (floor[-1:] if alone else [])
+        for f in new:
+            ups[f].insert(ups[f].index(e[1]) if e[0] == f else len(ups[f]), v)
+        return new
 
+    levels = [list(vs) for _, vs in groupby(sorted(coords, key=lambda v: coords[v][::-1]),
+                                            key=lambda v: coords[v][1])]
+    for vs in levels:                             # left to right, bottom to top
+        y = coords[vs[0]][1]
+        fresh: List[List[List[int]]] = []
+        done = 1
         for j, v in enumerate(vs):
-            p = homogeneous(pl.coords[v])
-            if j and pl.coords[vs[j - 1]][0] == pl.coords[v][0]:
+            p = homogeneous(coords[v])
+            if j and coords[vs[j - 1]][0] == coords[v][0]:
                 raise RealizeError(f"vertices {vs[j - 1]} and {v} coincide")
-            lo, hi = done, len(status)
+            lo, hi = done, len(status) - 1
             while lo < hi:
                 mid = (lo + hi) // 2
                 if side(status[mid], y, p) < 0:
@@ -927,122 +959,135 @@ def _level_orders(g: PlaneGraph, pl: PolylineDrawing,
             if stop > len(status) or any(ends[e][1] != v for e in status[lo:stop]):
                 raise RealizeError(f"the edges into vertex {v} are not adjacent: "
                                    "the drawing is not planar")
-            if stop < len(status) and side(status[stop], y, p) <= 0:
+            if stop < len(status) - 1 and side(status[stop], y, p) <= 0:
                 raise RealizeError(f"vertex {v} lies on edge "
                                    f"{edge_key(*ends[status[stop]])}")
-            passing(status[done:lo])
-            items.append((v, v))
-            nxt.extend(up[v])
-            done = stop
-        passing(status[done:])
-        status = nxt
-        orders.append(items)
-    return orders
+            downs[v] = join(v, lo - 1, not down[v])
+            for k in range(lo, stop):
+                downs[v] += [ends[status[k]][0], *join(v, k, False)]
+            # only the last new gap's floor is read before the level ends
+            new = [[[], [v]] for _ in range(len(up[v]) + 1)]
+            new[0][1], new[-1][0] = gaps[lo - 1][1] + [v], gaps[stop - 1][0]
+            gaps[lo - 1:stop] = new
+            fresh += new
+            status[lo:stop] = up[v]
+            done = lo + len(up[v])
+        for gap in fresh:
+            if gap[1]:
+                gap[0], gap[1] = gap[1], []
+    downs[T] = [B, *join(T, 0, False), B2]
+    rot = {v: ups.get(v, []) + right.get(v, []) + downs.get(v, [])[::-1] + left.get(v, [])
+           for v in (*coords, B, B2, T)}
+
+    sign = {v: (y > 0) - (y < 0) for v, (_, y) in coords.items()} | {B: -1, B2: -1, T: 1}
+    lev = {v: 0 for v in coords if not sign[v]}
+    for s, order, inward in ((1, levels, downs), (-1, levels[::-1], ups)):
+        for vs in order:
+            run: List[int] = []
+            for v in vs + [None] if sign[vs[0]] == s else ():
+                if run and left.get(v) != run[-1:]:
+                    h = 1 + max(abs(lev[u]) if sign[u] == s else 0
+                                 for w in run for u in inward[w])
+                    lev.update(dict.fromkeys(run, s * h))
+                    run = []
+                run.append(v)
+    lo_lev, hi_lev = min(lev.values()), max(lev.values())
+    lev.update({B: lo_lev - 1, B2: lo_lev - 1, T: hi_lev + 1})
+    return rot, lev
+
+
+def _fan(vs: Sequence[int], nbrs: Dict[int, List[int]], lev: Mapping[int, int]
+         ) -> List[Tuple[int, int, int]]:
+    """The triangles, in walk order, that cut face walk ``vs`` by edges added
+    to ``nbrs``: each corner at a repeated vertex clipped (``_clip_corner``),
+    then a fan from the corner nearest the walk's median level that adds no
+    existing edge and no triangle on one level."""
+    def flat(a: int, x: int, b: int) -> bool:
+        return lev[a] == lev[x] == lev[b]
+    tris = []
+    while len(set(vs)) != len(vs):
+        j = _clip_corner(vs, nbrs, flat)
+        tris.append((vs[j - 1], vs[j], vs[(j + 1) % len(vs)]))
+        vs = vs[:j] + vs[j + 1:]
+    mid = sorted(lev[v] for v in vs)[len(vs) // 2]
+    for i in sorted(range(len(vs)), key=lambda i: abs(lev[vs[i]] - mid)):
+        c, rest = vs[i], vs[i + 1:] + vs[:i]
+        fan = [(c, a, b) for a, b in zip(rest, rest[1:])]
+        if not any(flat(*t) for t in fan) and set(nbrs[c]).isdisjoint(rest[1:-1]):
+            for b in rest[1:-1]:
+                nbrs[c].append(b)
+                nbrs[b].append(c)
+            return tris + fan
+    raise RealizeError(f"face {tuple(vs)}: no corner to fan from")
 
 
 def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
                 ) -> Drawing:
     """Replace the y-monotone polyline edges of a planar drawing ``pl`` of g
-    (exact positions of exactly g's vertices, as ``_split_drawing`` gives)
-    by straight segments, with the vertex levels mapped onto consecutive
-    integers (0 stays 0 if it is a level), keeping at each level the
-    left-to-right order of its vertices and of the edges through it.
+    (exact positions of exactly g's vertices, as ``_split_drawing`` gives) by
+    straight segments on the levels of ``_regularize``.  A non-monotone
+    edge, coinciding vertices or a vertex on an edge raise ``RealizeError``;
+    two edges touching at a level are not detected.
 
-    One bottom-to-top sweep finds those orders (``_level_orders``); a
-    non-monotone edge, coinciding vertices or a vertex on an edge raise
-    ``RealizeError``, two edges touching at a level are not detected.  The
-    x-coordinates solve a sparse feasibility LP, one row per pair of
-    neighbouring items, by HiGHS in floating point; every row is then
-    re-checked exactly in integers.  Small integer levels keep the LP
-    benign when ``pl`` carries huge rationals.  Cost: O((n + m) log n + R)
-    for R rows, plus the LP solve.
+    The regularized graph is triangulated (``_fan``) and each vertex of g
+    put at a weighted average of its neighbours, with integer weights that
+    make its level the same average of theirs: 1 on each, plus an extra on
+    the nearest one on the side of the smaller sum of level gaps (all
+    scaled to integers).  By Floater's
+    theorem (Math. Comp. 72, 2003) the one solution for x (``_barycentric``;
+    B, T at x = 0, B2 at x = y_T - y_B) draws every triangle counter-
+    clockwise.  Moving x by at most 2^-k-1 changes the determinant of a
+    triangle of y-span s by at most 2^-k s, so x is rounded to the coarsest
+    grid 2^-k that no triangle's exact determinant forbids; then each
+    triangle's sign is checked, the certificate of ``verify_drawing``.
     """
     coords = pl.coords
-    verts = sorted(coords)
-    col = {v: k for k, v in enumerate(verts)}
-    levels: List[Fraction] = []
-    at_level: List[List[int]] = []
-    lev: Dict[int, int] = {}
-    for v in sorted(verts, key=lambda v: coords[v][::-1]):
-        if not levels or levels[-1] != coords[v][1]:
-            levels.append(coords[v][1])
-            at_level.append([])
-        at_level[-1].append(v)
-        lev[v] = len(levels) - 1
-    orders = _level_orders(g, pl, at_level, lev)
-    shift = levels.index(0) if 0 in levels else 0
-    Y = [i - shift for i in range(len(levels))]
+    B, B2, T = frame = tuple(range(max(coords) + 1, max(coords) + 4))
+    rot, lev = _regularize(g, pl, frame)
+    nbrs = {v: list(ws) for v, ws in rot.items()}
+    # each walk starts at its least dart: (B, T) starts the outer face's
+    tris = [t for walk in PlaneGraph._trace_faces(rot, [(v, w) for v in rot for w in rot[v]])
+            if walk[0] != (B, T) for t in _fan([v for v, _ in walk], nbrs, lev)]
+    weights: Dict[int, Dict[int, int]] = {}
+    for v in coords:
+        y, ws = lev[v], nbrs[v]
+        s = sum(lev[u] - y for u in ws)
+        weights[v] = dict.fromkeys(ws, 1)
+        if s:
+            k = min((u for u in ws if (lev[u] - y) * s < 0), key=lambda u: abs(lev[u] - y))
+            q = gcd(lev[k] - y, s)
+            weights[v] = dict.fromkeys(ws, abs(lev[k] - y) // q)
+            weights[v][k] += abs(s) // q
+    fixed = {B: (F(0), F(lev[B])), B2: (F(lev[T] - lev[B]), F(lev[B])), T: (F(0), F(lev[T]))}
+    H = {v: homogeneous(p) for v, p in _barycentric(weights, fixed).items()}
 
-    # A row says item b lies right of item a by at least 1:
-    # (N_b / D_b - N_a / D_a) . x >= 1, where a vertex v has N = x_v, D = 1
-    # and an edge from u up to w at level y has N = (Y_w - y) x_u +
-    # (y - Y_u) x_w, D = Y_w - Y_u > 0.  The integer vector D_a N_b - D_b N_a
-    # is kept for the exact re-check.
-    rows: List[List[Tuple[int, int]]] = []
-    r_idx: List[int] = []
-    c_idx: List[int] = []
-    vals: List[float] = []
-    for y, items in zip(Y, orders):
-        terms = []
-        for (u, w) in items:
-            if u == w:
-                terms.append((1, ((col[u], 1),)))
-            else:
-                yu, yw = Y[lev[u]], Y[lev[w]]
-                terms.append((yw - yu, ((col[u], yw - y), (col[w], y - yu))))
-        for (da, na), (db, nb) in zip(terms, terms[1:]):
-            row: Dict[int, int] = {}
-            for k, c in nb:
-                row[k] = row.get(k, 0) + da * c
-            for k, c in na:
-                row[k] = row.get(k, 0) - db * c
-            dd = da * db
-            for k, c in row.items():
-                val = -c / dd                     # A_ub x <= -1, correctly rounded
-                if val:
-                    r_idx.append(len(rows))
-                    c_idx.append(k)
-                    vals.append(val)
-            rows.append([(k, c) for k, c in row.items() if c])
-
-    if rows:
-        import numpy as np
-        from scipy.optimize import linprog
-        from scipy.sparse import coo_array
-
-        A = coo_array((vals, (r_idx, c_idx)), shape=(len(rows), len(verts)))
-        res = linprog(np.zeros(len(verts)), A_ub=A, b_ub=-np.ones(len(rows)),
-                      bounds=[(None, None)] * len(verts), method="highs")
-        if not res.success:
-            raise RealizeError(f"straightening LP infeasible: {res.message}")
-        ratios = [float(x).as_integer_ratio() for x in res.x]
-        xs = [Fraction(n, d) for n, d in ratios]
-        # exact re-check of every row, on the solution times one power of two
-        scale = max(d for _, d in ratios)
-        X = [n * (scale // d) for n, d in ratios]
-        for row in rows:
-            if not sum(c * X[k] for k, c in row) > 0:
-                raise RealizeError("straightening solution violates a level order")
-    else:
-        xs = [coords[v][0] for v in verts]
-    return Drawing({v: (xs[col[v]], Fraction(Y[lev[v]])) for v in verts}, designated)
+    def grid(a: int, b: int, c: int) -> int:
+        """The least k with 2^k * det > span for triangle abc."""
+        det = _det(H[a], H[b], H[c])
+        r = (max(lev[a], lev[b], lev[c]) - min(lev[a], lev[b], lev[c])) * H[a][2] * H[b][2] * H[c][2]
+        k = r.bit_length() - det.bit_length()
+        return k + (det << max(k, 0) <= r << max(-k, 0))
+    scale = F(2) ** max(grid(*t) for t in tris)
+    P = {v: (round(F(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
+    flipped = next((t for t in tris if _det(*(P[v] for v in t)) <= 0), None)
+    if flipped is not None:
+        raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
+    return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in coords}, designated)
 
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------
 
-def _clip_corner(vs: Sequence[int], nbrs: Dict[int, List[int]], on_path: Set[int]
-                 ) -> Sequence[int]:
-    """Face walk ``vs`` with the corner at one occurrence of a repeated vertex
-    cut off: its walk neighbours, if distinct, not adjacent and not both on
-    the path, are joined in ``nbrs``."""
+def _clip_corner(vs: Sequence[int], nbrs: Dict[int, List[int]], barred) -> int:
+    """The index in face walk ``vs`` of a corner at one occurrence of a
+    repeated vertex x to cut off: its walk neighbours a and b, if distinct,
+    not adjacent and not ``barred(a, x, b)``, are joined in ``nbrs``."""
     count = Counter(vs)
     for j, x in enumerate(vs):
         a, b = vs[j - 1], vs[(j + 1) % len(vs)]
-        if (count[x] > 1 and a != b and not (a in on_path and b in on_path)
-                and b not in nbrs[a]):
+        if count[x] > 1 and a != b and not barred(a, x, b) and b not in nbrs[a]:
             nbrs[a].append(b)
             nbrs[b].append(a)
-            return vs[:j] + vs[j + 1:]
+            return j
     raise RealizeError(f"face {tuple(vs)}: no corner to cut off")
 
 
@@ -1088,41 +1133,35 @@ def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
     on_path = set(path)
     for vs in faces:
         while len(set(vs)) != len(vs):
-            vs = _clip_corner(vs, nbrs, on_path)
+            j = _clip_corner(vs, nbrs, lambda a, x, b: a in on_path and b in on_path)
+            vs = vs[:j] + vs[j + 1:]
         if len(vs) > 3:
             nbrs[hub] = vs
             for v in vs:
                 nbrs[v].append(hub)
             hub += 1
-    coords = _barycentric(nbrs, fixed)
+    coords = _barycentric({v: Counter(ws) for v, ws in nbrs.items()}, fixed)
     return PolylineDrawing(
         coords={v: coords[v] for v in g.vertices},
         bends={e: (coords[w],) for e, w in aug.subdivision.items()})
 
 
-def _theorem1_pipeline(g: PlaneGraph, c: GoodCurve) -> Drawing:
-    """Generic realization of a proper good curve: split along the curve,
-    draw each side barycentrically against the path laid on the x-axis, then
-    straighten the crossed edges on the ranked vertex levels."""
-    return _straighten(g, _split_drawing(g, _proper_augment(g, c)), c.vertices)
-
-
 def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Straight-line drawing of g in which the curve's stations land on the
     x-axis: vertex stations exactly on it, crossed edges meeting it once.  A
-    lone hop through the outer face (a line that misses the drawing) gets
-    the drawing of (v), v the first outer vertex, moved above the axis, with
-    no designated vertex."""
+    plane 3-tree is placed by ``place_free``; any other graph is split along
+    the curve, each side drawn barycentrically against the path on the
+    x-axis, and the crossed edges straightened.  A lone hop through the outer
+    face (a line that misses the drawing) gets the drawing of (v), v the
+    first outer vertex, moved above the axis, with no designated vertex."""
     if c.closed:
         raise RealizeError("only open (proper) curves can be realized on a line")
-    if len(c.stations) == 1 and c.stations[0][0] == 'f':
-        if c.stations[0][1] != g.outer:
-            raise RealizeError("curve is not proper (an endpoint misses the outer region)")
+    if _misses_drawing(g, c):
         d = curve_to_drawing(g, GoodCurve((Vst(g.outer_walk()[0]),)))
         lift = 1 - min(y for _, y in d.coords.values())
         return Drawing({v: (x, y + lift) for v, (x, y) in d.coords.items()})
     try:
         decomp = decompose(g)
     except ThreeTreeError:
-        return _theorem1_pipeline(g, c)
+        return _straighten(g, _split_drawing(g, _proper_augment(g, c)), c.vertices)
     return Drawing(_place(decomp, labeling_from_curve(g, c)).coords, c.vertices)

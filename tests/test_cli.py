@@ -411,6 +411,20 @@ class TestPlacementCommands:
             if e[0] == "v":
                 assert d.coords[e[1]] == (F(2 * i + 1, 2), F(0))
 
+    def test_place_a_line_that_misses_the_drawing(self, tmp_path, capsys):
+        # the read-back of a line that misses the drawing is a lone hop
+        # through the outer face: every vertex above it, nothing to target
+        from collinear.plane_graph import serialize_plane_graph
+        from collinear.three_tree import random_plane_3tree
+
+        gpath, cpath, tpath = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "t.txt"
+        gpath.write_text(serialize_plane_graph(random_plane_3tree(10, 1)))
+        cpath.write_text("curve open\nf 0 1 2\n")
+        tpath.write_text("")
+        code, out, err = run(capsys, "place", str(gpath), str(cpath), str(tpath))
+        assert (code, err) == (0, "")
+        assert "placed 0" in out and "verified ok" in out
+
     def test_place_missing_target(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         run(capsys, "gen", "--kind", "3tree", "--n", "9", "--out", str(gpath))

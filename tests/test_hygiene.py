@@ -112,11 +112,13 @@ def test_only_curves_checks_curves():
 
 
 def test_import_loads_no_numpy_or_scipy():
-    # numpy and scipy are imported only when a drawing is straightened, so
-    # every command starts without paying for them
+    # no module imports numpy or scipy, not even to straighten a drawing:
+    # the Theorem-1 route solves one exact system in integers
     code = ("import sys\n"
             "import collinear.cli, collinear.realize, collinear.applications, "
             "collinear.cubic, collinear.treewidth\n"
+            "g = collinear.cubic.generate_triconnected_cubic(1, 12)\n"
+            "collinear.realize.curve_to_drawing(g, collinear.cubic.theorem4(g).curve)\n"
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('numpy', 'scipy')))\n")
     path = [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]

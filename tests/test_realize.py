@@ -7,7 +7,6 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction as Fr
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -391,11 +390,16 @@ def test_sweep_degenerate_cases(coords, edges, message):
 # -- barycentric embedding -----------------------------------------------------------
 
 
+def unit_weights(nbrs):
+    """Weight 1 on each neighbour, the system of a Tutte embedding."""
+    return {v: Counter(ws) for v, ws in nbrs.items()}
+
+
 def test_tutte_triangle_interior():
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (2, 3), 3: (2, 1)},
                              [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    d = Drawing(realize._barycentric(g.rot, {0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)),
-                                             2: (Fr(2), Fr(3))}))
+    d = Drawing(realize._barycentric(unit_weights(g.rot), {0: (Fr(0), Fr(0)), 1: (Fr(4), Fr(0)),
+                                                          2: (Fr(2), Fr(3))}))
     assert d.coords[3] == (Fr(2), Fr(1))
     assert verify_drawing(g, d).ok
 
@@ -405,7 +409,7 @@ def test_tutte_square_center():
         {0: (0, 0), 1: (2, 0), 2: (2, 2), 3: (0, 2), 4: (1, 1)},
         [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (2, 4), (3, 4)])
     poly = {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(0)), 2: (Fr(2), Fr(2)), 3: (Fr(0), Fr(2))}
-    d = Drawing(realize._barycentric(g.rot, poly))
+    d = Drawing(realize._barycentric(unit_weights(g.rot), poly))
     assert d.coords[4] == (Fr(1), Fr(1))
     assert verify_drawing(g, d).ok
 
@@ -419,8 +423,8 @@ def octahedron():
 
 def test_tutte_octahedron_residual_zero():
     g = octahedron()
-    d = Drawing(realize._barycentric(g.rot, {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(4)),
-                                             2: (Fr(4), Fr(0))}))
+    d = Drawing(realize._barycentric(unit_weights(g.rot), {0: (Fr(0), Fr(0)), 1: (Fr(2), Fr(4)),
+                                                          2: (Fr(4), Fr(0))}))
     assert verify_drawing(g, d).ok
     for v in (3, 4, 5):
         nb = g.rot[v]
@@ -1002,8 +1006,26 @@ def test_lift_verifies_once_per_lift_on_a_3tree(monkeypatch):
 
 
 # -- straightening -------------------------------------------------------------------
-# ``_straighten`` maps the vertex levels onto their ranks, so each case is
-# compared with the reference straightening of the ranked drawing
+# ``_straighten`` puts the vertices on levels of its own, so each case is
+# compared with the LP straightening of the ranked drawing by its shape
+
+
+def assert_same_shape(g, d, ref, base):
+    """Both outcomes are drawings that verify and draw every edge in the
+    direction ``base`` draws it (up, down or level), and ``d`` puts the
+    vertices on y = 0 that ``base`` puts there (the reference, which ranks
+    the levels, puts its lowest one there when ``base`` has none)."""
+    assert isinstance(d, Drawing) and isinstance(ref, Drawing), (d, ref)
+    assert verify_drawing(g, d).ok and verify_drawing(g, ref).ok
+    assert d.designated == ref.designated
+
+    def shape(dr):
+        ys = {v: y for v, (_, y) in dr.coords.items()}
+        return {(u, v): (ys[v] > ys[u]) - (ys[v] < ys[u]) for u, v in g.edges}
+
+    def zero(dr):
+        return {v for v, (_, y) in dr.coords.items() if y == 0}
+    assert shape(d) == shape(ref) == shape(base) and zero(d) == zero(base)
 
 
 def test_straighten_removes_bend_keeping_y():
@@ -1013,8 +1035,7 @@ def test_straighten_removes_bend_keeping_y():
                          bends={(1, 2): ((Fr(5), Fr(1)),)})
     d = _straighten(g, pl, ())
     assert {v: d.coords[v][1] for v in g.vertices} == {0: 0, 1: 0, 2: 1}
-    assert d == reference_straighten(g, reference_rank_levels(g, pl))
-    assert verify_drawing(g, d).ok
+    assert_same_shape(g, d, reference_straighten(g, reference_rank_levels(g, pl)), pl)
 
 
 def test_straighten_rejects_non_monotone():
@@ -1032,11 +1053,7 @@ def test_straighten_preserves_level_order():
                           {0: (0, 0), 1: (4, 0), 2: (2, 4), 3: (1, 1),
                            4: (3, 1), 5: (2, 2)}.items()})
     d = _straighten(g, pl, ())
-    assert verify_drawing(g, d).ok
-    assert d == reference_straighten(g, reference_rank_levels(g, pl))
-    rank = {Fr(0): 0, Fr(1): 1, Fr(2): 2, Fr(4): 3}
-    for v in g.vertices:
-        assert d.coords[v][1] == rank[pl.coords[v][1]]
+    assert_same_shape(g, d, reference_straighten(g, reference_rank_levels(g, pl)), pl)
 
 
 @pytest.mark.parametrize("coords,message", [
@@ -1051,32 +1068,27 @@ def test_straighten_rejects_degenerate_levels(coords, message):
         _straighten(g, pl, ())
 
 
-def test_straighten_rechecks_every_row_exactly(monkeypatch):
-    # one level (y = 1) holds the items vertex 2 and the edge (0, 3); the LP
-    # answer is replaced, so only the exact re-check decides
-    import scipy.optimize
-
+def test_straighten_checks_every_triangle(monkeypatch):
+    # the exact solve is replaced by one that moves vertex 2 out of the
+    # frame, left of x = 0, so only the check of the triangles' signs on
+    # the rounded coordinates can catch it
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)},
                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in
                           {0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)}.items()})
-    # edge (0, 3) passes y = 1 at x = 2**-59; vertex 2 lies 2**-100 right of
-    # it, or on it
-    answers = {"just right": [0.0, 4.0, 2.0 ** -59 + 2.0 ** -100, 2.0 ** -58],
-               "on the edge": [0.0, 4.0, 2.0 ** -59, 2.0 ** -58]}
-    for name, x in answers.items():
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *a, **k: SimpleNamespace(success=True, x=x,
-                                                            message=""))
-        if name == "just right":
-            d = _straighten(g, pl, ())
-            assert [d.coords[v][0] for v in range(4)] == [Fr(t) for t in x]
-        else:
-            with pytest.raises(RealizeError, match="violates a level order"):
-                _straighten(g, pl, ())
+    assert verify_drawing(g, _straighten(g, pl, ())).ok
+    solve = realize._barycentric
+
+    def corrupted(nbrs, fixed):
+        sol = solve(nbrs, fixed)
+        return {**sol, 2: (Fr(-1), sol[2][1])}
+    monkeypatch.setattr(realize, "_barycentric", corrupted)
+    with pytest.raises(RealizeError, match=r"straightened triangle \(.*\) is not "
+                                           "counter-clockwise"):
+        _straighten(g, pl, ())
 
 
-# -- the straightening of the parent commit, kept as a reference ----------------------
+# -- the LP straightening that the exact system replaced, kept as a reference -------
 
 
 def reference_polyline_x_at(poly, y0):
@@ -1177,8 +1189,8 @@ def reference_straighten(g, pl, designated=()):
 
 
 def reference_ranked_straighten(g, pl, designated=()):
-    """The reference straightening of ``pl`` with its levels ranked, as
-    ``_straighten`` ranks them."""
+    """The reference straightening of ``pl`` with its levels ranked onto
+    consecutive integers (0 stays 0), as the LP straightening ranked them."""
     return reference_straighten(g, reference_rank_levels(g, pl), designated)
 
 
@@ -1297,17 +1309,18 @@ def test_theorem1_straightening_matches_reference(case, data):
     pl = _split_drawing(g, aug)
     # the pipeline; the same split drawing straightened directly; and a
     # sheared copy of that straightened drawing
-    assert curve_to_drawing(g, c) == reference_theorem1(g, c)
-    assert (outcome(_straighten, g, pl, designated)
-            == outcome(reference_ranked_straighten, g, pl, designated))
+    ref = reference_theorem1(g, c)
+    assert_same_shape(g, curve_to_drawing(g, c), ref, ref)
+    assert_same_shape(g, outcome(_straighten, g, pl, designated),
+                      outcome(reference_ranked_straighten, g, pl, designated), pl)
     base = _straighten(g, pl, designated)
     levels = sorted({y for (_, y) in base.coords.values()})
     breaks = {y: data.draw(small_fracs) for y in
               data.draw(st.lists(st.sampled_from(levels + [Fr(1, 2), Fr(-1, 3)]),
                                  min_size=1, max_size=6, unique=True))}
     sh = sheared(base, g.edges, breaks)
-    assert (outcome(_straighten, g, sh, designated)
-            == outcome(reference_ranked_straighten, g, sh, designated))
+    assert_same_shape(g, outcome(_straighten, g, sh, designated),
+                      outcome(reference_ranked_straighten, g, sh, designated), sh)
 
 
 @st.composite
@@ -1338,15 +1351,14 @@ def grid_drawings(draw):
 @given(grid_drawings())
 def test_straighten_matches_reference_on_sheared_grids(case):
     g, pl = case
-    got = outcome(_straighten, g, pl, ())
-    assert got == outcome(reference_ranked_straighten, g, pl)
-    if isinstance(got, Drawing):
-        assert verify_drawing(g, got).ok
+    assert_same_shape(g, outcome(_straighten, g, pl, ()),
+                      outcome(reference_ranked_straighten, g, pl), pl)
 
 
 def test_theorem1_drawings_pinned():
-    # sha256 of the serialized drawings, equal to those of the per-level
-    # scan with a dense LP matrix that the level sweep replaced
+    # sha256 of the serialized drawings of the exact convex-combination
+    # straightening; each drawing verifies (test_theorem1_straightening_
+    # matches_reference compares their shape with the LP straightening)
     def grid(side):
         g, m = identity_grid_model(side)
         return theorem5_curve(g, m)
@@ -1356,10 +1368,10 @@ def test_theorem1_drawings_pinned():
         return g, theorem4(g).curve
 
     cases = [
-        (grid(10), "a6fc9e780f0e05ad35b15b33c5c84969c0cf5cda408aada0c97d701f186cca2b"),
-        (grid(16), "0cd31c0075b922b7aec68317546bde64f188acad08d659daabfc529110751d3e"),
-        (cubic(1, 100), "78d03d9ad22f1e1d6c4ed41be8d41a2563bc71739e4d28b2532cef88b38e3886"),
-        (cubic(200, 200), "115809ef0014b85a173c5273a516c48dc0d254a8fca7857045033047df5de294"),
+        (grid(10), "85ccd971e5a80d8f535adfa54bac2d3b86aad3de2ad2450572bd92916509facd"),
+        (grid(16), "78bfeb55d6e731fda9e409ce2a4ab69e0bbfb8693fa51370212e7e346674941f"),
+        (cubic(1, 100), "6c14753688faa9c6e587c97fd7403dd719b95e6d7a53bd14e18af95229371c8d"),
+        (cubic(200, 200), "45aaf76c57e50c3e6d63baef65d54e148f9da29153a808eb5d45a7a2cb7eb709"),
     ]
     for (g, c), digest in cases:
         text = serialize_drawing(curve_to_drawing(g, c))
@@ -1394,18 +1406,20 @@ def _labels_text(g, c):
 @pytest.mark.parametrize("make,drawings,labels", [
     (lambda: random_plane_3tree(30, 2),
      "f3a33c2f3f333752b785307f9352a17ea7d9d6e5620cfbb738b69e7867095a81",
-     "afd7a18dba47704d3657347bd40020b2578151007c721d1315d5b96dc2f38efc"),
+     "5ca75014c71ecfeba4c3923d10e465c5a2e6dac20af5be270da51bc0132e36a6"),
     (lambda: generate_triconnected_cubic(1, 12),
-     "96d55118d6ad2b6e39d3c15d845106f053e2be82a2bccdc822e6751867e5a777",
-     "81d281d457bf99e345a7a4f43916cdfb2cce5e48daa88b50510fac6ddedf7788"),
+     "4686bfbe2fc7c58516e7d3aae6f94fe2ad303396c917703e7b668c335273fb8f",
+     "1054282a5c349ce3f234869d558d5198fa899113674c8385e57efd94b0d1d713"),
     (lambda: identity_grid_model(6)[0],
-     "3daf8e2736787963cfb43f061d6dd78575d0c00885d42c0e368b6c7bfcdf62e9",
-     "85660520e19d665311c97e30bd55945756ce8a4b840306a7aa82d5965413a07a"),
+     "bbbc7526fe644fd2a781475ec81e7966aad47c33acdfb2d02e12ebe4adb76fb9",
+     "65deb0901fcadfac90da8752b55f54b86fd7f9b4a1eb992d1d57f19169dc0627"),
 ], ids=["3tree", "cubic", "grid"])
 def test_one_station_curves_pinned(make, drawings, labels):
     # sha256 over the curves (v), v along the outer walk, then the lone hop
-    # (f_outer): of their serialized drawings and of their labelings (the
-    # lone hop's labeling is an error)
+    # (f_outer): of their serialized drawings and of their labelings.  The
+    # lone hop is labelled as curve_to_drawing draws it, every vertex up
+    # with nothing on the line; its labeling used to raise the engine's
+    # "single-hop curves have no attachment"
     g = make()
     curves = [GoodCurve((Vst(v),)) for v in g.outer_walk()] + [GoodCurve((Fst(g.outer),))]
     d_hash, l_hash = hashlib.sha256(), hashlib.sha256()
@@ -1704,7 +1718,7 @@ def test_every_proper_curve_realizes():
             assert verify_drawing(g, d).ok, (kind, c)
             assert d.designated == c.vertices, (kind, c)
             realized[kind] += 1
-    assert realized == {"read-back": 500, "vertex": 445, "3-tree": 60}
+    assert realized == {"read-back": 473, "vertex": 445, "3-tree": 60}
 
 
 def test_lone_hop_realizes_on_both_routes():
@@ -1719,10 +1733,13 @@ def test_lone_hop_realizes_on_both_routes():
         assert d.designated == () and min(y for _, y in d.coords.values()) == 1
         assert verify_drawing(g, d).ok
         assert curve_from_drawing(g, d.coords, (Fr(0), Fr(1), Fr(0))) == c
+        lab = labeling_from_curve(g, c)
+        assert set(lab.labels.values()) == {"up"} and lab.order == () and lab.targets == {}
     inner = GoodCurve((Fst(g.internal_faces()[0]),))     # g: the cubic graph
     assert not validate_curve(g, inner).proper
-    with pytest.raises(RealizeError, match="curve is not proper"):
-        curve_to_drawing(g, inner)
+    for realize_or_label in (curve_to_drawing, labeling_from_curve):
+        with pytest.raises(RealizeError, match="curve is not proper"):
+            realize_or_label(g, inner)
 
 
 @pytest.mark.parametrize("side,a,b", [(4, 0, 1), (8, 60, 61)])
@@ -1799,19 +1816,19 @@ def reference_solve_barycentric(rows, rhs):
 
 
 def reference_barycentric(nbrs, fixed):
-    """``realize._barycentric`` on the reference solver: the same rows (a
-    repeated neighbour still gives -1), in ``Fraction``s."""
+    """``realize._barycentric`` on the reference solver: the same rows, from
+    the integer weights ``nbrs[v][u]``, in ``Fraction``s."""
     rows, rhs = {}, {}
     for v, ws in nbrs.items():
         if v in fixed:
             continue
-        row, b = {v: Fr(len(ws))}, [Fr(0), Fr(0)]
-        for u in ws:
+        row, b = {v: Fr(sum(ws.values()))}, [Fr(0), Fr(0)]
+        for u, w in ws.items():
             if u in fixed:
-                b[0] += fixed[u][0]
-                b[1] += fixed[u][1]
+                b[0] += w * fixed[u][0]
+                b[1] += w * fixed[u][1]
             else:
-                row[u] = Fr(-1)
+                row[u] = Fr(-w)
         rows[v], rhs[v] = row, b
     return {**fixed, **reference_solve_barycentric(rows, rhs)}
 
@@ -1822,7 +1839,7 @@ def captured_systems(fn, *args):
     calls, real = [], realize._barycentric
 
     def capture(nbrs, fixed):
-        calls.append(({v: list(ws) for v, ws in nbrs.items()}, dict(fixed)))
+        calls.append(({v: dict(ws) for v, ws in nbrs.items()}, dict(fixed)))
         return real(nbrs, fixed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(realize, "_barycentric", capture)
@@ -1855,7 +1872,7 @@ def test_barycentric_matches_reference(case):
     if kind == "split":
         systems = captured_systems(_split_drawing, g, augment_with_curve(g, split_curve(g, arg)))
     else:
-        systems = [(g.rot, arg)]
+        systems = [(unit_weights(g.rot), arg)]
     assert systems
     for nbrs, fixed in systems:
         assert realize._barycentric(nbrs, fixed) == reference_barycentric(nbrs, fixed)
@@ -1863,7 +1880,7 @@ def test_barycentric_matches_reference(case):
 
 @pytest.mark.parametrize("solve", [realize._barycentric, reference_barycentric],
                          ids=["integer", "reference"])
-@pytest.mark.parametrize("nbrs", [{0: [1], 1: [0]}, {0: []}],
+@pytest.mark.parametrize("nbrs", [{0: {1: 1}, 1: {0: 1}}, {0: {}}],
                          ids=["pair-only-adjacent", "no-neighbours"])
 def test_barycentric_rejects_a_singular_system(solve, nbrs):
     fixed = {5: (Fr(0), Fr(0))}
@@ -2013,6 +2030,19 @@ def test_split_drawing_matches_reference_building_no_graph(case, monkeypatch):
     assert got == reference_split_drawing(g, aug)
     sides = sum(1 for side in curve_sides(aug) if side)
     assert sorted(calls) == ["__init__"] * 2 * sides + ["subgraph"] * sides
+
+
+@pytest.mark.parametrize("case", [("grid", 26), ("cubic", 300, 3), ("cubic", 400, 7),
+                                  ("cubic", 800, 1), ("cubic", 800, 2)],
+                         ids=["grid26", "cubic300-3", "cubic400-7", "cubic800-1", "cubic800-2"])
+def test_curves_the_straightening_lp_failed_on_realize(case):
+    # the float LP straightening raised RealizeError on each of these (the
+    # LP infeasible, or its answer violating a level order); the exact
+    # convex-combination system draws them all
+    g, c = split_case(*case)
+    d = curve_to_drawing(g, c)
+    assert d.designated == c.vertices and all(d.coords[v][1] == 0 for v in c.vertices)
+    assert verify_drawing(g, d).ok
 
 
 def test_split_drawing_clips_a_face_that_repeats_a_vertex():
