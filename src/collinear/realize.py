@@ -22,9 +22,9 @@ provides:
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
   drawing with all its vertex stations on the x-axis (for graphs that are
   not 3-trees: both sides drawn by one barycentric system against the path
-  on the axis, then straightened on integer vertex levels by one exact
-  convex-combination system over a triangulation, Floater's theorem, each
-  triangle's orientation checked on the rounded result);
+  on the axis, then straightened on integer vertex levels by one convex-
+  combination system over a triangulation, Floater's theorem, solved in
+  fixed point, each triangle's orientation checked exactly when rounded);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
   read off the faces' orientations (one verifier call on a triangulation).
@@ -346,25 +346,64 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 
 # -- barycentric (Tutte) embedding ------------------------------------------------
 
+def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Sequence[int]], step) -> list:
+    """(p, pivot, rest of row p, rhs) per pivot of the system ``rows`` (row
+    v maps unknowns to integer coefficients, ``rhs[v]`` holds its right-hand
+    sides; both consumed), in minimum-degree order from a lazy (row length,
+    vertex) heap; a zero pivot raises.  Pivot p makes row r, with a at p,
+    ``m * row_r - (q * row_p >> s)``, (m, q, s) = ``step(piv, a)``, over its
+    gcd if s = 0.  O((U + T) log U) pivot choice for U unknowns, T updates."""
+    occurs: Dict[int, Set[int]] = {v: set() for v in rows}
+    for r, row in rows.items():
+        for v in row:
+            occurs[v].add(r)
+    heap = sorted((len(row), v) for v, row in rows.items())
+    order = []
+    while heap:
+        k, p = heappop(heap)
+        if p not in rows or k != len(rows[p]):
+            continue
+        prow, prhs = rows.pop(p), rhs.pop(p)
+        piv = prow.pop(p, 0)
+        if piv == 0:
+            raise RealizeError("singular barycentric system")
+        order.append((p, piv, prow, prhs))
+        for r in occurs.pop(p) & rows.keys():
+            row = rows[r]
+            m, q, s = step(piv, row.pop(p))
+            new = {v: m * c for v, c in row.items()}
+            for v, c in prow.items():
+                nv = new.get(v, 0) - (q * c >> s)
+                if nv:
+                    occurs[v].add(r)
+                    new[v] = nv
+                elif v in new:
+                    del new[v]
+                    occurs[v].discard(r)
+            b = [m * x - (q * px >> s) for x, px in zip(rhs[r], prhs)]
+            g = 1 if s else gcd(*b, *new.values())
+            if g > 1:
+                new, b = {v: c // g for v, c in new.items()}, [x // g for x in b]
+            rows[r], rhs[r] = new, b
+            if len(new) != len(row) + 1:
+                heappush(heap, (len(new), r))
+    return order
+
+
 def _barycentric(nbrs: Mapping[int, Mapping[int, int]],
                  fixed: Mapping[int, Point]) -> Dict[int, Point]:
     """Every vertex of ``nbrs`` that ``fixed`` does not place, exactly at the
     weighted average of its neighbours, ``nbrs[v]`` mapping each to its
-    integer weight; returns the fixed positions and the solved ones.
-
-    Row v (the weight sum on the diagonal, minus the weight at each unfixed
-    neighbour, the fixed neighbours' weighted sums on the right) is scaled
-    to integers and eliminated fraction-free (Bareiss): pivot row p makes row r
-    ``piv * row_r - row_r[p] * prow`` over the gcd of its entries, a
-    non-zero multiple of its ``Fraction`` counterpart with the same
-    non-zeros.  So a lazy (row length, vertex) heap gives the pivots of a
-    minimum-degree scan, a pivot is zero (``RealizeError``) iff it is over
-    the rationals, and the one exact solution of a nonsingular system is
-    unchanged.  Cost: O((U + T) log U) pivot choice for U unknowns and T
-    row updates, and O(1) big-integer operations per entry touched.
+    integer weight; returns the fixed positions and the solved ones: the
+    split drawing, whose y values decide the levels, and ``_straighten``'s
+    last proposal.  Row v (the weight sum on the diagonal, minus the weight
+    at each unfixed neighbour, the fixed neighbours' weighted sums on the
+    right), scaled to integers, is eliminated fraction-free (Bareiss), each
+    row a multiple of its ``Fraction`` counterpart with the same non-zeros,
+    so a pivot is zero iff it is over the rationals.
     """
     rows: Dict[int, Dict[int, int]] = {}
-    rhs: Dict[int, Tuple[int, int]] = {}
+    rhs: Dict[int, Sequence[int]] = {}
     for v, ws in nbrs.items():
         if v not in fixed:
             bx = sum((w * fixed[u][0] for u, w in ws.items() if u in fixed), F(0))
@@ -373,50 +412,30 @@ def _barycentric(nbrs: Mapping[int, Mapping[int, int]],
             rows[v] = {v: sum(ws.values()) * s,
                        **{u: -w * s for u, w in ws.items() if u not in fixed}}
             rhs[v] = (bx.numerator * s // bx.denominator, by.numerator * s // by.denominator)
-    occurs: Dict[int, Set[int]] = {v: set() for v in rows}
-    for r, row in rows.items():
-        for v in row:
-            occurs[v].add(r)
-    heap = sorted((len(row), v) for v, row in rows.items())
-    order: List[Tuple[int, int, Dict[int, int], int, int]] = []
-    while heap:
-        k, p = heappop(heap)
-        if p not in rows or k != len(rows[p]):
-            continue
-        prow = rows.pop(p)
-        piv = prow.pop(p, 0)
-        if piv == 0:
-            raise RealizeError("singular barycentric system")
-        px, py = rhs.pop(p)
-        order.append((p, piv, prow, px, py))
-        for r in occurs.pop(p) & rows.keys():
-            row = rows[r]
-            a = row.pop(p)
-            new = {v: piv * c for v, c in row.items()}
-            for v, c in prow.items():
-                nv = new.get(v, 0) - a * c
-                if nv:
-                    occurs[v].add(r)
-                    new[v] = nv
-                elif v in new:
-                    del new[v]
-                    occurs[v].discard(r)
-            x, y = piv * rhs[r][0] - a * px, piv * rhs[r][1] - a * py
-            g = gcd(x, y, *new.values())
-            if g > 1:
-                x, y = x // g, y // g
-                new = {v: c // g for v, c in new.items()}
-            rows[r], rhs[r] = new, (x, y)
-            if len(new) != len(row) + 1:
-                heappush(heap, (len(new), r))
     sol: Dict[int, Point] = {}
-    for p, piv, prow, px, py in reversed(order):
+    for p, piv, prow, (px, py) in reversed(_eliminate(rows, rhs, lambda piv, a: (piv, a, 0))):
         terms = [(c, sol[v]) for v, c in prow.items()]
         L = lcm(*(q.denominator for _, pt in terms for q in pt))
         x = px * L - sum(c * fx.numerator * (L // fx.denominator) for c, (fx, _) in terms)
         y = py * L - sum(c * fy.numerator * (L // fy.denominator) for c, (_, fy) in terms)
         sol[p] = (Fraction(x, piv * L), Fraction(y, piv * L))
     return {**fixed, **sol}
+
+
+def _fixed_point_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int],
+                   bits: int) -> Dict[int, int]:
+    """The x column of ``_barycentric`` for integer fixed x, each value and
+    coefficient times 2^bits: row r loses f * prow, f = row_r[p] / piv and
+    each product rounded down to bits fractional bits."""
+    one = 1 << bits
+    rows = {v: {v: sum(ws.values()) * one, **{u: -w * one for u, w in ws.items() if u not in fixed}}
+            for v, ws in nbrs.items() if v not in fixed}
+    rhs = {v: (sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) * one,) for v in rows}
+    X = {v: x * one for v, x in fixed.items()}
+    for p, piv, prow, (px,) in reversed(_eliminate(
+            rows, rhs, lambda piv, a: (1, (a << bits) // piv, bits))):
+        X[p] = ((px << bits) - sum(c * X[v] for v, c in prow.items())) // piv
+    return X
 
 
 # -- labelings induced by a curve -------------------------------------------------
@@ -1021,6 +1040,10 @@ def _fan(vs: Sequence[int], nbrs: Dict[int, List[int]], lev: Mapping[int, int]
     raise RealizeError(f"face {tuple(vs)}: no corner to fan from")
 
 
+_FIXED_BITS = 64           # first precision of the straightening proposal
+_FIXED_BITS_CAP = 1024     # past it, the exact solution is the proposal
+
+
 def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
                 ) -> Drawing:
     """Replace the y-monotone polyline edges of a planar drawing ``pl`` of g
@@ -1033,13 +1056,25 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
     put at a weighted average of its neighbours, with integer weights that
     make its level the same average of theirs: 1 on each, plus an extra on
     the nearest one on the side of the smaller sum of level gaps (all
-    scaled to integers).  By Floater's
-    theorem (Math. Comp. 72, 2003) the one solution for x (``_barycentric``;
-    B, T at x = 0, B2 at x = y_T - y_B) draws every triangle counter-
-    clockwise.  Moving x by at most 2^-k-1 changes the determinant of a
-    triangle of y-span s by at most 2^-k s, so x is rounded to the coarsest
-    grid 2^-k that no triangle's exact determinant forbids; then each
-    triangle's sign is checked, the certificate of ``verify_drawing``.
+    scaled to integers).  By Floater's theorem (Math. Comp. 72, 2003) the
+    one solution for x (B, T at x = 0, B2 at x = y_T - y_B) draws every
+    triangle counter-clockwise; y is the level.
+
+    x is proposed in fixed point (``_fixed_point_x``) with 64 fractional
+    bits first.  The matrix is diagonally dominant by rows (the weight sum
+    on the diagonal, the unfixed neighbours' weights off it), the symmetric
+    pivot order keeps it so, and elimination without pivoting then has
+    growth factor at most 2 (Wilkinson; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, ch. 9): each rounding errs by
+    2^-bits of entries that stay small, so the proposal tends to the exact
+    x as the bits grow.  Moving x by at most 2^-k-1 changes the determinant
+    of a triangle of y-span s by at most 2^-k s, so x is rounded to the
+    coarsest grid 2^-k that no triangle's proposed determinant forbids, and
+    each triangle's sign is checked exactly on the result, the certificate
+    of ``verify_drawing``.  A non-positive proposed determinant, a zero
+    pivot, k > bits/2 (too few guard bits to round as the exact x) or a
+    failed check doubles the bits; past 1024, the exact ``_barycentric``
+    solution is the last proposal, and its failed check raises.
     """
     coords = pl.coords
     B, B2, T = frame = tuple(range(max(coords) + 1, max(coords) + 4))
@@ -1058,21 +1093,37 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
             q = gcd(lev[k] - y, s)
             weights[v] = dict.fromkeys(ws, abs(lev[k] - y) // q)
             weights[v][k] += abs(s) // q
-    fixed = {B: (F(0), F(lev[B])), B2: (F(lev[T] - lev[B]), F(lev[B])), T: (F(0), F(lev[T]))}
-    H = {v: homogeneous(p) for v, p in _barycentric(weights, fixed).items()}
+    fixed = {B: 0, B2: lev[T] - lev[B], T: 0}
 
-    def grid(a: int, b: int, c: int) -> int:
+    def grid(a: int, b: int, c: int, det: int) -> int:
         """The least k with 2^k * det > span for triangle abc."""
-        det = _det(H[a], H[b], H[c])
         r = (max(lev[a], lev[b], lev[c]) - min(lev[a], lev[b], lev[c])) * H[a][2] * H[b][2] * H[c][2]
         k = r.bit_length() - det.bit_length()
         return k + (det << max(k, 0) <= r << max(-k, 0))
-    scale = F(2) ** max(grid(*t) for t in tris)
-    P = {v: (round(F(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
-    flipped = next((t for t in tris if _det(*(P[v] for v in t)) <= 0), None)
-    if flipped is not None:
-        raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
-    return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in coords}, designated)
+    bits = _FIXED_BITS
+    while True:
+        exact = bits > _FIXED_BITS_CAP
+        if exact:
+            H = {v: homogeneous(p) for v, p in _barycentric(
+                weights, {u: (F(x), F(lev[u])) for u, x in fixed.items()}).items()}
+        else:
+            try:
+                X = _fixed_point_x(weights, fixed, bits)
+            except RealizeError:        # a pivot rounded to zero: a failed check
+                bits *= 2
+                continue
+            H = {v: (x, lev[v] << bits, 1 << bits) for v, x in X.items()}
+        dets = [_det(*(H[v] for v in t)) for t in tris]
+        k = max(grid(*t, det) for t, det in zip(tris, dets))
+        if exact or (min(dets) > 0 and 2 * k <= bits):
+            scale = F(2) ** k
+            P = {v: (round(F(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
+            flipped = next((t for t in tris if _det(*(P[v] for v in t)) <= 0), None)
+            if flipped is None:
+                return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in coords}, designated)
+            if exact:
+                raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
+        bits *= 2
 
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------

@@ -111,6 +111,24 @@ def test_only_curves_checks_curves():
     assert not uses, f"curve checks outside curves.py: {', '.join(uses)}"
 
 
+def test_no_floats_outside_the_svg_export():
+    # exact arithmetic decides every coordinate, so no float shortcut can
+    # certify a drawing: no float() call and no float literal in the
+    # package, except in the SVG export, which renders a finished drawing
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        svg = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and path.name == "realize.py" and node.name == "drawing_to_svg"]
+        allowed = {id(node) for root in svg for node in ast.walk(root)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed
+                  and ((isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "float")
+                       or (isinstance(node, ast.Constant) and isinstance(node.value, float)))]
+    assert not found, f"floats outside realize.drawing_to_svg: {', '.join(found)}"
+
+
 def test_import_loads_no_numpy_or_scipy():
     # no module imports numpy or scipy, not even to straighten a drawing:
     # the Theorem-1 route solves one exact system in integers

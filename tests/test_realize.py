@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import re
 from bisect import bisect_left
 from collections import Counter
@@ -1069,23 +1070,133 @@ def test_straighten_rejects_degenerate_levels(coords, message):
 
 
 def test_straighten_checks_every_triangle(monkeypatch):
-    # the exact solve is replaced by one that moves vertex 2 out of the
-    # frame, left of x = 0, so only the check of the triangles' signs on
-    # the rounded coordinates can catch it
+    # every fixed-point proposal and the exact last resort are replaced by
+    # solves that move vertex 2 out of the frame, left of x = 0, so only
+    # the check of the triangles' signs can catch it
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)},
                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     pl = PolylineDrawing({v: (Fr(x), Fr(y)) for v, (x, y) in
                           {0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)}.items()})
     assert verify_drawing(g, _straighten(g, pl, ())).ok
-    solve = realize._barycentric
+    solve, propose = realize._barycentric, realize._fixed_point_x
 
     def corrupted(nbrs, fixed):
         sol = solve(nbrs, fixed)
         return {**sol, 2: (Fr(-1), sol[2][1])}
+
+    def corrupted_proposal(nbrs, fixed, bits):
+        return {**propose(nbrs, fixed, bits), 2: -1 << bits}
     monkeypatch.setattr(realize, "_barycentric", corrupted)
+    monkeypatch.setattr(realize, "_fixed_point_x", corrupted_proposal)
     with pytest.raises(RealizeError, match=r"straightened triangle \(.*\) is not "
                                            "counter-clockwise"):
         _straighten(g, pl, ())
+
+
+# -- the exact straightening that the fixed-point proposal replaced, kept as a
+# reference: the same triangulation and weights, both columns solved exactly
+
+
+def reference_exact_straighten(g, pl, designated=()):
+    """``_straighten`` with the exact ``_barycentric`` solution as its only
+    proposal: x rounded to the coarsest grid 2^-k that no triangle's exact
+    determinant forbids, then every triangle's sign checked."""
+    coords = pl.coords
+    B, B2, T = frame = tuple(range(max(coords) + 1, max(coords) + 4))
+    rot, lev = realize._regularize(g, pl, frame)
+    nbrs = {v: list(ws) for v, ws in rot.items()}
+    tris = [t for walk in PlaneGraph._trace_faces(rot, [(v, w) for v in rot for w in rot[v]])
+            if walk[0] != (B, T) for t in realize._fan([v for v, _ in walk], nbrs, lev)]
+    weights = {}
+    for v in coords:
+        y, ws = lev[v], nbrs[v]
+        s = sum(lev[u] - y for u in ws)
+        weights[v] = dict.fromkeys(ws, 1)
+        if s:
+            k = min((u for u in ws if (lev[u] - y) * s < 0), key=lambda u: abs(lev[u] - y))
+            q = math.gcd(lev[k] - y, s)
+            weights[v] = dict.fromkeys(ws, abs(lev[k] - y) // q)
+            weights[v][k] += abs(s) // q
+    fixed = {B: (Fr(0), Fr(lev[B])), B2: (Fr(lev[T] - lev[B]), Fr(lev[B])), T: (Fr(0), Fr(lev[T]))}
+    H = {v: homogeneous(p) for v, p in realize._barycentric(weights, fixed).items()}
+
+    def grid(a, b, c):
+        det = realize._det(H[a], H[b], H[c])
+        r = (max(lev[a], lev[b], lev[c]) - min(lev[a], lev[b], lev[c])) * H[a][2] * H[b][2] * H[c][2]
+        k = r.bit_length() - det.bit_length()
+        return k + (det << max(k, 0) <= r << max(-k, 0))
+    scale = Fr(2) ** max(grid(*t) for t in tris)
+    P = {v: (round(Fr(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
+    flipped = next((t for t in tris if realize._det(*(P[v] for v in t)) <= 0), None)
+    if flipped is not None:
+        raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
+    return Drawing({v: (P[v][0] / scale, Fr(lev[v])) for v in coords}, designated)
+
+
+def as_text(d):
+    """A drawing serialized, or ``outcome``'s text of the error."""
+    return serialize_drawing(d) if isinstance(d, Drawing) else d
+
+
+def assert_matches_exact(g, pl, designated=()):
+    """``_straighten`` gives what the exact reference gives, bit for bit:
+    the same drawing or the same error."""
+    assert (as_text(outcome(_straighten, g, pl, designated))
+            == as_text(outcome(reference_exact_straighten, g, pl, designated)))
+
+
+@pytest.fixture
+def proposals(monkeypatch):
+    """The precision of every fixed-point proposal ``_straighten`` makes."""
+    calls, propose = [], realize._fixed_point_x
+
+    def spy(nbrs, fixed, bits):
+        calls.append(bits)
+        return propose(nbrs, fixed, bits)
+    monkeypatch.setattr(realize, "_fixed_point_x", spy)
+    return calls
+
+
+@lru_cache(maxsize=None)
+def split_system(case):
+    """The graph, curve and split drawing of ``split_case(*case)``."""
+    g, c = split_case(*case)
+    return g, c, _split_drawing(g, augment_with_curve(g, c))
+
+
+# the grids and cubic (100, 1) take one proposal, at 64 bits; the larger
+# cubic graphs round to a grid finer than 2^-32, so they take a second one
+@pytest.mark.parametrize("case,solves", [
+    (("grid", 10), 1), (("grid", 16), 1), (("grid", 20), 1), (("grid", 26), 1),
+    (("cubic", 100, 1), 1), (("cubic", 300, 3), 2), (("cubic", 400, 7), 2),
+    (("cubic", 800, 1), 2), (("cubic", 800, 2), 2)],
+    ids=["grid10", "grid16", "grid20", "grid26", "cubic100-1", "cubic300-3",
+         "cubic400-7", "cubic800-1", "cubic800-2"])
+def test_straighten_matches_the_exact_reference(case, solves, proposals):
+    g, c, pl = split_system(case)
+    assert_matches_exact(g, pl, c.vertices)
+    assert len(proposals) == solves
+
+
+def test_straighten_doubles_a_low_start_precision(proposals, monkeypatch):
+    monkeypatch.setattr(realize, "_FIXED_BITS", 2)
+    g, c, pl = split_system(("grid", 10))
+    assert_matches_exact(g, pl, c.vertices)
+    assert len(proposals) > 1 and proposals == [2 << i for i in range(len(proposals))]
+
+
+def test_straighten_falls_back_to_the_exact_solution(monkeypatch):
+    # every proposal puts every vertex at x = 0, so every triangle is flat
+    # and the exact last resort draws, as the reference does
+    calls = []
+
+    def flat(nbrs, fixed, bits):
+        calls.append(bits)
+        return dict.fromkeys([*nbrs, *fixed], 0)
+    monkeypatch.setattr(realize, "_fixed_point_x", flat)
+    g, c, pl = split_system(("grid", 10))
+    assert_matches_exact(g, pl, c.vertices)
+    assert calls == [64, 128, 256, 512, 1024]
 
 
 # -- the LP straightening that the exact system replaced, kept as a reference -------
@@ -1313,6 +1424,7 @@ def test_theorem1_straightening_matches_reference(case, data):
     assert_same_shape(g, curve_to_drawing(g, c), ref, ref)
     assert_same_shape(g, outcome(_straighten, g, pl, designated),
                       outcome(reference_ranked_straighten, g, pl, designated), pl)
+    assert_matches_exact(g, pl, designated)
     base = _straighten(g, pl, designated)
     levels = sorted({y for (_, y) in base.coords.values()})
     breaks = {y: data.draw(small_fracs) for y in
@@ -1321,6 +1433,7 @@ def test_theorem1_straightening_matches_reference(case, data):
     sh = sheared(base, g.edges, breaks)
     assert_same_shape(g, outcome(_straighten, g, sh, designated),
                       outcome(reference_ranked_straighten, g, sh, designated), sh)
+    assert_matches_exact(g, sh, designated)
 
 
 @st.composite
@@ -1353,6 +1466,7 @@ def test_straighten_matches_reference_on_sheared_grids(case):
     g, pl = case
     assert_same_shape(g, outcome(_straighten, g, pl, ()),
                       outcome(reference_ranked_straighten, g, pl), pl)
+    assert_matches_exact(g, pl)
 
 
 def test_theorem1_drawings_pinned():
@@ -1878,8 +1992,14 @@ def test_barycentric_matches_reference(case):
         assert realize._barycentric(nbrs, fixed) == reference_barycentric(nbrs, fixed)
 
 
-@pytest.mark.parametrize("solve", [realize._barycentric, reference_barycentric],
-                         ids=["integer", "reference"])
+def fixed_point_solve(nbrs, fixed):
+    """``realize._fixed_point_x`` at 64 bits on the x column of ``fixed``."""
+    return realize._fixed_point_x(nbrs, {v: int(x) for v, (x, _) in fixed.items()}, 64)
+
+
+@pytest.mark.parametrize("solve", [realize._barycentric, reference_barycentric,
+                                   fixed_point_solve],
+                         ids=["integer", "reference", "fixed-point"])
 @pytest.mark.parametrize("nbrs", [{0: {1: 1}, 1: {0: 1}}, {0: {}}],
                          ids=["pair-only-adjacent", "no-neighbours"])
 def test_barycentric_rejects_a_singular_system(solve, nbrs):
@@ -2039,7 +2159,7 @@ def test_curves_the_straightening_lp_failed_on_realize(case):
     # the float LP straightening raised RealizeError on each of these (the
     # LP infeasible, or its answer violating a level order); the exact
     # convex-combination system draws them all
-    g, c = split_case(*case)
+    g, c, _ = split_system(case)
     d = curve_to_drawing(g, c)
     assert d.designated == c.vertices and all(d.coords[v][1] == 0 for v in c.vertices)
     assert verify_drawing(g, d).ok
