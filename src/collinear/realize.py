@@ -542,12 +542,12 @@ def curve_sides(aug: AugmentedCurve) -> Tuple[Set[int], Set[int]]:
 def _proper_augment(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     """The embedding of a proper curve, for both routes.  A curve of one
     outer vertex v is embedded as (f_outer, v, f_outer), so every path has
-    two vertices at least."""
+    two vertices at least; any other curve is embedded as it is."""
+    if not c.closed and c.stations in [(Vst(v),) for v in g.outer_walk()]:
+        c = GoodCurve((Fst(g.outer), *c.stations, Fst(g.outer)))
     aug = augment_with_curve(g, c)
     if not aug.proper:
         raise RealizeError("curve is not proper (an endpoint misses the outer region)")
-    if len(aug.path_vertices) == 1:
-        aug = augment_with_curve(g, GoodCurve((Fst(g.outer), *c.stations, Fst(g.outer))))
     return aug
 
 

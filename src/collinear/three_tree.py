@@ -10,7 +10,9 @@ degree-3 vertex into an internal face.  This module provides:
 * ``build_curve_bundle`` -- three proper good curves per node, one ending on
                           each pair of outer edges, that together visit many
                           internal vertices (max of the three visits at least
-                          ``ceil(m/8)`` of the ``m`` internal vertices);
+                          ``ceil(m/8)`` of the ``m`` internal vertices); most
+                          nodes join their children's curves through one
+                          constant corner table, the B-chains by Lemma-1 hops;
 * ``lemma1_chord``     -- a good curve between two boundary points of a
                           chord-filled cycle, crossing each inner edge at most
                           once (the combinatorial shadow of a straight segment
@@ -27,7 +29,7 @@ degree-3 vertex into an internal face.  This module provides:
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .plane_graph import PlaneGraph, edge_key, reach
 from .curves import GoodCurve, Station, Vst, Xst, Fst, validate_curve
@@ -263,24 +265,40 @@ def lemma1_chord(g: PlaneGraph, cycle: Sequence[int],
     points around the cycle, once each -- what a straight segment does in a
     convex drawing of the cycle.
     """
-    cycle = tuple(cycle)
-    region = _Region(g, cycle)
-    return _lemma1_with_region(g, region, p1, p2)
+    return _lemma1(g, tuple(cycle), p1, p2, {})
 
 
-def _on_edges(region: _Region, p: Station) -> set:
-    if p[0] == 'x':
-        return {p[1]}
-    v = p[1]
-    return {e for e in region.cycle_edges if v in e}
+def _lemma1(g: PlaneGraph, cycle: Tuple[int, ...], p1: Station, p2: Station,
+            regions: Dict[Tuple[int, ...], _Region]) -> List[Station]:
+    """``lemma1_chord``, keeping regions in ``regions``; a 3-cycle around a
+    face is crossed through it, ``[p1, face, p2]``, with no region."""
+    if len(cycle) == 3:
+        a, b, c = cycle
+        f = g.face_of_dart((a, b))
+        if len(g.faces[f]) == 3 and (b, c) in g.faces[f]:
+            edges = {edge_key(a, b), edge_key(b, c), edge_key(c, a)}
+            _check_ends(edges, p1, p2)
+            if not {p1[1], p2[1]} <= edges.union(cycle):
+                raise ThreeTreeError("end-point not on the cycle")
+            return [p1, Fst(f), p2]
+    if cycle not in regions:
+        regions[cycle] = _Region(g, cycle)
+    return _lemma1_with_region(g, regions[cycle], p1, p2)
+
+
+def _check_ends(cycle_edges: set, p1: Station, p2: Station) -> None:
+    """Two distinct end-points, not on one edge of the cycle."""
+    if p1 == p2:
+        raise ThreeTreeError(f"coincident end-points {p1}")
+    on1, on2 = ({p[1]} if p[0] == 'x' else {e for e in cycle_edges if p[1] in e}
+                for p in (p1, p2))
+    if on1 & on2:
+        raise ThreeTreeError(f"end-points {p1} and {p2} lie on the same edge")
 
 
 def _lemma1_with_region(g: PlaneGraph, region: _Region,
                         p1: Station, p2: Station) -> List[Station]:
-    if p1 == p2:
-        raise ThreeTreeError(f"coincident end-points {p1}")
-    if _on_edges(region, p1) & _on_edges(region, p2):
-        raise ThreeTreeError(f"end-points {p1} and {p2} lie on the same edge")
+    _check_ends(region.cycle_edges, p1, p2)
     a1 = region.anchors(g, p1)
     a2 = region.anchors(g, p2)
     if not a1 or not a2:
@@ -351,119 +369,131 @@ def _join_ends(ends: List[Tuple[Station, Station]]) -> Tuple[Station, Station, L
 Piece = object  # an arc's key (int) or a literal run of stations
 
 
-def _joined(pieces: Sequence[Piece], ends: Dict[int, Tuple[Station, Station]]
+def _joined(pieces: Sequence[Piece], ends: Callable[[int], Tuple[Station, Station]]
             ) -> Tuple[List[Tuple[Piece, bool]], Tuple[Station, Station]]:
-    """Pieces (arc keys into ``ends``, or literal station runs; empty runs
-    dropped) joined uncopied: each with its flip, and the joined ends."""
+    """Pieces (arc keys, ends given by ``ends``, or literal station runs;
+    empty runs dropped) joined uncopied: each with its flip, and the ends."""
     pieces = [p for p in pieces if type(p) is int or p]
-    first, last, flips = _join_ends([ends[p] if type(p) is int else (p[0], p[-1])
+    first, last, flips = _join_ends([ends(p) if type(p) is int else (p[0], p[-1])
                                      for p in pieces])
     return list(zip(pieces, flips)), (first, last)
 
 
-def _emit(parts: Dict[int, List[Tuple[Piece, bool]]], key: int) -> List[Station]:
-    """The stations of arc ``key`` from ``parts`` (each arc's pieces and
-    flips), in one pass over an explicit stack: an arc read backwards is its
-    pieces backwards, each flipped, and a piece after the first drops the
-    station it shares with the one before.  Nothing is copied, so arcs
-    nested to depth D cost O(length), not O(length * D)."""
+def _emit(parts: Callable[[int], object], key: int) -> List[Station]:
+    """The stations of arc ``key``; ``parts`` gives an arc's pieces and flips
+    as a list, or its stations as a tuple.  One pass over an explicit stack:
+    an arc read backwards is its pieces backwards, each flipped, and each
+    station run after the first drops the station it shares with the one
+    before.  Nothing is copied, so arcs nested to depth D cost O(length)."""
     out: List[Station] = []
-    stack = [(key, False, False)]  # (piece, backwards, drop its first)
+    stack = [(key, False)]  # (piece, backwards)
     while stack:
-        piece, back, drop = stack.pop()
-        if type(piece) is not int:
-            piece = piece[::-1] if back else piece
-            out.extend(piece[1:] if drop else piece)
-            continue
-        run = parts[piece][::-1] if back else parts[piece]
-        stack.extend((p, flip != back, True) for p, flip in reversed(run[1:]))
-        stack.append((run[0][0], run[0][1] != back, drop))
+        piece, back = stack.pop()
+        if type(piece) is int:
+            piece = parts(piece)
+            if type(piece) is list:
+                stack += [(p, flip != back) for p, flip in (piece if back else piece[::-1])]
+                continue
+        if back:
+            piece = piece[::-1]
+        out.extend(piece[1:] if out else piece)
     return out
+
+
+# per piece of the curve at corner k of a node: (child (k + j) % 3, corner of
+# that child, backwards), where child i is (corner i, corner i + 1, centre);
+# see ``_BundleBuilder``
+_CORNER_TABLE = ((0, 1, True), (1, 2, False), (2, 0, True))
 
 
 class _BundleBuilder:
     """The three corner curves of decomposition nodes, kept across calls.
 
-    The curve for a corner runs from the crossing with the edge to the next
-    corner (counter-clockwise) to the crossing with the edge to the previous
-    corner.  A node's three curves are built together, after the curves of
-    the nodes they are made of: children before parents, no recursion.
-    Curves are kept as pieces and end stations under key 3 * index + k for
-    a node's k-th corner, and written out by ``_emit``: O(n) on any
-    stacking, where copying curves up every level costs O(n * depth).
+    The curve at a corner c runs from Xst(c, next corner) to Xst(c, previous
+    corner), counter-clockwise, so its ends are known before it is built
+    (``_ends``).  Curves are kept as pieces under key 3 * index + k for a
+    node's k-th corner, built with the node's other two when ``_emit`` first
+    asks for one: O(n) on any stacking, where copying curves up every level
+    costs O(n * depth).  Empty and type-A nodes are not stored: their
+    corners are the runs (Xst(u, v), face, Xst(u, z)) and (Xst(u, v), face,
+    w, face, Xst(u, z)), with v, z the next and previous corner.
+
+    Corner u of a node (u, v, z) with centre w is read off the children
+    through ``_CORNER_TABLE``: child (u, v, w) at v backwards, then (v, z, w)
+    at w, then (z, u, w) at z backwards.  The flips never change: by the rule
+    above the three arcs run Xst(v, w) to Xst(u, v), Xst(v, w) to Xst(z, w)
+    and Xst(z, u) to Xst(z, w).  This holds for type-C and D nodes and for a
+    type-B node over no type-B child, whose Lemma-1 hops cross its two empty
+    children.  A longer B-chain joins Lemma-1 hops to its tail's curves.
     """
 
     def __init__(self, d: ThreeTreeDecomp):
         self.d = d
         self.g = d.graph
         self._parts: Dict[int, List[Tuple[Piece, bool]]] = {}
-        self._ends: Dict[int, Tuple[Station, Station]] = {}
         self._regions: Dict[Tuple[int, ...], _Region] = {}
-
-    def _build_upto(self, node: DecompNode) -> None:
-        todo = [node]
-        for nd in todo:
-            if 3 * nd.index not in self._parts:
-                todo.extend(self._parts_of(nd))
-        for nd in reversed(todo):
-            if 3 * nd.index not in self._parts:
-                self._build(nd)
 
     def _built(self, node: DecompNode, corner: int) -> int:
         return 3 * node.index + node.corners.index(corner)
 
-    def _parts_of(self, node: DecompNode) -> Tuple[DecompNode, ...]:
-        """The nodes whose curves the curves of ``node`` are joined from."""
-        if node.kind in ('C', 'D'):
-            return node.children
-        if node.kind == 'B':
-            return (self.chain_info(node).tail,)
-        return ()
+    def _ends(self, key: int) -> Tuple[Station, Station]:
+        # the crossings of the node's edges to the next and previous corner
+        c = self.d.nodes[key // 3].corners
+        k = key % 3
+        return Xst(c[k], c[k - 2]), Xst(c[k], c[k - 1])
 
-    def _join(self, pieces: Sequence[Piece]) -> tuple:
-        return _joined(pieces, self._ends)
+    def _pieces(self, key: int) -> object:
+        """Arc ``key``'s pieces, built on first use; an empty or A node's run."""
+        parts = self._parts.get(key)
+        if parts is not None:
+            return parts
+        node = self.d.nodes[key // 3]
+        if node.kind in ('B', 'C', 'D'):
+            self._build(node)
+            return self._parts[key]
+        # the internal face of a triangle lies left of its counter-clockwise
+        # darts
+        c, k = node.corners, key % 3
+        first, last = self._ends(key)
+        face = Fst(self.g.face_of_dart((c[k], c[k - 2])))
+        if node.w is None:
+            return (first, face, last)
+        return (first, face, Vst(node.w), Fst(self.g.face_of_dart((c[k - 1], c[k]))), last)
 
     def _build(self, node: DecompNode) -> None:
-        raw = (self._build_b(node) if node.kind == 'B'
-               else {c: self._build_one(node, c) for c in node.corners})
+        # a type-B node over no type-B child (a one-vertex B-chain) hops
+        # through its two empty children, which is what the table reads
+        chain = node.kind == 'B' and any(k.kind == 'B' for k in node.children)
+        raw = self._build_b(node) if chain else self._from_table(node)
         for k, corner in enumerate(node.corners):
             parts, (a, b) = raw[corner]
-            first = Xst(corner, node.corner_next(corner))
-            last = Xst(corner, node.corner_prev(corner))
+            first, last = self._ends(3 * node.index + k)
             if a != first:
                 parts, (a, b) = [(p, not f) for p, f in reversed(parts)], (b, a)
             if a != first or b != last:
                 raise AssertionError(f"bad end-points for corner {corner}")
             self._parts[3 * node.index + k] = parts
-            self._ends[3 * node.index + k] = (a, b)
 
-    def _region(self, cycle: Tuple[int, ...]) -> _Region:
-        if cycle not in self._regions:
-            self._regions[cycle] = _Region(self.g, cycle)
-        return self._regions[cycle]
+    def _from_table(self, node: DecompNode) -> dict:
+        """All three corner curves of a node, from ``_CORNER_TABLE``."""
+        kids = node.children
+        raw = {}
+        for k, corner in enumerate(node.corners):
+            parts = [(3 * kids[(k + j) % 3].index + p, back)
+                     for j, p, back in _CORNER_TABLE]
+            # the joined ends: where the first piece starts, the last ends
+            (k0, b0), (k2, b2) = parts[0], parts[2]
+            raw[corner] = parts, (self._ends(k0)[b0], self._ends(k2)[not b2])
+        return raw
+
+    def _join(self, pieces: Sequence[Piece]) -> tuple:
+        return _joined(pieces, self._ends)
 
     def _hop(self, cycle: Tuple[int, ...], p1: Station, p2: Station) -> List[Station]:
-        return _lemma1_with_region(self.g, self._region(cycle), p1, p2)
+        return _lemma1(self.g, cycle, p1, p2, self._regions)
 
     def chain_info(self, node: DecompNode) -> ChainInfo:
         return node.chain if node.chain is not None else _chain_info(node)
-
-    def _build_one(self, node: DecompNode, u: int) -> tuple:
-        # the internal face of a triangle lies left of its counter-clockwise
-        # darts
-        v = node.corner_next(u)
-        z = node.corner_prev(u)
-        face = self.g.face_of_dart
-        if node.kind == 'empty':
-            return self._join([(Xst(u, v), Fst(face((u, v))), Xst(u, z))])
-        w = node.w
-        if node.kind == 'A':
-            return self._join([(Xst(u, v), Fst(face((u, v))), Vst(w),
-                                Fst(face((z, u))), Xst(u, z))])
-        g1 = node.child_on_edge(u, v)
-        g2 = node.child_on_edge(z, u)
-        g3 = node.child_on_edge(v, z)
-        return self._join([self._built(g1, v), self._built(g3, w), self._built(g2, z)])
 
     def _build_b(self, node: DecompNode) -> dict:
         """All three corner curves of a type-B node, from its B-chain."""
@@ -537,8 +567,7 @@ class _BundleBuilder:
         return lam
 
     def node_bundle(self, node: DecompNode) -> CurveBundle:
-        self._build_upto(node)
-        curves = [GoodCurve(tuple(_emit(self._parts, 3 * node.index + k)))
+        curves = [GoodCurve(tuple(_emit(self._pieces, 3 * node.index + k)))
                   for k in range(3)]
         s = sum(c.vertex_count for c in curves)
         on_any = set().union(*(c.vertices for c in curves))
@@ -610,21 +639,26 @@ def _sigs(tri: Tuple[int, int, int]) -> List[Sig]:
 # The three options of each slot of a node (u, v, z) with centre w, whose
 # children ``decompose`` always builds as 0 = (u, v, w), 1 = (v, z, w) and
 # 2 = (z, u, w): the pieces in the order the arc runs through them, as
-# (child, child slot), and the vertices the option adds.  Two edges at a
-# corner (slots 0-2): around the corner through its two children, the long way
-# through all three, or through w.  A corner and the opposite edge (slots
-# 3-5): out through either child at the corner and across the far one, or
-# along the spoke from the corner to w and on from w across the far child.
+# (child, child slot, backwards), and the vertices the option adds.  Two edges
+# at a corner (slots 0-2): around the corner through its two children, the
+# long way through all three, or through w.  A corner and the opposite edge
+# (slots 3-5): out through either child at the corner and across the far one,
+# or along the spoke from the corner to w and on from w across the far child.
+# Every arc runs as ``_slot_ends`` says, so whether a piece is read backwards
+# is a constant of the table.
 _OPTIONS = (
-    ((((0, 0), (1, 1)), 0), (((0, 1), (2, 2), (1, 0)), 0), (((0, 5), (1, 5)), 1)),
-    ((((0, 1), (2, 0)), 0), (((0, 0), (1, 2), (2, 1)), 0), (((0, 5), (2, 5)), 1)),
-    ((((1, 0), (2, 1)), 0), (((1, 1), (0, 2), (2, 0)), 0), (((1, 5), (2, 5)), 1)),
-    ((((0, 3), (1, 1)), 0), (((2, 4), (1, 0)), 0), (((1, 5),), 1)),
-    ((((0, 4), (2, 0)), 0), (((1, 3), (2, 1)), 0), (((2, 5),), 1)),
-    ((((2, 3), (0, 1)), 0), (((1, 4), (0, 0)), 0), (((0, 5),), 1)),
+    ((((0, 0, 0), (1, 1, 1)), 0), (((0, 1, 0), (2, 2, 0), (1, 0, 1)), 0),
+     (((0, 5, 1), (1, 5, 0)), 1)),
+    ((((0, 1, 0), (2, 0, 1)), 0), (((0, 0, 0), (1, 2, 1), (2, 1, 1)), 0),
+     (((0, 5, 1), (2, 5, 0)), 1)),
+    ((((1, 0, 0), (2, 1, 1)), 0), (((1, 1, 0), (0, 2, 0), (2, 0, 1)), 0),
+     (((1, 5, 1), (2, 5, 0)), 1)),
+    ((((0, 3, 0), (1, 1, 1)), 0), (((2, 4, 0), (1, 0, 1)), 0), (((1, 5, 0),), 1)),
+    ((((0, 4, 0), (2, 0, 1)), 0), (((1, 3, 0), (2, 1, 1)), 0), (((2, 5, 0),), 1)),
+    ((((2, 3, 0), (0, 1, 1)), 0), (((1, 4, 0), (0, 0, 1)), 0), (((0, 5, 0),), 1)),
 )
 # each option as positions in the concatenated slot values of the children
-_FLAT = tuple(tuple((tuple(6 * c + t for c, t in pieces), bonus)
+_FLAT = tuple(tuple((tuple(6 * c + t for c, t, _ in pieces), bonus)
                     for pieces, bonus in options) for options in _OPTIONS)
 
 
@@ -661,44 +695,35 @@ def _dp_table(d: ThreeTreeDecomp) -> DpTable:
     return DpTable(values, choice)
 
 
-def _base_arc(g: PlaneGraph, node: DecompNode, slot: int) -> Tuple[Station, ...]:
-    """The arc of an empty triangle: through its face, between the boundary
-    parts of ``slot``."""
-    c = node.corners
-    f = Fst(g.face_of_dart(c[:2]))
+def _slot_ends(c: Tuple[int, int, int], slot: int) -> Tuple[Station, Station]:
+    """Where an arc of ``slot`` in the triangle c starts and ends: slot (Ei,
+    Ej) runs from Ei to Ej, a corner's slot from the corner to the opposite
+    edge."""
     if slot >= 3:
         k = slot - 3
-        return (Vst(c[k]), f, Xst(c[(k + 1) % 3], c[(k + 2) % 3]))
-    e1, e2 = sorted(edge_key(c[k], c[(k + 1) % 3]) for k in _EE_PAIRS[slot])
-    return (Xst(*e1), f, Xst(*e2))
+        return Vst(c[k]), Xst(c[(k + 1) % 3], c[(k + 2) % 3])
+    i, j = _EE_PAIRS[slot]
+    return Xst(c[i], c[(i + 1) % 3]), Xst(c[j], c[(j + 1) % 3])
 
 
 def _dp_arc(d: ThreeTreeDecomp, table: DpTable, slot: int) -> List[Station]:
-    """The arc behind the root's ``slot``, in time linear in its length.
+    """The arc behind the root's ``slot``, in time linear in its length.  Arc
+    6 * index + s gives ``_emit`` its chosen option's pieces, each read
+    backwards or not as ``_OPTIONS`` says, or in an empty triangle its
+    stations: across its face between the ends that ``_slot_ends`` gives."""
+    nodes, choice, face = d.nodes, table.choice, d.graph.face_of_dart
 
-    The demand walk asks each child of a chosen option for one slot, top-down,
-    so every node is asked at most once.  Bottom-up, ``_joined`` gives each
-    asked arc its ends and its pieces their flips; ``_emit`` writes it out.
-    """
-    nodes, choice = d.nodes, table.choice
-    demand = [(d.root.index, slot)]
-    for i, s in demand:
-        node = nodes[i]
-        if node.w is not None:
-            pieces, _ = _OPTIONS[s][choice[6 * i + s]]
-            demand.extend((node.children[c].index, t) for c, t in pieces)
-    # per asked node its pieces, each an asked node or literal stations, with
-    # their flips; and its end stations
-    parts: Dict[int, List[Tuple[Piece, bool]]] = {}
-    ends: Dict[int, Tuple[Station, Station]] = {}
-    for i, s in reversed(demand):
-        node, o = nodes[i], choice[6 * i + s]
-        pieces: List[Piece] = ([_base_arc(d.graph, node, s)] if node.w is None else
-                               [node.children[c].index for c, _ in _OPTIONS[s][o][0]])
-        if node.w is not None and s >= 3 and o == 2:    # the spoke to the centre
-            pieces.insert(0, (Vst(node.corners[s - 3]), Vst(node.w)))
-        parts[i], ends[i] = _joined(pieces, ends)
-    return _emit(parts, d.root.index)
+    def parts(key: int) -> object:
+        node, s = nodes[key // 6], key % 6
+        if node.w is None:
+            first, last = _slot_ends(node.corners, s)
+            return (first, Fst(face(node.corners[:2])), last)
+        kids, o = node.children, choice[key]
+        run = [(6 * kids[c].index + t, back) for c, t, back in _OPTIONS[s][o][0]]
+        if s >= 3 and o == 2:    # the spoke to the centre
+            run.insert(0, ((Vst(node.corners[s - 3]), Vst(node.w)), False))
+        return run
+    return _emit(parts, 6 * d.root.index + slot)
 
 
 def dp_optimal_collinear(d: ThreeTreeDecomp) -> Tuple[DpTable, GoodCurve, int]:

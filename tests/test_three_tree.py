@@ -348,6 +348,50 @@ def test_lemma1_skips_chords_at_own_endpoint():
     assert xs == [Xst(2, 3)]
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ThreeTreeError as exc:
+        return str(exc)
+
+
+def test_lemma1_triangle_is_one_face_hop():
+    # a 3-cycle around a face is crossed through that face, with the same
+    # result or error as the region search on every pair of boundary points
+    g = random_plane_3tree(30, 1)
+    for f in g.internal_faces():
+        cycle = g.face_vertices(f)
+        a, b, c = cycle
+        assert lemma1_chord(g, cycle, Xst(a, b), Xst(b, c)) == [Xst(a, b), Fst(f), Xst(b, c)]
+        assert lemma1_chord(g, cycle, Vst(a), Xst(b, c)) == [Vst(a), Fst(f), Xst(b, c)]
+        other = next(v for v in g.vertices if v not in cycle)
+        points = [Vst(a), Vst(b), Vst(c), Xst(a, b), Xst(b, c), Xst(c, a), Vst(other)]
+        for p1 in points:
+            for p2 in points:
+                assert (_outcome(lemma1_chord, g, cycle, p1, p2)
+                        == _outcome(_lemma1_with_region, g, _Region(g, cycle), p1, p2))
+
+
+def test_lemma1_triangle_rejects_bad_end_points():
+    g = random_plane_3tree(30, 1)
+    a, b, c = cycle = g.face_vertices(g.internal_faces()[0])
+    with pytest.raises(ThreeTreeError, match=r"coincident end-points \('x', "):
+        lemma1_chord(g, cycle, Xst(a, b), Xst(b, a))
+    with pytest.raises(ThreeTreeError, match="lie on the same edge"):
+        lemma1_chord(g, cycle, Vst(a), Xst(a, b))
+    with pytest.raises(ThreeTreeError, match="lie on the same edge"):
+        lemma1_chord(g, cycle, Vst(b), Vst(c))
+    other = next(v for v in g.vertices if v not in cycle)
+    with pytest.raises(ThreeTreeError, match="end-point not on the cycle"):
+        lemma1_chord(g, cycle, Vst(other), Xst(a, b))
+
+
+def test_lemma1_separating_triangle_is_not_a_face_hop():
+    # the outer triangle of K4, counter-clockwise, holds vertex 3
+    with pytest.raises(ThreeTreeError, match="not chord-filled"):
+        lemma1_chord(K4, (2, 1, 0), Xst(0, 1), Xst(1, 2))
+
+
 # -- curve bundles -------------------------------------------------------------------
 
 
@@ -900,6 +944,27 @@ def test_outputs_pinned():
         h.update(serialize_curve(g, curve).encode() + b"value %d\n" % val)
     assert h.hexdigest() == ("a09eef1d2dd17a3f9621ff9beec2245a"
                              "594444c85840f21ffd919478d818788d")
+
+
+@pytest.mark.parametrize("g, digest", [
+    (random_plane_3tree(800, 11),
+     "ccc083b4d26b35bb1769b3ba50711ee9cc43309b7abdb26b2b2180e3edecb7ca"),
+    (random_plane_3tree(800, 12),
+     "44e345ddda9129723da78d5f964795760e0371eef23d1d7d53e0763cfb3b9503"),
+    (deep_stacking(1800, 13),
+     "a2e55453bc82915a904ba1129e081193840214192b75a2f2046e811a942f13ce"),
+], ids=["random-800-11", "random-800-12", "deep-1800-13"])
+def test_outputs_pinned_at_benchmark_sizes(g, digest):
+    # the three bundle curves and the DP curve and value at the sizes the
+    # benchmark runs (random 3-trees of 800 vertices, deep stackings of
+    # 1800), hashed as in test_outputs_pinned
+    d = decompose(g)
+    h = hashlib.sha256()
+    for lam in build_curve_bundle(d).curves:
+        h.update(serialize_curve(g, lam).encode())
+    _, curve, val = dp_optimal_collinear(d)
+    h.update(serialize_curve(g, curve).encode() + b"value %d\n" % val)
+    assert h.hexdigest() == digest
 
 
 def test_free_placements_pinned():
