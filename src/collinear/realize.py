@@ -3,8 +3,7 @@
 Drawings are maps from vertices to exact rational points.  This module
 provides:
 
-* ``Drawing``, with a text interchange format and an SVG export, and
-  ``PolylineDrawing``, whose edges may bend;
+* ``Drawing``, with a text interchange format and an SVG export;
 * ``verify_drawing`` -- exact planarity and embedding fidelity (on a
   triangulation one integer determinant sign per face, O(n); otherwise a
   Shamos-Hoey sweep, O((n + m) log(n + m)), and each rotation checked in
@@ -21,10 +20,10 @@ provides:
   the two); checked on integer homogeneous coordinates;
 * ``curve_to_drawing`` -- realize a proper good curve as a straight-line
   drawing with all its vertex stations on the x-axis (for graphs that are
-  not 3-trees: both sides drawn by one barycentric system against the path
-  on the axis, then straightened on integer vertex levels by one convex-
-  combination system over a triangulation, Floater's theorem, solved in
-  fixed point, each triangle's orientation checked exactly when rounded);
+  not 3-trees: integer levels from an st-ordering of each side of the
+  curve, the path at 0, then one convex-combination system over a
+  triangulation on those levels, Floater's theorem, solved for x in fixed
+  point, each triangle's orientation checked exactly when rounded);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
   read off the faces' orientations (one verifier call on a triangulation).
@@ -34,12 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
-from itertools import groupby
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import (F, HPoint, crosses_h, direction_h, homogeneous, inside_h,
@@ -73,22 +71,6 @@ class Drawing:
     designated (intended collinear) vertex set."""
     coords: Dict[int, Point]
     designated: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class PolylineDrawing:
-    """Straight-line drawing whose edges may carry interior bend points.
-
-    ``bends[edge_key(u, v)]`` lists the bends in order from the smaller
-    endpoint to the larger one.
-    """
-    coords: Dict[int, Point]
-    bends: Dict[Tuple[int, int], Tuple[Point, ...]] = field(default_factory=dict)
-
-    def polyline(self, u: int, v: int) -> List[Point]:
-        e = edge_key(u, v)
-        pts = [self.coords[e[0]], *self.bends.get(e, ()), self.coords[e[1]]]
-        return pts if (u, v) == e else pts[::-1]
 
 
 def serialize_drawing(d: Drawing) -> str:
@@ -344,12 +326,12 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
     return DrawingReport(planar, embedding_ok, outer_ok, collinear_ok, violations)
 
 
-# -- barycentric (Tutte) embedding ------------------------------------------------
+# -- convex-combination systems ---------------------------------------------------
 
-def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Sequence[int]], step) -> list:
+def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, int], step) -> list:
     """(p, pivot, rest of row p, rhs) per pivot of the system ``rows`` (row
-    v maps unknowns to integer coefficients, ``rhs[v]`` holds its right-hand
-    sides; both consumed), in minimum-degree order from a lazy (row length,
+    v maps unknowns to integer coefficients, ``rhs[v]`` is its right-hand
+    side; both consumed), in minimum-degree order from a lazy (row length,
     vertex) heap; a zero pivot raises.  Pivot p makes row r, with a at p,
     ``m * row_r - (q * row_p >> s)``, (m, q, s) = ``step(piv, a)``, over its
     gcd if s = 0.  O((U + T) log U) pivot choice for U unknowns, T updates."""
@@ -380,59 +362,44 @@ def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Sequence[int]], s
                 elif v in new:
                     del new[v]
                     occurs[v].discard(r)
-            b = [m * x - (q * px >> s) for x, px in zip(rhs[r], prhs)]
-            g = 1 if s else gcd(*b, *new.values())
+            b = m * rhs[r] - (q * prhs >> s)
+            g = 1 if s else gcd(b, *new.values())
             if g > 1:
-                new, b = {v: c // g for v, c in new.items()}, [x // g for x in b]
+                new, b = {v: c // g for v, c in new.items()}, b // g
             rows[r], rhs[r] = new, b
             if len(new) != len(row) + 1:
                 heappush(heap, (len(new), r))
     return order
 
 
-def _barycentric(nbrs: Mapping[int, Mapping[int, int]],
-                 fixed: Mapping[int, Point]) -> Dict[int, Point]:
-    """Every vertex of ``nbrs`` that ``fixed`` does not place, exactly at the
-    weighted average of its neighbours, ``nbrs[v]`` mapping each to its
-    integer weight; returns the fixed positions and the solved ones: the
-    split drawing, whose y values decide the levels, and ``_straighten``'s
-    last proposal.  Row v (the weight sum on the diagonal, minus the weight
-    at each unfixed neighbour, the fixed neighbours' weighted sums on the
-    right), scaled to integers, is eliminated fraction-free (Bareiss), each
-    row a multiple of its ``Fraction`` counterpart with the same non-zeros,
-    so a pivot is zero iff it is over the rationals.
-    """
-    rows: Dict[int, Dict[int, int]] = {}
-    rhs: Dict[int, Sequence[int]] = {}
-    for v, ws in nbrs.items():
-        if v not in fixed:
-            bx = sum((w * fixed[u][0] for u, w in ws.items() if u in fixed), F(0))
-            by = sum((w * fixed[u][1] for u, w in ws.items() if u in fixed), F(0))
-            s = lcm(bx.denominator, by.denominator)
-            rows[v] = {v: sum(ws.values()) * s,
-                       **{u: -w * s for u, w in ws.items() if u not in fixed}}
-            rhs[v] = (bx.numerator * s // bx.denominator, by.numerator * s // by.denominator)
-    sol: Dict[int, Point] = {}
-    for p, piv, prow, (px, py) in reversed(_eliminate(rows, rhs, lambda piv, a: (piv, a, 0))):
-        terms = [(c, sol[v]) for v, c in prow.items()]
-        L = lcm(*(q.denominator for _, pt in terms for q in pt))
-        x = px * L - sum(c * fx.numerator * (L // fx.denominator) for c, (fx, _) in terms)
-        y = py * L - sum(c * fy.numerator * (L // fy.denominator) for c, (_, fy) in terms)
-        sol[p] = (Fraction(x, piv * L), Fraction(y, piv * L))
-    return {**fixed, **sol}
+def _exact_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int]
+             ) -> Dict[int, Fraction]:
+    """x of every vertex of ``nbrs`` but the ``fixed`` ones, exactly the
+    average of its neighbours' x under the integer weights ``nbrs[v][u]``,
+    with the fixed values: ``_straighten``'s last proposal.  Fraction-free
+    (Bareiss): each row stays a multiple of its ``Fraction`` counterpart
+    with the same non-zeros, so a pivot is zero iff it is over the
+    rationals."""
+    rows = {v: {v: sum(ws.values()), **{u: -w for u, w in ws.items() if u not in fixed}}
+            for v, ws in nbrs.items() if v not in fixed}
+    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) for v in rows}
+    X = {v: Fraction(x) for v, x in fixed.items()}
+    for p, piv, prow, px in reversed(_eliminate(rows, rhs, lambda piv, a: (piv, a, 0))):
+        X[p] = Fraction(px - sum(c * X[v] for v, c in prow.items()), piv)
+    return X
 
 
 def _fixed_point_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int],
                    bits: int) -> Dict[int, int]:
-    """The x column of ``_barycentric`` for integer fixed x, each value and
-    coefficient times 2^bits: row r loses f * prow, f = row_r[p] / piv and
-    each product rounded down to bits fractional bits."""
+    """``_exact_x`` in fixed point, each value and coefficient times
+    2^bits: row r loses f * prow, f = row_r[p] / piv and each product
+    rounded down to bits fractional bits."""
     one = 1 << bits
     rows = {v: {v: sum(ws.values()) * one, **{u: -w * one for u, w in ws.items() if u not in fixed}}
             for v, ws in nbrs.items() if v not in fixed}
-    rhs = {v: (sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) * one,) for v in rows}
+    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) * one for v in rows}
     X = {v: x * one for v, x in fixed.items()}
-    for p, piv, prow, (px,) in reversed(_eliminate(
+    for p, piv, prow, px in reversed(_eliminate(
             rows, rhs, lambda piv, a: (1, (a << bits) // piv, bits))):
         X[p] = ((px << bits) - sum(c * X[v] for v, c in prow.items())) // piv
     return X
@@ -871,148 +838,156 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
     raise RealizeError("lift failed to verify at any tested magnification")
 
 
-# -- straightening y-monotone polylines -------------------------------------------
+# -- levels from st-orderings, and straightening -----------------------------------
 
-def _regularize(g: PlaneGraph, pl: PolylineDrawing, frame: Tuple[int, int, int]
-                ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
-    """Clockwise rotations and integer levels of g as ``pl`` draws it in a
-    frame triangle (B, B2, T) = ``frame``, with edges added so that each
-    vertex of g has neighbours strictly above and below it.
+def _clip_corner(vs: Sequence[int], nbrs: Dict[int, List[int]], barred,
+                 key=lambda v: v) -> Optional[Tuple[int, int]]:
+    """Cut a corner off face walk ``vs`` at a repeated vertex and return
+    (i, k), ``vs[i:k]`` the corner, or None when no vertex repeats.  A
+    maximal run of one ``key`` counts as one vertex (``vs[0]`` and
+    ``vs[-1]`` differ in key).  A run whose key repeats is cut off when its
+    walk neighbours a and b differ in key, are not adjacent and are not
+    ``barred(a, x, b)``, x its first vertex: b goes into a's clockwise
+    rotation in ``nbrs`` just before the run and a into b's just after it,
+    so the new edge runs through the face.  If none can be, raises."""
+    n = len(vs)
+    starts = [i for i in range(n) if not i or key(vs[i]) != key(vs[i - 1])]
+    runs = list(zip(starts, starts[1:] + [n]))
+    count = Counter(key(vs[i]) for i, _ in runs)
+    if len(count) == len(runs):
+        return None
+    for i, k in runs:
+        a, x, b = vs[i - 1], vs[i], vs[k % n]
+        if count[key(x)] > 1 and key(a) != key(b) and not barred(a, x, b) and b not in nbrs[a]:
+            nbrs[a].insert(nbrs[a].index(x), b)
+            nbrs[b].insert(nbrs[b].index(vs[k - 1]) + 1, a)
+            return i, k
+    raise RealizeError(f"face {tuple(vs)}: no corner to cut off")
 
-    One bottom-to-top sweep keeps the status, the edges active between two
-    levels from left to right, between the frame's sides B-T and B2-T.  A
-    vertex's downward edges are one contiguous block, found by bisection
-    with exact orientation tests, and are replaced by its upward edges in
-    angular order.  Each gap between two status edges keeps its floor, the
-    vertices under it on its latest level below the sweep (Lee and
-    Preparata's helpers, SIAM J. Comput. 6, 1977).  A vertex that touches a
-    gap from above joins every floor vertex with no upper neighbour yet, and
-    if it has no lower edge, the last floor vertex.  A rotation lists the
-    upper neighbours left to right, the right horizontal one, the lower ones
-    right to left, then the left one.  A vertex at y = 0 gets level 0, any
-    other, with the sign of its y, one more than the largest |level| of its
-    neighbours between it and y = 0 (0 for those at or across it), shared
-    along horizontal edges: edges keep their directions, vertices their sides.
+
+def _st_order(adj: Mapping[int, Set[int]], s: int, t: int) -> List[int]:
+    """An st-ordering of the biconnected graph ``adj``, s and t adjacent: s
+    first, t last, every other vertex with a neighbour before it and one
+    after it (Even and Tarjan, Theoret. Comput. Sci. 2, 1976), in Tarjan's
+    linear form (Fund. Inform. 9, 1986): a depth-first search from s along
+    st first gives each v its parent p and low(v), the first in preorder of
+    v and the ends of back edges from its subtree; then, in preorder, v goes
+    just before p in the list (s, t) if low(v) is marked -, marking p +, and
+    else just after p, marking p -.  Raises unless the search meets every
+    vertex and low(v), v not t, is a proper ancestor of p (biconnected)."""
+    pre, parent, order = {s: 0}, {}, [s]
+    stack = [(s, iter([t, *adj[s]]))]
+    while stack:
+        v, todo = stack[-1]
+        u = next((u for u in todo if u not in pre), None)
+        if u is None:
+            stack.pop()
+        else:
+            pre[u], parent[u] = len(order), v
+            order.append(u)
+            stack.append((u, iter(adj[u])))
+    low = {v: min((v, *(u for u in adj[v] if u != parent.get(v))), key=pre.__getitem__)
+           for v in order}
+    for v in reversed(order[1:]):              # children before their parents
+        low[parent[v]] = min(low[parent[v]], low[v], key=pre.__getitem__)
+    if len(order) < len(adj) or any(pre[low[v]] >= pre[parent[v]] for v in order[2:]):
+        raise RealizeError("curve side is not biconnected")
+    after, before, sign = {s: t, t: None}, {s: None, t: s}, {s: -1}
+    for v in order[2:]:
+        p = parent[v]
+        a, b = (before[p], p) if sign[low[v]] < 0 else (p, after[p])
+        before[v], after[v], after[a], before[b] = a, b, v, v
+        sign[p] = -sign[low[v]]
+    out = [s]
+    while out[-1] != t:
+        out.append(after[out[-1]])
+    return out
+
+
+def _level_graph(g: PlaneGraph, aug: AugmentedCurve
+                 ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
+    """Clockwise rotations and integer levels of g in a frame triangle
+    (B, B2, T), the three largest vertices, with edges added so that every
+    other vertex has a neighbour strictly above it and one strictly below:
+    the path at level 0, the sides of ``curve_sides`` above and below.
+
+    Read off ``aug.graph``: T joins the path ends in their outer corners
+    above the line, B below, B-T passes left of the path and B2 closes the
+    outer face B, T, B2.  With the path merged into one source s, each
+    side's face walks (not at both B and T) have corners at a repeated
+    vertex cut off (``_clip_corner``; at a subdivision vertex only if no
+    other is left) until none repeats, and a path vertex of g between two
+    others on a walk is joined to the vertex after them.  A plane graph
+    whose faces are simple cycles is biconnected (a cut vertex appears
+    twice on a face), so the side with s and its apex T or B has an
+    st-ordering (``_st_order``): a vertex has a neighbour before it and one
+    after it, and its level is its longest path from s (negated below).
+    Then each subdivision vertex w of an edge ab is contracted into a and
+    into b, each keeping w's edges across the line (planar, as clips at w
+    in a face come from one side: from both, w and the next path vertex
+    would both subdivide ab), and the curve's chords are dropped.  A
+    dangling end stays, at level 0 between B and T, unless it hangs off a
+    crossed edge.  O(n + m) but for the clipping, which scans a walk once
+    per corner it cuts.
     """
-    coords = pl.coords
-    B, B2, T = frame
-    ends: List[Tuple[int, int]] = [(B, T), (B2, T)]   # edge -> (lower, upper)
-    ys: List[List[Fraction]] = [[], []]               # the frame is never bisected
-    hs: List[List[HPoint]] = [[], []]
-    up: Dict[int, List[int]] = {v: [] for v in coords}
-    down = dict.fromkeys(coords, 0)
-    left, right = {B2: [B]}, {B: [B2]}                # horizontal neighbours
-    for (u, v) in sorted(g.edges):
-        poly = [_pt(*p) for p in pl.polyline(u, v)]
-        if len(poly) == 2 and poly[0][1] == poly[1][1]:
-            if poly[0] > poly[1]:
-                u, v = v, u
-            for a, beside in ((u, right), (v, left)):
-                if a in beside:
-                    raise RealizeError(f"edges {edge_key(a, *beside[a])} and "
-                                       f"{edge_key(u, v)} overlap at vertex {a}")
-            right[u], left[v] = [v], [u]
+    ga, path, on_path = aug.graph, aug.path_vertices, set(aug.path_vertices)
+    ends = {w: e for e, w in aug.subdivision.items()}
+    B, B2, T = frame = range(max(ga.vertices) + 1, max(ga.vertices) + 4)
+    rot = {v: list(ws) for v, ws in ga.rot.items()}
+    for v, corner in ((path[0], [B, T]), (path[-1], [T, B])):
+        i = rot[v].index(aug.outer_corner(v))
+        rot[v][i:i] = corner
+    rot.update({B: [T, path[0], path[-1], B2], B2: [B, T], T: [B2, path[-1], path[0], B]})
+    gone = {*ends, *(v for v in (path[0], path[-1]) if v not in g.rot and ga.rot[v][0] in ends)}
+    key = lambda v: None if v in on_path else v
+
+    todo = [vs for vs in ([v for v, _ in walk] for walk in PlaneGraph._trace_faces(
+        rot, [(v, w) for v in rot for w in rot[v]])) if T not in vs or B not in vs]
+    while todo:
+        vs = todo.pop()
+        i = next((i for i, v in enumerate(vs) if v not in on_path), None)
+        if i is None:
             continue
-        if poly[0][1] > poly[-1][1]:
-            poly.reverse()
-            u, v = v, u
-        if any(a[1] >= b[1] for a, b in zip(poly, poly[1:])):
-            raise RealizeError(f"edge {edge_key(u, v)} is not y-monotone")
-        up[u].append(len(ends))
-        down[v] += 1
-        ends.append((u, v))
-        ys.append([p[1] for p in poly])
-        hs.append([homogeneous(p) for p in poly])
+        vs = vs[i:] + vs[:i]
+        try:
+            cut = _clip_corner(vs, rot, lambda a, x, b: a in gone or b in gone, key)
+        except RealizeError:        # every corner is at a subdivision vertex
+            cut = _clip_corner(vs, rot, lambda a, x, b: False, key)
+        if cut:
+            i, k = cut
+            todo += [vs[:i] + vs[k:], [vs[i - 1], *vs[i:k], vs[k % len(vs)]]]
+            continue
+        run = [i for i, v in enumerate(vs) if v in on_path]
+        for j in run[:1:-1]:
+            a, y = vs[j - 1], vs[(run[-1] + 1) % len(vs)]
+            if a not in gone:
+                rot[a].insert(rot[a].index(vs[j]), y)
+                rot[y].insert(rot[y].index(vs[j]) + 1, a)
 
-    def leftward(e: int, f: int) -> int:          # compare first directions
-        (dx, dy), (ex, ey) = direction_h(*hs[e][:2]), direction_h(*hs[f][:2])
-        return dx * ey - ex * dy
-    for v, out in up.items():
-        out.sort(key=cmp_to_key(leftward))
-        for e, f in zip(out, out[1:]):
-            if not leftward(e, f):
-                raise RealizeError(f"edges {edge_key(*ends[e])} and "
-                                   f"{edge_key(*ends[f])} overlap at vertex {v}")
-    ups = {v: [ends[e][1] for e in out] for v, out in up.items()} | {B: [T], B2: [T]}
-    downs: Dict[int, List[int]] = {}
+    lev = dict.fromkeys(on_path, 0)
+    s = T + 1
+    for side, apex, sign in zip(curve_sides(aug), (T, B), (1, -1)):
+        adj = {v: {s if u in on_path else u for u in rot[v] if u == apex or u not in frame}
+               for v in (*side, apex)}
+        adj[s] = {v for v, us in adj.items() if s in us}
+        height = {s: 0}
+        for v in _st_order(adj, s, apex)[1:]:
+            height[v] = 1 + max(height[u] for u in adj[v] if u in height)
+        lev.update((v, sign * h) for v, h in height.items() if v != s)
+    lev[B2] = lev[B]
 
-    def side(e: int, y: Fraction, p: HPoint) -> int:
-        """Sign of (x of edge e at level y) - (x of p), p at level y."""
-        i = bisect_left(ys[e], y)
-        q = hs[e][i]
-        if ys[e][i] == y:
-            d = q[0] * p[2] - p[0] * q[2]
-            return (d > 0) - (d < 0)
-        return side_h(line_h(hs[e][i - 1], q), p)
-
-    status = [0, 1]
-    gaps = [[[B, B2], []]]        # per gap: its floor, and its vertices on the sweep level
-
-    def join(v: int, k: int, alone: bool) -> List[int]:
-        """v joins the free floor vertices of gap k, or the last one if none is
-        and ``alone``: v goes before the gap's right edge where it starts."""
-        floor, e = gaps[k][0], ends[status[k + 1]]
-        new = [f for f in floor if not ups[f]] or (floor[-1:] if alone else [])
-        for f in new:
-            ups[f].insert(ups[f].index(e[1]) if e[0] == f else len(ups[f]), v)
-        return new
-
-    levels = [list(vs) for _, vs in groupby(sorted(coords, key=lambda v: coords[v][::-1]),
-                                            key=lambda v: coords[v][1])]
-    for vs in levels:                             # left to right, bottom to top
-        y = coords[vs[0]][1]
-        fresh: List[List[List[int]]] = []
-        done = 1
-        for j, v in enumerate(vs):
-            p = homogeneous(coords[v])
-            if j and coords[vs[j - 1]][0] == coords[v][0]:
-                raise RealizeError(f"vertices {vs[j - 1]} and {v} coincide")
-            lo, hi = done, len(status) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if side(status[mid], y, p) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            stop = lo + down[v]
-            if stop > len(status) or any(ends[e][1] != v for e in status[lo:stop]):
-                raise RealizeError(f"the edges into vertex {v} are not adjacent: "
-                                   "the drawing is not planar")
-            if stop < len(status) - 1 and side(status[stop], y, p) <= 0:
-                raise RealizeError(f"vertex {v} lies on edge "
-                                   f"{edge_key(*ends[status[stop]])}")
-            downs[v] = join(v, lo - 1, not down[v])
-            for k in range(lo, stop):
-                downs[v] += [ends[status[k]][0], *join(v, k, False)]
-            # only the last new gap's floor is read before the level ends
-            new = [[[], [v]] for _ in range(len(up[v]) + 1)]
-            new[0][1], new[-1][0] = gaps[lo - 1][1] + [v], gaps[stop - 1][0]
-            gaps[lo - 1:stop] = new
-            fresh += new
-            status[lo:stop] = up[v]
-            done = lo + len(up[v])
-        for gap in fresh:
-            if gap[1]:
-                gap[0], gap[1] = gap[1], []
-    downs[T] = [B, *join(T, 0, False), B2]
-    rot = {v: ups.get(v, []) + right.get(v, []) + downs.get(v, [])[::-1] + left.get(v, [])
-           for v in (*coords, B, B2, T)}
-
-    sign = {v: (y > 0) - (y < 0) for v, (_, y) in coords.items()} | {B: -1, B2: -1, T: 1}
-    lev = {v: 0 for v in coords if not sign[v]}
-    for s, order, inward in ((1, levels, downs), (-1, levels[::-1], ups)):
-        for vs in order:
-            run: List[int] = []
-            for v in vs + [None] if sign[vs[0]] == s else ():
-                if run and left.get(v) != run[-1:]:
-                    h = 1 + max(abs(lev[u]) if sign[u] == s else 0
-                                 for w in run for u in inward[w])
-                    lev.update(dict.fromkeys(run, s * h))
-                    run = []
-                run.append(v)
-    lo_lev, hi_lev = min(lev.values()), max(lev.values())
-    lev.update({B: lo_lev - 1, B2: lo_lev - 1, T: hi_lev + 1})
-    return rot, lev
+    def merged(v: int, u: int) -> Sequence[int]:
+        """u's stand-ins in v's rotation: u, none for a chord, and for a
+        subdivision vertex its neighbours across the line from v (in its
+        rotation from v on if v is an end of its edge)."""
+        if u in gone:
+            ws = rot[u] if v in ends.get(u, ()) else ends.get(u, ())
+            i = ws.index(v) + 1 if v in ws else 0
+            return [y for y in ws[i:] + ws[:i] if lev[y] * lev[v] < 0]
+        chord = v in on_path and u in on_path and v in g.rot and u in g.rot
+        return () if chord and not g.has_edge(u, v) else (u,)
+    return {v: [m for u in ws for m in merged(v, u)]
+            for v, ws in rot.items() if v not in gone}, lev
 
 
 def _fan(vs: Sequence[int], nbrs: Dict[int, List[int]], lev: Mapping[int, int]
@@ -1024,8 +999,8 @@ def _fan(vs: Sequence[int], nbrs: Dict[int, List[int]], lev: Mapping[int, int]
     def flat(a: int, x: int, b: int) -> bool:
         return lev[a] == lev[x] == lev[b]
     tris = []
-    while len(set(vs)) != len(vs):
-        j = _clip_corner(vs, nbrs, flat)
+    while (cut := _clip_corner(vs, nbrs, flat)):
+        j = cut[0]
         tris.append((vs[j - 1], vs[j], vs[(j + 1) % len(vs)]))
         vs = vs[:j] + vs[j + 1:]
     mid = sorted(lev[v] for v in vs)[len(vs) // 2]
@@ -1044,47 +1019,43 @@ _FIXED_BITS = 64           # first precision of the straightening proposal
 _FIXED_BITS_CAP = 1024     # past it, the exact solution is the proposal
 
 
-def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
-                ) -> Drawing:
-    """Replace the y-monotone polyline edges of a planar drawing ``pl`` of g
-    (exact positions of exactly g's vertices, as ``_split_drawing`` gives) by
-    straight segments on the levels of ``_regularize``.  A non-monotone
-    edge, coinciding vertices or a vertex on an edge raise ``RealizeError``;
-    two edges touching at a level are not detected.
+def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[int, int],
+                designated: Tuple[int, ...]) -> Drawing:
+    """Straight-line drawing of g with every vertex at its level, given
+    the rotations and st-ordering levels of ``_level_graph``: frame B, B2,
+    T, the three largest vertices, and every other vertex with a neighbour
+    strictly above it and one strictly below.
 
-    The regularized graph is triangulated (``_fan``) and each vertex of g
-    put at a weighted average of its neighbours, with integer weights that
+    The graph is triangulated (``_fan``) and each vertex but the frame put
+    at a weighted average of its neighbours, with integer weights that
     make its level the same average of theirs: 1 on each, plus an extra on
-    the nearest one on the side of the smaller sum of level gaps (all
-    scaled to integers).  By Floater's theorem (Math. Comp. 72, 2003) the
-    one solution for x (B, T at x = 0, B2 at x = y_T - y_B) draws every
-    triangle counter-clockwise; y is the level.
+    the nearest one on the side of the smaller sum of level gaps (scaled
+    to integers).  The weights are positive, which is Floater's condition,
+    so by his theorem (Math. Comp. 72, 2003) the one solution for x (B, T
+    at x = 0, B2 at x = y_T - y_B) draws every triangle counter-clockwise.
 
     x is proposed in fixed point (``_fixed_point_x``) with 64 fractional
-    bits first.  The matrix is diagonally dominant by rows (the weight sum
-    on the diagonal, the unfixed neighbours' weights off it), the symmetric
+    bits first.  The matrix is diagonally dominant by rows, the symmetric
     pivot order keeps it so, and elimination without pivoting then has
     growth factor at most 2 (Wilkinson; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, ch. 9): each rounding errs by
-    2^-bits of entries that stay small, so the proposal tends to the exact
-    x as the bits grow.  Moving x by at most 2^-k-1 changes the determinant
-    of a triangle of y-span s by at most 2^-k s, so x is rounded to the
-    coarsest grid 2^-k that no triangle's proposed determinant forbids, and
-    each triangle's sign is checked exactly on the result, the certificate
-    of ``verify_drawing``.  A non-positive proposed determinant, a zero
-    pivot, k > bits/2 (too few guard bits to round as the exact x) or a
-    failed check doubles the bits; past 1024, the exact ``_barycentric``
-    solution is the last proposal, and its failed check raises.
+    Numerical Algorithms, 2nd ed., 2002, ch. 9), so the proposal tends to
+    the exact x as the bits grow.  Moving x by at most 2^-k-1 changes the
+    determinant of a triangle of y-span s by at most 2^-k s, so x is
+    rounded to the coarsest grid 2^-k that no triangle's proposed
+    determinant forbids, and each triangle's sign is checked exactly on the
+    result, the certificate of ``verify_drawing``.  A non-positive proposed
+    determinant, a zero pivot, k > bits/2 (too few guard bits to round as
+    the exact x) or a failed check doubles the bits; past 1024, the exact
+    solution (``_exact_x``) is the last proposal, and its failed check
+    raises.
     """
-    coords = pl.coords
-    B, B2, T = frame = tuple(range(max(coords) + 1, max(coords) + 4))
-    rot, lev = _regularize(g, pl, frame)
+    B, B2, T = sorted(rot)[-3:]
     nbrs = {v: list(ws) for v, ws in rot.items()}
     # each walk starts at its least dart: (B, T) starts the outer face's
     tris = [t for walk in PlaneGraph._trace_faces(rot, [(v, w) for v in rot for w in rot[v]])
             if walk[0] != (B, T) for t in _fan([v for v, _ in walk], nbrs, lev)]
     weights: Dict[int, Dict[int, int]] = {}
-    for v in coords:
+    for v in rot.keys() - {B, B2, T}:
         y, ws = lev[v], nbrs[v]
         s = sum(lev[u] - y for u in ws)
         weights[v] = dict.fromkeys(ws, 1)
@@ -1104,8 +1075,7 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
     while True:
         exact = bits > _FIXED_BITS_CAP
         if exact:
-            H = {v: homogeneous(p) for v, p in _barycentric(
-                weights, {u: (F(x), F(lev[u])) for u, x in fixed.items()}).items()}
+            H = {v: homogeneous((x, F(lev[v]))) for v, x in _exact_x(weights, fixed).items()}
         else:
             try:
                 X = _fixed_point_x(weights, fixed, bits)
@@ -1120,7 +1090,7 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
             P = {v: (round(F(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
             flipped = next((t for t in tris if _det(*(P[v] for v in t)) <= 0), None)
             if flipped is None:
-                return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in coords}, designated)
+                return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in g.vertices}, designated)
             if exact:
                 raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
         bits *= 2
@@ -1128,83 +1098,16 @@ def _straighten(g: PlaneGraph, pl: PolylineDrawing, designated: Tuple[int, ...]
 
 # -- realizing a curve (collinearity pipeline) -------------------------------------
 
-def _clip_corner(vs: Sequence[int], nbrs: Dict[int, List[int]], barred) -> int:
-    """The index in face walk ``vs`` of a corner at one occurrence of a
-    repeated vertex x to cut off: its walk neighbours a and b, if distinct,
-    not adjacent and not ``barred(a, x, b)``, are joined in ``nbrs``."""
-    count = Counter(vs)
-    for j, x in enumerate(vs):
-        a, b = vs[j - 1], vs[(j + 1) % len(vs)]
-        if count[x] > 1 and a != b and not barred(a, x, b) and b not in nbrs[a]:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-            return j
-    raise RealizeError(f"face {tuple(vs)}: no corner to cut off")
-
-
-def _split_drawing(g: PlaneGraph, aug: AugmentedCurve) -> PolylineDrawing:
-    """Each side of the curve drawn barycentrically against its path laid on
-    the x-axis at (1, 0) .. (L, 0), L >= 2; a crossed edge bends at the axis.
-
-    One system is read off ``aug.graph``: the path fixed; for a non-empty
-    side an apex fixed at ((1 + L)/2, +-(L + 1)) closing its arc of the
-    outer walk, which runs clockwise from the dart (path[0],
-    outer_corner(path[0])) over the top to the dart (path[-1],
-    outer_corner(path[-1])), then on below: the corners ``curve_sides``
-    reads.  Each face walk that repeats a vertex is clipped
-    (``_clip_corner``), then a face with more than three corners gets a hub,
-    and every other vertex sits at the average of its neighbours.  Per side
-    this is Tutte's system for the plane graph of the path, the side, the
-    apex, the clips and the hubs: its outer face is the convex polygon of
-    the path and the apex, and each face is bounded by a simple cycle, as
-    Tutte's theorem needs.  A clip keeps the graph plane and simple with no
-    edge along the axis: it is one edge inside one face, between two
-    distinct, non-adjacent vertices that are not both on the path.
-    """
-    ga, path = aug.graph, aug.path_vertices
-    L = len(path)
-    fixed = {v: _pt(i + 1, 0) for i, v in enumerate(path)}
-    nbrs = {v: list(ga.rot[v]) for v in ga.vertices}
-    faces = [vs for vs in map(ga.face_vertices, ga.internal_faces())
-             if any(v not in fixed for v in vs)]
-    darts = ga.faces[ga.outer]
-    i = darts.index((path[0], aug.outer_corner(path[0])))
-    # the outer walk clockwise from path[0]'s outer corner round to it
-    walk = [x for x, _ in darts[i:] + darts[:i]] + [path[0]]
-    k = (darts.index((path[-1], aug.outer_corner(path[-1]))) - i) % len(darts)
-    hub = max(ga.vertices) + 1
-    for side, arc, y in zip(curve_sides(aug), (walk[:k + 1], walk[k:]), (L + 1, -L - 1)):
-        if side:        # an empty side has only the path on its boundary
-            fixed[hub] = (F(1 + L) / 2, F(y))
-            nbrs[hub] = [arc[0], arc[-1]]
-            nbrs[arc[0]].append(hub)
-            nbrs[arc[-1]].append(hub)
-            faces.append((hub, *arc))
-            hub += 1
-    on_path = set(path)
-    for vs in faces:
-        while len(set(vs)) != len(vs):
-            j = _clip_corner(vs, nbrs, lambda a, x, b: a in on_path and b in on_path)
-            vs = vs[:j] + vs[j + 1:]
-        if len(vs) > 3:
-            nbrs[hub] = vs
-            for v in vs:
-                nbrs[v].append(hub)
-            hub += 1
-    coords = _barycentric({v: Counter(ws) for v, ws in nbrs.items()}, fixed)
-    return PolylineDrawing(
-        coords={v: coords[v] for v in g.vertices},
-        bends={e: (coords[w],) for e, w in aug.subdivision.items()})
-
-
 def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     """Straight-line drawing of g in which the curve's stations land on the
     x-axis: vertex stations exactly on it, crossed edges meeting it once.  A
-    plane 3-tree is placed by ``place_free``; any other graph is split along
-    the curve, each side drawn barycentrically against the path on the
-    x-axis, and the crossed edges straightened.  A lone hop through the outer
-    face (a line that misses the drawing) gets the drawing of (v), v the
-    first outer vertex, moved above the axis, with no designated vertex."""
+    plane 3-tree is placed by ``place_free``.  Any other graph gets levels
+    from an st-ordering of each side (``_level_graph``), which exists as a
+    side whose faces are clipped to simple cycles, with the path merged
+    into its source, is biconnected; it is drawn on them by one system that
+    meets Floater's condition (``_straighten``).  A lone hop through the
+    outer face (a line that misses the drawing) gets the drawing of (v), v
+    the first outer vertex, moved above the axis, with no designated vertex."""
     if c.closed:
         raise RealizeError("only open (proper) curves can be realized on a line")
     if _misses_drawing(g, c):
@@ -1214,5 +1117,5 @@ def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     try:
         decomp = decompose(g)
     except ThreeTreeError:
-        return _straighten(g, _split_drawing(g, _proper_augment(g, c)), c.vertices)
+        return _straighten(g, *_level_graph(g, _proper_augment(g, c)), c.vertices)
     return Drawing(_place(decomp, labeling_from_curve(g, c)).coords, c.vertices)

@@ -310,12 +310,12 @@ class TestDrawAndVerify:
                        "straightening LP infeasible: no luck\n")
 
     @pytest.mark.parametrize("y,stations,count", [
-        (-2, [('f', 0), ('v', 5), ('f', 0)], 1),     # tangent at vertex 5
+        (-2, [('f', 0), ('v', 9), ('f', 0)], 1),     # tangent at vertex 9
         (-3, [('f', 0)], 0),                         # misses the drawing
     ], ids=["tangent", "miss"])
     def test_draw_read_back_of_a_line_that_touches_or_misses(self, tmp_path, capsys,
                                                               y, stations, count):
-        # the Theorem-4 drawing of a cubic graph spans the levels y = -2 .. 5;
+        # the Theorem-4 drawing of a cubic graph spans the levels y = -2 .. 4;
         # reading a line back from it gives a proper curve that draw realizes
         from collinear.cubic import generate_triconnected_cubic, theorem4
         from collinear.curves import curve_from_drawing

@@ -21,7 +21,7 @@ from collinear.curves import (
 from collinear.geom import F, line_through, orient
 from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                                    graph_from_positions)
-from collinear.realize import (LabelingOrder, curve_to_drawing,
+from collinear.realize import (Drawing, LabelingOrder, curve_to_drawing,
                                labeling_from_curve, place_free, verify_drawing)
 from collinear.three_tree import (build_curve_bundle, decompose,
                                   dp_optimal_collinear, random_plane_3tree)
@@ -894,11 +894,26 @@ def test_augmentation_matches_reference(case):
     assert_agrees_with_reference(*case)
 
 
+# a verified drawing of generate_triconnected_cubic(1, 12) along its
+# Theorem-4 curve, frozen: y = -1 leaves and re-enters it through the outer face
+_HOP_DRAWING = {0: ("1339/256", 0), 1: ("243/256", 5), 2: ("1507/256", 0),
+                3: ("1515/256", 0), 4: ("241/128", 4), 5: ("1015/128", -2),
+                6: ("739/128", 0), 7: ("717/256", 3), 8: ("311/64", 1),
+                9: ("887/128", -1), 10: ("245/64", 2), 11: ("187/32", 0)}
+
+
+def _hop_drawn():
+    g = generate_triconnected_cubic(1, 12)
+    pos = {v: (Fraction(x), Fraction(y)) for v, (x, y) in _HOP_DRAWING.items()}
+    assert verify_drawing(g, Drawing(pos)).ok
+    return g, pos
+
+
 def test_outer_face_hop_read_back_stays_improper():
     # a line that leaves the drawing and re-enters it: the hop through the
     # outer face between two events takes the first corner it finds, so the
     # read-back curve is called not proper, here and by the reference
-    g, pos = _drawn("cubic", 12, 1)
+    g, pos = _hop_drawn()
     c = curve_from_drawing(g, pos, (0, 1, -1))
     assert [s for s in c.stations if s[0] == 'f'].count(Fst(g.outer)) == 3
     assert_agrees_with_reference(g, c)
@@ -1038,7 +1053,7 @@ def test_tree_pipeline_builds_one_engine(monkeypatch, make):
 def test_outer_face_hop_read_back_builds_one_engine(monkeypatch):
     # the read-back of test_outer_face_hop_read_back_stays_improper hops the
     # outer face between its ends, so it is embedded
-    g, pos = _drawn("cubic", 12, 1)
+    g, pos = _hop_drawn()
     c = curve_from_drawing(g, pos, (0, 1, -1))
     built = _count_engines(monkeypatch)
     assert not validate_curve(g, c).proper
