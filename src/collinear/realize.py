@@ -26,7 +26,7 @@ provides:
   point, each triangle's orientation checked exactly when rounded);
 * ``lift_off_line`` -- re-place the collinear vertices at arbitrary
   prescribed heights while keeping the drawing planar, at a magnification
-  read off the faces' orientations (one verifier call on a triangulation).
+  read off the faces' orientations, checked once on a triangulation.
 """
 
 from __future__ import annotations
@@ -328,13 +328,20 @@ def verify_drawing(g: PlaneGraph, d: Drawing) -> DrawingReport:
 
 # -- convex-combination systems ---------------------------------------------------
 
-def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, int], step) -> list:
-    """(p, pivot, rest of row p, rhs) per pivot of the system ``rows`` (row
-    v maps unknowns to integer coefficients, ``rhs[v]`` is its right-hand
-    side; both consumed), in minimum-degree order from a lazy (row length,
-    vertex) heap; a zero pivot raises.  Pivot p makes row r, with a at p,
-    ``m * row_r - (q * row_p >> s)``, (m, q, s) = ``step(piv, a)``, over its
-    gcd if s = 0.  O((U + T) log U) pivot choice for U unknowns, T updates."""
+def _fixed_point_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int],
+                   bits: int) -> Dict[int, int]:
+    """x of every vertex of ``nbrs`` but the ``fixed`` ones, the average of
+    its neighbours' x under the integer weights ``nbrs[v][u]``, with the
+    fixed values, in fixed point: each value and coefficient times 2^bits.
+    Sparse elimination in minimum-degree order from a lazy (row length,
+    vertex) heap: pivot p makes row r, with a at p, row_r - f * row_p, f =
+    a / piv and each product rounded down to bits fractional bits; a pivot
+    rounded to zero raises.  O((U + T) log U) pivot choice for U unknowns,
+    T updates."""
+    one = 1 << bits
+    rows = {v: {v: sum(ws.values()) * one, **{u: -w * one for u, w in ws.items() if u not in fixed}}
+            for v, ws in nbrs.items() if v not in fixed}
+    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) * one for v in rows}
     occurs: Dict[int, Set[int]] = {v: set() for v in rows}
     for r, row in rows.items():
         for v in row:
@@ -352,55 +359,21 @@ def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, int], step) -> li
         order.append((p, piv, prow, prhs))
         for r in occurs.pop(p) & rows.keys():
             row = rows[r]
-            m, q, s = step(piv, row.pop(p))
-            new = {v: m * c for v, c in row.items()}
+            before = len(row)
+            f = (row.pop(p) << bits) // piv
             for v, c in prow.items():
-                nv = new.get(v, 0) - (q * c >> s)
+                nv = row.get(v, 0) - (f * c >> bits)
                 if nv:
                     occurs[v].add(r)
-                    new[v] = nv
-                elif v in new:
-                    del new[v]
+                    row[v] = nv
+                elif v in row:
+                    del row[v]
                     occurs[v].discard(r)
-            b = m * rhs[r] - (q * prhs >> s)
-            g = 1 if s else gcd(b, *new.values())
-            if g > 1:
-                new, b = {v: c // g for v, c in new.items()}, b // g
-            rows[r], rhs[r] = new, b
-            if len(new) != len(row) + 1:
-                heappush(heap, (len(new), r))
-    return order
-
-
-def _exact_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int]
-             ) -> Dict[int, Fraction]:
-    """x of every vertex of ``nbrs`` but the ``fixed`` ones, exactly the
-    average of its neighbours' x under the integer weights ``nbrs[v][u]``,
-    with the fixed values: ``_straighten``'s last proposal.  Fraction-free
-    (Bareiss): each row stays a multiple of its ``Fraction`` counterpart
-    with the same non-zeros, so a pivot is zero iff it is over the
-    rationals."""
-    rows = {v: {v: sum(ws.values()), **{u: -w for u, w in ws.items() if u not in fixed}}
-            for v, ws in nbrs.items() if v not in fixed}
-    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) for v in rows}
-    X = {v: Fraction(x) for v, x in fixed.items()}
-    for p, piv, prow, px in reversed(_eliminate(rows, rhs, lambda piv, a: (piv, a, 0))):
-        X[p] = Fraction(px - sum(c * X[v] for v, c in prow.items()), piv)
-    return X
-
-
-def _fixed_point_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int],
-                   bits: int) -> Dict[int, int]:
-    """``_exact_x`` in fixed point, each value and coefficient times
-    2^bits: row r loses f * prow, f = row_r[p] / piv and each product
-    rounded down to bits fractional bits."""
-    one = 1 << bits
-    rows = {v: {v: sum(ws.values()) * one, **{u: -w * one for u, w in ws.items() if u not in fixed}}
-            for v, ws in nbrs.items() if v not in fixed}
-    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) * one for v in rows}
+            rhs[r] -= f * prhs >> bits
+            if len(row) != before:
+                heappush(heap, (len(row), r))
     X = {v: x * one for v, x in fixed.items()}
-    for p, piv, prow, px in reversed(_eliminate(
-            rows, rhs, lambda piv, a: (1, (a << bits) // piv, bits))):
+    for p, piv, prow, px in reversed(order):
         X[p] = ((px << bits) - sum(c * X[v] for v, c in prow.items())) // piv
     return X
 
@@ -792,23 +765,20 @@ def _first_magnification(g: PlaneGraph, flat: Mapping[int, HPoint],
 def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) -> Drawing:
     """Move the designated (on-line) vertices to prescribed heights.
 
-    The designated vertices of ``d`` must lie on y = 0 with distinct x's.
-    Every vertex (x, y) is re-placed at (x, M*y + h(x)) where h is the
-    piecewise-linear interpolant of the prescribed heights, evaluated once
-    per vertex by bisection over the knots, and M is the first power of two
-    2^j, j0 <= j < j0 + 70, at which the drawing verifies, j0 being
-    ``_first_magnification``.
-
-    The powers below j0 are skipped: each leaves some triangular face
-    oriented against its walk (or flat), and a drawing that verifies draws
-    every face of ``g`` as a face with ``g``'s walk, internal ones
-    counter-clockwise and the outer one clockwise, so none of them can
-    verify and the result is the one of trying every power from 1 up.  When
-    ``d`` is a verified drawing of a triangulation every face has a bound,
-    so at the first power tried every face is oriented as its walk: that
-    is ``verify_drawing``'s certificate, and the lift makes one verifier
-    call of O(n) determinants instead of a sweep.
+    ``g`` must be a triangulation and the designated vertices of ``d`` must
+    lie on y = 0 with distinct x's.  Every vertex (x, y) is re-placed at
+    (x, M*y + h(x)), h the piecewise-linear interpolant of the heights,
+    evaluated by bisection over the knots, and M = 2^j0, j0 being
+    ``_first_magnification``.  The lift is checked once, by
+    ``verify_drawing``'s certificate for a triangulation: every vertex of g
+    and no other placed, every ``_oriented_dets`` sign positive.  No other
+    power of two passes where 2^j0 fails: below it some face is flipped or
+    flat, and from it on a face that ``d`` orients as its walk keeps its
+    sign while the sign of any other never rises.  So the lift of a
+    verified drawing verifies.
     """
+    if any(len(walk) != 3 for walk in g.faces):
+        raise RealizeError("lift needs a triangulation")
     des = sorted(d.designated, key=lambda v: d.coords[v][0])
     if not des:
         raise RealizeError("drawing has no designated vertices to lift")
@@ -827,15 +797,13 @@ def lift_off_line(g: PlaneGraph, d: Drawing, heights: Mapping[int, Fraction]) ->
         return ys[min(i, len(xs) - 1)]
 
     base = [(v, x, y, h(x)) for v, (x, y) in d.coords.items()]
-    j0 = _first_magnification(g, {v: homogeneous(p) for v, p in d.coords.items()},
-                              {v: homogeneous((x, hx)) for v, x, _, hx in base})
-    for j in range(j0, j0 + 70):
-        coords = {v: (x, (1 << j) * y + hx) for v, x, y, hx in base}
-        lifted = Drawing(coords, d.designated)
-        rep = verify_drawing(g, lifted)
-        if rep.planar and rep.embedding_ok and rep.outer_ok:
-            return lifted
-    raise RealizeError("lift failed to verify at any tested magnification")
+    M = 1 << _first_magnification(g, {v: homogeneous(p) for v, p in d.coords.items()},
+                                  {v: homogeneous((x, hx)) for v, x, _, hx in base})
+    coords = {v: (x, M * y + hx) for v, x, y, hx in base}
+    dets = [s for _, s in _oriented_dets(g, {v: homogeneous(p) for v, p in coords.items()})]
+    if coords.keys() != g.rot.keys() or _repeated(d.designated) or min(dets) <= 0:
+        raise RealizeError("lift failed to verify at any tested magnification")
+    return Drawing(coords, d.designated)
 
 
 # -- levels from st-orderings, and straightening -----------------------------------
@@ -1016,7 +984,33 @@ def _fan(vs: Sequence[int], nbrs: Dict[int, List[int]], lev: Mapping[int, int]
 
 
 _FIXED_BITS = 64           # first precision of the straightening proposal
-_FIXED_BITS_CAP = 1024     # past it, the exact solution is the proposal
+
+
+def _stop_bits(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int]) -> int:
+    """The precision past which ``_fixed_point_x`` proposes an x that
+    ``_straighten`` certifies if the exact x* draws every triangle
+    counter-clockwise: 2L + log2(64 U^3 a W^2) for the system A x = b of U
+    unknowns, a its largest diagonal entry, W the width of the fixed values
+    and 2^L a power of two at or above its Hadamard bound, prod ||row||.
+
+    Cramer's rule puts every x*, and so every triangle's determinant (x's
+    times integer level gaps), over det A, a positive integer below 2^L (A
+    is a non-singular M-matrix): a positive determinant is at least 2^-L,
+    and ||A^-1|| < U 2^L, the cofactors being below 2^L too.  Elimination
+    keeps row diagonal dominance, so entries and pivots stay below 2a
+    (Wilkinson; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 9); each of at most U updates of an entry rounds by
+    2^-bits, each multiplier and back-substitution by 2^-bits times a
+    pivot, so the residual A(x - x*) is at most 9 U^2 a W 2^-bits per row
+    and x is within 9 U^3 a W 2^(L - bits) of x*.  Here that moves a
+    determinant (y-span at most W) by less than half of 2^-L: every
+    proposed one is positive, and its grid 2^-k has k <= L + 2 + log2 W,
+    at most half the bits."""
+    rows = [(sum(ws.values()), [w for u, w in ws.items() if u not in fixed])
+            for v, ws in nbrs.items() if v not in fixed]
+    two_L = 1 + sum((d * d + sum(w * w for w in off)).bit_length() for d, off in rows)
+    a, W = max(d for d, _ in rows), max(fixed.values()) - min(fixed.values())
+    return two_L + (len(rows) ** 3 * a * W * W << 6).bit_length()
 
 
 def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[int, int],
@@ -1024,7 +1018,7 @@ def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[in
     """Straight-line drawing of g with every vertex at its level, given
     the rotations and st-ordering levels of ``_level_graph``: frame B, B2,
     T, the three largest vertices, and every other vertex with a neighbour
-    strictly above it and one strictly below.
+    strictly above it and one strictly below, else raises.
 
     The graph is triangulated (``_fan``) and each vertex but the frame put
     at a weighted average of its neighbours, with integer weights that
@@ -1035,19 +1029,15 @@ def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[in
     at x = 0, B2 at x = y_T - y_B) draws every triangle counter-clockwise.
 
     x is proposed in fixed point (``_fixed_point_x``) with 64 fractional
-    bits first.  The matrix is diagonally dominant by rows, the symmetric
-    pivot order keeps it so, and elimination without pivoting then has
-    growth factor at most 2 (Wilkinson; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, ch. 9), so the proposal tends to
-    the exact x as the bits grow.  Moving x by at most 2^-k-1 changes the
-    determinant of a triangle of y-span s by at most 2^-k s, so x is
-    rounded to the coarsest grid 2^-k that no triangle's proposed
-    determinant forbids, and each triangle's sign is checked exactly on the
-    result, the certificate of ``verify_drawing``.  A non-positive proposed
-    determinant, a zero pivot, k > bits/2 (too few guard bits to round as
-    the exact x) or a failed check doubles the bits; past 1024, the exact
-    solution (``_exact_x``) is the last proposal, and its failed check
-    raises.
+    bits first.  Moving x by at most 2^-k-1 changes the determinant of a
+    triangle of y-span s by at most 2^-k s, so x is rounded to the coarsest
+    grid 2^-k that no triangle's proposed determinant forbids, and each
+    triangle's sign is checked exactly on the result, the certificate of
+    ``verify_drawing``.  A non-positive proposed determinant, a zero pivot,
+    k > bits/2 (too few guard bits to round as the exact x) or a failed
+    check doubles the bits.  At the first precision past ``_stop_bits``,
+    where a system meeting Floater's condition is certified, the proposal
+    is rounded and checked all the same, and its failed check raises.
     """
     B, B2, T = sorted(rot)[-3:]
     nbrs = {v: list(ws) for v, ws in rot.items()}
@@ -1055,9 +1045,13 @@ def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[in
     tris = [t for walk in PlaneGraph._trace_faces(rot, [(v, w) for v in rot for w in rot[v]])
             if walk[0] != (B, T) for t in _fan([v for v, _ in walk], nbrs, lev)]
     weights: Dict[int, Dict[int, int]] = {}
-    for v in rot.keys() - {B, B2, T}:
+    for v in sorted(rot.keys() - {B, B2, T}):
         y, ws = lev[v], nbrs[v]
-        s = sum(lev[u] - y for u in ws)
+        gaps = [lev[u] - y for u in ws]
+        if not min(gaps, default=0) < 0 < max(gaps, default=0):
+            raise RealizeError(f"vertex {v} lacks a neighbour above it or one below it "
+                               "(Floater's condition)")
+        s = sum(gaps)
         weights[v] = dict.fromkeys(ws, 1)
         if s:
             k = min((u for u in ws if (lev[u] - y) * s < 0), key=lambda u: abs(lev[u] - y))
@@ -1065,6 +1059,7 @@ def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[in
             weights[v] = dict.fromkeys(ws, abs(lev[k] - y) // q)
             weights[v][k] += abs(s) // q
     fixed = {B: 0, B2: lev[T] - lev[B], T: 0}
+    stop = _stop_bits(weights, fixed)
 
     def grid(a: int, b: int, c: int, det: int) -> int:
         """The least k with 2^k * det > span for triangle abc."""
@@ -1073,25 +1068,24 @@ def _straighten(g: PlaneGraph, rot: Mapping[int, Sequence[int]], lev: Mapping[in
         return k + (det << max(k, 0) <= r << max(-k, 0))
     bits = _FIXED_BITS
     while True:
-        exact = bits > _FIXED_BITS_CAP
-        if exact:
-            H = {v: homogeneous((x, F(lev[v]))) for v, x in _exact_x(weights, fixed).items()}
-        else:
-            try:
-                X = _fixed_point_x(weights, fixed, bits)
-            except RealizeError:        # a pivot rounded to zero: a failed check
-                bits *= 2
-                continue
-            H = {v: (x, lev[v] << bits, 1 << bits) for v, x in X.items()}
+        last = bits >= stop
+        try:
+            X = _fixed_point_x(weights, fixed, bits)
+        except RealizeError:            # a pivot rounded to zero: a failed check
+            if last:
+                raise
+            bits *= 2
+            continue
+        H = {v: (x, lev[v] << bits, 1 << bits) for v, x in X.items()}
         dets = [_det(*(H[v] for v in t)) for t in tris]
         k = max(grid(*t, det) for t, det in zip(tris, dets))
-        if exact or (min(dets) > 0 and 2 * k <= bits):
+        if last or (min(dets) > 0 and 2 * k <= bits):
             scale = F(2) ** k
             P = {v: (round(F(x, w) * scale), lev[v], 1) for v, (x, _, w) in H.items()}
             flipped = next((t for t in tris if _det(*(P[v] for v in t)) <= 0), None)
             if flipped is None:
                 return Drawing({v: (P[v][0] / scale, F(lev[v])) for v in g.vertices}, designated)
-            if exact:
+            if last:
                 raise RealizeError(f"straightened triangle {flipped} is not counter-clockwise")
         bits *= 2
 
@@ -1105,7 +1099,8 @@ def curve_to_drawing(g: PlaneGraph, c: GoodCurve) -> Drawing:
     from an st-ordering of each side (``_level_graph``), which exists as a
     side whose faces are clipped to simple cycles, with the path merged
     into its source, is biconnected; it is drawn on them by one system that
-    meets Floater's condition (``_straighten``).  A lone hop through the
+    meets Floater's condition, solved in fixed point until the exact
+    triangle check certifies it (``_straighten``).  A lone hop through the
     outer face (a line that misses the drawing) gets the drawing of (v), v
     the first outer vertex, moved above the axis, with no designated vertex."""
     if c.closed:

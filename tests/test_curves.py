@@ -1060,6 +1060,24 @@ def test_outer_face_hop_read_back_builds_one_engine(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.xfail(strict=True, raises=CurveError,
+                   reason="the engine's hop from 5 finds no region of face 0 that touches 7")
+def test_read_back_round_a_pendant_in_a_face_that_meets_a_vertex_twice():
+    # the triangle 0, 1, 2 with the triangle 2, 3, 4 hanging at 2 inside it
+    # and a pendant 5 at 3: the line 2x + y = 13 runs through 3 and 5 and
+    # hops through face 0, whose walk (0, 1, 2, 4, 3, 5, 3, 2) meets 3
+    # twice.  A line's read-back is good and proper, but the engine seems
+    # to attach the hop into 3 at its corner beyond the pendant, so the hop
+    # out of 5 is said not to be embeddable
+    pos = {0: (0, 0), 1: (10, 0), 2: (5, 10), 3: (4, 5), 4: (6, 5), 5: (5, 3)}
+    pos = {v: (F(x), F(y)) for v, (x, y) in pos.items()}
+    g = graph_from_positions(pos, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (3, 5)])
+    c = curve_from_drawing(g, pos, (2, 1, 13))
+    assert c.vertices == (3, 5)
+    rep = validate_curve(g, c)
+    assert rep.good and rep.proper
+
+
 def test_chord_parallel_to_a_contained_edge_is_rejected():
     # the good closed curve (v 1, v 0, f 0) on K4 runs along edge 0-1 and
     # comes back through face 0; its chord would be a second edge 0-1

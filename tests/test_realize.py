@@ -8,7 +8,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from fractions import Fraction as Fr
+from fractions import Fraction, Fraction as Fr
+from heapq import heappop, heappush
+from math import gcd
+from typing import Dict, Mapping, Set
 from unittest import mock
 
 import pytest
@@ -397,14 +400,76 @@ def unit_weights(nbrs):
     return {v: Counter(ws) for v, ws in nbrs.items()}
 
 
+def _eliminate(rows: Dict[int, Dict[int, int]], rhs: Dict[int, int], step) -> list:
+    """(p, pivot, rest of row p, rhs) per pivot of the system ``rows`` (row
+    v maps unknowns to integer coefficients, ``rhs[v]`` is its right-hand
+    side; both consumed), in minimum-degree order from a lazy (row length,
+    vertex) heap; a zero pivot raises.  Pivot p makes row r, with a at p,
+    ``m * row_r - (q * row_p >> s)``, (m, q, s) = ``step(piv, a)``, over its
+    gcd if s = 0.  O((U + T) log U) pivot choice for U unknowns, T updates."""
+    occurs: Dict[int, Set[int]] = {v: set() for v in rows}
+    for r, row in rows.items():
+        for v in row:
+            occurs[v].add(r)
+    heap = sorted((len(row), v) for v, row in rows.items())
+    order = []
+    while heap:
+        k, p = heappop(heap)
+        if p not in rows or k != len(rows[p]):
+            continue
+        prow, prhs = rows.pop(p), rhs.pop(p)
+        piv = prow.pop(p, 0)
+        if piv == 0:
+            raise RealizeError("singular barycentric system")
+        order.append((p, piv, prow, prhs))
+        for r in occurs.pop(p) & rows.keys():
+            row = rows[r]
+            m, q, s = step(piv, row.pop(p))
+            new = {v: m * c for v, c in row.items()}
+            for v, c in prow.items():
+                nv = new.get(v, 0) - (q * c >> s)
+                if nv:
+                    occurs[v].add(r)
+                    new[v] = nv
+                elif v in new:
+                    del new[v]
+                    occurs[v].discard(r)
+            b = m * rhs[r] - (q * prhs >> s)
+            g = 1 if s else gcd(b, *new.values())
+            if g > 1:
+                new, b = {v: c // g for v, c in new.items()}, b // g
+            rows[r], rhs[r] = new, b
+            if len(new) != len(row) + 1:
+                heappush(heap, (len(new), r))
+    return order
+
+
+def _exact_x(nbrs: Mapping[int, Mapping[int, int]], fixed: Mapping[int, int]
+             ) -> Dict[int, Fraction]:
+    """x of every vertex of ``nbrs`` but the ``fixed`` ones, exactly the
+    average of its neighbours' x under the integer weights ``nbrs[v][u]``,
+    with the fixed values: the reference for ``_straighten``'s fixed-point
+    proposals, once its last resort past 1024 bits.  Fraction-free
+    (Bareiss): each row stays a multiple of its ``Fraction`` counterpart
+    with the same non-zeros, so a pivot is zero iff it is over the
+    rationals."""
+    rows = {v: {v: sum(ws.values()), **{u: -w for u, w in ws.items() if u not in fixed}}
+            for v, ws in nbrs.items() if v not in fixed}
+    rhs = {v: sum(w * fixed[u] for u, w in nbrs[v].items() if u in fixed) for v in rows}
+    X = {v: Fraction(x) for v, x in fixed.items()}
+    for p, piv, prow, px in reversed(_eliminate(rows, rhs, lambda piv, a: (piv, a, 0))):
+        X[p] = Fraction(px - sum(c * X[v] for v, c in prow.items()), piv)
+    return X
+
+
 def exact_solve(nbrs, fixed):
     """Both columns of the convex-combination system with the rational
-    positions ``fixed``, each by ``realize._exact_x`` on the column scaled
+    positions ``fixed``, each by ``_exact_x`` on the column scaled
     to integers."""
     cols = []
     for i in (0, 1):
         scale = math.lcm(*(p[i].denominator for p in fixed.values()))
-        xs = realize._exact_x(nbrs, {v: int(p[i] * scale) for v, p in fixed.items()})
+        xs = _exact_x(nbrs, {v: int(p[i] * scale) for v, p in fixed.items()})
         cols.append({v: x / scale for v, x in xs.items()})
     return {v: (cols[0][v], cols[1][v]) for v in cols[0]}
 
@@ -995,7 +1060,7 @@ def test_lift_of_a_partial_drawing_fails_as_the_doubling_loop():
             == "error: lift failed to verify at any tested magnification")
 
 
-def test_lift_verifies_once_per_lift_on_a_3tree(monkeypatch):
+def test_lift_makes_no_verifier_call_on_a_3tree(monkeypatch):
     calls = []
 
     def counting(g, d):
@@ -1012,11 +1077,19 @@ def test_lift_verifies_once_per_lift_on_a_3tree(monkeypatch):
         heights = {v: Fr((-1) ** i * (7 * i % 11), 3) for i, v in enumerate(d.designated)}
         calls.clear()
         lifted = lift_off_line(g, d, heights)
-        assert len(calls) == 1 and calls[0] is lifted
-        calls.clear()
+        assert calls == []
         assert reference_lift_off_line(g, d, heights) == lifted
         skipped += len(calls) - 1
     assert skipped > 0          # the doubling loop verified rejected drawings
+
+
+def test_lift_rejects_a_graph_that_is_not_a_triangulation():
+    g = prism()
+    d = Drawing({v: (Fr(x), Fr(y)) for v, (x, y) in {
+        0: (0, 0), 1: (4, 0), 2: (2, 4), 3: (1, 1), 4: (3, 1), 5: (2, 2)}.items()}, (0, 1))
+    assert verify_drawing(g, d).ok
+    with pytest.raises(RealizeError, match="^lift needs a triangulation$"):
+        lift_off_line(g, d, {0: Fr(1), 1: Fr(-1)})
 
 
 # -- straightening -------------------------------------------------------------------
@@ -1093,26 +1166,36 @@ def test_straighten_preserves_level_order():
 
 
 def test_straighten_checks_every_triangle(monkeypatch):
-    # every fixed-point proposal and the exact last resort are replaced by
-    # solves that move vertex 2 out of the frame, left of x = 0, so only
-    # the check of the triangles' signs can catch it
+    # every fixed-point proposal is replaced by one that moves vertex 2 out
+    # of the frame, left of x = 0, so only the check of the triangles'
+    # signs at the stopping precision can catch it
     g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)},
                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     rot, lev = framed(g, {0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2), 4: (-1, -1),
                           5: (9, -1), 6: (-1, 3)}, [(4, 0), (4, 1), (6, 3)])
     assert verify_drawing(g, _straighten(g, rot, lev, ())).ok
-    solve, propose = realize._exact_x, realize._fixed_point_x
-
-    def corrupted(nbrs, fixed):
-        return {**solve(nbrs, fixed), 2: Fr(-1)}
+    propose = realize._fixed_point_x
 
     def corrupted_proposal(nbrs, fixed, bits):
         return {**propose(nbrs, fixed, bits), 2: -1 << bits}
-    monkeypatch.setattr(realize, "_exact_x", corrupted)
     monkeypatch.setattr(realize, "_fixed_point_x", corrupted_proposal)
     with pytest.raises(RealizeError, match=r"straightened triangle \(.*\) is not "
                                            "counter-clockwise"):
         _straighten(g, rot, lev, ())
+
+
+@pytest.mark.parametrize("level", [-1, 3], ids=["none-below", "none-above"])
+def test_straighten_rejects_a_vertex_without_neighbours_above_and_below(level):
+    # vertex 0 of the square is moved to the level of B, its lowest
+    # neighbour, or of T, above all of them: its level is no average of
+    # its neighbours' with positive weights, so Floater's condition fails
+    g = graph_from_positions({0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2)},
+                             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    rot, lev = framed(g, {0: (0, 0), 1: (4, 0), 2: (3, 1), 3: (0, 2), 4: (-1, -1),
+                          5: (9, -1), 6: (-1, 3)}, [(4, 0), (4, 1), (6, 3)])
+    with pytest.raises(RealizeError, match=r"^vertex 0 lacks a neighbour above it or one "
+                                           r"below it \(Floater's condition\)$"):
+        _straighten(g, rot, {**lev, 0: level}, ())
 
 
 # -- the exact straightening that the fixed-point proposal replaced, kept as a
@@ -1140,7 +1223,7 @@ def reference_exact_straighten(g, rot, lev, designated=()):
             weights[v] = dict.fromkeys(ws, abs(lev[k] - y) // q)
             weights[v][k] += abs(s) // q
     fixed = {B: 0, B2: lev[T] - lev[B], T: 0}
-    H = {v: homogeneous((x, Fr(lev[v]))) for v, x in realize._exact_x(weights, fixed).items()}
+    H = {v: homogeneous((x, Fr(lev[v]))) for v, x in _exact_x(weights, fixed).items()}
 
     def grid(a, b, c):
         det = realize._det(H[a], H[b], H[c])
@@ -1208,18 +1291,69 @@ def test_straighten_doubles_a_low_start_precision(proposals, monkeypatch):
     assert len(proposals) > 1 and proposals == [2 << i for i in range(len(proposals))]
 
 
-def test_straighten_falls_back_to_the_exact_solution(monkeypatch):
-    # every proposal puts every vertex at x = 0, so every triangle is flat
-    # and the exact last resort draws, as the reference does
-    calls = []
+def test_straighten_raises_at_the_stopping_precision(monkeypatch):
+    # every proposal puts every vertex at x = 0, so every triangle is flat:
+    # the bits double up to the first precision past the system's stop,
+    # where the proposal is rounded and checked all the same, and raises
+    calls, stops = [], set()
 
     def flat(nbrs, fixed, bits):
         calls.append(bits)
+        stops.add(realize._stop_bits(nbrs, fixed))
         return dict.fromkeys([*nbrs, *fixed], 0)
     monkeypatch.setattr(realize, "_fixed_point_x", flat)
     g, c, rot, lev = leveled_system(("grid", 10))
-    assert_matches_exact(g, rot, lev, c.vertices)
-    assert calls == [64, 128, 256, 512, 1024]
+    with pytest.raises(RealizeError, match=r"straightened triangle \(.*\) is not "
+                                           "counter-clockwise"):
+        _straighten(g, rot, lev, c.vertices)
+    (stop,) = stops
+    assert calls == [64 << i for i in range(len(calls))]
+    assert calls[-1] // 2 < stop <= calls[-1] and len(calls) > 5
+
+
+def nested_triangles(depth):
+    """``depth`` triangles, the i-th (from 0, innermost) with corners
+    (-i-1, -i-1), (i+1, -i-1), (0, i+1), each joined to the next by a
+    triangulated annulus, and their positions."""
+    pos, edges = {}, []
+    for i in range(depth):
+        r, a = i + 1, 3 * i
+        pos.update({a: (Fr(-r), Fr(-r)), a + 1: (Fr(r), Fr(-r)), a + 2: (Fr(0), Fr(r))})
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        if i:
+            edges += [e for j in range(3)
+                      for e in ((a - 3 + j, a + j), (a - 3 + j, a + (j + 2) % 3))]
+    return graph_from_positions(pos, edges), pos
+
+
+def test_straighten_past_1024_bits_matches_the_exact_reference(proposals):
+    # nested triangles of depth 200 read back along x = 1/7: the proposals
+    # at up to 1024 bits fail, which sent this input to an exact solve as
+    # the last resort; the 2048-bit one is certified and draws what the
+    # exact solution draws, bit for bit
+    g, pos = nested_triangles(200)
+    c = curve_from_drawing(g, pos, (Fr(7), Fr(0), Fr(1)))
+    d = curve_to_drawing(g, c)
+    assert verify_drawing(g, d).ok
+    assert proposals == [64, 128, 256, 512, 1024, 2048]
+    rot, lev = _level_graph(g, realize._proper_augment(g, c))
+    assert serialize_drawing(d) == serialize_drawing(
+        reference_exact_straighten(g, rot, lev, c.vertices))
+
+
+@pytest.mark.parametrize("case", [("grid", 10), ("cubic", 100, 1)], ids=["grid10", "cubic100-1"])
+def test_stop_bits_leave_room_for_the_exact_grid(case):
+    # the stop is at least 2L, 2^L the Hadamard bound on det A: every exact
+    # x is a multiple of 1/det A, and the exact drawing's grid 2^-k meets
+    # the guard 2k <= bits at the stop
+    g, c, rot, lev = leveled_system(case)
+    [(nbrs, fixed)] = captured_systems(_straighten, g, rot, lev, c.vertices)
+    fixed = {v: int(x) for v, (x, _) in fixed.items()}
+    stop = realize._stop_bits(nbrs, fixed)
+    xs = _exact_x(nbrs, fixed).values()
+    d = reference_exact_straighten(g, rot, lev, c.vertices)
+    assert 2 * max(x.denominator for x in xs).bit_length() <= stop
+    assert 2 * max(x.denominator for x, _ in d.coords.values()).bit_length() <= stop
 
 
 # -- the LP straightening that the exact system replaced, kept as a reference -------
