@@ -19,6 +19,7 @@ matter how deep the recursion that emitted them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
@@ -631,26 +632,37 @@ def generate_triconnected_cubic(seed: int, target_n: int) -> PlaneGraph:
     2-connected plane graph every face is bounded by a simple cycle, so two
     darts of one face walk lie on different edges.  Both midpoints then lie
     on the chosen face, and the chord between them splits it.
+
+    All steps run on one ``_Engine`` and the ``PlaneGraph`` is built once.
+    The draws are those of a graph rebuilt after every step: a face index in
+    face order, the order of least darts (tail, head), kept in ``faces`` and
+    re-keyed only for the regions a step touches, then two positions on the
+    walk from that dart; each edge is split on its dart (u, v) with u < v.
+    O(n log n) plus O(n) list shifts per step, not a rebuild per step.
     """
     if target_n < 4 or target_n % 2:
-        raise CubicError("target_n must be an even number >= 4")
+        raise CubicError(f"target_n must be an even number >= 4, got {target_n}")
     rng = random.Random(seed)
-    g = PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
-                   outer_walk=(0, 1, 2))
-    while g.n < target_n:
-        g = _expand(g, rng)
+    eng = _Engine(PlaneGraph({0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (0, 1, 2)},
+                             outer_walk=(0, 1, 2)))
+    region, twin = eng.region, eng.twin
+    key = {r: eng.face_key(r) for r in range(len(eng.start))}
+    faces = sorted(key.values())
+    while len(eng.first) < target_n:
+        walk = eng._face(faces[rng.randrange(len(faces))][2])
+        p, q = (walk[i] for i in rng.sample(range(len(walk)), 2))
+        r = region[p]
+        touched = {r, region[twin[p]], region[twin[q]]}
+        for t in touched:       # every old key goes before any new one is in
+            del faces[bisect_left(faces, key[t])]
+        for d in p, q:
+            eng.split(min(d, twin[d], key=eng.pair))
+        touched.add(eng.chord(twin[p], twin[q], r))
+        for t in touched:
+            key[t] = eng.face_key(t)
+            insort(faces, key[t])
+    pg, index = eng.graph()
+    g = pg.with_outer(index[eng.g.outer])
     if not g.is_triconnected():
         raise CubicError("generated graph is not triconnected")
     return g
-
-
-def _expand(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
-    fi = rng.randrange(len(g.faces))
-    walk = g.faces[fi]
-    i, j = rng.sample(range(len(walk)), 2)
-    eng = _Engine(g)
-    m1 = eng.subdivide(edge_key(*walk[i]))
-    m2 = eng.subdivide(edge_key(*walk[j]))
-    eng.insert_chord(m1, m2, fi)
-    pg, index = eng.graph()
-    return pg.with_outer(index[eng.tag.index(g.outer)])

@@ -254,7 +254,7 @@ class AugmentedCurve:
         """w with (v, w) the dart after the first dart into v on the outer
         walk, read from its least dart as a traced face is."""
         eng = self._engine
-        walk = eng._face(eng.least_dart(self._outer))
+        walk = eng._face(eng.face_key(self._outer)[2])
         i = next(i for i, d in enumerate(walk) if eng.head[d] == v)
         return eng.head[walk[(i + 1) % len(walk)]]
 
@@ -292,7 +292,7 @@ def augment_with_curve(g: PlaneGraph, c: GoodCurve) -> AugmentedCurve:
     # one with the least dart, which is the first in face order
     touching = eng.touches_both(g.outer, endpoints) if endpoints else []
     cands = touching or [r for r, tag in enumerate(eng.tag) if tag == g.outer]
-    outer = min(cands, key=lambda r: eng.pair(eng.least_dart(r)))
+    outer = min(cands, key=eng.face_key)
     return AugmentedCurve(station_vertex, endpoints, path_v, path_e, dict(eng.sub),
                           bool(touching), eng, outer)
 
@@ -427,24 +427,27 @@ class _Engine:
         self.region.extend((r, r))
 
     def subdivide(self, e: Tuple[int, int]) -> int:
-        """Put a new vertex w on the original edge e = (u, v): the darts of e
-        become (u, w) and (v, w), and w's rotation is (u, v)."""
-        u, v = e
+        """``split`` the original edge e = (u, v) on its dart (u, v)."""
         d = self.g._dart_id(e)
+        w = self.sub[e] = self.split(d)
+        if self.region[d] == self.region[self.twin[d]]:
+            self.bridge[w] = e
+        return w
+
+    def split(self, d: int) -> int:
+        """Put a new vertex w on dart d = (u, v), whose two darts become (u, w)
+        and (v, w) with their numbers and regions; w's rotation is (u, v)."""
         head, twin, region = self.head, self.twin, self.region
         t, k = twin[d], len(head)
         self.first.append(k + 1)    # w's rotation starts with (w, u)
         w = self.lo + len(self.first) - 1
         # d, t become (u, w), (v, w); k is (w, v) and k + 1 is (w, u)
+        head.extend((head[d], head[t]))
         head[d] = head[t] = w
-        head.extend((v, u))
         twin[d], twin[t] = k + 1, k
         twin.extend((t, d))
         self.cw.extend((k + 1, k))
         region.extend((region[d], region[t]))
-        self.sub[e] = w
-        if region[d] == region[t]:
-            self.bridge[w] = e
         return w
 
     def insert_antenna(self, anchor: int, face: int) -> int:
@@ -482,14 +485,20 @@ class _Engine:
             xb = twin[walk[i] if then in (self.head[d] for d in walk[i + 1:]) else walk[k]]
         else:
             xb = twin[cb[0][1] if len(cb) == 1 else self._corner(b, r, cb)]
-        out_a, out_b = cw[xa], cw[xb]
-        self._add_edge(xa, xb, b, r)
+        self.chord(xa, xb, r)
+
+    def chord(self, xa: int, xb: int, r: int) -> int:
+        """Split region r by an edge (a, b) right after darts xa, xb leaving a,
+        b clockwise; returns the new region, the side holding (b, a)."""
+        out_a, out_b = self.cw[xa], self.cw[xb]
+        self._add_edge(xa, xb, self.head[self.twin[xb]], r)
         new = len(self.tag)
         self.tag.append(self.tag[r])
         self.start.append(out_a)
         self.start[r] = out_b
         for d in self._face(out_a):
             self.region[d] = new
+        return new
 
     def touches_both(self, tag: int, ends: Tuple[int, int]) -> List[int]:
         """The regions of face ``tag`` at both ends, ascending."""
@@ -501,10 +510,10 @@ class _Engine:
         """Dart d as (tail, head)."""
         return self.head[self.twin[d]], self.head[d]
 
-    def least_dart(self, r: int) -> int:
-        """Region r's dart with the least ``pair``: faces are numbered, and
-        their walks start, in that order."""
-        return min(self._face(self.start[r]), key=self.pair)
+    def face_key(self, r: int) -> Tuple[int, int, int]:
+        """Region r's least dart d by ``pair``, as (tail, head, d): faces are
+        numbered, and their walks start, in that order."""
+        return min((*self.pair(d), d) for d in self._face(self.start[r]))
 
     def edited(self) -> List[int]:
         """The vertices whose rotation differs from g's, ascending: the heads

@@ -601,6 +601,12 @@ class TestGenCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["7", "2"])
+    def test_bad_cubic_size_names_the_value(self, capsys, n):
+        code, out, err = run(capsys, "gen", "--kind", "cubic", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error input target_n must be an even number >= 4, got {n}\n"
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "3tree", "--n", "8")
         assert code == 0

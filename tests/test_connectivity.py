@@ -17,9 +17,11 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from collinear.cubic import _expand, generate_triconnected_cubic
+from collinear.cubic import generate_triconnected_cubic
 from collinear.plane_graph import PlaneGraph, PlaneGraphError, graph_from_positions
 from collinear.three_tree import random_plane_3tree
+
+from test_cubic import reference_expand
 
 
 # -- brute-force reference ---------------------------------------------------------
@@ -173,7 +175,7 @@ def test_every_expansion_step_stays_triconnected(seed):
     rng = random.Random(seed)
     g = k4()
     while g.n < 40:
-        cand = _expand(g, rng)
+        cand = reference_expand(g, rng)
         if cand is None:
             continue
         assert all(cand.degree(v) == 3 for v in cand.vertices)

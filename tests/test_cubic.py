@@ -24,7 +24,7 @@ from collinear.cubic import (
     theorem4,
     verify_charged_curve,
 )
-from collinear.curves import serialize_curve
+from collinear.curves import _Engine, serialize_curve
 from collinear.plane_graph import (PlaneGraph, PlaneGraphError, edge_key,
                                    graph_from_positions, path_to, reach,
                                    serialize_plane_graph)
@@ -675,6 +675,64 @@ class TestTheorem4:
 
 
 # -- generator ---------------------------------------------------------------------
+
+
+def reference_expand(g, rng):
+    """One expansion step as a fresh engine on g and a fresh PlaneGraph: the
+    face is drawn by its index in g.faces, the two edges by positions on its
+    walk, each subdivided as the original edge (u, v) with u < v."""
+    fi = rng.randrange(len(g.faces))
+    walk = g.faces[fi]
+    i, j = rng.sample(range(len(walk)), 2)
+    eng = _Engine(g)
+    m1 = eng.subdivide(edge_key(*walk[i]))
+    m2 = eng.subdivide(edge_key(*walk[j]))
+    eng.insert_chord(m1, m2, fi)
+    pg, index = eng.graph()
+    return pg.with_outer(index[eng.tag.index(g.outer)])
+
+
+def reference_generate_triconnected_cubic(seed, target_n):
+    """The generator with one graph build per step."""
+    rng = random.Random(seed)
+    g = k4()
+    while g.n < target_n:
+        g = reference_expand(g, rng)
+    return g
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 30, 100, 256])
+def test_generator_matches_per_step_reference(n):
+    # one engine for the whole run draws the same faces and positions as a
+    # PlaneGraph rebuilt after every step, so the graphs are identical
+    for seed in range(21):
+        g = generate_triconnected_cubic(seed, n)
+        ref = reference_generate_triconnected_cubic(seed, n)
+        assert (g.rot, g.faces, g.outer) == (ref.rot, ref.faces, ref.outer), seed
+
+
+def test_generator_builds_one_graph(monkeypatch):
+    # counted work, not time: the engine and the face-walk build run a
+    # constant number of times, the same at n = 100 and n = 400 (the
+    # per-step build ran each 198 times at n = 400)
+    init, from_walks = _Engine.__init__, PlaneGraph._from_walks.__func__
+    counts = {}
+
+    def count(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(_Engine, "__init__", count("engine", init))
+    monkeypatch.setattr(PlaneGraph, "_from_walks",
+                        classmethod(count("from_walks", from_walks)))
+    seen = []
+    for n in (100, 400):
+        counts.update(engine=0, from_walks=0)
+        assert generate_triconnected_cubic(1, n).n == n
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"engine": 1, "from_walks": 1}, seen
 
 
 class TestGenerator:
